@@ -99,12 +99,18 @@ let force t s =
 
 let path t ~src ~dst = D.path (force t src) dst
 
+(* The node on [y]'s predecessor chain whose predecessor is [src]: the
+   second node of the src -> y path, found without building the path.
+   [y] must be reachable and differ from [src]. *)
+let rec hop_below r src y =
+  let p = D.parent_ix r y in
+  if p = src then y else hop_below r src p
+
 let next_hop t ~src ~dst =
   if src = dst then None
   else
-    match path t ~src ~dst with
-    | Some (_ :: hop :: _) -> Some hop
-    | Some _ | None -> None
+    let r = force t src in
+    if D.reachable r dst then Some (hop_below r src dst) else None
 
 let distance t ~src ~dst = D.dist (force t src) dst
 let spt t ~src = force t src

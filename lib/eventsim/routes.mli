@@ -37,7 +37,9 @@ val compute :
 
 val next_hop : t -> src:Netgraph.Graph.node -> dst:Netgraph.Graph.node -> Netgraph.Graph.node option
 (** The neighbour to forward to; [None] if [dst] is unreachable.
-    [next_hop ~src ~dst:src] is [None]. *)
+    [next_hop ~src ~dst:src] is [None]. Walks the predecessor chain from
+    [dst] instead of building the path: the only allocation is the
+    option. *)
 
 val distance : t -> src:Netgraph.Graph.node -> dst:Netgraph.Graph.node -> float
 (** Converged shortest-delay distance ([infinity] if unreachable). *)

@@ -8,6 +8,19 @@ type t = {
   children : node list array;
   member : bool array;
   mutable count : int;
+  mutable members_n : int;
+  (* Change window (see [mark]). [w_epoch] is 0 until the first mark;
+     the four arrays are allocated then, so trees nobody marks (KMB,
+     SPT, one-shot builds) never pay for them. A node touched in the
+     current window has [w_stamp.(x) = w_epoch] and its (on, parent) at
+     the mark saved in [w_on]/[w_parent]; [w_touched.(0 .. w_len-1)]
+     lists the touched nodes in touch order. *)
+  mutable w_epoch : int;
+  mutable w_stamp : int array;
+  mutable w_on : bool array;
+  mutable w_parent : int array;
+  mutable w_touched : int array;
+  mutable w_len : int;
 }
 
 let create graph ~root =
@@ -22,6 +35,13 @@ let create graph ~root =
       children = Array.make n [];
       member = Array.make n false;
       count = 1;
+      members_n = 0;
+      w_epoch = 0;
+      w_stamp = [||];
+      w_on = [||];
+      w_parent = [||];
+      w_touched = [||];
+      w_len = 0;
     }
   in
   t.on.(root) <- true;
@@ -48,13 +68,6 @@ let nodes t =
   done;
   !acc
 
-(* Allocation-free [nodes]: the DCDM join scans every on-tree router
-   once per candidate evaluation, so the list build is pure overhead. *)
-let iter_nodes t f =
-  for x = 0 to Array.length t.on - 1 do
-    if t.on.(x) then f x
-  done
-
 let parent t x =
   require_on t x "parent";
   if x = t.root then None else Some t.parent.(x)
@@ -72,19 +85,76 @@ let is_member t x = t.member.(x)
 
 let members t = List.filter (fun x -> t.member.(x)) (nodes t)
 
-let member_count t = List.length (members t)
+let member_count t = t.members_n
 
 let set_member t x =
   require_on t x "set_member";
-  t.member.(x) <- true
+  if not t.member.(x) then begin
+    t.member.(x) <- true;
+    t.members_n <- t.members_n + 1
+  end
 
-let unset_member t x = t.member.(x) <- false
+let unset_member t x =
+  if t.member.(x) then begin
+    t.member.(x) <- false;
+    t.members_n <- t.members_n - 1
+  end
+
+(* ---- change window ---- *)
+
+let mark t =
+  if t.w_epoch = 0 then begin
+    let n = Array.length t.on in
+    t.w_stamp <- Array.make n 0;
+    t.w_on <- Array.make n false;
+    t.w_parent <- Array.make n (-1);
+    t.w_touched <- Array.make n 0
+  end;
+  t.w_epoch <- t.w_epoch + 1;
+  t.w_len <- 0
+
+(* Called by every mutator before it changes [x]'s (on, parent): the
+   first touch per window saves the state at the mark. Each node enters
+   [w_touched] at most once per window, so n slots suffice. *)
+let touch t x =
+  if t.w_epoch > 0 && t.w_stamp.(x) <> t.w_epoch then begin
+    t.w_stamp.(x) <- t.w_epoch;
+    t.w_on.(x) <- t.on.(x);
+    t.w_parent.(x) <- t.parent.(x);
+    t.w_touched.(t.w_len) <- x;
+    t.w_len <- t.w_len + 1
+  end
+
+(* A non-root node's parent link is its tree edge, so the edge child [x]
+   carried at the mark survives iff [x] is still on-tree under the same
+   parent (and symmetrically for the edge it carries now). *)
+let lost_at t x =
+  x <> t.root && t.w_on.(x) && not (t.on.(x) && t.parent.(x) = t.w_parent.(x))
+
+let gained_at t x =
+  x <> t.root && t.on.(x) && not (t.w_on.(x) && t.w_parent.(x) = t.parent.(x))
+
+let rec any_touched t f i =
+  i < t.w_len && (f t t.w_touched.(i) || any_touched t f (i + 1))
+
+let edges_lost t = any_touched t lost_at 0
+let edges_gained t = any_touched t gained_at 0
+let edges_changed t = edges_lost t || edges_gained t
+
+let removed_since_mark t =
+  let acc = ref [] in
+  for i = 0 to t.w_len - 1 do
+    let x = t.w_touched.(i) in
+    if t.w_on.(x) && not t.on.(x) then acc := x :: !acc
+  done;
+  List.sort Int.compare !acc
 
 let attach t ~parent:p x =
   require_on t p "attach";
   if t.on.(x) then invalid_arg "Tree.attach: node already on tree";
   if not (Netgraph.Graph.has_link t.graph p x) then
     invalid_arg "Tree.attach: no such graph link";
+  touch t x;
   t.on.(x) <- true;
   t.parent.(x) <- p;
   t.children.(p) <- t.children.(p) @ [ x ];
@@ -103,10 +173,11 @@ let detach_leaf t x =
   require_on t x "detach_leaf";
   if x = t.root then invalid_arg "Tree.detach_leaf: cannot detach root";
   if t.children.(x) <> [] then invalid_arg "Tree.detach_leaf: node has children";
+  touch t x;
   remove_child t t.parent.(x) x;
   t.on.(x) <- false;
   t.parent.(x) <- -1;
-  t.member.(x) <- false;
+  unset_member t x;
   t.count <- t.count - 1
 
 let prune_upward t x =
@@ -125,6 +196,7 @@ let prune_upward t x =
    ruled out cycles. The former upstream chain is then pruned as §III.D
    prescribes for loop elimination. *)
 let reparent t x ~new_parent =
+  touch t x;
   let old = t.parent.(x) in
   remove_child t old x;
   t.parent.(x) <- new_parent;
@@ -162,20 +234,27 @@ let graft_path t path =
   | head :: rest -> walk head rest
   | [] -> ()
 
-let delays t =
-  let n = Netgraph.Graph.node_count t.graph in
-  let d = Array.make n infinity in
-  let rec visit x acc =
-    d.(x) <- acc;
-    List.iter
-      (fun c ->
-        (* tree edges are graph links by construction; [edge_delay] is
-           the same stored float [link_delay_opt] would return *)
-        let e = Netgraph.Graph.edge_id_ix t.graph x c in
-        visit c (acc +. Netgraph.Graph.edge_delay t.graph e))
-      t.children.(x)
+(* Preorder walk that keeps each running sum in [d] itself: a float
+   passed as an argument (or captured by a closure) would be boxed once
+   per node. Tree edges are graph links by construction, and the edge
+   delay array holds the same stored floats [link_delay_opt] returns. *)
+let delays_into t d =
+  Array.fill d 0 (Array.length d) infinity;
+  let edelay = Netgraph.Graph.edge_delays t.graph in
+  let rec visit x = visit_children x t.children.(x)
+  and visit_children x = function
+    | [] -> ()
+    | c :: rest ->
+      d.(c) <- d.(x) +. edelay.(Netgraph.Graph.edge_id_ix t.graph x c);
+      visit c;
+      visit_children x rest
   in
-  visit t.root 0.0;
+  d.(t.root) <- 0.0;
+  visit t.root
+
+let delays t =
+  let d = Array.make (Netgraph.Graph.node_count t.graph) infinity in
+  delays_into t d;
   d
 
 let depth t x =
@@ -221,6 +300,9 @@ let validate t =
   count t.root;
   if !ok_count <> t.count then
     note "size mismatch: %d reachable from root, %d recorded" !ok_count t.count;
+  let members_seen = Array.fold_left (fun k m -> if m then k + 1 else k) 0 t.member in
+  if members_seen <> t.members_n then
+    note "member count mismatch: %d marked, %d recorded" members_seen t.members_n;
   match !problems with
   | [] -> Ok ()
   | ps -> Error (String.concat "; " (List.rev ps))
@@ -234,6 +316,13 @@ let copy t =
     children = Array.copy t.children;
     member = Array.copy t.member;
     count = t.count;
+    members_n = t.members_n;
+    w_epoch = t.w_epoch;
+    w_stamp = Array.copy t.w_stamp;
+    w_on = Array.copy t.w_on;
+    w_parent = Array.copy t.w_parent;
+    w_touched = Array.copy t.w_touched;
+    w_len = t.w_len;
   }
 
 let pp fmt t =

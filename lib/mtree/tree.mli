@@ -35,10 +35,6 @@ val size : t -> int
 val nodes : t -> node list
 (** On-tree nodes, ascending. *)
 
-val iter_nodes : t -> (node -> unit) -> unit
-(** [nodes] without the list: calls [f] on each on-tree node in
-    ascending id order (the same order [nodes] returns). *)
-
 val parent : t -> node -> node option
 (** Upstream router; [None] for the root. @raise Invalid_argument if
     off-tree. *)
@@ -54,6 +50,7 @@ val members : t -> node list
 (** Marked members, ascending. *)
 
 val member_count : t -> int
+(** O(1): the tree keeps a running count. *)
 
 val set_member : t -> node -> unit
 (** Mark a node as member. @raise Invalid_argument if off-tree. *)
@@ -93,6 +90,43 @@ val delays : t -> float array
 (** [delays t] maps each node to its {e multicast delay} (delay of the
     unique tree path from the root, §III.A); [infinity] for off-tree
     nodes, [0.] for the root. *)
+
+val delays_into : t -> float array -> unit
+(** [delays] written into a caller-owned buffer of at least
+    [node_count] slots, allocation-free: the DCDM join and repair passes
+    reuse one buffer per group. *)
+
+(** {1 Change window}
+
+    The m-router decides between an incremental BRANCH and a full TREE
+    distribution (§III.B/§III.E) from what one JOIN or LEAVE changed.
+    Instead of diffing whole-tree snapshots, the tree can record its own
+    changes: {!mark} opens a window, and from then on the first time
+    {!attach}, {!detach_leaf} or a re-parenting (through {!graft_path}
+    or {!prune_upward}) touches a node, the node's on-tree flag and
+    parent at the mark are saved. A non-root node's parent link is its
+    tree edge, so comparing the saved and the current state of the
+    touched nodes alone gives the {e net} change since the mark — the
+    same answers a before/after diff of {!edges} and {!nodes} gives. An
+    edge removed and re-added inside one window is no change. Member
+    marks are not tracked. Before the first {!mark} the window is
+    empty. Cost: O(1) per touch; each query is O(touched nodes). *)
+
+val mark : t -> unit
+(** Open a fresh change window (the first call allocates its buffers). *)
+
+val edges_lost : t -> bool
+(** Some tree edge present at the mark is gone. *)
+
+val edges_gained : t -> bool
+(** Some tree edge present now was absent at the mark. *)
+
+val edges_changed : t -> bool
+(** [edges_lost t || edges_gained t]: the edge set differs from the
+    mark's. *)
+
+val removed_since_mark : t -> node list
+(** Nodes on the tree at the mark and off it now, ascending. *)
 
 val depth : t -> node -> int
 (** Hop count from the root. @raise Invalid_argument if off-tree. *)

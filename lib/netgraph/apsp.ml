@@ -15,9 +15,10 @@ type t = {
   by_cost : Dijkstra.result option array;
   (* Shared search scratch (frontier, settled stamps): without it every
      forced source would rebuild the radix heap and stamp arrays from
-     nothing. Memoized results are never recycled into it, so each
-     force still gets fresh result arrays — the table's entries stay
-     live and byte-identical to workspace-less runs. *)
+     nothing. Memoized results are never recycled into it; only the
+     throwaway SPTs of [mean_delay_from] are, so a force may reuse
+     their arrays — the table's entries stay live and byte-identical to
+     workspace-less runs. *)
   ws : Dijkstra.workspace;
 }
 
@@ -101,16 +102,31 @@ let diameter t =
   done;
   !acc
 
+(* One scalar per source: placement's rule 1 scans every source once,
+   so an SPT the table has not memoized is run in the table's workspace
+   and recycled straight after, instead of leaving n SPTs (4n words
+   each) in a table usually dropped right after placement. The dists
+   are read off the raw array, which boxes no float. *)
 let mean_delay_from t x =
   let n = Graph.node_count t.g in
+  let spt, scratch =
+    match t.by_delay.(x) with
+    | Some r -> (r, false)
+    | None ->
+      ( Dijkstra.run ~ws:t.ws ?node_ok:t.node_ok ?edge_ok:t.edge_ok t.g
+          ~metric:Dijkstra.Delay ~source:x,
+        true )
+  in
+  let dist = Dijkstra.dists spt in
   let total = ref 0.0 and count = ref 0 in
   for y = 0 to n - 1 do
     if y <> x then begin
-      let d = delay t x y in
+      let d = dist.(y) in
       if d < infinity then begin
         total := !total +. d;
         incr count
       end
     end
   done;
+  if scratch then Dijkstra.recycle t.ws spt;
   if !count = 0 then 0.0 else !total /. float_of_int !count

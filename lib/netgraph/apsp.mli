@@ -52,7 +52,7 @@ val cost_of_sl : t -> Graph.node -> Graph.node -> float
 val sl_tree : t -> Graph.node -> Dijkstra.result
 (** The memoized shortest-delay SPT of one source — scalar access to
     every [P_sl(source, -)] at once ({!Dijkstra.dist},
-    {!Dijkstra.other_dist}, {!Dijkstra.fold_path_edges}), for consumers
+    {!Dijkstra.other_dist}, the raw {!Dijkstra.dists} views), for consumers
     like the DCDM join loop that prefilter many destinations before
     materializing any path. *)
 
@@ -65,4 +65,6 @@ val diameter : t -> float
 
 val mean_delay_from : t -> Graph.node -> float
 (** Mean unicast delay from one node to all others (placement rule 1);
-    [0.] on a one-node graph. Unreachable pairs are excluded. *)
+    [0.] on a one-node graph. Unreachable pairs are excluded. Reads a
+    memoized SPT when there is one, but does not memoize the SPT it
+    runs: a scan over every source leaves the table as it found it. *)

@@ -185,17 +185,10 @@ let path r x =
 let path_exn r x =
   match path r x with Some p -> p | None -> raise Not_found
 
-let fold_path_edges r init dst ~f =
-  if not (reachable r dst) then None
-  else begin
-    (* Recurse to the source, fold on the way back: edges are visited
-       head to tail, matching a left fold over the materialized path,
-       without allocating it. *)
-    let rec go y =
-      if y = r.src then init else f (go r.pred.(y)) r.pred_edge.(y) r.pred.(y) y
-    in
-    Some (go dst)
-  end
+let dists r = r.dist
+let others r = r.other
+let preds r = r.pred
+let pred_edges r = r.pred_edge
 
 let eccentricity r =
   Array.fold_left

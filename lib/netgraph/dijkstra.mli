@@ -96,19 +96,27 @@ val path : result -> Graph.node -> Path.t option
 val path_exn : result -> Graph.node -> Path.t
 (** @raise Not_found if the node is unreachable. *)
 
-val fold_path_edges :
-  result ->
-  'a ->
-  Graph.node ->
-  f:('a -> Graph.edge -> Graph.node -> Graph.node -> 'a) ->
-  'a option
-(** [fold_path_edges r init dst ~f] folds [f] over the shortest path's
-    edges — [f acc eid a b] with the dense edge id alongside the
-    endpoints — source to [dst], in forward order, without allocating
-    the path. [None] if [dst] is unreachable; [Some init] for the
-    source itself. This is the DCDM join's hot loop: candidate
-    added-cost walks touch thousands of paths per build, read per-edge
-    weights O(1) by edge id, and only the winner is materialized. *)
-
 val eccentricity : result -> float
 (** Largest finite distance from the source. *)
+
+(** {1 Raw views}
+
+    The result's own per-node arrays, for allocation-free scans in other
+    modules (the DCDM candidate scan): reading [(dists r).(x)] costs an
+    array load, where a call to {!dist} returns a boxed float. Callers
+    must not mutate them. Slots of {!others}, {!preds} and {!pred_edges}
+    are meaningful only for nodes with a finite distance other than the
+    source: a pooled run leaves stale values elsewhere. *)
+
+val dists : result -> float array
+(** Index = node; what {!dist} returns. *)
+
+val others : result -> float array
+(** What {!other_dist} returns, where the node is reachable. *)
+
+val preds : result -> int array
+(** What {!parent_ix} returns, where the node is reachable and not the
+    source. *)
+
+val pred_edges : result -> int array
+(** What {!parent_edge_ix} returns, under the same condition. *)

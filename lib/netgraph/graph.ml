@@ -214,19 +214,21 @@ let edge_link t e =
   check_edge t e "edge_link";
   { u = t.eu.(e); v = t.ev.(e); delay = t.edelay.(e); cost = t.ecost.(e) }
 
+(* First slot in [s, stop) whose neighbor is [b], or -1. Top-level
+   rather than a local closure over [t], [b] and [stop]: on graphs too
+   large for the dense id matrix every lookup runs this scan, and the
+   closure would be allocated per call. *)
+let rec find_slot_from t b stop s =
+  if s = stop then -1 else if t.nbr.(s) = b then s else find_slot_from t b stop (s + 1)
+
 let edge_id_ix t a b =
   check_node t a "edge_id_ix";
   check_node t b "edge_id_ix";
   if Array.length t.eid_mat > 0 then Array.unsafe_get t.eid_mat ((a * t.n) + b)
-  else begin
-    let stop = t.off.(a + 1) in
-    let rec scan s =
-      if s = stop then -1
-      else if t.nbr.(s) = b then t.slot_eid.(s)
-      else scan (s + 1)
-    in
-    scan t.off.(a)
-  end
+  else
+    match find_slot_from t b t.off.(a + 1) t.off.(a) with
+    | -1 -> -1
+    | s -> t.slot_eid.(s)
 
 let edge_id_opt t a b =
   match edge_id_ix t a b with -1 -> None | e -> Some e
@@ -243,10 +245,7 @@ let link_between t a b =
    option-returning and legacy raising entry points; Path sums and the
    tree walks sit on these. *)
 
-let find_slot t a b =
-  let stop = t.off.(a + 1) in
-  let rec scan s = if s = stop then -1 else if t.nbr.(s) = b then s else scan (s + 1) in
-  scan t.off.(a)
+let find_slot t a b = find_slot_from t b t.off.(a + 1) t.off.(a)
 
 let link_delay_opt t a b =
   check_node t a "link_delay_opt";
@@ -376,3 +375,5 @@ let csr_neighbors t = t.nbr
 let csr_edge_ids t = t.slot_eid
 let csr_delays t = t.slot_delay
 let csr_costs t = t.slot_cost
+let edge_delays t = t.edelay
+let edge_costs t = t.ecost

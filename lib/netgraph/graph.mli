@@ -196,3 +196,10 @@ val csr_neighbors : t -> int array
 val csr_edge_ids : t -> int array
 val csr_delays : t -> float array
 val csr_costs : t -> float array
+
+val edge_delays : t -> float array
+(** Per-edge delays indexed by edge id ({!edge_delay} without the range
+    check and, across module boundaries, without boxing the float). *)
+
+val edge_costs : t -> float array
+(** Per-edge costs indexed by edge id, like {!edge_delays}. *)

@@ -499,21 +499,6 @@ let tree_path_from_root tree dr =
   in
   climb dr []
 
-(* Tree edges as packed (parent, child) ints, sorted: the join/leave
-   paths diff a before and after snapshot per request, and int lists
-   make both the membership probes and the equality test single-word
-   compares instead of polymorphic tuple walks. Node ids stay well
-   below 2^31, so the pack is exact. *)
-let edge_set tree =
-  List.sort Int.compare
-    (List.map (fun (p, x) -> (p lsl 31) lor x) (Mtree.Tree.edges tree))
-
-let rec eq_int_list (a : int list) b =
-  match (a, b) with
-  | [], [] -> true
-  | x :: a, y :: b -> x = y && eq_int_list a b
-  | _ -> false
-
 let distribute_branch t a group tree dr =
   match tree_path_from_root tree dr with
   | [] -> ()
@@ -643,10 +628,9 @@ let rebuild_group t a ?prior group members_now =
                                        connectivity returns *))
     members_now;
   let tree = Mtree.Dcdm.tree d in
-  let after = Mtree.Tree.nodes tree in
   let stale =
     List.filter
-      (fun x -> (not (List.mem x after)) && N.node_alive t.net x)
+      (fun x -> (not (Mtree.Tree.on_tree tree x)) && N.node_alive t.net x)
       before
   in
   distribute_tree t a group tree stale
@@ -719,35 +703,30 @@ let fail_primary t =
 
 (* ---- m-router control plane ---- *)
 
+(* Both handlers read what the DCDM call changed off the tree's change
+   window (see {!Mtree.Tree.mark}): O(touched nodes) per request, where
+   a before/after snapshot diff would cost O(tree) or worse. *)
+let distribute_restructured t a group tree =
+  distribute_tree t a group tree (Mtree.Tree.removed_since_mark tree)
+
 let handle_join_at_mrouter t a group dr =
   let d = group_state t a group in
   let tree = Mtree.Dcdm.tree d in
-  let before_edges = edge_set tree in
-  let before_nodes = Mtree.Tree.nodes tree in
+  Mtree.Tree.mark tree;
   timed_compute t (fun () -> Mtree.Dcdm.join d dr);
   replicate t a group dr true;
   if dr = a.an then (authority_entry t a group).member <- true
-  else begin
-    let after_edges = edge_set tree in
-    let after_nodes = Mtree.Tree.nodes tree in
-    let lost_edges =
-      List.exists (fun e -> not (mem_int e after_edges)) before_edges
-    in
-    let grew = not (eq_int_list after_edges before_edges) in
-    let removed_nodes =
-      List.filter (fun x -> not (mem_int x after_nodes)) before_nodes
-    in
+  else
     match t.distribution with
     | Always_full_tree ->
-      if grew then distribute_tree t a group tree removed_nodes
+      if Mtree.Tree.edges_changed tree then distribute_restructured t a group tree
     | Incremental ->
-      if not lost_edges then begin
-        if grew then distribute_branch t a group tree dr
+      if not (Mtree.Tree.edges_lost tree) then begin
+        if Mtree.Tree.edges_gained tree then distribute_branch t a group tree dr
         (* else: dr was already an on-tree relay; its DR marked the
            interface locally, nothing to distribute (§III.B). *)
       end
-      else distribute_tree t a group tree removed_nodes
-  end
+      else distribute_restructured t a group tree
 
 let handle_leave_at_mrouter t a group dr =
   replicate t a group dr false;
@@ -755,8 +734,7 @@ let handle_leave_at_mrouter t a group dr =
   | None -> ()
   | Some d ->
     let tree = Mtree.Dcdm.tree d in
-    let before_edges = edge_set tree in
-    let before_nodes = Mtree.Tree.nodes tree in
+    Mtree.Tree.mark tree;
     timed_compute t (fun () -> Mtree.Dcdm.leave d dr);
     (* A pure prune needs no distribution: the DR's hop-by-hop PRUNE
        cascade (§III.C) removes exactly the dangling entries. But when
@@ -764,17 +742,7 @@ let handle_leave_at_mrouter t a group dr =
        members to honour it, the tree gained edges the cascade knows
        nothing about — distribute the restructured tree, as on a
        loop-eliminating join. *)
-    let after_edges = edge_set tree in
-    let grew =
-      List.exists (fun e -> not (mem_int e before_edges)) after_edges
-    in
-    if grew then begin
-      let after_nodes = Mtree.Tree.nodes tree in
-      let removed_nodes =
-        List.filter (fun x -> not (mem_int x after_nodes)) before_nodes
-      in
-      distribute_tree t a group tree removed_nodes
-    end
+    if Mtree.Tree.edges_gained tree then distribute_restructured t a group tree
 
 (* Re-install the root-to-[dr] branch for a member the m-router already
    has on its tree: the response to a re-graft request and to a

@@ -192,6 +192,112 @@ let prop_tree_random_churn_valid =
       done;
       !ok)
 
+(* ---------------- Change window ---------------- *)
+
+(* The oracle: the before/after snapshot diff the m-router ran on every
+   JOIN/LEAVE before the tree recorded its own changes — tree edges
+   packed as sorted (parent, child) ints, plus the ascending node list. *)
+let edge_set t =
+  List.sort Int.compare (List.map (fun (p, x) -> (p lsl 31) lor x) (Tree.edges t))
+
+let rec mem_int (x : int) = function [] -> false | y :: rest -> y = x || mem_int x rest
+
+let snapshot t = (edge_set t, Tree.nodes t)
+
+(* (lost, gained, changed, removed nodes) between two snapshots *)
+let snapshot_diff (before_edges, before_nodes) (after_edges, after_nodes) =
+  ( List.exists (fun e -> not (mem_int e after_edges)) before_edges,
+    List.exists (fun e -> not (mem_int e before_edges)) after_edges,
+    after_edges <> before_edges,
+    List.filter (fun x -> not (mem_int x after_nodes)) before_nodes )
+
+let window t =
+  ( Tree.edges_lost t,
+    Tree.edges_gained t,
+    Tree.edges_changed t,
+    Tree.removed_since_mark t )
+
+(* Random DCDM join/leave churn; [f] sees each op's kind, the oracle's
+   answer and the window's. *)
+let churn_window ~bound ~seed ~ops f =
+  let apsp = waxman_apsp (seed + 500) in
+  let d = Dcdm.create apsp ~root:0 ~bound () in
+  let t = Dcdm.tree d in
+  let rng = Prng.create ((seed * 211) + 1) in
+  for _ = 1 to ops do
+    let x = 1 + Prng.int rng 59 in
+    let before = snapshot t in
+    Tree.mark t;
+    let joined = not (Tree.is_member t x) in
+    if joined then Dcdm.join d x else Dcdm.leave d x;
+    f ~joined (snapshot_diff before (snapshot t)) (window t)
+  done
+
+let prop_window_matches_snapshot_diff =
+  QCheck.Test.make ~name:"change window = before/after snapshot diff under DCDM churn"
+    ~count:20 QCheck.small_int (fun seed ->
+      let ok = ref true in
+      List.iter
+        (fun bound ->
+          churn_window ~bound ~seed ~ops:120 (fun ~joined:_ oracle got ->
+              if oracle <> got then ok := false))
+        [ Bound.Tightest; Bound.Moderate; Bound.Loosest ];
+      !ok)
+
+(* The differential above only means something if the churn reaches the
+   restructuring paths: joins whose graft re-parents on-tree nodes (edges
+   lost) and leaves whose tightened bound re-grafts members (edges
+   gained). *)
+let test_window_sees_restructures () =
+  let restructuring_joins = ref 0 and regrafting_leaves = ref 0 in
+  for seed = 0 to 9 do
+    List.iter
+      (fun bound ->
+        churn_window ~bound ~seed ~ops:120 (fun ~joined (lost, gained, _, _) _ ->
+            if joined && lost then incr restructuring_joins;
+            if (not joined) && gained then incr regrafting_leaves))
+      [ Bound.Tightest; Bound.Loosest ]
+  done;
+  checkb "some join lost edges" true (!restructuring_joins > 0);
+  checkb "some leave gained edges" true (!regrafting_leaves > 0)
+
+let test_window_nets_out () =
+  let g = fig5 () in
+  let t = Tree.create g ~root:0 in
+  Tree.attach t ~parent:0 1;
+  Tree.attach t ~parent:1 4;
+  Tree.set_member t 1;
+  Tree.set_member t 4;
+  let none = (false, false, false, []) in
+  checkb "never marked: empty window" true (window t = none);
+  Tree.mark t;
+  checkb "fresh mark: no change" true (window t = none);
+  (* edge 1-4 removed and re-added inside one window *)
+  Tree.unset_member t 4;
+  Tree.prune_upward t 4;
+  checkb "4 pruned" false (Tree.on_tree t 4);
+  Tree.attach t ~parent:1 4;
+  checkb "remove + re-add nets to no change" true (window t = none);
+  assert_valid "after re-add" t
+
+let test_window_loop_elimination () =
+  (* the Fig 5(c,d) graft: 3 moves under the root, 2 is pruned *)
+  let g = fig5 () in
+  let t = Tree.create g ~root:0 in
+  Tree.attach t ~parent:0 1;
+  Tree.attach t ~parent:1 2;
+  Tree.attach t ~parent:2 3;
+  Tree.attach t ~parent:1 4;
+  Tree.set_member t 3;
+  Tree.set_member t 4;
+  let before = snapshot t in
+  Tree.mark t;
+  Tree.graft_path t [ 0; 3; 5 ];
+  checkb "lost, gained, changed, 2 removed" true
+    (window t = (true, true, true, [ 2 ]));
+  checkb "agrees with the snapshot diff" true
+    (window t = snapshot_diff before (snapshot t))
+
 (* ---------------- Bound ---------------- *)
 
 let test_bound () =
@@ -591,6 +697,12 @@ let () =
           Alcotest.test_case "graft errors" `Quick test_tree_graft_errors;
           Alcotest.test_case "copy" `Quick test_tree_copy_independent;
           qc prop_tree_random_churn_valid;
+          Alcotest.test_case "change window nets out" `Quick test_window_nets_out;
+          Alcotest.test_case "change window loop elimination" `Quick
+            test_window_loop_elimination;
+          qc prop_window_matches_snapshot_diff;
+          Alcotest.test_case "change window sees restructures" `Quick
+            test_window_sees_restructures;
         ] );
       ("bound", [ Alcotest.test_case "levels" `Quick test_bound ]);
       ( "dcdm",

@@ -148,6 +148,50 @@ let prop_apsp_differential =
       done;
       !ok)
 
+(* [Routes.next_hop] walks the predecessor chain instead of building
+   the path; it must still name the path's second node, on a clean
+   overlay and after every fault of a random schedule. *)
+let prop_next_hop_matches_path =
+  QCheck.Test.make ~name:"next_hop = second node of the routed path, with faults"
+    ~count:30
+    QCheck.(pair small_nat small_nat)
+    (fun (tseed, fseed) ->
+      let g = graph_of_seed tseed in
+      let n = G.node_count g in
+      let engine = Engine.create () in
+      let net = Netsim.create engine g ~classify:(fun (_ : unit) -> `Data) in
+      let links = base_links g in
+      let rng = Prng.create ((fseed * 40503) + 3) in
+      let agree () =
+        let r = Netsim.routes net in
+        let ok = ref true in
+        for src = 0 to n - 1 do
+          for dst = 0 to n - 1 do
+            let from_path =
+              match Routes.path r ~src ~dst with
+              | Some (_ :: hop :: _) -> Some hop
+              | Some _ | None -> None
+            in
+            if Routes.next_hop r ~src ~dst <> from_path then ok := false
+          done
+        done;
+        !ok
+      in
+      let ok = ref (agree ()) in
+      for _round = 1 to 8 do
+        (match Prng.int rng 3 with
+        | 0 ->
+          let a, b = links.(Prng.int rng (Array.length links)) in
+          Netsim.fail_link net a b
+        | 1 -> Netsim.fail_node net (Prng.int rng n)
+        | _ -> (
+          match Netsim.dead_link_list net with
+          | [] -> ()
+          | (a, b) :: _ -> Netsim.restore_link net a b));
+        if not (agree ()) then ok := false
+      done;
+      !ok)
+
 let checki = Alcotest.check Alcotest.int
 
 let test_invalidation_is_selective () =
@@ -185,6 +229,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_netsim_differential;
           QCheck_alcotest.to_alcotest prop_apsp_differential;
+          QCheck_alcotest.to_alcotest prop_next_hop_matches_path;
         ] );
       ( "invalidation",
         [

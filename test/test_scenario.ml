@@ -165,6 +165,21 @@ let test_ab_missing_metric_fails () =
   checkb "added metric passes" true (Ab.passed o);
   checki "added" 1 o.Ab.added
 
+let test_ab_bench_minor_words () =
+  (* the bench profile bands deterministic allocation counts tightly,
+     and only in the worse direction *)
+  let key = "micro/dcdm-churn-1000/minor_words" in
+  let bench old_v new_v =
+    compare_fixtures ~rules:Ab.bench_rules [ (key, old_v) ] [ (key, new_v) ]
+  in
+  let o = bench 100000.0 103000.0 in
+  checkb "3% more words fails" false (Ab.passed o);
+  checki "regressed" 1 o.Ab.regressed;
+  checkb "1% more words passes" true (Ab.passed (bench 100000.0 101000.0));
+  let o = bench 100000.0 40000.0 in
+  checkb "fewer words passes" true (Ab.passed o);
+  checki "improved" 1 o.Ab.improved
+
 let test_ab_schema_validation () =
   (match
      Ab.compare_reports ~old_json:(Json.Obj []) ~new_json:(report []) ()
@@ -247,6 +262,8 @@ let () =
           Alcotest.test_case "schema validation" `Quick test_ab_schema_validation;
           Alcotest.test_case "glob + scmp-ab/1" `Quick
             test_ab_glob_and_serialization;
+          Alcotest.test_case "bench minor words band" `Quick
+            test_ab_bench_minor_words;
         ] );
       ( "sweep",
         [
