@@ -225,7 +225,7 @@ let micro ?json ~full ~jobs () =
   in
   pr "%-34s %14.2f x (ref / csr, paired batches)\n" "scmp/dijkstra-100-speedup"
     dij_speedup;
-  (* The event-kernel gate: calendar-queue + dispatch-record engine
+  (* The event-kernel gate: radix-heap + dispatch-record engine
      against the heap-and-thunks shape it replaced, same interleaved
      discipline. *)
   let churn_speedup =

@@ -40,11 +40,15 @@ echo "== bench gate (micro smoke vs BENCH.json, ab bench profile)"
 dune exec bench/main.exe -- micro --json /tmp/bench_smoke.json > /dev/null
 grep -q '"schema": "scmp-report/1"' /tmp/bench_smoke.json
 $SIM ab BENCH.json /tmp/bench_smoke.json --profile bench
-# The event-kernel overhaul's absolute floor: the calendar-queue +
+# The event-kernel overhaul's absolute floor: the radix-heap +
 # dispatch-record engine must hold at least 2x over the preserved
 # heap-and-thunks reference on the churn workload. Paired interleaved
 # batches, so the ratio is immune to host speed drift.
 $SIM metric /tmp/bench_smoke.json 'micro/engine-churn-speedup/x' --ge 2.0 > /dev/null
+# The dijkstra redesign's absolute floor: CSR + radix-heap Dijkstra
+# must hold at least 3x over the preserved adjacency-list + binary-heap
+# reference on a 100-node graph, same paired discipline.
+$SIM metric /tmp/bench_smoke.json 'micro/dijkstra-100-speedup/x' --ge 3.0 > /dev/null
 # The dijkstra redesign's structural claim: no hashtable lookups remain
 # on the SPT / APSP / route-invalidation hot path — CSR arrays and
 # edge-id bitsets only.

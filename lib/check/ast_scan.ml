@@ -4,7 +4,7 @@ let parse ~path src =
   let lexbuf = Lexing.from_string src in
   Lexing.set_filename lexbuf path;
   (* any lex/parse error means "no AST" — the engine reports it and
-     falls back to the line matchers *)
+     runs no rule on the file *)
   try Some (Parse.implementation lexbuf) with _ -> None (* lint: allow catchall-exn *)
 
 let line_of (loc : Location.t) = loc.loc_start.pos_lnum

@@ -28,146 +28,7 @@ let compare_violations a b =
       message = b.message;
     }
 
-(* ---- source preprocessing ----
-
-   The line matchers (the fallback path for files without a
-   parsetree) match on code only: comments and string literals are
-   blanked out (length-preserving, so line/column arithmetic
-   survives). Handles nested [(* *)] comments, ["..."] strings with
-   escapes, [{|...|}] / [{id|...|id}] quoted strings, and character
-   literals — while leaving type variables ['a] alone. *)
-
-let blank_non_code src =
-  let n = String.length src in
-  let out = Bytes.of_string src in
-  let blank i = if Bytes.get out i <> '\n' then Bytes.set out i ' ' in
-  let is_quote_id c = (c >= 'a' && c <= 'z') || c = '_' in
-  let i = ref 0 in
-  let comment_depth = ref 0 in
-  while !i < n do
-    let c = src.[!i] in
-    if !comment_depth > 0 then begin
-      if c = '(' && !i + 1 < n && src.[!i + 1] = '*' then begin
-        incr comment_depth;
-        blank !i;
-        blank (!i + 1);
-        i := !i + 2
-      end
-      else if c = '*' && !i + 1 < n && src.[!i + 1] = ')' then begin
-        decr comment_depth;
-        blank !i;
-        blank (!i + 1);
-        i := !i + 2
-      end
-      else begin
-        blank !i;
-        incr i
-      end
-    end
-    else if c = '(' && !i + 1 < n && src.[!i + 1] = '*' then begin
-      comment_depth := 1;
-      blank !i;
-      blank (!i + 1);
-      i := !i + 2
-    end
-    else if c = '{' then begin
-      (* quoted string literal [{|...|}] / [{id|...|id}]: find the
-         [id|] opener, then blank through the matching [|id}] *)
-      let j = ref (!i + 1) in
-      while !j < n && is_quote_id src.[!j] do incr j done;
-      if !j < n && src.[!j] = '|' then begin
-        let id = String.sub src (!i + 1) (!j - !i - 1) in
-        let closer = "|" ^ id ^ "}" in
-        let m = String.length closer in
-        let k = ref (!j + 1) in
-        while !k + m <= n && String.sub src !k m <> closer do incr k done;
-        if !k + m <= n then begin
-          (* keep the delimiters, blank the payload *)
-          for p = !j + 1 to !k - 1 do blank p done;
-          i := !k + m
-        end
-        else begin
-          (* unterminated: blank to end of input *)
-          for p = !j + 1 to n - 1 do blank p done;
-          i := n
-        end
-      end
-      else incr i
-    end
-    else if c = '"' then begin
-      (* keep the delimiters, blank the payload *)
-      incr i;
-      let closed = ref false in
-      while (not !closed) && !i < n do
-        if src.[!i] = '\\' && !i + 1 < n then begin
-          blank !i;
-          blank (!i + 1);
-          i := !i + 2
-        end
-        else if src.[!i] = '"' then begin
-          closed := true;
-          incr i
-        end
-        else begin
-          blank !i;
-          incr i
-        end
-      done
-    end
-    else if c = '\'' then begin
-      (* char literal iff it closes within a couple of characters;
-         otherwise it is a type variable / primed identifier *)
-      if !i + 2 < n && src.[!i + 1] <> '\\' && src.[!i + 2] = '\'' then begin
-        blank (!i + 1);
-        i := !i + 3
-      end
-      else if !i + 1 < n && src.[!i + 1] = '\\' then begin
-        let j = ref (!i + 2) in
-        while !j < n && !j <= !i + 4 && src.[!j] <> '\'' do incr j done;
-        if !j < n && src.[!j] = '\'' then begin
-          for k = !i + 1 to !j - 1 do blank k done;
-          i := !j + 1
-        end
-        else incr i
-      end
-      else incr i
-    end
-    else incr i
-  done;
-  Bytes.to_string out
-
 let lines s = String.split_on_char '\n' s
-
-let is_ident_char = function
-  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' | '.' -> true
-  | _ -> false
-
-(* Occurrences of [pat] in [line] at identifier boundaries. *)
-let contains_token line pat =
-  let n = String.length line and m = String.length pat in
-  let rec scan i =
-    if i + m > n then false
-    else if
-      String.sub line i m = pat
-      && (i = 0 || not (is_ident_char line.[i - 1]))
-      && (i + m = n || not (is_ident_char line.[i + m]))
-    then true
-    else scan (i + 1)
-  in
-  m > 0 && scan 0
-
-(* [pat] present at a left identifier boundary, whatever follows
-   (for prefix rules: [Hashtbl.find] inside [Hashtbl.find_opt] must
-   not match the token form but must match here). *)
-let find_token line pat =
-  let n = String.length line and m = String.length pat in
-  let rec scan i acc =
-    if i + m > n then List.rev acc
-    else if String.sub line i m = pat && (i = 0 || not (is_ident_char line.[i - 1]))
-    then scan (i + 1) ((i, i + m) :: acc)
-    else scan (i + 1) acc
-  in
-  if m = 0 then [] else scan 0 []
 
 let path_contains path needle =
   let n = String.length path and m = String.length needle in
@@ -340,14 +201,14 @@ let ast_domain_safety (ctx : Rule.ctx) structure =
 (* The event kernel owns its queue: every schedule inside the
    simulation layer goes through Engine, which is what keeps the
    clock, the foreground count, the executed counter and the
-   high-water mark truthful. A Heap or Calendar_queue frontier
-   anywhere else in lib/eventsim is a second scheduler the engine
-   cannot see — exactly the shape the event-kernel overhaul removed.
-   Both spellings, as with raw_transmit_targets. *)
+   high-water mark truthful. A Heap or Radix_heap frontier anywhere
+   else in lib/eventsim is a second scheduler the engine cannot see —
+   exactly the shape the event-kernel overhaul removed. Both
+   spellings, as with raw_transmit_targets. *)
 let engine_queue_prefixes =
   [
     "Heap."; "Scmp_util.Heap.";
-    "Calendar_queue."; "Scmp_util.Calendar_queue.";
+    "Radix_heap."; "Scmp_util.Radix_heap.";
   ]
 
 let ast_raw_engine_queue (ctx : Rule.ctx) structure =
@@ -598,122 +459,6 @@ let ast_exec_capture (ctx : Rule.ctx) structure =
           (Ast_scan.apply_args e)
       | _ -> ())
 
-(* ---- line-matcher fallbacks (files without a parsetree) ---- *)
-
-let poly_compare_patterns =
-  [
-    "List.sort compare";
-    "List.sort_uniq compare";
-    "List.stable_sort compare";
-    "List.sort Stdlib.compare";
-    "List.sort_uniq Stdlib.compare";
-    "List.stable_sort Stdlib.compare";
-    "let compare = compare";
-    "let compare = Stdlib.compare";
-    "Stdlib.compare";
-  ]
-
-let iter_code_lines (ctx : Rule.ctx) f =
-  Array.iteri (fun idx line -> f (idx + 1) line) (Lazy.force ctx.source.code_lines)
-
-let line_poly_compare ctx =
-  iter_code_lines ctx (fun line code ->
-      List.iter
-        (fun pat ->
-          if contains_token code pat then
-            ctx.Rule.emit ~line
-              (Printf.sprintf
-                 "polymorphic comparator (%s); use Int.compare or a dedicated \
-                  comparator"
-                 pat))
-        poly_compare_patterns)
-
-let line_hashtbl_find ctx =
-  iter_code_lines ctx (fun line code ->
-      List.iter
-        (fun (_, j) ->
-          if j >= String.length code || not (is_ident_char code.[j]) then
-            ctx.Rule.emit ~line
-              "Hashtbl.find raises on absent keys; use Hashtbl.find_opt")
-        (find_token code "Hashtbl.find"))
-
-let line_failwith ctx =
-  iter_code_lines ctx (fun line code ->
-      if contains_token code "failwith" then
-        ctx.Rule.emit ~line
-          "failwith in a protocol hot path; return a result or use a typed \
-           invalid_arg at the API boundary")
-
-let line_raw_transmit ctx =
-  iter_code_lines ctx (fun line code ->
-      List.iter
-        (fun pat ->
-          if contains_token code pat then
-            ctx.Rule.emit ~line
-              (Printf.sprintf
-                 "raw %s outside the protocol layer bypasses the reliable \
-                  control transport and drop accounting; go through a \
-                  protocol agent"
-                 pat))
-        raw_transmit_targets)
-
-let line_raw_fault ctx =
-  iter_code_lines ctx (fun line code ->
-      List.iter
-        (fun pat ->
-          if contains_token code pat then
-            ctx.Rule.emit ~line
-              (Printf.sprintf
-                 "raw %s outside lib/eventsim bypasses the fault schedule; \
-                  script failures through Eventsim.Faults so counters, \
-                  replay and shrinking see them"
-                 pat))
-        raw_fault_targets)
-
-(* Same-line heuristic for top-level mutable bindings, kept only for
-   sources the parser rejects. *)
-let toplevel_mutable_binding code_line =
-  let n = String.length code_line in
-  let prefix = "let " in
-  let m = String.length prefix in
-  if n < m || String.sub code_line 0 m <> prefix then false
-  else begin
-    let i = ref m in
-    let start = !i in
-    while
-      !i < n
-      && (match code_line.[!i] with
-         | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
-         | _ -> false)
-    do
-      incr i
-    done;
-    if !i = start then false
-    else begin
-      while !i < n && code_line.[!i] = ' ' do incr i done;
-      !i < n
-      && (code_line.[!i] = '=' || code_line.[!i] = ':')
-      && (contains_token code_line "ref"
-         || find_token code_line "Hashtbl.create" <> [])
-    end
-  end
-
-let line_domain_safety ctx =
-  iter_code_lines ctx (fun line code ->
-      List.iter
-        (fun pat ->
-          if find_token code pat <> [] then
-            ctx.Rule.emit ~line
-              (Printf.sprintf
-                 "%s outside lib/exec; concurrency is confined to the Exec \
-                  layer — hand the work to Exec.Pool instead"
-                 pat))
-        [ "Domain.spawn"; "Atomic."; "Mutex."; "Condition." ];
-      if in_lib ctx.Rule.source.Rule.path && toplevel_mutable_binding code then
-        ctx.Rule.emit ~line
-          "top-level mutable state is shared across worker domains; allocate \
-           it per task (or mark the module exec-only)")
-
 (* ---- graph-freeze ----
 
    The two-phase graph API's discipline: [Graph.Builder] is the only
@@ -748,11 +493,6 @@ let ast_graph_freeze (ctx : Rule.ctx) structure =
         if graph_builder_path p then emit_at ctx loc (graph_freeze_message p)
       | _ -> ())
 
-let line_graph_freeze ctx =
-  iter_code_lines ctx (fun line code ->
-      if find_token code "Graph.Builder" <> [] then
-        ctx.Rule.emit ~line (graph_freeze_message "Graph.Builder"))
-
 (* ---- the registry ---- *)
 
 let registry : Rule.t list =
@@ -761,64 +501,64 @@ let registry : Rule.t list =
       ~doc:
         "no polymorphic compare in sorting/dedup idioms on node, edge or \
          message values"
-      ~scope:Rule.everywhere ~ast:ast_poly_compare ~lines:line_poly_compare ();
+      ~scope:Rule.everywhere ~ast:ast_poly_compare;
     Rule.make ~id:rule_hashtbl_find ~severity:Error
       ~doc:"no exception-raising Hashtbl.find; use find_opt"
-      ~scope:Rule.everywhere ~ast:ast_hashtbl_find ~lines:line_hashtbl_find ();
+      ~scope:Rule.everywhere ~ast:ast_hashtbl_find;
     Rule.make ~id:rule_failwith ~severity:Error
       ~doc:"no failwith inside lib/protocols (event-loop hot path)"
-      ~scope:in_protocols ~ast:ast_failwith ~lines:line_failwith ();
+      ~scope:in_protocols ~ast:ast_failwith;
     Rule.make ~id:rule_raw_transmit ~severity:Error
       ~doc:"no raw Netsim.transmit outside the protocol layer"
       ~scope:(fun p -> not (in_protocols p || in_eventsim p))
-      ~ast:ast_raw_transmit ~lines:line_raw_transmit ();
+      ~ast:ast_raw_transmit;
     Rule.make ~id:rule_raw_fault ~severity:Error
       ~doc:
         "no raw Netsim fault/restore primitives outside lib/eventsim; \
          script failures through Eventsim.Faults"
       ~scope:(fun p -> not (in_eventsim p))
-      ~ast:ast_raw_fault ~lines:line_raw_fault ();
+      ~ast:ast_raw_fault;
     Rule.make ~id:rule_domain_safety ~severity:Error
       ~doc:
         "concurrency primitives stay in lib/exec; no shared top-level \
          mutable state in library modules"
       ~scope:(fun p -> not (in_exec p))
-      ~ast:ast_domain_safety ~lines:line_domain_safety ();
+      ~ast:ast_domain_safety;
     Rule.make ~id:rule_hashtbl_iter_order ~severity:Warn
       ~doc:
         "no Hashtbl iteration order leaking into reports or unsorted result \
          lists"
-      ~scope:Rule.everywhere ~ast:ast_hashtbl_iter_order ();
+      ~scope:Rule.everywhere ~ast:ast_hashtbl_iter_order;
     Rule.make ~id:rule_wallclock ~severity:Error
       ~doc:"wallclock reads go through Obs.Clock only"
       ~scope:(fun p -> not (in_obs p))
-      ~ast:ast_wallclock ();
+      ~ast:ast_wallclock;
     Rule.make ~id:rule_unseeded_random ~severity:Error
       ~doc:"no Stdlib.Random; stochastic inputs come from seeded Prng streams"
-      ~scope:Rule.everywhere ~ast:ast_unseeded_random ();
+      ~scope:Rule.everywhere ~ast:ast_unseeded_random;
     Rule.make ~id:rule_catchall ~severity:Warn
       ~doc:"no catch-all exception handlers that swallow failures"
-      ~scope:Rule.everywhere ~ast:ast_catchall ();
+      ~scope:Rule.everywhere ~ast:ast_catchall;
     Rule.make ~id:rule_physical_eq ~severity:Warn
       ~doc:"no ==/!= on structural values" ~scope:Rule.everywhere
-      ~ast:ast_physical_eq ();
+      ~ast:ast_physical_eq;
     Rule.make ~id:rule_exec_capture ~severity:Warn
       ~doc:"task closures handed to Exec must not capture mutable state"
-      ~scope:Rule.everywhere ~ast:ast_exec_capture ();
+      ~scope:Rule.everywhere ~ast:ast_exec_capture;
     Rule.make ~id:rule_graph_freeze ~severity:Error
       ~doc:
         "Graph.Builder stays inside topology construction \
          (lib/topology, lib/netgraph); every other layer consumes the \
          frozen Graph.t"
       ~scope:(fun p -> not (in_topology p || in_netgraph p))
-      ~ast:ast_graph_freeze ~lines:line_graph_freeze ();
+      ~ast:ast_graph_freeze;
     Rule.make ~id:rule_raw_engine_queue ~severity:Error
       ~doc:
         "the engine owns the event queue: no direct Heap or \
-         Calendar_queue frontier inside lib/eventsim outside engine.ml"
+         Radix_heap frontier inside lib/eventsim outside engine.ml"
       ~scope:(fun p ->
         in_eventsim p && not (has_prefix (Filename.basename p) "engine."))
-      ~ast:ast_raw_engine_queue ();
+      ~ast:ast_raw_engine_queue;
   ]
 
 let all_rules =
@@ -828,7 +568,7 @@ let all_rules =
 let severity_of_rule rule =
   match List.find_opt (fun (r : Rule.t) -> r.Rule.id = rule) registry with
   | Some r -> r.Rule.severity
-  | None -> if rule = rule_parse_failure then Warn else Error
+  | None -> Error
 
 let doc_of_rule rule =
   match List.find_opt (fun (r : Rule.t) -> r.Rule.id = rule) registry with
@@ -838,7 +578,7 @@ let doc_of_rule rule =
       [
         (rule_mli, "every lib/**/*.ml carries a .mli interface");
         (rule_dune_flags, "library dune files carry the strict warning flags");
-        (rule_parse_failure, "the file did not parse; AST rules were skipped");
+        (rule_parse_failure, "the file did not parse; no rule ran on it");
         (rule_unused_suppression, "an allow-suppression marker excuses no finding");
       ]
 
@@ -889,52 +629,62 @@ let selected ?rules ?max_severity id =
   | Some Error -> severity_of_rule id = Error
   | Some Warn | None -> true
 
+(* The findings for one [.ml], with its suppression markers — [None]
+   when the file does not parse. Such a file cannot build under the
+   strict flags, so it gets exactly one [parse-failure] finding and no
+   rule runs on it: no source rule, no mli-coverage, no marker audit. *)
 let scan_source ?rules ?max_severity ~path src =
-  let raw_lines = Array.of_list (lines src) in
-  let code_lines = lazy (Array.of_list (lines (blank_non_code src))) in
-  let ast = Ast_scan.parse ~path src in
-  let source = { Rule.path; raw_lines; code_lines; ast } in
-  let markers = markers_of raw_lines in
-  let out = ref [] in
-  if Option.is_none ast && selected ?rules ?max_severity rule_parse_failure then
-    out :=
+  match Ast_scan.parse ~path src with
+  | None ->
+    let failure =
       {
         path;
         line = 1;
         rule = rule_parse_failure;
-        severity = Warn;
-        message =
-          "file does not parse; AST rules skipped (line-matcher fallbacks \
-           only)";
+        severity = Error;
+        message = "file does not parse; no lint rule ran on it";
       }
-      :: !out;
-  List.iter
-    (fun (r : Rule.t) ->
-      if selected ?rules ?max_severity r.Rule.id then
-        Rule.run r
-          {
-            Rule.source;
-            emit =
-              (fun ~line message ->
-                out :=
-                  {
-                    path;
-                    line;
-                    rule = r.Rule.id;
-                    severity = r.Rule.severity;
-                    message;
-                  }
-                  :: !out);
-          })
-    registry;
-  let findings = List.filter (fun v -> not (suppressed markers v)) !out in
-  (List.sort compare_violations findings, markers)
+    in
+    ( (if selected ?rules ?max_severity rule_parse_failure then [ failure ]
+       else []),
+      None )
+  | Some ast ->
+    let raw_lines = Array.of_list (lines src) in
+    let source = { Rule.path; raw_lines; ast } in
+    let markers = markers_of raw_lines in
+    let out = ref [] in
+    List.iter
+      (fun (r : Rule.t) ->
+        if selected ?rules ?max_severity r.Rule.id then
+          Rule.run r
+            {
+              Rule.source;
+              emit =
+                (fun ~line message ->
+                  out :=
+                    {
+                      path;
+                      line;
+                      rule = r.Rule.id;
+                      severity = r.Rule.severity;
+                      message;
+                    }
+                    :: !out);
+            })
+      registry;
+    let findings = List.filter (fun v -> not (suppressed markers v)) !out in
+    (List.sort compare_violations findings, Some markers)
 
 let scan_ml ~path src = fst (scan_source ~path src)
 
+(* [;] starts a line comment in a dune file: a flag mentioned only in a
+   comment does not count. *)
 let scan_dune ~path src =
+  let code l =
+    match String.index_opt l ';' with Some i -> String.sub l 0 i | None -> l
+  in
   let has_warn_error =
-    List.exists (fun l -> find_token l "-warn-error" <> []) (lines src)
+    List.exists (fun l -> path_contains (code l) "-warn-error") (lines src)
   in
   if has_warn_error then []
   else
@@ -999,6 +749,9 @@ let scan ?rules ?max_severity roots =
           let src = read_file p in
           let findings, markers = scan_source ?rules ?max_severity ~path:p src in
           push findings;
+          match markers with
+          | None -> ()
+          | Some markers ->
           (* mli-coverage: every library module carries an interface *)
           let mli_missing =
             under_lib p

@@ -4,9 +4,9 @@
     [compiler-libs.common] ({!Ast_scan}) and walked by the rule
     registry ({!Rule}), so rules see syntax — identifier paths,
     application shapes, handler patterns, structure items — rather
-    than raw text. Files that fail to parse fall back to line matchers
-    over comment/string-blanked source (and are themselves reported,
-    rule [parse-failure]).
+    than raw text. A file that fails to parse cannot build under the
+    strict flags; it gets exactly one Error finding, rule
+    [parse-failure], and no rule runs on it.
 
     Two rule families (catalogued in [docs/ANALYSIS.md]):
 
@@ -70,21 +70,17 @@ val rule_raw_engine_queue : string
 val rule_parse_failure : string
 val rule_unused_suppression : string
 
-val blank_non_code : string -> string
-(** Length-preserving comment/string/char-literal blanking, including
-    [{|...|}] / [{id|...|id}] quoted strings (exposed for the lint's
-    own tests; the AST rules do not need it). *)
-
 val scan_ml : path:string -> string -> violation list
-(** Apply the source rules to one [.ml]'s contents: AST rules when the
-    file parses, line fallbacks otherwise; suppression markers
+(** Apply the source rules to one [.ml]'s contents — or, when it does
+    not parse, report just that ([parse-failure]); suppression markers
     applied; sorted with {!compare_violations}. Scoped rules only fire
     on matching [path]s ([failwith-hot-path] under [protocols],
     [raw-transmit] outside [protocols]/[eventsim], [domain-safety]
     outside [exec], [wallclock-outside-obs] outside [obs]). *)
 
 val scan_dune : path:string -> string -> violation list
-(** Apply the [dune-strict-flags] rule to one library [dune] file. *)
+(** Apply the [dune-strict-flags] rule to one library [dune] file; a
+    [-warn-error] inside a [;] line comment does not count. *)
 
 val scan_tree : string list -> violation list
 (** [(scan roots).findings] — the legacy entry point. *)

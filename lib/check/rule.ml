@@ -29,8 +29,7 @@ let compare_findings a b =
 type source = {
   path : string;
   raw_lines : string array;
-  code_lines : string array Lazy.t;
-  ast : Parsetree.structure option;
+  ast : Parsetree.structure;
 }
 
 type ctx = { source : source; emit : line:int -> string -> unit }
@@ -40,17 +39,13 @@ type t = {
   severity : severity;
   doc : string;
   scope : string -> bool;
-  ast_check : (ctx -> Parsetree.structure -> unit) option;
-  line_check : (ctx -> unit) option;
+  ast_check : ctx -> Parsetree.structure -> unit;
 }
 
-let make ?ast ?lines ~id ~severity ~doc ~scope () =
-  { id; severity; doc; scope; ast_check = ast; line_check = lines }
+let make ~ast ~id ~severity ~doc ~scope =
+  { id; severity; doc; scope; ast_check = ast }
 
 let everywhere _ = true
 
 let run rule ctx =
-  if rule.scope ctx.source.path then
-    match (ctx.source.ast, rule.ast_check) with
-    | Some structure, Some check -> check ctx structure
-    | _, _ -> ( match rule.line_check with Some check -> check ctx | None -> ())
+  if rule.scope ctx.source.path then rule.ast_check ctx ctx.source.ast

@@ -1,13 +1,10 @@
 (** Rule-registry framework for the {!Lint} engine.
 
     A rule pairs an identity (id, severity, one-line rationale, path
-    scope) with up to two detectors:
-
-    - an {e AST visitor} over the file's parsetree (the primary form —
-      syntax-aware, immune to string/comment false positives);
-    - a {e line matcher} over comment/string-blanked source lines, used
-      only when the file has no parsetree (a [.ml] that does not parse;
-      the engine reports that too).
+    scope) with an {e AST visitor} over the file's parsetree —
+    syntax-aware, immune to string/comment false positives. A [.ml]
+    that does not parse runs no rule; the engine reports it instead
+    (rule [parse-failure]).
 
     [Error] findings always gate the build; [Warn] findings gate
     through the baseline diff (see {!Lint} and [docs/ANALYSIS.md]). *)
@@ -32,11 +29,7 @@ val compare_findings : finding -> finding -> int
 type source = {
   path : string;
   raw_lines : string array;  (** Verbatim lines (suppression markers). *)
-  code_lines : string array Lazy.t;
-      (** {!Lint.blank_non_code}-stripped lines, forced only when a
-          line matcher actually runs. *)
-  ast : Parsetree.structure option;
-      (** [None] when the file did not parse (or is not a [.ml]). *)
+  ast : Parsetree.structure;
 }
 
 type ctx = { source : source; emit : line:int -> string -> unit }
@@ -48,24 +41,20 @@ type t = {
   severity : severity;
   doc : string;
   scope : string -> bool;
-  ast_check : (ctx -> Parsetree.structure -> unit) option;
-  line_check : (ctx -> unit) option;
+  ast_check : ctx -> Parsetree.structure -> unit;
 }
 
 val make :
-  ?ast:(ctx -> Parsetree.structure -> unit) ->
-  ?lines:(ctx -> unit) ->
+  ast:(ctx -> Parsetree.structure -> unit) ->
   id:string ->
   severity:severity ->
   doc:string ->
   scope:(string -> bool) ->
-  unit ->
   t
 
 val everywhere : string -> bool
 (** The unrestricted scope. *)
 
 val run : t -> ctx -> unit
-(** Apply the rule to one file: the AST visitor when a parsetree is
-    available, the line matcher otherwise. Out-of-scope paths are
+(** Apply the rule's AST visitor to one file. Out-of-scope paths are
     skipped entirely. *)

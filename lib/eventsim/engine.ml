@@ -1,9 +1,9 @@
-module Q = Scmp_util.Calendar_queue
+module Q = Scmp_util.Radix_heap
 
 (* The event representation is a variant, not a universal closure: the
    hot event kinds of a packet simulation carry their state in unboxed
    int fields and dispatch through a handler registered once, so the
-   per-event cost is one small record in the calendar queue — no thunk,
+   per-event cost is one small record in the radix heap — no thunk,
    no captured environment.
 
    - [Closure] is the general fallback: any [unit -> unit], the
@@ -144,7 +144,7 @@ let step t =
    remains (background-only residue, like periodic IGMP queries, does
    not keep the simulation alive). With [until]: run every event, of
    either kind, scheduled within the window. Either loop is a single
-   locate-and-pop per event — the calendar queue memoizes the located
+   locate-and-pop per event — the radix heap memoizes the located
    minimum between [min_image] and [pop_min], so there is no
    peek-then-pop double search. *)
 let run ?until t =

@@ -1,7 +1,8 @@
 (** Discrete-event simulation engine.
 
-    A time-ordered queue of events over a monotone calendar queue
-    ({!Scmp_util.Calendar_queue}). Events scheduled for the same
+    A time-ordered queue of events over the monotone radix heap
+    ({!Scmp_util.Radix_heap}) that also runs Dijkstra's frontier.
+    Events scheduled for the same
     instant execute in scheduling order (FIFO), which makes whole-run
     behaviour deterministic — a property the reproduction relies on for
     seed-stable experiment output.
@@ -91,7 +92,7 @@ val run : ?until:float -> t -> unit
     keep the run alive). With [until]: execute every event, background
     included, scheduled up to [until]; later events remain queued and
     the clock settles at [until]. Each iteration is a single
-    locate-and-pop on the calendar queue — no peek-then-pop double
+    locate-and-pop on the radix heap — no peek-then-pop double
     search. *)
 
 val step : t -> bool

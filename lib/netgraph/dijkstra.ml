@@ -31,7 +31,7 @@ type result = {
    instead of reallocated. Results handed back via [recycle] must be
    dead — the next [run] overwrites their arrays in place. *)
 type workspace = {
-  heap : Scmp_util.Radix_heap.t;
+  heap : int Scmp_util.Radix_heap.t;
   mutable stamp : int array;
   mutable epoch : int;
   mutable pool : result list;

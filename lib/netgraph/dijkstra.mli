@@ -7,10 +7,11 @@
 
     The search runs over the frozen CSR form of {!Graph.t}: the inner
     relaxation loop reads neighbor ids, edge ids and weights from
-    contiguous arrays, and the frontier is a monotone radix heap
-    ({!Scmp_util.Radix_heap}) that pops equal keys in insertion order —
-    the same tie rule as the general binary heap, so shortest-path
-    trees (preds included) are byte-identical to the pre-CSR engine. *)
+    contiguous arrays, and the frontier is the monotone radix heap
+    ({!Scmp_util.Radix_heap}, the event engine's queue too) over int
+    node ids; it pops equal keys in insertion order — the same tie
+    rule as the general binary heap, so shortest-path trees (preds
+    included) are byte-identical to the pre-CSR engine. *)
 
 type metric = Delay | Cost
 
@@ -22,7 +23,8 @@ type result
 (** Shortest-path tree from one source under one metric. *)
 
 type workspace
-(** Scratch arena recycled across SPT builds: the radix-heap frontier,
+(** Scratch arena recycled across SPT builds: the radix-heap frontier
+    (its bucket storage kept from one search to the next),
     an epoch-stamped settled array, and a free pool of dead results
     whose arrays are reused instead of reallocated. One workspace
     serves one thread of computation (it is not domain-safe). *)

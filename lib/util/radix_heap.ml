@@ -1,34 +1,45 @@
-(* Monotone bucket ("radix") heap over non-negative float keys with int
-   payloads — the Dijkstra frontier structure.
+(* Monotone bucket ("radix") heap over non-negative float keys — the
+   Dijkstra frontier (int payloads) and the event engine's scheduler
+   (boxed payloads).
 
-   Exploits the monotonicity of Dijkstra extraction: every key added is
-   >= the last extracted minimum, so entries can be binned by the
-   position of the highest bit in which their key's image differs from
-   the last minimum's. Bucket 0 holds keys equal to the floor and pops
-   in O(1); when it drains, the lowest non-empty bucket is scanned once
-   for its minimum and redistributed — each entry lands in a strictly
-   lower bucket (the classic radix-heap argument), so an entry is
-   touched O(63) times over its lifetime.
+   Exploits monotone extraction: every key added is >= the last
+   extracted minimum (Dijkstra pushes d + w >= d; a simulation clock
+   only moves forward), so entries can be binned by the position of the
+   highest bit in which their key's image differs from the floor — the
+   image of the last extracted minimum. Bucket 0 holds keys equal to the
+   floor and pops in O(1) off a read cursor; when it drains, the lowest
+   non-empty bucket is either min-scanned in place (small buckets, the
+   common case for both frontiers) or redistributed against an advanced
+   floor — each entry lands in a strictly lower bucket (the classic
+   radix-heap argument), so an entry is moved O(63) times over its
+   lifetime.
 
    Equal keys pop in global FIFO (insertion) order: equal keys always
-   compute the same bucket index, appends preserve arrival order, and
-   redistribution scans a bucket front-to-back — so the relative order
-   of equal keys survives every move. This matches {!Heap}'s seq-number
-   tie rule, which Dijkstra's byte-identical tie-breaking contract
-   depends on.
+   compute the same bucket index at any floor, appends preserve arrival
+   order, redistribution scans a bucket front-to-back, and the small-
+   bucket min-scan takes the *first* minimal entry. This matches
+   {!Heap}'s seq-number tie rule, which Dijkstra's byte-identical
+   tie-breaking and the engine's whole-run determinism both rest on.
 
    Keys are stored as native-int images, not floats: for non-negative
    floats the IEEE-754 bit pattern is order-isomorphic to the value,
    and subtracting 2^62 shifts the 63-bit pattern range [0, 2^63) into
-   the OCaml int range [-2^62, 2^62) while preserving order. All hot
-   paths (add, pop_val, redistribute) then run on immediate ints —
-   no boxing, no allocation, and bucket occupancy is a single int
-   bitmask so the lowest non-empty bucket is found with bit tricks
-   instead of a linear scan. *)
+   the OCaml int range [-2^62, 2^62) while preserving order. Bucket
+   occupancy is a single int bitmask, so the lowest non-empty bucket is
+   found with bit tricks instead of a linear scan.
 
-type bucket = {
+   A payload array keeps a reference to a popped value until a later
+   add overwrites its slot (there is no dummy ['a] to blank with). So
+   [pop_min] releases every bucket's storage when the queue drains to
+   empty — the quiescent state of an event engine — exactly as
+   {!Heap.pop} releases its array on the last entry. The int-only
+   drains ([pop_run], [drain_csr]) keep their storage instead: an int
+   holds nothing alive, and a reused Dijkstra workspace must not
+   reallocate its buckets on every search. *)
+
+type 'a bucket = {
   mutable keys : int array;  (* shifted IEEE-754 images *)
-  mutable vals : int array;
+  mutable vals : 'a array;
   mutable len : int;
 }
 
@@ -38,33 +49,35 @@ type bucket = {
    1 lsl 62 is the last representable bit). *)
 let nbuckets = 64
 
-type t = {
+type 'a t = {
   mutable ifloor : int;  (* image of the last extracted minimum *)
-  buckets : bucket array;
+  buckets : 'a bucket array;
   mutable occ : int;  (* bit i set <=> bucket i+1 non-empty *)
   mutable lowbi : int;
       (* index of the lowest non-empty bucket above 0 whenever
-         [occ <> 0] (meaningless otherwise) — consecutive pops usually
-         drain one bucket, so caching the index skips the occupancy
-         bit-scan on all but the first *)
+         [occ <> 0] (meaningless otherwise) *)
   mutable size : int;
   mutable head : int;  (* read cursor into bucket 0 *)
+  (* Located-minimum memo: [min_image] caches where the current minimum
+     lives so the peek-then-pop pattern of a drain loop costs one
+     search, not two. Valid iff [mbi >= 0]; any pop and any add below
+     the cached image invalidate it. *)
+  mutable mbi : int;
+  mutable mslot : int;
+  mutable mik : int;
 }
 
-(* Order-preserving 63-bit image of a non-negative float. *)
 let image f =
   Int64.to_int (Int64.sub (Int64.bits_of_float f) 0x4000_0000_0000_0000L)
 
-let float_of_image i =
+let key_of_image i =
   Int64.float_of_bits (Int64.add (Int64.of_int i) 0x4000_0000_0000_0000L)
 
 let image_zero = image 0.0
 
 (* msb_tbl.[v] = index of the most significant set bit of a byte
    (msb_tbl.[0] unused): a table lookup plus a byte-granular binary
-   search keeps [msb63] branch-light and ref-free on the add path.
-   [msb63] is kept small enough for the non-flambda inliner — call
-   overhead on the place path costs more than the work itself. *)
+   search keeps [msb63] branch-light and ref-free. *)
 let msb_tbl =
   String.init 256 (fun v ->
       let rec go n v = if v <= 1 then n else go (n + 1) (v lsr 1) in
@@ -72,8 +85,10 @@ let msb_tbl =
 
 let msb8 v = Char.code (String.unsafe_get msb_tbl v)
 
-(* Index of the most significant set bit of a value in [1, 2^63). *)
-let msb63 v =
+(* Index of the most significant set bit of a value in [1, 2^63).
+   Inlined at every use: under the non-flambda compiler a call on the
+   add path costs more than the work itself. *)
+let[@inline] msb63 v =
   if v lsr 32 <> 0 then
     if v lsr 48 <> 0 then
       if v lsr 56 <> 0 then 56 + msb8 (v lsr 56) else 48 + msb8 (v lsr 48)
@@ -84,6 +99,24 @@ let msb63 v =
   else if v lsr 8 <> 0 then 8 + msb8 (v lsr 8)
   else msb8 v
 
+(* The bucket of image [ik] against floor image [fl] (ik >= fl): at
+   most 63, since the lxor of two images has bits 0..62 only. *)
+let[@inline] bucket_of fl ik =
+  let d = ik lxor fl in
+  if d = 0 then 0 else 1 + msb63 d
+
+(* The lowest set bit's bucket, for a non-zero occupancy mask. *)
+let[@inline] lowest occ = 1 + msb63 (occ land -occ)
+
+(* Slot of the first minimal key among [keys.(0 .. len-1)], len >= 1 —
+   the earliest inserted among equal keys, the FIFO pop. *)
+let[@inline] min_slot (keys : int array) len =
+  let mi = ref 0 in
+  for k = 1 to len - 1 do
+    if Array.unsafe_get keys k < Array.unsafe_get keys !mi then mi := k
+  done;
+  !mi
+
 let create () =
   {
     ifloor = image_zero;
@@ -93,47 +126,32 @@ let create () =
     lowbi = 0;
     size = 0;
     head = 0;
+    mbi = -1;
+    mslot = 0;
+    mik = 0;
   }
 
 let length t = t.size
 let is_empty t = t.size = 0
 
-let grow b =
+(* Grow using [fill] (a value about to be stored) as the payload
+   filler, so no dummy ['a] is ever fabricated — {!Heap.ensure_room}'s
+   trick. *)
+let grow b fill =
   let cap = Array.length b.keys in
   let ncap = if cap = 0 then 8 else 2 * cap in
-  let keys = Array.make ncap 0 and vals = Array.make ncap 0 in
+  let keys = Array.make ncap 0 and vals = Array.make ncap fill in
   Array.blit b.keys 0 keys 0 b.len;
   Array.blit b.vals 0 vals 0 b.len;
   b.keys <- keys;
   b.vals <- vals
 
-(* Monotonicity guard, bucket selection, capacity check and append in
-   one flat function: under the non-flambda compiler, layering these as
-   separate calls costs more than the work itself. The unsafe stores
-   are in range: [b.len < cap] after the grow check, and the bucket
-   index is at most 63 — the lxor of two images has bits 0..62 only, so
-   the index and its occupancy shift stay in int range. *)
 let add_image t ik v =
   if ik < t.ifloor then
     invalid_arg "Radix_heap.add: key below the extracted minimum (or NaN)";
-  let d = ik lxor t.ifloor in
-  let bi =
-    if d = 0 then 0
-    else
-      1
-      +
-      if d lsr 32 <> 0 then
-        if d lsr 48 <> 0 then
-          if d lsr 56 <> 0 then 56 + msb8 (d lsr 56) else 48 + msb8 (d lsr 48)
-        else if d lsr 40 <> 0 then 40 + msb8 (d lsr 40)
-        else 32 + msb8 (d lsr 32)
-      else if d lsr 16 <> 0 then
-        if d lsr 24 <> 0 then 24 + msb8 (d lsr 24) else 16 + msb8 (d lsr 16)
-      else if d lsr 8 <> 0 then 8 + msb8 (d lsr 8)
-      else msb8 d
-  in
+  let bi = bucket_of t.ifloor ik in
   let b = Array.unsafe_get t.buckets bi in
-  if b.len = Array.length b.keys then grow b;
+  if b.len = Array.length b.keys then grow b v;
   Array.unsafe_set b.keys b.len ik;
   Array.unsafe_set b.vals b.len v;
   b.len <- b.len + 1;
@@ -141,147 +159,148 @@ let add_image t ik v =
     if t.occ = 0 || bi < t.lowbi then t.lowbi <- bi;
     t.occ <- t.occ lor (1 lsl (bi - 1))
   end;
-  t.size <- t.size + 1
+  t.size <- t.size + 1;
+  (* An equal key appended later pops later (FIFO), so only a strictly
+     smaller key can displace the located minimum. *)
+  if t.mbi >= 0 && ik < t.mik then t.mbi <- -1
 
 let add t ~key v =
   if not (key >= 0.0) then
     invalid_arg "Radix_heap.add: key below the extracted minimum (or NaN)";
   add_image t (image key) v
 
-
-(* Buckets at or below this size are popped by direct min-scan (see
-   [pop_val]) instead of being redistributed; only larger buckets pay
-   the classic floor-advancing rebin. Keeps the amortized bound while
-   eliminating nearly all entry moves on Dijkstra-sized frontiers. *)
+(* Buckets at or below this size are popped by direct min-scan instead
+   of being redistributed; only larger buckets pay the floor-advancing
+   rebin. Keeps the amortized bound while eliminating nearly all entry
+   moves on Dijkstra- and event-sized frontiers. *)
 let scan_threshold = 16
 
+(* Classic lazy floor advance on bucket [b] (occupancy bit [low]): the
+   bucket's minimum becomes the new floor, every entry re-bins strictly
+   lower (equal-to-minimum entries land in bucket 0 in their original
+   relative order), and entries in other buckets stay correctly binned
+   because the new floor agrees with the old one above this bucket's
+   bit. Afterwards the minimum run heads bucket 0. Only a pop may call
+   this: the floor must not pass a key that can still be added. *)
 let redistribute t b low =
-  (* Classic floor advance: find the bucket's minimum (the new floor),
-     then move every entry — each lands in a strictly lower bucket, and
-     equal-to-minimum entries land in bucket 0 in their original
-     relative order. Entries in *other* buckets stay correctly binned:
-     the new floor agrees with the old one above this bucket's bit. *)
   let keys = b.keys and vals = b.vals in
   let len = b.len in
-  let mi = ref 0 in
-  for k = 1 to len - 1 do
-    if Array.unsafe_get keys k < Array.unsafe_get keys !mi then mi := k
-  done;
-  let ifloor = Array.unsafe_get keys !mi in
+  let ifloor = Array.unsafe_get keys (min_slot keys len) in
   t.ifloor <- ifloor;
   b.len <- 0;
   let buckets = t.buckets in
   let occ = ref (t.occ lxor low) in
   for k = 0 to len - 1 do
     let ik = Array.unsafe_get keys k in
-    let d = ik lxor ifloor in
-    let bi =
-      if d = 0 then 0
-      else
-        1
-        +
-        if d lsr 32 <> 0 then
-          if d lsr 48 <> 0 then
-            if d lsr 56 <> 0 then 56 + msb8 (d lsr 56)
-            else 48 + msb8 (d lsr 48)
-          else if d lsr 40 <> 0 then 40 + msb8 (d lsr 40)
-          else 32 + msb8 (d lsr 32)
-        else if d lsr 16 <> 0 then
-          if d lsr 24 <> 0 then 24 + msb8 (d lsr 24) else 16 + msb8 (d lsr 16)
-        else if d lsr 8 <> 0 then 8 + msb8 (d lsr 8)
-        else msb8 d
-    in
+    let bi = bucket_of ifloor ik in
+    let v = Array.unsafe_get vals k in
     let dst = Array.unsafe_get buckets bi in
-    if dst.len = Array.length dst.keys then grow dst;
+    if dst.len = Array.length dst.keys then grow dst v;
     Array.unsafe_set dst.keys dst.len ik;
-    Array.unsafe_set dst.vals dst.len (Array.unsafe_get vals k);
+    Array.unsafe_set dst.vals dst.len v;
     dst.len <- dst.len + 1;
     if bi > 0 then occ := !occ lor (1 lsl (bi - 1))
   done;
   t.occ <- !occ;
-  if !occ <> 0 then t.lowbi <- 1 + msb63 (!occ land - !occ)
+  if !occ <> 0 then t.lowbi <- lowest !occ
 
-(* Pop from a non-empty heap whose bucket 0 is drained. The global
+(* Locate the current minimum and memoize its position. The global
    minimum lives in the lowest non-empty bucket regardless of how far
-   the floor trails it (bucket order is key order for keys >= floor),
-   so a small bucket is popped in place: min-scan front to back (the
-   first hit is the earliest-inserted among equal keys — the same entry
-   classic redistribution would surface), then close the gap with a
-   shift so the remaining order survives. Large buckets take the
-   classic redistribute-and-advance path, after which bucket 0 holds
-   the minimum run. Both paths pop the exact same entry. *)
-let pop_slow t =
-  let bi = t.lowbi in
-  let b = Array.unsafe_get t.buckets bi in
-  if b.len > scan_threshold then begin
-    redistribute t b (1 lsl (bi - 1));
-    let b0 = Array.unsafe_get t.buckets 0 in
-    let v = Array.unsafe_get b0.vals 0 in
-    t.head <- 1;
-    t.size <- t.size - 1;
-    if t.head = b0.len then begin
-      b0.len <- 0;
-      t.head <- 0
-    end;
-    v
-  end
-  else begin
-    let keys = b.keys and vals = b.vals in
-    let len = b.len in
-    let mi = ref 0 in
-    for k = 1 to len - 1 do
-      if Array.unsafe_get keys k < Array.unsafe_get keys !mi then mi := k
-    done;
-    let v = Array.unsafe_get vals !mi in
-    (* Manual shift: at most [scan_threshold - 1] iterations, cheaper
-       than the external-call overhead of Array.blit at this size. *)
-    for k = !mi to len - 2 do
-      Array.unsafe_set keys k (Array.unsafe_get keys (k + 1));
-      Array.unsafe_set vals k (Array.unsafe_get vals (k + 1))
-    done;
-    b.len <- len - 1;
-    if b.len = 0 then begin
-      t.occ <- t.occ lxor (1 lsl (bi - 1));
-      if t.occ <> 0 then t.lowbi <- 1 + msb63 (t.occ land -t.occ)
-    end;
-    t.size <- t.size - 1;
-    v
-  end
-
-let pop_val t =
-  if t.size = 0 then invalid_arg "Radix_heap.pop_val: heap is empty";
-  let b0 = Array.unsafe_get t.buckets 0 in
-  if t.head < b0.len then begin
-    let v = Array.unsafe_get b0.vals t.head in
-    t.head <- t.head + 1;
-    t.size <- t.size - 1;
-    if t.head = b0.len then begin
-      b0.len <- 0;
-      t.head <- 0
-    end;
-    v
-  end
-  else pop_slow t
-
-(* [pop_val] and [is_empty] in one cross-module call — the drain-loop
-   form for payloads that are never negative (Dijkstra node ids). Under
-   the non-flambda compiler each module boundary is a real call, and
-   the empty test is one per loop iteration. *)
-let pop_or_neg t =
-  if t.size = 0 then -1
+   the floor trails it (bucket order is key order for keys >= floor):
+   bucket 0's head when it has entries, else the first minimal slot of
+   the lowest bucket. A peek never moves the floor — a key between the
+   last popped one and this minimum may still be added. *)
+let min_image t =
+  if t.size = 0 then max_int
+  else if t.mbi >= 0 then t.mik
   else begin
     let b0 = Array.unsafe_get t.buckets 0 in
     if t.head < b0.len then begin
-      let v = Array.unsafe_get b0.vals t.head in
-      t.head <- t.head + 1;
-      t.size <- t.size - 1;
-      if t.head = b0.len then begin
-        b0.len <- 0;
-        t.head <- 0
-      end;
-      v
+      t.mbi <- 0;
+      t.mslot <- t.head;
+      t.mik <- t.ifloor
     end
-    else pop_slow t
+    else begin
+      let bi = t.lowbi in
+      let b = Array.unsafe_get t.buckets bi in
+      let mi = min_slot b.keys b.len in
+      t.mbi <- bi;
+      t.mslot <- mi;
+      t.mik <- Array.unsafe_get b.keys mi
+    end;
+    t.mik
+  end
+
+(* Consume the memo for a pop from a non-empty heap: the bucket holding
+   the minimum, its slot left in [mslot]. A large bucket is
+   redistributed first — the floor advances to the minimum being
+   popped, and the minimum run then heads bucket 0. *)
+let take t =
+  if t.mbi < 0 then ignore (min_image t);
+  let bi = t.mbi in
+  t.mbi <- -1;
+  let b = Array.unsafe_get t.buckets bi in
+  if bi > 0 && b.len > scan_threshold then begin
+    redistribute t b (1 lsl (bi - 1));
+    t.mslot <- 0;
+    0
+  end
+  else bi
+
+(* Bucket arrays are rebuilt lazily by the next add. *)
+let release_storage t =
+  for i = 0 to nbuckets - 1 do
+    let b = Array.unsafe_get t.buckets i in
+    if Array.length b.keys > 0 then begin
+      b.keys <- [||];
+      b.vals <- [||];
+      b.len <- 0
+    end
+  done
+
+(* Advance bucket 0's read cursor past [k] popped entries. *)
+let consume_b0 t b0 k =
+  t.head <- t.head + k;
+  t.size <- t.size - k;
+  if t.head = b0.len then begin
+    b0.len <- 0;
+    t.head <- 0
+  end
+
+(* Bookkeeping after bucket [bi] > 0 lost entries. *)
+let shrunk t b bi =
+  if b.len = 0 then begin
+    t.occ <- t.occ lxor (1 lsl (bi - 1));
+    if t.occ <> 0 then t.lowbi <- lowest t.occ
+  end
+
+let pop_min t =
+  if t.size = 0 then invalid_arg "Radix_heap.pop_min: queue is empty";
+  let bi = take t in
+  let b = Array.unsafe_get t.buckets bi in
+  let v = Array.unsafe_get b.vals t.mslot in
+  if bi = 0 then consume_b0 t b 1
+  else begin
+    (* close the gap with a shift so the surviving FIFO order stands;
+       at most [scan_threshold - 1] moves *)
+    let keys = b.keys and vals = b.vals in
+    for k = t.mslot to b.len - 2 do
+      Array.unsafe_set keys k (Array.unsafe_get keys (k + 1));
+      Array.unsafe_set vals k (Array.unsafe_get vals (k + 1))
+    done;
+    b.len <- b.len - 1;
+    t.size <- t.size - 1;
+    shrunk t b bi
+  end;
+  if t.size = 0 then release_storage t;
+  v
+
+let pop t =
+  if t.size = 0 then None
+  else begin
+    let ik = min_image t in
+    let v = pop_min t in
+    Some (key_of_image ik, v)
   end
 
 (* The maximal FIFO run of minimum-key entries, capped by the buffer.
@@ -290,100 +309,50 @@ let pop_or_neg t =
    run continues on the next call. One cross-module call then serves a
    whole tie run, and the caller's adds while processing it all carry
    strictly larger keys (Dijkstra: d + w with w > 0), so draining by
-   runs reproduces per-entry pop order exactly. *)
-let pop_run t buf =
+   runs reproduces per-entry pop order exactly. Typed on [int t] so the
+   payload copies compile to int-array accesses. *)
+let pop_run (t : int t) buf =
   if t.size = 0 then 0
   else begin
+    let mk = min_image t in
+    let bi = take t in
+    let slot = t.mslot in
     let cap = Array.length buf in
-    let b0 = Array.unsafe_get t.buckets 0 in
-    if t.head < b0.len then begin
-      (* Bucket 0: every key equals the floor — the remainder is one
-         run. *)
-      let k = min (b0.len - t.head) cap in
-      let vals = b0.vals and head = t.head in
+    let b = Array.unsafe_get t.buckets bi in
+    let vals = b.vals in
+    if bi = 0 then begin
+      (* every key in bucket 0 equals the floor: the rest is one run *)
+      let k = min (b.len - slot) cap in
       for i = 0 to k - 1 do
-        Array.unsafe_set buf i (Array.unsafe_get vals (head + i))
+        Array.unsafe_set buf i (Array.unsafe_get vals (slot + i))
       done;
-      t.head <- head + k;
-      t.size <- t.size - k;
-      if t.head = b0.len then begin
-        b0.len <- 0;
-        t.head <- 0
-      end;
+      consume_b0 t b k;
       k
     end
     else begin
-      let bi = t.lowbi in
-      let b = Array.unsafe_get t.buckets bi in
-      if b.len > scan_threshold then begin
-        redistribute t b (1 lsl (bi - 1));
-        let b0 = Array.unsafe_get t.buckets 0 in
-        let k = min b0.len cap in
-        let vals = b0.vals in
-        for i = 0 to k - 1 do
-          Array.unsafe_set buf i (Array.unsafe_get vals i)
-        done;
-        t.head <- k;
-        t.size <- t.size - k;
-        if t.head = b0.len then begin
-          b0.len <- 0;
-          t.head <- 0
-        end;
-        k
-      end
-      else begin
-        let keys = b.keys and vals = b.vals in
-        let len = b.len in
-        let mk = ref (Array.unsafe_get keys 0) in
-        for i = 1 to len - 1 do
-          let ki = Array.unsafe_get keys i in
-          if ki < !mk then mk := ki
-        done;
-        let mk = !mk in
-        (* Collect the run in order; compact survivors in place, so a
-           capped run's tail stays at the front for the next call. *)
-        let k = ref 0 and w = ref 0 in
-        for i = 0 to len - 1 do
-          let ki = Array.unsafe_get keys i in
-          let vi = Array.unsafe_get vals i in
-          if ki = mk && !k < cap then begin
-            Array.unsafe_set buf !k vi;
-            incr k
-          end
-          else begin
-            Array.unsafe_set keys !w ki;
-            Array.unsafe_set vals !w vi;
-            incr w
-          end
-        done;
-        b.len <- !w;
-        if !w = 0 then begin
-          t.occ <- t.occ lxor (1 lsl (bi - 1));
-          if t.occ <> 0 then t.lowbi <- 1 + msb63 (t.occ land -t.occ)
-        end;
-        t.size <- t.size - !k;
-        !k
-      end
+      (* Entries before [slot] are strictly above the minimum. Collect
+         the run in order from there; compact survivors in place, so a
+         capped run's tail stays at the front for the next call. *)
+      let keys = b.keys in
+      let k = ref 0 and w = ref slot in
+      for i = slot to b.len - 1 do
+        let ki = Array.unsafe_get keys i in
+        let vi = Array.unsafe_get vals i in
+        if ki = mk && !k < cap then begin
+          Array.unsafe_set buf !k vi;
+          incr k
+        end
+        else begin
+          Array.unsafe_set keys !w ki;
+          Array.unsafe_set vals !w vi;
+          incr w
+        end
+      done;
+      b.len <- !w;
+      t.size <- t.size - !k;
+      shrunk t b bi;
+      !k
     end
-  end
-
-let pop t =
-  if t.size = 0 then None
-  else begin
-    (* Peek by locating the minimum the same way pop_val will. *)
-    let b0 = t.buckets.(0) in
-    let key =
-      if t.head < b0.len then float_of_image b0.keys.(t.head)
-      else begin
-        let b = t.buckets.(t.lowbi) in
-        let mi = ref 0 in
-        for k = 1 to b.len - 1 do
-          if b.keys.(k) < b.keys.(!mi) then mi := k
-        done;
-        float_of_image b.keys.(!mi)
-      end
-    in
-    Some (key, pop_val t)
   end
 
 (* The unfiltered CSR Dijkstra drain, fused with the heap: pop the
@@ -410,15 +379,16 @@ let pop t =
    carries a strictly smaller key and pops first. That makes the key
    itself the settled marker — no stamp array on this path.
 
-   Pops happen one entry at a time in exactly [pop_val] order, and
+   Pops happen one entry at a time in exactly [pop_min] order, and
    relaxations visit slots in CSR (insertion) order — byte-identical
    results to a drain loop built from the public per-op API. *)
-let drain_csr t ~off ~nbr ~eid ~wsel ~woth ~dist ~pred ~pred_edge ~other =
+let drain_csr (t : int t) ~off ~nbr ~eid ~wsel ~woth ~dist ~pred ~pred_edge
+    ~other =
   let buckets = t.buckets in
   let b0 = Array.unsafe_get buckets 0 in
   (* Heap state as locals: register-resident across the whole drain,
      written back once at the end. The occupancy bitmask is not
-     maintained at all in here — the drain runs the heap to empty, so
+     maintained in the hot loop — the drain runs the heap to empty, so
      [occ = 0] is the truthful final state, and [lowbi] is kept as a
      never-stale-high hint instead: an add below it lowers it, a pop
      that finds its bucket empty scans upward to the next non-empty one
@@ -431,7 +401,6 @@ let drain_csr t ~off ~nbr ~eid ~wsel ~woth ~dist ~pred ~pred_edge ~other =
   (* key (image) of the entry the current iteration popped *)
   let pik = ref 0 in
   while !size > 0 do
-    (* pop_val, inline *)
     let x =
       if !head < b0.len then begin
         pik := !ifloor;
@@ -448,56 +417,41 @@ let drain_csr t ~off ~nbr ~eid ~wsel ~woth ~dist ~pred ~pred_edge ~other =
         while (Array.unsafe_get buckets !bi).len = 0 do incr bi done;
         let b = Array.unsafe_get buckets !bi in
         if b.len > scan_threshold then begin
-          (* Rare floor advance, occ-free: advance the floor to the
-             bucket's minimum and re-place every entry relative to it.
-             Entries land strictly below the old bucket (ties with the
-             minimum land in bucket 0), in original order per target
-             bucket — same placement [redistribute] performs. *)
+          (* Floor advance: [redistribute] without the occupancy
+             upkeep, on int payloads. The shared ['a] version moves
+             each payload with a generic store (a [caml_modify] call),
+             which costs the fused drain about 15% on a 100-node
+             graph. Afterwards the minimum heads bucket 0; the next
+             non-b0 pop re-finds the lowest bucket by the scan above. *)
           let keys = b.keys and vals = b.vals in
           let len = b.len in
-          let mi = ref 0 in
-          for k = 1 to len - 1 do
-            if Array.unsafe_get keys k < Array.unsafe_get keys !mi then
-              mi := k
-          done;
-          ifloor := Array.unsafe_get keys !mi;
+          ifloor := Array.unsafe_get keys (min_slot keys len);
           b.len <- 0;
           let fl = !ifloor in
           for k = 0 to len - 1 do
             let ik = Array.unsafe_get keys k in
-            let dd = ik lxor fl in
-            let bj = if dd = 0 then 0 else 1 + msb63 dd in
+            let bj = bucket_of fl ik in
             let b' = Array.unsafe_get buckets bj in
-            if b'.len = Array.length b'.keys then grow b';
+            if b'.len = Array.length b'.keys then grow b' 0;
             Array.unsafe_set b'.keys b'.len ik;
             Array.unsafe_set b'.vals b'.len (Array.unsafe_get vals k);
             b'.len <- b'.len + 1
           done;
-          (* The minimum is now at the head of bucket 0; the scan on
-             the next non-b0 pop re-finds the lowest bucket. *)
           lowbi := 1;
           pik := !ifloor;
           let v = Array.unsafe_get b0.vals 0 in
-          if b0.len = 1 then begin
-            b0.len <- 0;
-            head := 0
-          end
-          else head := 1;
+          if b0.len = 1 then b0.len <- 0 else head := 1;
           v
         end
         else begin
           lowbi := !bi;
-          (* Small-bucket min-scan pop (see [pop_slow]). *)
+          (* Small-bucket min-scan pop (see [pop_min]). *)
           let keys = b.keys and vals = b.vals in
           let len = b.len in
-          let mi = ref 0 in
-          for k = 1 to len - 1 do
-            if Array.unsafe_get keys k < Array.unsafe_get keys !mi then
-              mi := k
-          done;
-          pik := Array.unsafe_get keys !mi;
-          let v = Array.unsafe_get vals !mi in
-          for k = !mi to len - 2 do
+          let mi = min_slot keys len in
+          pik := Array.unsafe_get keys mi;
+          let v = Array.unsafe_get vals mi in
+          for k = mi to len - 2 do
             Array.unsafe_set keys k (Array.unsafe_get keys (k + 1));
             Array.unsafe_set vals k (Array.unsafe_get vals (k + 1))
           done;
@@ -508,10 +462,7 @@ let drain_csr t ~off ~nbr ~eid ~wsel ~woth ~dist ~pred ~pred_edge ~other =
     in
     decr size;
     let d = Array.unsafe_get dist x in
-    if
-      Int64.to_int (Int64.sub (Int64.bits_of_float d) 0x4000_0000_0000_0000L)
-      = !pik
-    then begin
+    if image d = !pik then begin
       let ox = Array.unsafe_get other x in
       for s = Array.unsafe_get off x to Array.unsafe_get off (x + 1) - 1 do
         let y = Array.unsafe_get nbr s in
@@ -521,32 +472,11 @@ let drain_csr t ~off ~nbr ~eid ~wsel ~woth ~dist ~pred ~pred_edge ~other =
           Array.unsafe_set pred y x;
           Array.unsafe_set pred_edge y (Array.unsafe_get eid s);
           Array.unsafe_set other y (ox +. Array.unsafe_get woth s);
-          (* add, inline; [image nd] written out so nd stays an
-             unboxed local *)
-          let ik =
-            Int64.to_int
-              (Int64.sub (Int64.bits_of_float nd) 0x4000_0000_0000_0000L)
-          in
-          let dd = ik lxor !ifloor in
-          let bi =
-            if dd = 0 then 0
-            else
-              1
-              +
-              if dd lsr 32 <> 0 then
-                if dd lsr 48 <> 0 then
-                  if dd lsr 56 <> 0 then 56 + msb8 (dd lsr 56)
-                  else 48 + msb8 (dd lsr 48)
-                else if dd lsr 40 <> 0 then 40 + msb8 (dd lsr 40)
-                else 32 + msb8 (dd lsr 32)
-              else if dd lsr 16 <> 0 then
-                if dd lsr 24 <> 0 then 24 + msb8 (dd lsr 24)
-                else 16 + msb8 (dd lsr 16)
-              else if dd lsr 8 <> 0 then 8 + msb8 (dd lsr 8)
-              else msb8 dd
-          in
+          (* add, inline *)
+          let ik = image nd in
+          let bi = bucket_of !ifloor ik in
           let b = Array.unsafe_get buckets bi in
-          if b.len = Array.length b.keys then grow b;
+          if b.len = Array.length b.keys then grow b y;
           Array.unsafe_set b.keys b.len ik;
           Array.unsafe_set b.vals b.len y;
           b.len <- b.len + 1;
@@ -561,21 +491,18 @@ let drain_csr t ~off ~nbr ~eid ~wsel ~woth ~dist ~pred ~pred_edge ~other =
   t.ifloor <- !ifloor;
   t.occ <- 0;
   t.size <- 0;
-  t.head <- 0
+  t.head <- 0;
+  t.mbi <- -1
 
+(* An empty queue needs no bucket reset: every bucket is already at
+   len 0 (and a boxed queue drained by [pop_min] has released its
+   storage), so clearing a drained Dijkstra workspace is O(1) and keeps
+   its buckets. A non-empty queue drops its storage, so no cleared
+   payload stays reachable. *)
 let clear t =
-  (* Buckets drained by pops already have len = 0 and a fully drained
-     heap has occ = 0 — so resetting bucket 0 plus the still-occupied
-     buckets makes clearing an already-empty heap O(1), the common
-     workspace-reuse case. *)
-  (Array.unsafe_get t.buckets 0).len <- 0;
-  let occ = ref t.occ in
-  while !occ <> 0 do
-    let low = !occ land - !occ in
-    (Array.unsafe_get t.buckets (1 + msb63 low)).len <- 0;
-    occ := !occ lxor low
-  done;
+  if t.size > 0 then release_storage t;
   t.occ <- 0;
   t.size <- 0;
   t.head <- 0;
+  t.mbi <- -1;
   t.ifloor <- image_zero

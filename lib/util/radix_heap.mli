@@ -1,24 +1,26 @@
-(** Monotone bucket ("radix") heap: non-negative float keys, int
-    payloads.
+(** Monotone bucket ("radix") heap: non-negative float keys, any
+    payload.
 
-    The Dijkstra frontier structure. Compared to the general {!Heap}:
-    O(1) amortized add and near-O(1) pop, but keys must be {e monotone}
-    — every key added must be >= the minimum most recently popped
-    (Dijkstra guarantees this: a relaxation pushes [d + w >= d]).
+    The Dijkstra frontier (int payloads) and the event engine's
+    scheduler (boxed payloads). Compared to the general {!Heap}: O(1)
+    amortized add and near-O(1) pop, but keys must be {e monotone} —
+    every key added must be >= the minimum most recently popped
+    (Dijkstra guarantees this: a relaxation pushes [d + w >= d]; an
+    event engine too: the clock only moves forward).
 
     Equal keys pop in global insertion (FIFO) order, exactly like
-    {!Heap}'s sequence-number rule — shortest-path tie-breaking is
-    byte-identical under either frontier. *)
+    {!Heap}'s sequence-number rule — shortest-path tie-breaking and
+    whole-run simulation determinism rest on it. *)
 
-type t
+type 'a t
 
-val create : unit -> t
+val create : unit -> 'a t
 (** An empty heap with floor 0.0 — every key must be >= 0. *)
 
-val add : t -> key:float -> int -> unit
+val add : 'a t -> key:float -> 'a -> unit
 (** @raise Invalid_argument if [key] is NaN, negative, or below the
     monotonicity floor — a lower bound that trails the extracted
-    minimum (0.0 initially, advanced opportunistically as buckets are
+    minimum (0.0 initially, advanced lazily as buckets are
     redistributed), so an out-of-order add from a buggy caller is
     detected best-effort rather than always. Keys at or above the
     floor are ordered correctly even when below an earlier popped
@@ -26,43 +28,52 @@ val add : t -> key:float -> int -> unit
 
 val image : float -> int
 (** Order-preserving native-int image of a non-negative float key (the
-    IEEE-754 bit pattern shifted into int range). Small enough for the
-    cross-module inliner, so computing it at the call site keeps the
-    key out of a boxed float argument. *)
+    IEEE-754 bit pattern shifted into int range); what keys are binned
+    by. Small enough for the cross-module inliner, so computing it at
+    the call site keeps the key out of a boxed float argument. *)
 
-val add_image : t -> int -> int -> unit
+val key_of_image : int -> float
+(** Inverse of {!image} on its range. *)
+
+val add_image : 'a t -> int -> 'a -> unit
 (** [add_image t (image key) v] = [add t ~key v] for non-negative,
-    non-NaN keys — the allocation-free hot-loop form. NaN images are
-    above every finite image rather than rejected, so callers must not
-    feed NaNs. @raise Invalid_argument if the image is below the
-    floor's. *)
+    non-NaN keys — the allocation-free hot-loop form. NaN images sort
+    above every finite image rather than being rejected, so callers
+    must not feed NaNs.
+    @raise Invalid_argument if the image is below the floor's. *)
 
-val pop : t -> (float * int) option
-(** Minimum-key entry; equal keys in insertion order. *)
+val min_image : 'a t -> int
+(** Image of the current minimum key; [max_int] when empty (strictly
+    above the image of every float key, +infinity included). Locates
+    the minimum and memoizes its position, so the following {!pop_min}
+    is O(1) — the peek-then-pop of a drain loop costs one search. A
+    peek leaves the monotonicity floor where it was: a key between the
+    last popped one and this minimum may still be added. *)
 
-val pop_val : t -> int
-(** [pop] without the key — the allocation-free form for hot loops
-    where the caller already knows the key (Dijkstra: the popped key is
-    always [dist.(v)]).
+val pop_min : 'a t -> 'a
+(** Pop the minimum-key entry — among equal keys, the earliest
+    inserted. Uses the position memoized by {!min_image} when the heap
+    was not touched in between; locates it itself otherwise. Draining
+    the heap to empty releases its bucket storage, so no popped payload
+    stays reachable from it.
     @raise Invalid_argument if the heap is empty. *)
 
-val pop_or_neg : t -> int
-(** [pop_val] that returns [-1] on an empty heap instead of raising —
-    folds the emptiness test into the pop so a drain loop is one call
-    per iteration instead of two. Only meaningful when every payload is
-    non-negative (Dijkstra node ids are). *)
+val pop : 'a t -> (float * 'a) option
+(** [min_image]/[pop_min] packaged with the key recovered — the
+    allocating convenience form for tests and oracles. *)
 
-val pop_run : t -> int array -> int
+val pop_run : int t -> int array -> int
 (** [pop_run t buf] pops the maximal run of minimum-key entries into
     [buf] (earliest-inserted first), capped by [Array.length buf], and
     returns the count — 0 iff the heap is empty. Every popped key in
     one call is equal; a capped run continues on the next call. Batch
-    form of [pop_val] for drain loops whose later adds are all strictly
+    form of [pop_min] for drain loops whose later adds are all strictly
     above the current minimum (Dijkstra with positive weights): the
-    concatenated runs are exactly the per-entry pop sequence. *)
+    concatenated runs are exactly the per-entry pop sequence. Keeps the
+    bucket storage when the heap drains (workspace reuse). *)
 
 val drain_csr :
-  t ->
+  int t ->
   off:int array ->
   nbr:int array ->
   eid:int array ->
@@ -79,17 +90,20 @@ val drain_csr :
     distances — fused with the heap so the hot loop pays no
     per-operation call overhead (the non-flambda compiler does not
     inline across compilation units). Pops and relaxations happen in
-    exactly the order a [pop_val]/[add_image] loop would produce, so
+    exactly the order a [pop_min]/[add_image] loop would produce, so
     results are byte-identical; a popped entry is recognized as stale
     (node already settled) when its key no longer equals
     [image dist.(x)], so no settled-marker array is needed. The caller
     guarantees array lengths and index ranges (all accesses are
     unchecked) and non-negative finite weights; see
-    {!Netgraph.Dijkstra.run}, the owning API. *)
+    {!Netgraph.Dijkstra.run}, the owning API. Keeps the bucket storage
+    when the heap drains (workspace reuse). *)
 
-val length : t -> int
-val is_empty : t -> bool
+val length : 'a t -> int
+val is_empty : 'a t -> bool
 
-val clear : t -> unit
-(** Empty the heap and reset the floor to 0.0, retaining the internal
-    bucket storage (the workspace-reuse entry point). *)
+val clear : 'a t -> unit
+(** Empty the heap and reset the floor to 0.0. O(1) on an empty heap,
+    which keeps whatever bucket storage it has (the Dijkstra
+    workspace-reuse entry point); a non-empty heap releases its
+    storage along with the payloads in it. *)

@@ -313,13 +313,21 @@ let test_lint_suppression_and_literals () =
        (L.scan_ml ~path:"lib/protocols/x.ml"
           "(* List.sort compare; Hashtbl.find; failwith *)\nlet s = \"failwith\"\n"))
 
-let test_lint_blanking () =
-  let src = "let x = 'a' (* note (* nested *) *) ^ \"Hashtbl.find\"" in
-  let blanked = L.blank_non_code src in
-  checki "length preserved" (String.length src) (String.length blanked);
-  checkb "comment content gone" false (contains blanked "nested");
-  checkb "string content gone" false (contains blanked "Hashtbl");
-  checkb "code survives" true (contains blanked "let x =")
+(* A file that does not parse cannot build under the strict flags:
+   it gets exactly one Error [parse-failure] finding and no rule runs
+   on it — not even on the lines before the syntax error. *)
+let test_lint_parse_failure () =
+  let vs =
+    L.scan_ml ~path:"lib/mtree/x.ml" "let z = List.sort compare [1]\nlet q = (\n"
+  in
+  checki "exactly one finding" 1 (List.length vs);
+  Alcotest.check
+    Alcotest.(list string)
+    "only parse-failure" [ L.rule_parse_failure ] (lint_rules vs);
+  checkb "at severity Error" true
+    (List.for_all (fun (v : L.violation) -> v.L.severity = L.Error) vs);
+  checkb "rule severity is Error" true
+    (L.severity_of_rule L.rule_parse_failure = L.Error)
 
 let test_lint_raw_transmit () =
   let src = "let () = Eventsim.Netsim.transmit net ~from:0 1 msg\n" in
@@ -397,7 +405,14 @@ let test_lint_dune_flags () =
   checki "strict file passes" 0
     (List.length
        (L.scan_dune ~path:"lib/mtree/dune"
-          "(library\n (name mtree)\n (flags (:standard -w +a-4-9-40-41-42-44-45-70 -warn-error +8+26+27+32+33)))\n"))
+          "(library\n (name mtree)\n (flags (:standard -w +a-4-9-40-41-42-44-45-70 -warn-error +8+26+27+32+33)))\n"));
+  Alcotest.check
+    Alcotest.(list string)
+    "a flag only inside a ; comment does not count"
+    [ L.rule_dune_flags ]
+    (lint_rules
+       (L.scan_dune ~path:"lib/foo/dune"
+          "; TODO add -warn-error flags\n(library (name foo))\n"))
 
 (* ---------------- lint: determinism & domain hazards ----------------
 
@@ -530,21 +545,24 @@ let test_lint_raw_engine_queue () =
   checkb "short spelling fires too" true
     (fires L.rule_raw_engine_queue "lib/eventsim/faults.ml"
        "let () = Heap.add q ~key:1.0 thunk\n");
-  checkb "calendar queue outside engine.ml fires" true
+  checkb "qualified radix heap outside engine.ml fires" true
     (fires L.rule_raw_engine_queue "lib/eventsim/x.ml"
-       "let q = Scmp_util.Calendar_queue.create ()\n");
+       "let q = Scmp_util.Radix_heap.create ()\n");
   checkb "engine.ml itself: clean (the queue's owner)" false
     (fires L.rule_raw_engine_queue "lib/eventsim/engine.ml"
-       "let q = Scmp_util.Calendar_queue.create ()\n");
+       "let q = Scmp_util.Radix_heap.create ()\n");
   checkb "outside lib/eventsim: clean (tests and benches may oracle)" false
     (fires L.rule_raw_engine_queue "lib/mtree/x.ml"
        "let q = Scmp_util.Heap.create ()\n");
   checkb "near-miss: Engine scheduling is the sanctioned path" false
     (fires L.rule_raw_engine_queue "lib/eventsim/netsim.ml"
        "let () = Engine.schedule e ~delay:1.0 thunk\n");
-  checkb "near-miss: unrelated Heap-suffixed module" false
+  checkb "radix heap outside engine.ml fires" true
     (fires L.rule_raw_engine_queue "lib/eventsim/x.ml"
-       "let h = Radix_heap.create 4\n");
+       "let h = Radix_heap.create ()\n");
+  checkb "Dijkstra's radix heap in lib/netgraph: clean" false
+    (fires L.rule_raw_engine_queue "lib/netgraph/dijkstra.ml"
+       "let h = Scmp_util.Radix_heap.create ()\n");
   checkb "severity is Error" true
     (L.severity_of_rule L.rule_raw_engine_queue = L.Error)
 
@@ -556,13 +574,7 @@ let test_lint_quoted_strings () =
        "let doc = {|List.sort Stdlib.compare xs|}\n");
   checkb "tagged quoted string too" false
     (fires L.rule_poly_compare "lib/core/x.ml"
-       "let doc = {example|Stdlib.compare|example}\n");
-  let src = "let s = {tag|Hashtbl.find secret|tag} ^ \"x\"" in
-  let blanked = L.blank_non_code src in
-  checki "blanking stays length-preserving" (String.length src)
-    (String.length blanked);
-  checkb "payload blanked" false (contains blanked "Hashtbl");
-  checkb "code survives" true (contains blanked "let s =")
+       "let doc = {example|Stdlib.compare|example}\n")
 
 (* ---------------- lint: the CLI end-to-end ----------------
 
@@ -731,7 +743,7 @@ let () =
           Alcotest.test_case "failwith scope" `Quick test_lint_failwith_scope;
           Alcotest.test_case "suppression and literals" `Quick
             test_lint_suppression_and_literals;
-          Alcotest.test_case "blanking" `Quick test_lint_blanking;
+          Alcotest.test_case "parse failure" `Quick test_lint_parse_failure;
           Alcotest.test_case "raw transmit scope" `Quick test_lint_raw_transmit;
           Alcotest.test_case "raw fault-primitive scope" `Quick
             test_lint_raw_fault;

@@ -288,7 +288,7 @@ let test_radix_fifo () =
   Radix.add h ~key:2.0 2;
   Radix.add h ~key:1.0 11;
   Radix.add h ~key:2.0 3;
-  let pops = List.init 5 (fun _ -> Radix.pop_val h) in
+  let pops = List.init 5 (fun _ -> Radix.pop_min h) in
   Alcotest.(check (list int)) "fifo on ties" [ 10; 11; 1; 2; 3 ] pops;
   Alcotest.(check bool) "empty" true (Radix.is_empty h)
 
@@ -306,19 +306,19 @@ let test_radix_floor () =
   for i = 0 to 19 do
     Radix.add h ~key:5.0 (10 + i)
   done;
-  Alcotest.check Alcotest.int "min val" 10 (Radix.pop_val h);
+  Alcotest.check Alcotest.int "min val" 10 (Radix.pop_min h);
   Alcotest.check_raises "below advanced floor"
     (Invalid_argument
        "Radix_heap.add: key below the extracted minimum (or NaN)")
     (fun () -> Radix.add h ~key:4.0 3);
   (* a key equal to the floor is still fine *)
   Radix.add h ~key:5.0 4;
-  Alcotest.check Alcotest.int "fifo after floor add" 11 (Radix.pop_val h);
+  Alcotest.check Alcotest.int "fifo after floor add" 11 (Radix.pop_min h);
   Radix.clear h;
   (* clear resets the floor to 0 *)
   Radix.add h ~key:0.0 9;
-  Alcotest.check Alcotest.int "reusable after clear" 9 (Radix.pop_val h);
-  Alcotest.check Alcotest.int "pop_or_neg on empty" (-1) (Radix.pop_or_neg h)
+  Alcotest.check Alcotest.int "reusable after clear" 9 (Radix.pop_min h);
+  Alcotest.check Alcotest.int "pop_run on empty" 0 (Radix.pop_run h [| 0 |])
 
 let test_radix_pop_run () =
   let h = Radix.create () in
@@ -337,8 +337,16 @@ let test_radix_pop_run () =
   Alcotest.check Alcotest.int "empty run" 0 (Radix.pop_run h buf)
 
 (* Random monotone traces: the radix heap must pop exactly like the
-   binary heap under any Dijkstra-legal schedule (adds never below the
-   last popped key), including add_image and heap reuse via clear. *)
+   binary heap under any legal schedule (adds never below the last
+   popped key), through every entry point — [add] and [add_image],
+   [min_image] then [pop_min], a bare [min_image] peek whose memo the
+   next adds must invalidate, [pop], and [pop_run] into a 3-slot
+   buffer (capped runs included) — and across [clear] on a non-empty
+   heap, a drain to empty, and reuse after both. Keys are quantized so
+   ties are common; bursts of 24 keys inside one unit interval far above
+   the floor share a bucket larger than the 16-entry scan threshold, so
+   the floor-advancing redistribution runs too. Payloads are insertion
+   sequence numbers, so every pop pins both key order and FIFO order. *)
 let prop_radix_trace =
   QCheck.Test.make ~name:"radix heap = binary heap on monotone traces"
     ~count:60 QCheck.small_nat
@@ -346,40 +354,77 @@ let prop_radix_trace =
       let rng = Prng.create ((seed * 31337) + 3) in
       let rh = Radix.create () in
       let bh = Heap.create () in
-      let floor = ref 0.0 in
-      let ok = ref true in
-      let n_ops = 40 + Prng.int rng 160 in
-      for i = 0 to n_ops - 1 do
-        if Prng.chance rng 0.55 || Heap.is_empty bh then begin
-          (* keys quantized so cross-implementation ties are common *)
-          let key = !floor +. (float_of_int (Prng.int rng 8) /. 2.0) in
-          if Prng.chance rng 0.5 then Radix.add rh ~key i
-          else Radix.add_image rh (Radix.image key) i;
-          Heap.add bh ~key i
-        end
-        else begin
-          match Heap.pop bh with
-          | None -> ()
-          | Some (k, v) ->
-            floor := k;
-            if Radix.pop_val rh <> v then ok := false
-        end
-      done;
-      (* drain what's left *)
-      let rec drain () =
-        match Heap.pop bh with
-        | None -> ()
-        | Some (_, v) ->
-          if Radix.pop_or_neg rh <> v then ok := false;
-          drain ()
+      let floor = ref 0.0 and seq = ref 0 and ok = ref true in
+      let buf = Array.make 3 0 in
+      let add key =
+        incr seq;
+        if Prng.chance rng 0.5 then Radix.add rh ~key !seq
+        else Radix.add_image rh (Radix.image key) !seq;
+        Heap.add bh ~key !seq
       in
-      drain ();
-      if not (Radix.is_empty rh) then ok := false;
-      (* the same heaps again after clear: reuse must be clean *)
+      let expect (k, v) =
+        floor := k;
+        ok := !ok && Heap.pop bh = Some (k, v)
+      in
+      let pop_one () =
+        match Prng.int rng 4 with
+        | 0 -> (
+          match Radix.pop rh with
+          | Some kv -> expect kv
+          | None -> ok := !ok && Heap.is_empty bh)
+        | 1 when not (Radix.is_empty rh) ->
+          let k = Radix.key_of_image (Radix.min_image rh) in
+          expect (k, Radix.pop_min rh)
+        | 2 ->
+          (* peek only: the located minimum stays memoized across the
+             adds that follow *)
+          let want =
+            match Heap.peek bh with
+            | Some (k, _) -> Radix.image k
+            | None -> max_int
+          in
+          ok := !ok && Radix.min_image rh = want
+        | _ ->
+          let n = Radix.pop_run rh buf in
+          (* the oracle's run: the next entries sharing the minimum key,
+             as many as the buffer holds *)
+          let run_key = Option.map fst (Heap.peek bh) in
+          for i = 0 to n - 1 do
+            match Heap.pop bh with
+            | Some (k, v) ->
+              floor := k;
+              ok := !ok && Some k = run_key && v = buf.(i)
+            | None -> ok := false
+          done;
+          ok :=
+            !ok
+            && (n = Array.length buf
+               || Option.map fst (Heap.peek bh) <> run_key
+               || run_key = None)
+      in
+      let n_ops = 40 + Prng.int rng 160 in
+      for _ = 1 to n_ops do
+        match Prng.int rng 20 with
+        | 0 ->
+          for _ = 1 to 24 do
+            add (!floor +. 64.0 +. (float_of_int (Prng.int rng 16) /. 16.0))
+          done
+        | 1 ->
+          Radix.clear rh;
+          Heap.clear bh;
+          floor := 0.0
+        | r when r < 11 || Heap.is_empty bh ->
+          add (!floor +. (float_of_int (Prng.int rng 8) /. 2.0))
+        | _ -> pop_one ()
+      done;
+      while not (Heap.is_empty bh || Radix.is_empty rh) do
+        pop_one ()
+      done;
+      ok := !ok && Heap.is_empty bh && Radix.is_empty rh && Radix.pop rh = None;
+      (* reuse after the drain, with a key below the old floor *)
       Radix.clear rh;
       Radix.add rh ~key:0.5 7;
-      if Radix.pop_val rh <> 7 then ok := false;
-      !ok)
+      !ok && Radix.pop rh = Some (0.5, 7))
 
 let prop_image_order =
   QCheck.Test.make ~name:"image is order-isomorphic on float keys"
@@ -387,7 +432,9 @@ let prop_image_order =
     QCheck.(pair (float_bound_exclusive 1e9) (float_bound_exclusive 1e9))
     (fun (a, b) ->
       let a = Float.abs a and b = Float.abs b in
-      compare (Radix.image a) (Radix.image b) = compare a b)
+      compare (Radix.image a) (Radix.image b) = compare a b
+      && Radix.key_of_image (Radix.image a) = a
+      && Radix.key_of_image (Radix.image b) = b)
 
 (* ------------------------------------------------------------------ *)
 

@@ -181,29 +181,40 @@ let test_heap_clear_and_iter () =
   check Alcotest.(option (pair (float 0.0) int)) "usable after clear" (Some (1.0, 99))
     (Heap.pop h)
 
-let test_heap_pop_releases_last_entry () =
-  (* Regression: popping the entry that empties the heap used to leave
-     data.(0) aliasing it, keeping the value reachable forever. The
-     weak pointer must go dead once the heap (still live) let go. *)
-  let h = Heap.create ~capacity:4 () in
+(* Regression: popping the entry that empties a queue used to leave a
+   slot aliasing it, keeping the value reachable forever. Run on both
+   boxed-payload queues — the binary heap and the radix heap the event
+   engine schedules on: the weak pointer must go dead once the queue
+   (still live) let go, and the queue stays usable afterwards. *)
+let check_pop_releases_last_entry name ~add ~pop ~length =
   let w = Weak.create 1 in
   (let value = ref 12345 in
    Weak.set w 0 (Some value);
-   Heap.add h ~key:1.0 value;
-   match Heap.pop h with
-   | Some (_, v) -> checki "popped the value" 12345 !v
-   | None -> Alcotest.fail "pop on singleton heap");
+   add ~key:1.0 value;
+   match pop () with
+   | Some (_, v) -> checki (name ^ ": popped the value") 12345 !v
+   | None -> Alcotest.fail (name ^ ": pop on singleton queue"));
   Gc.full_major ();
-  checki "heap empty" 0 (Heap.length h);
-  checkb "popped value unreachable from the heap" false (Weak.check w 0);
-  (* the heap stays fully usable after draining to empty *)
-  Heap.add h ~key:2.0 (ref 7);
-  Heap.add h ~key:1.0 (ref 8);
-  (match Heap.pop h with
+  checki (name ^ ": empty") 0 (length ());
+  checkb (name ^ ": popped value unreachable") false (Weak.check w 0);
+  add ~key:2.0 (ref 7);
+  add ~key:1.0 (ref 8);
+  match pop () with
   | Some (k, v) ->
-    check (Alcotest.float 0.0) "min key after refill" 1.0 k;
-    checki "value after refill" 8 !v
-  | None -> Alcotest.fail "pop after refill")
+    check (Alcotest.float 0.0) (name ^ ": min key after refill") 1.0 k;
+    checki (name ^ ": value after refill") 8 !v
+  | None -> Alcotest.fail (name ^ ": pop after refill")
+
+let test_heap_pop_releases_last_entry () =
+  let h = Heap.create ~capacity:4 () in
+  check_pop_releases_last_entry "heap" ~add:(Heap.add h)
+    ~pop:(fun () -> Heap.pop h)
+    ~length:(fun () -> Heap.length h);
+  let q = Scmp_util.Radix_heap.create () in
+  check_pop_releases_last_entry "radix heap"
+    ~add:(Scmp_util.Radix_heap.add q)
+    ~pop:(fun () -> Scmp_util.Radix_heap.pop q)
+    ~length:(fun () -> Scmp_util.Radix_heap.length q)
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap drains in sorted order" ~count:200
