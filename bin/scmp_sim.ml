@@ -520,7 +520,7 @@ let run_cmd =
           Printf.printf "  delivery ratio %.4f, %d packets dropped\n"
             r.delivery_ratio r.dropped;
           Printf.printf
-            "  routing: %d reconvergences, %d SPTs built (eager would run \
+            "  routing: %d reconvergences, %d SPT cache fills (eager would run \
              %d), %d invalidated\n"
             r.routes_epochs r.spt_computed
             (n * (r.routes_epochs + 1))

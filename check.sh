@@ -80,6 +80,16 @@ epochs=$($SIM metric /tmp/routing_smoke.json 'net/routes_epoch')
 spts=$($SIM metric /tmp/routing_smoke.json 'routes/spt_computed')
 awk "BEGIN { exit !($spts < 80 * $epochs / 4) }"
 
+# SPT-sharing smoke: with no fault live, every routes-cache fill must
+# borrow the m-router's unfiltered delay SPT from its APSP table
+# instead of building its own.
+echo "== spt sharing smoke (fault-free sim, routes borrow APSP SPTs)"
+$SIM run --gen waxman --nodes 200 --seed 1 -p scmp \
+  --report /tmp/spt_share_smoke.json > /dev/null
+$SIM metric /tmp/spt_share_smoke.json 'routes/spt_shared' --ge 1 > /dev/null
+fills=$($SIM metric /tmp/spt_share_smoke.json 'routes/spt_computed')
+$SIM metric /tmp/spt_share_smoke.json 'routes/spt_shared' --eq "$fills" > /dev/null
+
 # Sweep smoke: the parallel engine must produce a merged report that is
 # byte-identical to the sequential one (deterministic merge), covering
 # the full 2x2 grid.

@@ -648,6 +648,7 @@ let observe t m =
   set_c "net/dropped/node_down" t.dropped_node_down;
   set_c "net/routes_epoch" t.routes_epoch;
   set_c "routes/spt_computed" (Routes.computed t.routes);
+  set_c "routes/spt_shared" (Routes.shared t.routes);
   set_c "routes/invalidated" (Routes.invalidated t.routes);
   set_g "net/data/cost" t.data_overhead;
   set_g "net/control/cost" t.control_overhead;

@@ -115,8 +115,10 @@ val observe : 'm t -> Obs.Metrics.t -> unit
     per-reason breakdown ([net/dropped/loss], [net/dropped/no_route],
     [net/dropped/link_down], [net/dropped/node_down]),
     [net/routes_epoch], the routing-cache economics
-    ([routes/spt_computed] — lifetime SPT builds, [routes/invalidated]
-    — cached SPTs dropped by faults), [net/links_used],
+    ([routes/spt_computed] — lifetime cache fills,
+    [routes/spt_shared] — the fills served from a shared APSP table
+    (see {!Routes.share}), [routes/invalidated] — cached SPTs dropped
+    by faults), [net/links_used],
     [net/max_link_crossings]. Idempotent. *)
 
 val on_transmit : 'm t -> (src:node -> dst:node -> 'm -> unit) -> unit

@@ -1,5 +1,6 @@
 module G = Netgraph.Graph
 module D = Netgraph.Dijkstra
+module Apsp = Netgraph.Apsp
 
 (* Demand-driven per-source SPT cache with incremental invalidation.
 
@@ -28,7 +29,14 @@ module D = Netgraph.Dijkstra
    per tree edge, which cached sources used it when built; an edge
    death touches only candidate dependents. Dropped SPTs are recycled
    into a Dijkstra workspace, so steady-state recomputation under
-   churn reuses the same scratch arrays instead of reallocating. *)
+   churn reuses the same scratch arrays instead of reallocating.
+
+   Ownership: after [share], a fill with no live fault borrows the
+   shared APSP table's delay SPT instead of building an identical one.
+   The table owns that SPT — other consumers (the m-router's DCDM
+   join) keep reading it — so a borrowed slot is never recycled, only
+   forgotten. Only SPTs this cache built itself go back to the
+   workspace. *)
 
 type t = {
   g : G.t;
@@ -42,6 +50,10 @@ type t = {
   all_ok : (unit -> bool) option;
   ws : D.workspace;
   results : D.result option array;
+  (* '\001' where [results] holds an SPT borrowed from [table]: the
+     table owns it, so [drop] must not recycle it. *)
+  borrowed : Bytes.t;
+  mutable table : Apsp.t option;
   (* edge id -> sources whose cached SPT used the edge when built.
      Entries may be stale (source since dropped or rebuilt without the
      edge); [note_edge_down] re-checks before dropping. *)
@@ -52,6 +64,7 @@ type t = {
      entirely; only a rebuild after invalidation pays it. *)
   registered : Bytes.t;
   mutable computed : int;
+  mutable shared_fills : int;
   mutable invalidated : int;
 }
 
@@ -62,11 +75,19 @@ let compute ?edge_ok ?all_ok g =
     all_ok;
     ws = D.create_workspace ();
     results = Array.make (G.node_count g) None;
+    borrowed = Bytes.make (G.node_count g) '\000';
+    table = None;
     edge_users = Array.make (G.edge_count g) [];
     registered = Bytes.make (G.node_count g) '\000';
     computed = 0;
+    shared_fills = 0;
     invalidated = 0;
   }
+
+let share t table =
+  if Apsp.graph table != t.g (* lint: allow physical-eq *) then
+    invalid_arg "Routes.share: table is over another graph";
+  t.table <- Some table
 
 (* Int-specialized membership: [List.mem] would go through the
    polymorphic comparator for every element — measurably hot, since
@@ -91,7 +112,16 @@ let force t s =
     let edge_ok =
       match t.all_ok with Some f when f () -> None | _ -> t.edge_ok
     in
-    let r = D.run ~ws:t.ws ?edge_ok t.g ~metric:D.Delay ~source:s in
+    let r =
+      match (edge_ok, t.table) with
+      | None, Some table ->
+        Bytes.set t.borrowed s '\001';
+        t.shared_fills <- t.shared_fills + 1;
+        Apsp.sl_tree table s
+      | _ ->
+        Bytes.set t.borrowed s '\000';
+        D.run ~ws:t.ws ?edge_ok t.g ~metric:D.Delay ~source:s
+    in
     t.results.(s) <- Some r;
     t.computed <- t.computed + 1;
     register_tree_edges t s r;
@@ -121,11 +151,11 @@ let drop t s =
   | Some r ->
     t.results.(s) <- None;
     t.invalidated <- t.invalidated + 1;
-    D.recycle t.ws r
+    if Bytes.get t.borrowed s = '\000' then D.recycle t.ws r
 
 let uses_edge t r e =
-  D.parent_edge r (G.edge_u t.g e) = Some e
-  || D.parent_edge r (G.edge_v t.g e) = Some e
+  D.parent_edge_ix r (G.edge_u t.g e) = e
+  || D.parent_edge_ix r (G.edge_v t.g e) = e
 
 let note_edge_down t e =
   match t.edge_users.(e) with
@@ -163,4 +193,5 @@ let cached t =
     0 t.results
 
 let computed t = t.computed
+let shared t = t.shared_fills
 let invalidated t = t.invalidated

@@ -15,7 +15,16 @@
     subgraph would give (tested differentially in
     test_routing_cache.ml). Dropped SPTs are recycled into an internal
     {!Netgraph.Dijkstra.workspace}, so recomputation under churn
-    reuses scratch arrays instead of reallocating. *)
+    reuses scratch arrays instead of reallocating.
+
+    {b Ownership.} After {!share}, a fill made while no fault is live
+    borrows the shared {!Netgraph.Apsp} table's delay SPT instead of
+    building its own, so a clean overlay costs one delay SPT per source
+    for the unicast routes and the m-router together. Borrowed SPTs
+    are owned by the table and are never recycled by this cache: a
+    fault drops them from the cache and leaves them intact in the
+    table. Only SPTs the cache built itself (fills under a live fault,
+    or every fill without {!share}) are recycled. *)
 
 type t
 
@@ -35,6 +44,17 @@ val compute :
     filtered run is documented byte-identical to an unfiltered one),
     which is the no-fault fast path. *)
 
+val share : t -> Netgraph.Apsp.t -> unit
+(** [share t table] makes every later fill whose filter resolves to
+    "no filter" (no [edge_ok], or [all_ok] answering [true]) take
+    {!Netgraph.Apsp.sl_tree}[ table s] instead of running Dijkstra.
+    [table] must be an unfiltered table over the same graph, whose
+    delay SPTs are then byte-identical to the ones this cache would
+    build. Fills under a live fault still build and own their SPTs.
+    Edge registration and invalidation are unchanged, so answers are
+    too. A later call replaces the table for later fills.
+    @raise Invalid_argument if [table] is over another graph. *)
+
 val next_hop : t -> src:Netgraph.Graph.node -> dst:Netgraph.Graph.node -> Netgraph.Graph.node option
 (** The neighbour to forward to; [None] if [dst] is unreachable.
     [next_hop ~src ~dst:src] is [None]. Walks the predecessor chain from
@@ -52,7 +72,8 @@ val spt : t -> src:Netgraph.Graph.node -> Netgraph.Dijkstra.result
     routers derive their per-source forwarding from); forces the
     source if uncached. The result is only valid until the next
     invalidation notice — dropped SPTs are recycled, so do not retain
-    it across faults. *)
+    it across faults. (A borrowed SPT is never recycled, but callers
+    cannot tell which kind they hold; the rule is the same.) *)
 
 val note_edge_down : t -> Netgraph.Graph.edge -> unit
 (** The edge just died: drop exactly the cached SPTs whose tree uses
@@ -71,7 +92,12 @@ val cached : t -> int
 (** Number of sources currently memoized. *)
 
 val computed : t -> int
-(** Lifetime count of SPT builds ([routes/spt_computed]). *)
+(** Lifetime count of cache fills, built or borrowed
+    ([routes/spt_computed]). *)
+
+val shared : t -> int
+(** Lifetime count of the fills served from the {!share}d table
+    ([routes/spt_shared]); at most {!computed}. *)
 
 val invalidated : t -> int
 (** Lifetime count of cached SPTs dropped ([routes/invalidated]). *)

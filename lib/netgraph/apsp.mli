@@ -10,7 +10,14 @@
 
     For a path chosen under one metric, the {e other} metric along the
     same concrete node sequence is exposed too (e.g. the delay of the
-    least-cost path), which is what the DCDM feasibility test needs. *)
+    least-cost path), which is what the DCDM feasibility test needs.
+
+    {b Ownership.} A memoized SPT is owned by its table for the table's
+    lifetime: the table never recycles or rewrites it. Other caches may
+    hold on to it — [Eventsim.Routes.share] lends an unfiltered
+    table's delay SPTs to the unicast routes cache — but must not pass
+    it to {!Dijkstra.recycle}, because a recycled result's arrays are
+    overwritten by the next run in that workspace. *)
 
 type t
 
@@ -24,7 +31,10 @@ val compute :
     {!Dijkstra.run}) make the table answer over a fault overlay
     without copying the surviving subgraph; they are consulted at
     SPT-build time, so create a fresh table whenever the overlay
-    changes — memoized entries are never re-checked. *)
+    changes — memoized entries are never re-checked. A filter that
+    accepts every edge and node gives answers byte-identical to no
+    filter, so a caller whose overlay is clean may keep using its
+    unfiltered table instead. *)
 
 val graph : t -> Graph.t
 

@@ -53,7 +53,9 @@ val run :
     The source keeps distance 0 even when itself filtered out (it is
     then isolated). Surviving edges are relaxed in insertion order, so
     the result — including ties — is identical to an unfiltered run
-    over a materialized copy of the surviving subgraph.
+    over a materialized copy of the surviving subgraph; in particular,
+    filters that accept everything give a result byte-identical to a
+    run without them.
 
     When [ws] is supplied, scratch state and (when the pool is
     non-empty) the result arrays come from the workspace instead of

@@ -125,9 +125,11 @@ type result = {
   routes_epochs : int;
       (** Route reconvergences (effective fault events) during the run. *)
   spt_computed : int;
-      (** Unicast SPTs the demand-driven routing cache actually built —
-          compare against nodes × (routes_epochs + 1), the eager
-          recompute-everything cost it replaces. *)
+      (** Fills of the demand-driven unicast routing cache — one SPT
+          each, built by the cache or (SCMP, clean overlay) borrowed
+          from the m-router's APSP table; compare against
+          nodes × (routes_epochs + 1), the eager recompute-everything
+          cost it replaces. *)
   spt_invalidated : int;
       (** Cached SPTs dropped by incremental fault invalidation. *)
   blackouts : float list;

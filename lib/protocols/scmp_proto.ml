@@ -104,6 +104,9 @@ type t = {
          *global* observer considers in charge *)
   standby : standby option;
   mutable apsp : Netgraph.Apsp.t;  (* recomputed on takeover and topology change *)
+  base_apsp : Netgraph.Apsp.t;
+      (* the unfiltered table over the base graph, also lent to the
+         unicast routes cache: [apsp] whenever the overlay is clean *)
   bound : Mtree.Bound.t;
   distribution : distribution;
   cpu : (Eventsim.Server.t * float) option;
@@ -581,7 +584,11 @@ let mirror_apply sb group dr joined = roster_apply sb.mirror group dr joined
    must answer as of this instant, exactly like the eager
    materialization it replaces, even if further faults land before the
    query (every such fault triggers a new snapshot through
-   on_topology_change anyway). *)
+   on_topology_change anyway). With every edge live the filter would
+   accept everything, and an all-accepting filter is byte-identical to
+   none, so the clean case goes back to [base_apsp]: its memoized SPTs
+   are the ones the routes cache borrows, and no filtered copy is
+   built. *)
 let fresh_apsp t =
   let g = N.graph t.net in
   let failed = List.filter (fun a -> a.a_failed) (authorities t) in
@@ -598,7 +605,8 @@ let fresh_apsp t =
                   || Netgraph.Graph.edge_v g e = a.an)
                 failed))
   in
-  Netgraph.Apsp.compute ~edge_ok:(Array.get ok) g
+  if Array.for_all Fun.id ok then t.base_apsp
+  else Netgraph.Apsp.compute ~edge_ok:(Array.get ok) g
 
 (* Rebuild one group's tree from a membership roster over the current
    [t.apsp], redistribute it, and invalidate the routers the new tree
@@ -1428,6 +1436,8 @@ let create ?delivery ?(bound = Mtree.Bound.Tightest)
   in
   let epoch_owner = Hashtbl.create 4 in
   Hashtbl.replace epoch_owner 1 mrouter;
+  let base_apsp = Netgraph.Apsp.compute g in
+  Eventsim.Routes.share (N.routes net) base_apsp;
   let t =
     {
       net;
@@ -1438,7 +1448,8 @@ let create ?delivery ?(bound = Mtree.Bound.Tightest)
       cpu;
       rto;
       max_attempts;
-      apsp = Netgraph.Apsp.compute g;
+      apsp = base_apsp;
+      base_apsp;
       bound;
       distribution;
       node_epoch = Array.make n 1;

@@ -9,6 +9,7 @@
 
 module G = Netgraph.Graph
 module Apsp = Netgraph.Apsp
+module D = Netgraph.Dijkstra
 module Engine = Eventsim.Engine
 module Netsim = Eventsim.Netsim
 module Routes = Eventsim.Routes
@@ -192,6 +193,103 @@ let prop_next_hop_matches_path =
       done;
       !ok)
 
+(* Routes borrowing the unfiltered APSP table's delay SPTs must answer
+   exactly like Routes building its own, across link and node faults
+   and heals — and the borrowing must never write into the table: a
+   borrowed SPT recycled into the routes workspace would be overwritten
+   by the next fill under a fault, while the m-router still reads it. *)
+let prop_shared_routes_differential =
+  QCheck.Test.make
+    ~name:"Routes sharing the APSP table = Routes building its own; table intact"
+    ~count:30
+    QCheck.(pair small_nat small_nat)
+    (fun (tseed, fseed) ->
+      let g = graph_of_seed tseed in
+      let n = G.node_count g in
+      let links = base_links g in
+      let rng = Prng.create ((fseed * 69621) + 7) in
+      let table = Apsp.compute g in
+      (* some table entries exist before the first borrow, some not *)
+      for _ = 1 to 3 do
+        ignore (Apsp.sl_tree table (Prng.int rng n))
+      done;
+      let make () =
+        Netsim.create (Engine.create ()) g ~classify:(fun (_ : unit) -> `Data)
+      in
+      let shared_net = make () and own_net = make () in
+      Routes.share (Netsim.routes shared_net) table;
+      let both f =
+        f shared_net;
+        f own_net
+      in
+      let agree () =
+        routes_agree (Netsim.routes shared_net) (Netsim.routes own_net) n
+      in
+      let partial_queries () =
+        for _ = 1 to 4 do
+          let src = Prng.int rng n and dst = Prng.int rng n in
+          both (fun net -> ignore (Routes.distance (Netsim.routes net) ~src ~dst))
+        done
+      in
+      let down_nodes () =
+        List.filter
+          (fun x -> not (Netsim.node_alive shared_net x))
+          (List.init n Fun.id)
+      in
+      (* Compared field by field, never walked: a corrupted entry can
+         hold a predecessor cycle, so it must be caught before [agree]
+         follows its chains. *)
+      let table_intact () =
+        let intact = ref true in
+        for s = 0 to n - 1 do
+          let kept = Apsp.sl_tree table s in
+          let fresh = D.run g ~metric:D.Delay ~source:s in
+          for y = 0 to n - 1 do
+            if
+              D.dist kept y <> D.dist fresh y
+              || D.other_dist kept y <> D.other_dist fresh y
+              || D.parent_ix kept y <> D.parent_ix fresh y
+              || D.parent_edge_ix kept y <> D.parent_edge_ix fresh y
+            then intact := false
+          done
+        done;
+        !intact
+      in
+      let ok = ref (agree ()) in
+      for _round = 1 to 14 do
+        partial_queries ();
+        (match Prng.int rng 5 with
+        | 0 ->
+          let a, b = links.(Prng.int rng (Array.length links)) in
+          both (fun net -> Netsim.fail_link net a b)
+        | 1 -> (
+          match Netsim.dead_link_list shared_net with
+          | [] -> ()
+          | dead ->
+            let a, b = List.nth dead (Prng.int rng (List.length dead)) in
+            both (fun net -> Netsim.restore_link net a b))
+        | 2 ->
+          let x = Prng.int rng n in
+          both (fun net -> Netsim.fail_node net x)
+        | 3 -> (
+          match down_nodes () with
+          | [] -> ()
+          | down ->
+            let x = List.nth down (Prng.int rng (List.length down)) in
+            both (fun net -> Netsim.restore_node net x))
+        | _ ->
+          let dead = Netsim.dead_link_list shared_net and down = down_nodes () in
+          both (fun net ->
+              Netsim.restore_links net dead;
+              List.iter (Netsim.restore_node net) down));
+        partial_queries ();
+        if !ok && not (table_intact () && agree ()) then ok := false
+      done;
+      let shared = Netsim.routes shared_net and own = Netsim.routes own_net in
+      if Routes.computed shared <> Routes.computed own then ok := false;
+      if Routes.shared shared = 0 || Routes.shared own <> 0 then ok := false;
+      !ok && table_intact ())
+
 let checki = Alcotest.check Alcotest.int
 
 let test_invalidation_is_selective () =
@@ -230,6 +328,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_netsim_differential;
           QCheck_alcotest.to_alcotest prop_apsp_differential;
           QCheck_alcotest.to_alcotest prop_next_hop_matches_path;
+          QCheck_alcotest.to_alcotest prop_shared_routes_differential;
         ] );
       ( "invalidation",
         [
