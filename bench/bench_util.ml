@@ -39,18 +39,18 @@ let section title =
 
 let fig89_group_sizes = [ 8; 12; 16; 20; 24; 28; 32; 36; 40 ]
 
-type net_topology = Arpanet_t | Random_deg3 | Random_deg5
-
 let topology_name = function
-  | Arpanet_t -> "ARPANET (48 nodes)"
-  | Random_deg3 -> "random, 50 nodes, avg degree 3"
-  | Random_deg5 -> "random, 50 nodes, avg degree 5"
+  | Exec.Sweep.Arpanet -> "ARPANET (48 nodes)"
+  | Exec.Sweep.Waxman n -> Printf.sprintf "Waxman, %d nodes" n
+  | Exec.Sweep.Random3 n -> Printf.sprintf "random, %d nodes, avg degree 3" n
+  | Exec.Sweep.Random5 n -> Printf.sprintf "random, %d nodes, avg degree 5" n
 
-let make_spec topo seed =
-  match topo with
-  | Arpanet_t -> Topology.Arpanet.generate ~seed
-  | Random_deg3 -> Topology.Flat_random.generate ~seed ~n:50 ~avg_degree:3.0
-  | Random_deg5 -> Topology.Flat_random.generate ~seed ~n:50 ~avg_degree:5.0
+(* The experiments' scenario builder; bench parameters are fixed, so a
+   failed draw is a bug. *)
+let draw ~rng ~group_size ?packets spec =
+  match Scmp.Setup.draw ~rng ~group_size ?packets spec with
+  | Ok s -> s
+  | Error msg -> failwith msg
 
 (* One averaged experiment cell: protocol x topology x group size.
    Protocols come from the driver registry, so the comparison includes
@@ -58,18 +58,9 @@ let make_spec topo seed =
 let run_cell driver topo ~size ~seeds ~pick =
   let acc = Scmp_util.Stats.create () in
   for seed = 1 to seeds do
-    let spec = make_spec topo seed in
-    let g = spec.Topology.Spec.graph in
-    let n = Netgraph.Graph.node_count g in
-    let apsp = Netgraph.Apsp.compute g in
-    let center = Scmp.Placement.pick apsp Scmp.Placement.Min_avg_delay in
+    let spec = Exec.Sweep.generate_topo topo seed in
     let rng = Scmp_util.Prng.create ((seed * 104729) + size) in
-    let members =
-      Scmp_util.Prng.sample rng (min size (n - 1)) n
-      |> List.filter (fun x -> x <> center)
-    in
-    let source = List.hd members in
-    let sc = Protocols.Runner.make ~spec ~center ~source ~members () in
+    let sc = (draw ~rng ~group_size:size spec).scenario in
     let r = Protocols.Runner.run driver sc in
     if r.Protocols.Runner.missed > 0 || r.duplicates > 0 || r.spurious > 0 then
       pr "!! %s %s size=%d seed=%d: missed=%d dup=%d spur=%d\n"
@@ -96,7 +87,7 @@ let protocol_figure ~title ~seeds ~pick ~decimals () =
           T.add_float_row tab ~decimals (string_of_int size) row)
         fig89_group_sizes;
       print_table ~title:(Printf.sprintf "%s — %s" title (topology_name topo)) tab)
-    [ Arpanet_t; Random_deg3; Random_deg5 ]
+    [ Exec.Sweep.Arpanet; Exec.Sweep.Random3 50; Exec.Sweep.Random5 50 ]
 
 let calibrate_runs ~min_batch_s f =
   let rec go runs =

@@ -307,11 +307,8 @@ let congestion () =
   section "traffic concentration at the center (§I motivation)";
   let spec = Topology.Waxman.generate ~seed:23 ~n:40 () in
   let g0 = spec.Topology.Spec.graph in
-  let apsp = Netgraph.Apsp.compute g0 in
-  let center = Scmp.Placement.pick apsp Scmp.Placement.Min_avg_delay in
-  let members =
-    let rng = Scmp_util.Prng.create 5 in
-    Scmp_util.Prng.sample rng 12 40 |> List.filter (fun x -> x <> center)
+  let { Protocols.Runner.center; members; _ } =
+    (draw ~rng:(Scmp_util.Prng.create 5) ~group_size:12 spec).scenario
   in
   (* per-packet forwarding time at the center: 10 ms, i.e. one engine
      sustains 100 pkts/s *)

@@ -241,16 +241,10 @@ let micro ?json ~full ~jobs () =
      first-run cache fills, under the same noise discipline as the
      micro rows. *)
   let e2e_driver = Protocols.Driver.find_exn "scmp" in
-  let e2e_spec = Topology.Flat_random.generate ~seed:4 ~n:50 ~avg_degree:3.0 in
-  let e2e_apsp = Netgraph.Apsp.compute e2e_spec.Topology.Spec.graph in
-  let center = Scmp.Placement.pick e2e_apsp Scmp.Placement.Min_avg_delay in
-  let e2e_members =
-    Scmp_util.Prng.sample (Scmp_util.Prng.create 23) 16 50
-    |> List.filter (fun x -> x <> center)
-  in
   let sc =
-    Protocols.Runner.make ~spec:e2e_spec ~center
-      ~source:(List.hd e2e_members) ~members:e2e_members ()
+    (draw ~rng:(Scmp_util.Prng.create 23) ~group_size:16
+       (Topology.Flat_random.generate ~seed:4 ~n:50 ~avg_degree:3.0))
+      .scenario
   in
   let e2e_report = Obs.Report.create ~name:"bench-e2e" () in
   let r = Protocols.Runner.run ~report:e2e_report e2e_driver sc in

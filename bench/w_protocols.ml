@@ -76,11 +76,8 @@ let pimsm () =
   section "extension — PIM-SM with SPT switchover";
   let spec = Topology.Flat_random.generate ~seed:4 ~n:50 ~avg_degree:3.0 in
   let g0 = spec.Topology.Spec.graph in
-  let apsp = Netgraph.Apsp.compute g0 in
-  let center = Scmp.Placement.pick apsp Scmp.Placement.Min_avg_delay in
-  let rng = Scmp_util.Prng.create 41 in
-  let members =
-    Scmp_util.Prng.sample rng 12 50 |> List.filter (fun x -> x <> center)
+  let { Protocols.Runner.center; members; _ } =
+    (draw ~rng:(Scmp_util.Prng.create 41) ~group_size:12 spec).scenario
   in
   (* an off-tree source maximizes the register/encap contrast *)
   let source =

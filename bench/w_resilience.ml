@@ -10,26 +10,16 @@ open Bench_util
 let faults_bench () =
   section "fault recovery — loss, link failures, tree repair";
   let spec = Topology.Flat_random.generate ~seed:4 ~n:50 ~avg_degree:3.0 in
-  let apsp = Netgraph.Apsp.compute spec.Topology.Spec.graph in
-  let center = Scmp.Placement.pick apsp Scmp.Placement.Min_avg_delay in
-  let rng = Scmp_util.Prng.create 41 in
-  let members =
-    Scmp_util.Prng.sample rng 12 50 |> List.filter (fun x -> x <> center)
-  in
   let base =
-    Protocols.Runner.make ~spec ~center ~source:(List.hd members) ~members ()
-  in
-  let data_end =
-    base.Protocols.Runner.data_start
-    +. (base.data_interval *. float_of_int base.data_count)
+    (draw ~rng:(Scmp_util.Prng.create 41) ~group_size:12 spec).scenario
   in
   let run_case ?loss ?loss_class ~fail_count () =
     let faults =
       if fail_count = 0 then []
       else
         Eventsim.Faults.random_link_failures ~seed:11 ~count:fail_count
-          ~t0:base.Protocols.Runner.data_start ~t1:data_end
-          spec.Topology.Spec.graph
+          ~t0:base.Protocols.Runner.data_start
+          ~t1:(Protocols.Runner.data_end base) spec.Topology.Spec.graph
     in
     let sc = { base with Protocols.Runner.loss; loss_class; faults } in
     let report = Obs.Report.create ~name:"bench-faults" () in

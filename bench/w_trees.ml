@@ -71,13 +71,11 @@ let fig7 ~seeds ~ablate () =
           let sums_c = Array.make (List.length algos) 0.0 in
           for seed = 1 to seeds do
             let spec = Topology.Waxman.generate ~seed ~n:100 () in
-            let apsp = Netgraph.Apsp.compute spec.Topology.Spec.graph in
-            let root = Scmp.Placement.pick apsp Scmp.Placement.Min_avg_delay in
-            let rng = Scmp_util.Prng.create (seed * 7919) in
-            let members =
-              Scmp_util.Prng.sample rng size 100
-              |> List.filter (fun x -> x <> root)
+            let { Scmp.Setup.scenario = sc; apsp } =
+              draw ~rng:(Scmp_util.Prng.create (seed * 7919)) ~group_size:size
+                spec
             in
+            let root = sc.center and members = sc.members in
             List.iteri
               (fun i a ->
                 let tree = a.build apsp ~root ~members ~bound in
@@ -120,20 +118,11 @@ let branch_ablation ~seeds () =
       let overhead distribution =
         let acc = Scmp_util.Stats.create () in
         for seed = 1 to seeds do
-          let spec = make_spec Random_deg3 seed in
-          let g = spec.Topology.Spec.graph in
-          let n = Netgraph.Graph.node_count g in
-          let apsp = Netgraph.Apsp.compute g in
-          let center = Scmp.Placement.pick apsp Scmp.Placement.Min_avg_delay in
+          let spec = Exec.Sweep.generate_topo (Exec.Sweep.Random3 50) seed in
           let rng = Scmp_util.Prng.create ((seed * 499) + size) in
-          let members =
-            Scmp_util.Prng.sample rng (min size (n - 1)) n
-            |> List.filter (fun x -> x <> center)
-          in
-          let source = List.hd members in
           let sc =
-            Protocols.Runner.make ~scmp_distribution:distribution ~spec ~center
-              ~source ~members ()
+            { (draw ~rng ~group_size:size spec).scenario with
+              scmp_distribution = distribution }
           in
           let r =
             Protocols.Runner.run (Protocols.Driver.find_exn "scmp") sc

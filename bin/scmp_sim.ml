@@ -7,43 +7,28 @@
      placement  score the m-router placement rules
 
    Examples:
-     scmp_sim topo --gen waxman --nodes 100 --seed 7 --save net.topo
+     scmp_sim topo --topo waxman:100 --seed 7 --save net.topo
      scmp_sim tree --load net.topo --group-size 20 --algo dcdm --bound moderate
-     scmp_sim run --gen random3 --group-size 16 --protocol all
-     scmp_sim placement --gen waxman --nodes 60 *)
+     scmp_sim run --topo random3:100 --group-size 16 --protocol all
+     scmp_sim placement --topo waxman:60 *)
 
 open Cmdliner
 
 (* ---------- shared topology selection ---------- *)
 
-type gen = Waxman | Random3 | Random5 | Arpanet_g
+let topo_conv =
+  Arg.conv
+    ( (fun s ->
+        Result.map_error (fun m -> `Msg m) (Exec.Sweep.topo_of_string s)),
+      fun fmt t -> Format.pp_print_string fmt (Exec.Sweep.topo_to_string t) )
 
-let gen_conv =
-  let parse = function
-    | "waxman" -> Ok Waxman
-    | "random3" -> Ok Random3
-    | "random5" -> Ok Random5
-    | "arpanet" -> Ok Arpanet_g
-    | s -> Error (`Msg (Printf.sprintf "unknown generator %S" s))
-  in
-  let print fmt g =
-    Format.pp_print_string fmt
-      (match g with
-      | Waxman -> "waxman"
-      | Random3 -> "random3"
-      | Random5 -> "random5"
-      | Arpanet_g -> "arpanet")
-  in
-  Arg.conv (parse, print)
+let topo_doc = "Topology: waxman:N, random3:N, random5:N or arpanet."
 
-let gen_arg =
+let topo_arg =
   Arg.(
     value
-    & opt gen_conv Waxman
-    & info [ "gen" ] ~docv:"GEN" ~doc:"Generator: waxman, random3, random5, arpanet.")
-
-let nodes_arg =
-  Arg.(value & opt int 100 & info [ "nodes"; "n" ] ~docv:"N" ~doc:"Node count.")
+    & opt topo_conv (Exec.Sweep.Waxman 100)
+    & info [ "topo" ] ~docv:"TOPO" ~doc:topo_doc)
 
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
@@ -54,17 +39,11 @@ let load_arg =
     & opt (some string) None
     & info [ "load" ] ~docv:"FILE" ~doc:"Load a saved topology instead of generating.")
 
-let make_spec gen nodes seed load =
+let make_topology topo seed load =
   match load with
   | Some path -> Topology.Io.load ~path
   | None -> (
-    try
-      Ok
-        (match gen with
-        | Waxman -> Topology.Waxman.generate ~seed ~n:nodes ()
-        | Random3 -> Topology.Flat_random.generate ~seed ~n:nodes ~avg_degree:3.0
-        | Random5 -> Topology.Flat_random.generate ~seed ~n:nodes ~avg_degree:5.0
-        | Arpanet_g -> Topology.Arpanet.generate ~seed)
+    try Ok (Exec.Sweep.generate_topo topo seed)
     with Invalid_argument m -> Error m)
 
 let or_die = function
@@ -97,8 +76,8 @@ let topo_cmd =
       & opt (some string) None
       & info [ "dot" ] ~docv:"FILE" ~doc:"Write a Graphviz rendering.")
   in
-  let run gen nodes seed load save dot =
-    let spec = or_die (make_spec gen nodes seed load) in
+  let run topo seed load save dot =
+    let spec = or_die (make_topology topo seed load) in
     let g = spec.Topology.Spec.graph in
     let apsp = Netgraph.Apsp.compute g in
     Printf.printf "%s: %d nodes, %d links, mean degree %.2f, diameter %.0f\n"
@@ -124,7 +103,7 @@ let topo_cmd =
   in
   Cmd.v
     (Cmd.info "topo" ~doc:"Generate, load, save or inspect a topology.")
-    Term.(const run $ gen_arg $ nodes_arg $ seed_arg $ load_arg $ save $ dot)
+    Term.(const run $ topo_arg $ seed_arg $ load_arg $ save $ dot)
 
 (* ---------- tree ---------- *)
 
@@ -183,12 +162,17 @@ let tree_cmd =
       & opt (some string) None
       & info [ "dot" ] ~docv:"FILE" ~doc:"Render the (last) tree over the topology.")
   in
-  let run gen nodes seed load algo bound group_size members dot =
-    let spec = or_die (make_spec gen nodes seed load) in
+  let run topo seed load algo bound group_size members dot =
+    require "tree" (group_size >= 1) "--group-size must be >= 1";
+    let spec = or_die (make_topology topo seed load) in
     let g = spec.Topology.Spec.graph in
     let n = Netgraph.Graph.node_count g in
-    let apsp = Netgraph.Apsp.compute g in
-    let root = Scmp.Placement.pick apsp Scmp.Placement.Min_avg_delay in
+    let { Scmp.Setup.scenario = sc; apsp } =
+      or_die
+        (Scmp.Setup.draw ~rng:(Scmp_util.Prng.create (seed + 17)) ~group_size
+           spec)
+    in
+    let root = sc.center in
     let members =
       match members with
       | Some ms ->
@@ -197,10 +181,7 @@ let tree_cmd =
             if m < 0 || m >= n then or_die (Error (Printf.sprintf "member %d out of range" m)))
           ms;
         ms
-      | None ->
-        let rng = Scmp_util.Prng.create (seed + 17) in
-        Scmp_util.Prng.sample rng (min group_size (n - 1)) n
-        |> List.filter (fun x -> x <> root)
+      | None -> sc.members
     in
     Printf.printf "root (m-router): %d; members: [%s]\n" root
       (String.concat "; " (List.map string_of_int members));
@@ -234,8 +215,8 @@ let tree_cmd =
   Cmd.v
     (Cmd.info "tree" ~doc:"Build multicast trees and report quality metrics.")
     Term.(
-      const run $ gen_arg $ nodes_arg $ seed_arg $ load_arg $ algo $ bound
-      $ group_size $ members $ dot)
+      const run $ topo_arg $ seed_arg $ load_arg $ algo $ bound $ group_size
+      $ members $ dot)
 
 (* ---------- run ---------- *)
 
@@ -378,15 +359,6 @@ let run_cmd =
       & info [ "churn-hold" ] ~docv:"SECONDS"
           ~doc:"Mean holding time of a churn member (sim seconds).")
   in
-  let churn_horizon =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "churn-horizon" ] ~docv:"TIME"
-          ~doc:
-            "Last sim instant a churn arrival may occur (default: end \
-             of the data phase).")
-  in
   let churn_seed =
     Arg.(
       value
@@ -403,22 +375,22 @@ let run_cmd =
              an unperturbed run, packet conservation and a pre-data \
              checkpoint).")
   in
-  let run gen nodes seed load protocol group_size packets trace trace_limit
-      report loss loss_seed loss_class fail_links fail_nodes partitions
-      fault_seed fault_count churn_rate churn_hold churn_horizon churn_seed
-      check =
-    let spec = or_die (make_spec gen nodes seed load) in
-    let g = spec.Topology.Spec.graph in
-    let n = Netgraph.Graph.node_count g in
-    let apsp = Netgraph.Apsp.compute g in
-    let center = Scmp.Placement.pick apsp Scmp.Placement.Min_avg_delay in
-    let rng = Scmp_util.Prng.create (seed + 23) in
-    let members =
-      Scmp_util.Prng.sample rng (min group_size (n - 1)) n
-      |> List.filter (fun x -> x <> center)
+  let run topo seed load protocol group_size packets trace trace_limit report
+      loss loss_seed loss_class fail_links fail_nodes partitions fault_seed
+      fault_count churn_rate churn_hold churn_seed check =
+    require "run" (group_size >= 1) "--group-size must be >= 1";
+    require "run" (packets >= 1) "--packets must be >= 1";
+    require "run"
+      (Option.fold ~none:true ~some:(fun r -> r > 0.0) churn_rate)
+      "--churn-rate must be positive";
+    let spec = or_die (make_topology topo seed load) in
+    let n = Netgraph.Graph.node_count spec.Topology.Spec.graph in
+    let { Scmp.Setup.scenario = base; _ } =
+      or_die
+        (Scmp.Setup.draw ~rng:(Scmp_util.Prng.create (seed + 23)) ~group_size
+           ~packets spec)
     in
-    let source = List.hd members in
-    let parsed_faults =
+    let faults =
       List.concat_map
         (fun s -> or_die (Eventsim.Faults.parse_link_failure s))
         fail_links
@@ -430,53 +402,31 @@ let run_cmd =
           partitions
     in
     let sc =
-      Protocols.Runner.make ~data_count:packets ?trace_path:trace ?trace_limit
+      Exec.Sweep.perturb
         ?loss:(Option.map (fun rate -> (rate, loss_seed)) loss)
-        ?loss_class ~faults:parsed_faults ~spec ~center ~source ~members ()
+        ?loss_class ~faults
+        ?random_link_failures:
+          (Option.map
+             (fun rf_seed ->
+               {
+                 Exec.Sweep.rf_seed;
+                 rf_count = fault_count;
+                 rf_restore_after = None;
+               })
+             fault_seed)
+        ?churn:
+          (Option.map
+             (fun rate ->
+               {
+                 Exec.Sweep.cs_interarrival = 1.0 /. rate;
+                 cs_holding = churn_hold;
+                 cs_seed = churn_seed;
+               })
+             churn_rate)
+        ~seed base
     in
-    (* Random faults land uniformly inside the data phase, whose bounds
-       only [Runner.make] knows — hence the record update after the fact. *)
-    let sc =
-      match fault_seed with
-      | None -> sc
-      | Some fseed ->
-        let t0 = sc.Protocols.Runner.data_start in
-        let t1 = t0 +. (sc.data_interval *. float_of_int packets) in
-        {
-          sc with
-          Protocols.Runner.faults =
-            sc.Protocols.Runner.faults
-            @ Eventsim.Faults.random_link_failures ~seed:fseed ~count:fault_count
-                ~t0 ~t1 g;
-        }
-    in
-    (* Churn's default horizon is the end of the data phase, which only
-       [Runner.make] knows — same record-update trick as random faults. *)
-    let sc =
-      match churn_rate with
-      | None -> sc
-      | Some rate ->
-        if rate <= 0.0 then or_die (Error "--churn-rate must be positive");
-        let horizon =
-          match churn_horizon with
-          | Some h -> h
-          | None ->
-            sc.Protocols.Runner.data_start
-            +. (sc.data_interval *. float_of_int packets)
-        in
-        {
-          sc with
-          Protocols.Runner.churn =
-            Some
-              {
-                Protocols.Runner.mean_interarrival = 1.0 /. rate;
-                mean_holding = churn_hold;
-                horizon;
-                churn_seed =
-                  (match churn_seed with Some s -> s | None -> seed + 31);
-              };
-        }
-    in
+    let sc = { sc with trace_path = trace; trace_limit } in
+    let { Protocols.Runner.center; source; members; _ } = sc in
     let perturbed =
       sc.Protocols.Runner.loss <> None || sc.faults <> [] || sc.churn <> None
     in
@@ -536,40 +486,41 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Packet-level protocol comparison on one scenario.")
     Term.(
-      const run $ gen_arg $ nodes_arg $ seed_arg $ load_arg $ protocol
-      $ group_size $ packets $ trace $ trace_limit $ report $ loss $ loss_seed
-      $ loss_class $ fail_links $ fail_nodes $ partitions $ fault_seed
-      $ fault_count $ churn_rate $ churn_hold $ churn_horizon $ churn_seed
-      $ check)
+      const run $ topo_arg $ seed_arg $ load_arg $ protocol $ group_size
+      $ packets $ trace $ trace_limit $ report $ loss $ loss_seed $ loss_class
+      $ fail_links $ fail_nodes $ partitions $ fault_seed $ fault_count
+      $ churn_rate $ churn_hold $ churn_seed $ check)
 
 (* ---------- sweep ---------- *)
 
-let sweep_cmd =
-  let topo_conv =
-    Arg.conv
-      ( (fun s ->
-          match Exec.Sweep.topo_of_string s with
-          | Ok t -> Ok t
-          | Error msg -> Error (`Msg msg)),
-        fun fmt t -> Format.pp_print_string fmt (Exec.Sweep.topo_to_string t) )
+(* Shared by the parallel subcommands, sweep and chaos. [--drivers all]
+   stands for every registered driver. *)
+let drivers_arg =
+  let doc =
+    Printf.sprintf "Comma-separated protocols (%s) or all."
+      (String.concat ", " (Protocols.Driver.names ()))
   in
+  Term.(
+    const (function [ "all" ] -> Protocols.Driver.names () | names -> names)
+    $ Arg.(
+        value & opt (list string) [ "scmp" ]
+        & info [ "drivers"; "driver" ] ~docv:"NAMES" ~doc))
+
+let jobs_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "jobs"; "j" ] ~docv:"N"
+        ~doc:
+          "Worker domains (default: the machine's recommended domain \
+           count). Any value yields a byte-identical report.")
+
+let sweep_cmd =
   let topos =
     Arg.(
       value
       & opt_all topo_conv [ Exec.Sweep.Random3 50 ]
-      & info [ "topo" ] ~docv:"TOPO"
-          ~doc:
-            "Topology cell: waxman:N, random3:N, random5:N or arpanet. \
-             Repeatable.")
-  in
-  let drivers =
-    let doc =
-      Printf.sprintf "Comma-separated protocols (%s) or all."
-        (String.concat ", " (Protocols.Driver.names ()))
-    in
-    Arg.(
-      value & opt (list string) [ "scmp" ]
-      & info [ "drivers"; "driver" ] ~docv:"NAMES" ~doc)
+      & info [ "topo" ] ~docv:"TOPO" ~doc:(topo_doc ^ " Repeatable."))
   in
   let group_sizes =
     Arg.(
@@ -593,15 +544,6 @@ let sweep_cmd =
       value & opt int 1
       & info [ "master-seed" ] ~docv:"SEED"
           ~doc:"Root seed of the per-cell member-sampling streams.")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Worker domains (default: the machine's recommended domain \
-             count). Any value yields a byte-identical report.")
   in
   let report =
     Arg.(
@@ -630,26 +572,20 @@ let sweep_cmd =
   in
   let run topos drivers group_sizes seeds packets master_seed jobs report check
       manifest =
-    let spec, check =
+    let m =
       match manifest with
-      | Some path ->
-        let m = or_die (Scenario.Manifest.load ~path) in
-        (or_die (Scenario.Manifest.to_sweep m), check || m.Scenario.Manifest.check)
-      | None ->
-        require "sweep" (packets >= 1) "--packets must be >= 1";
-        require "sweep" (group_sizes <> []) "--group-sizes must be non-empty";
-        require "sweep"
-          (List.for_all (fun k -> k >= 1) group_sizes)
-          "--group-sizes must all be >= 1";
-        require "sweep" (seeds <> []) "--seeds must be non-empty";
-        require "sweep" (drivers <> []) "--drivers must be non-empty";
-        let drivers =
-          if drivers = [ "all" ] then Protocols.Driver.names () else drivers
-        in
-        ( Exec.Sweep.make ~packets ~master_seed ~drivers ~topos ~group_sizes
-            ~seeds (),
-          check )
+      | Some path -> or_die (Scenario.Manifest.load ~path)
+      | None -> (
+        match
+          Scenario.Manifest.validate
+            (Scenario.Manifest.grid ~name:"sweep" ~drivers ~topos ~group_sizes
+               ~seeds ~packets ~master_seed ~check)
+        with
+        | Ok m -> m
+        | Error msg -> usage_die "sweep" msg)
     in
+    let spec = or_die (Scenario.Manifest.to_sweep m) in
+    let check = check || m.check in
     let o = or_die (Exec.Sweep.run ~check ?jobs spec) in
     Printf.printf "%-32s %14s %16s %10s %10s %9s\n" "cell" "data overhead"
       "protocol overhead" "max delay" "delivered" "wall";
@@ -681,8 +617,8 @@ let sweep_cmd =
        ~doc:
          "Run a scenario grid in parallel with a deterministic merged report.")
     Term.(
-      const run $ topos $ drivers $ group_sizes $ seeds $ packets $ master_seed
-      $ jobs $ report $ check $ manifest)
+      const run $ topos $ drivers_arg $ group_sizes $ seeds $ packets
+      $ master_seed $ jobs_arg $ report $ check $ manifest)
 
 (* ---------- trace-stats ---------- *)
 
@@ -761,8 +697,8 @@ let placement_cmd =
   let trials =
     Arg.(value & opt int 30 & info [ "trials" ] ~docv:"T" ~doc:"Member sets per candidate.")
   in
-  let run gen nodes seed load group_size trials =
-    let spec = or_die (make_spec gen nodes seed load) in
+  let run topo seed load group_size trials =
+    let spec = or_die (make_topology topo seed load) in
     let apsp = Netgraph.Apsp.compute spec.Topology.Spec.graph in
     Printf.printf "%-22s %-6s %s\n" "rule" "node" "mean DCDM tree cost";
     List.iter
@@ -777,36 +713,16 @@ let placement_cmd =
   in
   Cmd.v
     (Cmd.info "placement" ~doc:"Score the §IV.A m-router placement rules.")
-    Term.(const run $ gen_arg $ nodes_arg $ seed_arg $ load_arg $ group_size $ trials)
+    Term.(const run $ topo_arg $ seed_arg $ load_arg $ group_size $ trials)
 
 (* ---------- chaos ---------- *)
 
 let chaos_cmd =
-  let topo_conv =
-    Arg.conv
-      ( (fun s ->
-          match Exec.Sweep.topo_of_string s with
-          | Ok t -> Ok t
-          | Error msg -> Error (`Msg msg)),
-        fun fmt t -> Format.pp_print_string fmt (Exec.Sweep.topo_to_string t) )
-  in
   let topos =
     Arg.(
       value
       & opt_all topo_conv [ Exec.Sweep.Waxman 40 ]
-      & info [ "topo" ] ~docv:"TOPO"
-          ~doc:
-            "Topology cell: waxman:N, random3:N, random5:N or arpanet. \
-             Repeatable.")
-  in
-  let drivers =
-    let doc =
-      Printf.sprintf "Comma-separated protocols (%s) or all."
-        (String.concat ", " (Protocols.Driver.names ()))
-    in
-    Arg.(
-      value & opt (list string) [ "scmp" ]
-      & info [ "drivers"; "driver" ] ~docv:"NAMES" ~doc)
+      & info [ "topo" ] ~docv:"TOPO" ~doc:(topo_doc ^ " Repeatable."))
   in
   let trials =
     Arg.(
@@ -832,15 +748,6 @@ let chaos_cmd =
             "Master seed of the campaign; every trial's topology, members \
              and fault program derive from it.")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Worker domains (default: the machine's recommended domain \
-             count). Any value yields a byte-identical report.")
-  in
   let report =
     Arg.(
       value
@@ -855,9 +762,6 @@ let chaos_cmd =
     require "chaos" (packets >= 1) "--packets must be >= 1";
     require "chaos" (group_size >= 1) "--group-size must be >= 1";
     require "chaos" (drivers <> []) "--drivers must be non-empty";
-    let drivers =
-      if drivers = [ "all" ] then Protocols.Driver.names () else drivers
-    in
     let spec =
       Exec.Chaos.make ~packets ~group_size ~seed ~drivers ~topos ~trials ()
     in
@@ -917,8 +821,8 @@ let chaos_cmd =
          "Seeded chaos campaign: randomized fault programs with the \
           invariant verifier on; exits 3 when a trial trips an invariant.")
     Term.(
-      const run $ topos $ drivers $ trials $ packets $ group_size $ seed
-      $ jobs $ report)
+      const run $ topos $ drivers_arg $ trials $ packets $ group_size $ seed
+      $ jobs_arg $ report)
 
 (* ---------- ab ---------- *)
 

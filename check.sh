@@ -62,7 +62,7 @@ fi
 # mid-session failure of tree link 23-24 (ARPANET seed 1) — invariants
 # checked, at least one repair recorded, delivery ratio >= 0.95.
 echo "== fault smoke (loss + scripted link failure)"
-$SIM run --gen arpanet --seed 1 -p scmp --check \
+$SIM run --topo arpanet --seed 1 -p scmp --check \
   --loss 0.05 --loss-class control --loss-seed 42 \
   --fail-link '23-24@15.0' --report /tmp/fault_smoke.json > /dev/null
 $SIM metric /tmp/fault_smoke.json 'scmp/repair/count' --ge 1 > /dev/null
@@ -73,7 +73,7 @@ $SIM metric /tmp/fault_smoke.json 'delivery/ratio' --ge 0.95 > /dev/null
 # effective fault while the demand-driven cache builds far fewer SPTs
 # than eager recomputation (n per epoch, 80 x 8 = 640 here) would.
 echo "== routing cache smoke (fault-heavy sim, lazy SPTs)"
-$SIM run --gen waxman --nodes 80 --seed 3 -p scmp \
+$SIM run --topo waxman:80 --seed 3 -p scmp \
   --fault-seed 5 --fault-count 8 --report /tmp/routing_smoke.json > /dev/null
 $SIM metric /tmp/routing_smoke.json 'net/routes_epoch' --ge 8 > /dev/null
 epochs=$($SIM metric /tmp/routing_smoke.json 'net/routes_epoch')
@@ -84,7 +84,7 @@ awk "BEGIN { exit !($spts < 80 * $epochs / 4) }"
 # borrow the m-router's unfiltered delay SPT from its APSP table
 # instead of building its own.
 echo "== spt sharing smoke (fault-free sim, routes borrow APSP SPTs)"
-$SIM run --gen waxman --nodes 200 --seed 1 -p scmp \
+$SIM run --topo waxman:200 --seed 1 -p scmp \
   --report /tmp/spt_share_smoke.json > /dev/null
 $SIM metric /tmp/spt_share_smoke.json 'routes/spt_shared' --ge 1 > /dev/null
 fills=$($SIM metric /tmp/spt_share_smoke.json 'routes/spt_computed')
@@ -119,11 +119,23 @@ $SIM metric /tmp/manifest_j1.json 'cell/hpim-dm/arpanet/k16/s1/deliveries' \
 $SIM ab examples/scenarios/fault_compare.baseline.json /tmp/manifest_j1.json \
   --quiet
 
+# Flags-versus-manifest gate: the sweep grid flags lower into a
+# scmp-scenario/1 manifest and run through the same validator and
+# lowering as --manifest, so the flag spelling of clean_compare.json
+# must produce a byte-identical merged report.
+echo "== sweep flags = manifest (clean_compare)"
+$SIM sweep --drivers scmp,cbt,dvmrp,mospf,pim-sm,hpim-dm \
+  --topo arpanet --topo waxman:60 --group-sizes 8,16 --seeds 1,2 \
+  --packets 30 --master-seed 1 --report /tmp/sweep_flags.json > /dev/null
+$SIM sweep --manifest examples/scenarios/clean_compare.json \
+  --report /tmp/sweep_manifest.json > /dev/null
+cmp /tmp/sweep_flags.json /tmp/sweep_manifest.json
+
 # Split-brain smoke: partition the primary m-router away mid-session
 # on a scripted cut and heal it — invariants on (stale-epoch fencing
 # included), full delivery.
 echo "== partition smoke (scripted partition + heal, invariants on)"
-$SIM run --gen waxman --nodes 40 --seed 7 -p scmp \
+$SIM run --topo waxman:40 --seed 7 -p scmp \
   --check --partition '3,5,9@5.0:heal@6.0' \
   --report /tmp/partition_smoke.json > /dev/null
 $SIM metric /tmp/partition_smoke.json 'faults/partition' --eq 1 > /dev/null

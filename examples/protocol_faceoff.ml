@@ -6,14 +6,13 @@
 
 let () =
   let spec = Scmp.Flat_random.generate ~seed:4 ~n:50 ~avg_degree:3.0 in
-  let apsp = Scmp.Apsp.compute spec.Scmp.Topology_spec.graph in
-  let center = Scmp.Placement.pick apsp Scmp.Placement.Min_avg_delay in
-  let rng = Scmp.Prng.create 42 in
-  let members =
-    Scmp.Prng.sample rng 20 50 |> List.filter (fun x -> x <> center)
+  (* rule-1 m-router, 20 sampled members, the first one sending *)
+  let scenario =
+    (Result.get_ok
+       (Scmp.Setup.draw ~rng:(Scmp.Prng.create 42) ~group_size:20 spec))
+      .scenario
   in
-  let source = List.hd members in
-  let scenario = Scmp.Runner.make ~spec ~center ~source ~members () in
+  let { Scmp.Runner.center; source; members; _ } = scenario in
   Printf.printf
     "50-node random topology (mean degree %.1f), %d members, source %d, \
      m-router/core %d\n30 packets at 1/s\n\n"

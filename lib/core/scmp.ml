@@ -5,12 +5,15 @@
     - {!Domain} — build and drive a complete SCMP domain (start here);
     - {!Service} — the m-router's group/session/accounting database;
     - {!Placement} — where to put the m-router;
+    - {!Setup} — topology to runnable scenario, the experiments' one
+      builder;
     - re-exports of the underlying subsystem libraries so applications
       need only depend on [scmp]. *)
 
 module Domain = Domain
 module Service = Service
 module Placement = Placement
+module Setup = Setup
 
 (** {2 Subsystem re-exports} *)
 

@@ -146,36 +146,30 @@ let plan spec =
             let rng = Prng.split master in
             let tseed = 1 + Prng.int rng 1_000_000 in
             let tspec = Sweep.generate_topo topo tseed in
-            let g = tspec.Topology.Spec.graph in
-            let n = Netgraph.Graph.node_count g in
-            let apsp = Netgraph.Apsp.compute g in
-            let center = Scmp.Placement.pick apsp Scmp.Placement.Min_avg_delay in
-            let members =
-              Prng.sample rng (min spec.group_size (n - 1)) n
-              |> List.filter (fun x -> x <> center)
-            in
-            if members = [] then
-              invalid_arg
-                (Printf.sprintf "Chaos: trial %d sampled no members" !index);
-            let source = List.hd members in
-            (* Fault times land inside the data phase, whose bounds only
-               Runner.make knows. *)
             let sc =
-              Protocols.Runner.make ~data_count:spec.packets ~spec:tspec
-                ~center ~source ~members ()
+              match
+                Scmp.Setup.draw ~rng ~group_size:spec.group_size
+                  ~packets:spec.packets tspec
+              with
+              | Ok s -> s.scenario
+              | Error msg ->
+                invalid_arg (Printf.sprintf "Chaos: trial %d: %s" !index msg)
             in
-            let t0 = sc.Protocols.Runner.data_start in
-            let t1 = t0 +. (sc.data_interval *. float_of_int spec.packets) in
-            let program, loss = draw_program rng g ~center ~source ~t0 ~t1 in
+            (* Fault times land inside the data phase. *)
+            let program, loss =
+              draw_program rng tspec.Topology.Spec.graph ~center:sc.center
+                ~source:sc.source ~t0:sc.data_start
+                ~t1:(Protocols.Runner.data_end sc)
+            in
             acc :=
               {
                 index = !index;
                 driver;
                 topo;
                 tseed;
-                center;
-                source;
-                members;
+                center = sc.center;
+                source = sc.source;
+                members = sc.members;
                 program;
                 loss;
               }
@@ -313,22 +307,7 @@ let run ?jobs spec =
   else if spec.trials < 1 then Error "Chaos.run: trials must be >= 1"
   else if spec.packets < 1 then Error "Chaos.run: packets must be >= 1"
   else begin
-    let resolve name =
-      match Protocols.Driver.find name with
-      | Ok d -> Ok (name, d)
-      | Error msg -> Error msg
-    in
-    let rec resolve_all = function
-      | [] -> Ok []
-      | name :: rest -> (
-        match resolve name with
-        | Error _ as e -> e
-        | Ok pair -> (
-          match resolve_all rest with
-          | Error _ as e -> e
-          | Ok pairs -> Ok (pair :: pairs)))
-    in
-    match resolve_all spec.drivers with
+    match Protocols.Driver.find_all spec.drivers with
     | Error msg -> Error msg
     | Ok driver_pairs -> (
       match plan spec with

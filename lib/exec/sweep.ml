@@ -176,64 +176,56 @@ let publish_cell_metrics report name (result : Protocols.Runner.result) =
     (Obs.Metrics.gauge m (pfx ^ "/delivery_ratio"))
     result.Protocols.Runner.delivery_ratio
 
+let perturb ?loss ?loss_class ?(faults = []) ?random_link_failures ?churn
+    ~seed (sc : Protocols.Runner.scenario) =
+  (* The data window anchors the randomized perturbations, so their
+     instants track the membership schedule. *)
+  let t0 = sc.data_start and t1 = Protocols.Runner.data_end sc in
+  let random_faults =
+    match random_link_failures with
+    | None -> []
+    | Some rf ->
+      Eventsim.Faults.random_link_failures ~seed:rf.rf_seed ~count:rf.rf_count
+        ~t0 ~t1 ?restore_after:rf.rf_restore_after sc.spec.Topology.Spec.graph
+  in
+  let churn =
+    Option.map
+      (fun cs ->
+        {
+          Protocols.Runner.mean_interarrival = cs.cs_interarrival;
+          mean_holding = cs.cs_holding;
+          horizon = t1;
+          churn_seed = Option.value cs.cs_seed ~default:(seed + 31);
+        })
+      churn
+  in
+  { sc with loss; loss_class; faults = faults @ random_faults; churn }
+
 (* One isolated task: regenerate the topology from the cell's seed,
    sample members from the cell's private stream, run, publish into a
    fresh report. *)
 let run_cell ?(check = false) sweep driver cell rng =
-  let packets = sweep.packets in
   let spec = generate_topo cell.topo cell.seed in
-  let g = spec.Topology.Spec.graph in
-  let n = Netgraph.Graph.node_count g in
-  let apsp = Netgraph.Apsp.compute g in
-  let center = Scmp.Placement.pick apsp Scmp.Placement.Min_avg_delay in
-  let members =
-    Scmp_util.Prng.sample rng (min cell.group_size (n - 1)) n
-    |> List.filter (fun x -> x <> center)
-  in
-  if members = [] then
-    invalid_arg (Printf.sprintf "Sweep: cell %s sampled no members" (cell_name cell));
-  let source = List.hd members in
   let base =
-    Protocols.Runner.make ~data_count:packets ~spec ~center ~source ~members ()
+    match
+      Scmp.Setup.draw ~rng ~group_size:cell.group_size ~packets:sweep.packets
+        spec
+    with
+    | Ok s -> s.scenario
+    | Error msg ->
+      invalid_arg (Printf.sprintf "Sweep: cell %s: %s" (cell_name cell) msg)
   in
-  (* The data window of the resolved scenario anchors the randomized
-     perturbations, so their instants track the membership schedule. *)
-  let data_end =
-    base.Protocols.Runner.data_start
-    +. (base.Protocols.Runner.data_interval *. float_of_int packets)
-  in
-  let random_faults =
-    match sweep.random_link_failures with
-    | None -> []
-    | Some rf ->
-      (* Seeded off the topology seed, not the cell index: every driver
-         sharing a (topo, seed) cell faces the identical fault draw —
-         the head-to-head comparison the manifests exist for. *)
-      Eventsim.Faults.random_link_failures ~seed:(rf.rf_seed + cell.seed)
-        ~count:rf.rf_count ~t0:base.Protocols.Runner.data_start ~t1:data_end
-        ?restore_after:rf.rf_restore_after g
-  in
-  let churn =
-    match sweep.churn with
-    | None -> None
-    | Some cs ->
-      Some
-        {
-          Protocols.Runner.mean_interarrival = cs.cs_interarrival;
-          mean_holding = cs.cs_holding;
-          horizon = data_end;
-          churn_seed =
-            (match cs.cs_seed with Some s -> s | None -> cell.seed + 31);
-        }
+  (* Random failures are seeded off the topology seed, not the cell
+     index: every driver sharing a (topo, seed) cell faces the identical
+     fault draw — the head-to-head comparison the manifests exist for. *)
+  let random_link_failures =
+    Option.map
+      (fun rf -> { rf with rf_seed = rf.rf_seed + cell.seed })
+      sweep.random_link_failures
   in
   let sc =
-    {
-      base with
-      Protocols.Runner.loss = sweep.loss;
-      loss_class = sweep.loss_class;
-      faults = sweep.faults @ random_faults;
-      churn;
-    }
+    perturb ?loss:sweep.loss ?loss_class:sweep.loss_class ~faults:sweep.faults
+      ?random_link_failures ?churn:sweep.churn ~seed:cell.seed base
   in
   let report = Obs.Report.create ~name:(cell_name cell) () in
   let result, wall_s =
@@ -310,22 +302,7 @@ let run ?(check = false) ?jobs spec =
     else begin
       (* Resolve every driver before dispatch so worker domains never
          touch the registry's mutable tables. *)
-      let resolve name =
-        match Protocols.Driver.find name with
-        | Ok d -> Ok (name, d)
-        | Error msg -> Error msg
-      in
-      let rec resolve_all = function
-        | [] -> Ok []
-        | name :: rest -> (
-          match resolve name with
-          | Error _ as e -> e
-          | Ok pair -> (
-            match resolve_all rest with
-            | Error _ as e -> e
-            | Ok pairs -> Ok (pair :: pairs)))
-      in
-      match resolve_all spec.drivers with
+      match Protocols.Driver.find_all spec.drivers with
       | Error msg -> Error msg
       | Ok driver_pairs ->
         (* Per-cell streams, split off the master in index order before

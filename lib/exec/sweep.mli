@@ -57,6 +57,23 @@ type churn_spec = {
   cs_seed : int option;  (** Default: per-cell, [cell.seed + 31]. *)
 }
 
+val perturb :
+  ?loss:float * int ->
+  ?loss_class:Eventsim.Netsim.pkt_class ->
+  ?faults:Eventsim.Faults.spec list ->
+  ?random_link_failures:random_failures ->
+  ?churn:churn_spec ->
+  seed:int ->
+  Protocols.Runner.scenario ->
+  Protocols.Runner.scenario
+(** Install a perturbation program on a built scenario — the one path
+    from sweep cells and [scmp_sim run] alike. [loss], [loss_class] and
+    [faults] are set as given; random link failures are drawn from
+    [rf_seed] as given (a sweep cell first adds its topology seed) over
+    the data window [data_start, {!Protocols.Runner.data_end}] and
+    appended to [faults]; churn runs until the window's end, seeded by
+    [cs_seed] or else [seed + 31], [seed] being the topology seed. *)
+
 type spec = {
   drivers : string list;  (** Registry names, e.g. ["scmp"]. *)
   topos : topo list;

@@ -169,3 +169,9 @@ let find key =
 
 let find_exn key =
   match find key with Ok d -> d | Error msg -> invalid_arg msg
+
+let rec find_all = function
+  | [] -> Ok []
+  | name :: rest ->
+    Result.bind (find name) (fun d ->
+        Result.map (fun pairs -> (name, d) :: pairs) (find_all rest))

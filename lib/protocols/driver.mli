@@ -72,6 +72,10 @@ val find : string -> (t, string) result
 val find_exn : string -> t
 (** @raise Invalid_argument on unknown names ({!find}'s message). *)
 
+val find_all : string list -> ((string * t) list, string) result
+(** Resolve every name, in order, paired with its driver; the error is
+    {!find}'s message for the first unknown name. *)
+
 val all : unit -> t list
 (** Registration order. *)
 

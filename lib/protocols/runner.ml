@@ -68,6 +68,8 @@ let make ?(join_start = 0.1) ?(join_spacing = 0.5) ?data_start
     scaled = None;
   }
 
+let data_end s = s.data_start +. (s.data_interval *. float_of_int s.data_count)
+
 type result = {
   data_overhead : float;
   protocol_overhead : float;

@@ -103,6 +103,10 @@ val make :
     faults. Every knob is a labelled optional, so ablations override
     just the knob they study. *)
 
+val data_end : scenario -> float
+(** [data_start +. data_interval *. data_count]: the end of the data
+    window, which anchors randomized faults and the churn horizon. *)
+
 type result = {
   data_overhead : float;
   protocol_overhead : float;

@@ -163,6 +163,34 @@ let known =
     "partitions"; "random_link_failures"; "churn"; "check";
   ]
 
+let validate m =
+  if m.drivers = [] then Error "field \"drivers\": must be non-empty"
+  else if m.topos = [] then Error "field \"topologies\": must be non-empty"
+  else if List.exists (fun k -> k < 1) m.group_sizes || m.group_sizes = [] then
+    Error "field \"group_sizes\": must be a non-empty list of positive sizes"
+  else if m.seeds = [] then Error "field \"seeds\": must be non-empty"
+  else if m.packets < 1 then Error "field \"packets\": must be >= 1"
+  else Ok m
+
+let grid ~name ~drivers ~topos ~group_sizes ~seeds ~packets ~master_seed
+    ~check =
+  {
+    name;
+    drivers;
+    topos;
+    group_sizes;
+    seeds;
+    packets;
+    master_seed;
+    loss = None;
+    link_failures = [];
+    node_failures = [];
+    partitions = [];
+    random_link_failures = None;
+    churn = None;
+    check;
+  }
+
 let of_json j =
   let* fields = get_obj "manifest" j in
   let* () = check_known_keys fields known in
@@ -215,13 +243,7 @@ let of_json j =
         check = with_default false check;
       }
     in
-    if m.drivers = [] then Error "field \"drivers\": must be non-empty"
-    else if m.topos = [] then Error "field \"topologies\": must be non-empty"
-    else if List.exists (fun k -> k < 1) m.group_sizes || m.group_sizes = [] then
-      Error "field \"group_sizes\": must be a non-empty list of positive sizes"
-    else if m.seeds = [] then Error "field \"seeds\": must be non-empty"
-    else if m.packets < 1 then Error "field \"packets\": must be >= 1"
-    else Ok m
+    validate m
 
 let of_string s =
   match Obs.Json.of_string s with

@@ -40,7 +40,26 @@ type t = {
   check : bool;  (** Run the protocol invariant verifier in each cell. *)
 }
 
+val validate : t -> (t, string) result
+(** The grid checks every manifest passes, parsed or built: non-empty
+    drivers, topologies and seeds, positive group sizes, [packets >= 1]. *)
+
+val grid :
+  name:string ->
+  drivers:string list ->
+  topos:Exec.Sweep.topo list ->
+  group_sizes:int list ->
+  seeds:int list ->
+  packets:int ->
+  master_seed:int ->
+  check:bool ->
+  t
+(** An unperturbed manifest over the given grid (unvalidated) — what
+    [scmp_sim sweep]'s grid flags lower into. *)
+
 val of_json : Obs.Json.t -> (t, string) result
+(** Parse strictly, then {!validate}. *)
+
 val of_string : string -> (t, string) result
 
 val load : path:string -> (t, string) result

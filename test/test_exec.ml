@@ -239,6 +239,162 @@ let test_sweep_grid_and_errors () =
     | Ok _ -> Alcotest.fail "bad size must fail")
   | _ -> Alcotest.fail "topo_of_string waxman:100"
 
+(* ---- the scenario builder ---- *)
+
+(* The chain every experiment used to spell out inline, kept verbatim
+   as the oracle: rule-1 placement, [min k (n - 1)] sampled from the
+   caller's stream, the m-router dropped, the first member the
+   source. [None] where the inline code hit [List.hd []]. *)
+let inline_chain ~rng ~group_size ~packets spec =
+  let g = spec.Topology.Spec.graph in
+  let n = Netgraph.Graph.node_count g in
+  let apsp = Netgraph.Apsp.compute g in
+  let center = Scmp.Placement.pick apsp Scmp.Placement.Min_avg_delay in
+  let members =
+    Prng.sample rng (min group_size (n - 1)) n
+    |> List.filter (fun x -> x <> center)
+  in
+  if members = [] then None
+  else
+    let source = List.hd members in
+    let sc =
+      Protocols.Runner.make ~data_count:packets ~spec ~center ~source ~members
+        ()
+    in
+    Some (center, source, members, sc.data_start, Protocols.Runner.data_end sc)
+
+let gen_builder_case =
+  QCheck.Gen.(
+    let* topo =
+      oneof
+        [
+          map
+            (fun n -> Sweep.Waxman n)
+            (oneof [ int_range 2 5; int_range 2 40 ]);
+          map
+            (fun n -> Sweep.Random3 n)
+            (oneof [ int_range 4 6; int_range 4 40 ]);
+          map (fun n -> Sweep.Random5 n) (int_range 6 40);
+          return Sweep.Arpanet;
+        ]
+    in
+    let* seed = int_range 1 10_000 in
+    (* k = 1 + k_raw mod n: one third of the cases draw a single node,
+       which is the m-router often enough on small graphs to exercise
+       the Error path *)
+    let* k_raw = oneof [ return 0; int_range 0 10_000; int_range 0 10_000 ] in
+    let* packets = int_range 1 40 in
+    (* the callers' stream shapes: a fresh seeded stream ([run], [tree],
+       the benches) or the i-th split off a master (Sweep, Chaos) *)
+    let* stream =
+      oneof
+        [
+          map (fun s -> `Create s) (int_range 0 100_000);
+          map2 (fun s i -> `Split (s, i)) (int_range 0 1000) (int_range 0 7);
+        ]
+    in
+    return (topo, seed, k_raw, packets, stream))
+
+let print_builder_case (topo, seed, k_raw, packets, stream) =
+  Printf.sprintf "%s seed=%d k_raw=%d packets=%d %s"
+    (Sweep.topo_to_string topo) seed k_raw packets
+    (match stream with
+    | `Create s -> Printf.sprintf "create %d" s
+    | `Split (s, i) -> Printf.sprintf "split %d #%d" s i)
+
+let prop_builder_matches_inline_chain =
+  QCheck.Test.make ~count:150
+    ~name:"Setup.draw = the inline placement/sample/make chain"
+    (QCheck.make ~print:print_builder_case gen_builder_case)
+    (fun (topo, seed, k_raw, packets, stream) ->
+      let spec = Sweep.generate_topo topo seed in
+      let n = Netgraph.Graph.node_count spec.Topology.Spec.graph in
+      let group_size = 1 + (k_raw mod n) in
+      let rng =
+        match stream with
+        | `Create s -> Prng.create s
+        | `Split (s, i) ->
+          let master = Prng.create s in
+          for _ = 1 to i do
+            ignore (Prng.split master)
+          done;
+          Prng.split master
+      in
+      let oracle_rng = Prng.copy rng in
+      let expected =
+        inline_chain ~rng:oracle_rng ~group_size ~packets spec
+      in
+      let got = Scmp.Setup.draw ~rng ~group_size ~packets spec in
+      (* the builder draws exactly what the chain drew from the stream *)
+      Prng.int rng 1_000_000 = Prng.int oracle_rng 1_000_000
+      &&
+      match (expected, got) with
+      | None, Error _ -> true
+      | Some (center, source, members, data_start, data_end), Ok s ->
+        let sc = s.scenario in
+        sc.center = center && sc.source = source && sc.members = members
+        && sc.data_start = data_start
+        && Protocols.Runner.data_end sc = data_end
+        && sc.data_count = packets
+      | None, Ok _ | Some _, Error _ -> false)
+
+let test_builder_errors () =
+  let spec = Sweep.generate_topo Sweep.Arpanet 1 in
+  List.iter
+    (fun group_size ->
+      match Scmp.Setup.draw ~rng:(Prng.create 1) ~group_size spec with
+      | Ok _ -> Alcotest.fail "a group with no members must be an Error"
+      | Error msg -> checkb "error names the topology" true (msg <> ""))
+    [ 0; -3 ]
+
+(* [Sweep.perturb] against the record updates [scmp_sim run] used to
+   apply after [Runner.make]. *)
+let test_perturb_matches_record_updates () =
+  let spec = Sweep.generate_topo (Sweep.Waxman 40) 7 in
+  let base =
+    match
+      Scmp.Setup.draw ~rng:(Prng.create 30) ~group_size:10 ~packets:20 spec
+    with
+    | Ok s -> s.scenario
+    | Error msg -> Alcotest.fail msg
+  in
+  let faults =
+    match Eventsim.Faults.parse_link_failure "1-2@5.0:restore@9.0" with
+    | Ok f -> f
+    | Error msg -> Alcotest.fail msg
+  in
+  let t0 = base.data_start in
+  let t1 = t0 +. (base.data_interval *. float_of_int 20) in
+  let expected =
+    {
+      base with
+      Protocols.Runner.loss = Some (0.05, 42);
+      loss_class = Some `Control;
+      faults =
+        faults
+        @ Eventsim.Faults.random_link_failures ~seed:5 ~count:3 ~t0 ~t1
+            spec.Topology.Spec.graph;
+      churn =
+        Some
+          {
+            Protocols.Runner.mean_interarrival = 2.0;
+            mean_holding = 5.0;
+            horizon = t1;
+            churn_seed = 7 + 31;
+          };
+    }
+  in
+  let got =
+    Sweep.perturb ~loss:(0.05, 42) ~loss_class:`Control ~faults
+      ~random_link_failures:
+        { Sweep.rf_seed = 5; rf_count = 3; rf_restore_after = None }
+      ~churn:{ Sweep.cs_interarrival = 2.0; cs_holding = 5.0; cs_seed = None }
+      ~seed:7 base
+  in
+  checkb "perturb = record updates" true (got = expected);
+  checkb "no perturbation leaves the scenario alone" true
+    (Sweep.perturb ~seed:7 base = base)
+
 let () =
   Alcotest.run "exec"
     [
@@ -271,5 +427,13 @@ let () =
           Alcotest.test_case "jobs=1 equals jobs=4 byte-for-byte" `Quick
             test_chaos_jobs_invariance;
           Alcotest.test_case "spec errors" `Quick test_chaos_errors;
+        ] );
+      ( "setup",
+        [
+          QCheck_alcotest.to_alcotest prop_builder_matches_inline_chain;
+          Alcotest.test_case "empty groups are errors" `Quick
+            test_builder_errors;
+          Alcotest.test_case "perturb = record updates" `Quick
+            test_perturb_matches_record_updates;
         ] );
     ]

@@ -114,6 +114,64 @@ let test_manifest_strictness () =
   checkb "malformed json is an error" true
     (contains ~needle:"JSON" (err "{"))
 
+(* [scmp_sim sweep]'s grid flags lower through [Manifest.grid],
+   [validate] and [to_sweep]; that path must give the same cells and
+   perturbation fields as the direct [Sweep.make] call the flags used
+   to build. *)
+let test_flag_grid_matches_sweep_make () =
+  let module Sweep = Exec.Sweep in
+  List.iter
+    (fun (drivers, topos, group_sizes, seeds, packets, master_seed) ->
+      let lowered =
+        match
+          Result.bind
+            (Manifest.validate
+               (Manifest.grid ~name:"sweep" ~drivers ~topos ~group_sizes
+                  ~seeds ~packets ~master_seed ~check:false))
+            Manifest.to_sweep
+        with
+        | Ok s -> s
+        | Error e -> Alcotest.failf "lowering: %s" e
+      in
+      let direct =
+        Sweep.make ~packets ~master_seed ~drivers ~topos ~group_sizes ~seeds ()
+      in
+      checkb "same cells" true (Sweep.cells lowered = Sweep.cells direct);
+      checkb "same grid and perturbation fields" true (lowered = direct))
+    [
+      ([ "scmp" ], [ Sweep.Random3 50 ], [ 16 ], [ 1; 2 ], 30, 1);
+      ( [ "scmp"; "cbt"; "dvmrp"; "mospf"; "pim-sm"; "hpim-dm" ],
+        [ Sweep.Arpanet; Sweep.Waxman 60 ],
+        [ 8; 16 ],
+        [ 1; 2 ],
+        30,
+        1 );
+      ( [ "cbt"; "scmp" ],
+        [ Sweep.Random5 20; Sweep.Arpanet ],
+        [ 4 ],
+        [ 9 ],
+        7,
+        3 );
+    ];
+  (* the checks the flags' own require block made *)
+  let rejects what m =
+    match Manifest.validate m with
+    | Ok _ -> Alcotest.failf "%s must be rejected" what
+    | Error _ -> ()
+  in
+  let grid = Manifest.grid ~name:"sweep" ~check:false in
+  let ok =
+    grid ~drivers:[ "scmp" ] ~topos:[ Exec.Sweep.Arpanet ] ~group_sizes:[ 8 ]
+      ~seeds:[ 1 ] ~packets:10 ~master_seed:1
+  in
+  checkb "a valid grid passes" true (Manifest.validate ok = Ok ok);
+  rejects "zero packets" { ok with packets = 0 };
+  rejects "no group sizes" { ok with group_sizes = [] };
+  rejects "a group size below 1" { ok with group_sizes = [ 8; 0 ] };
+  rejects "no seeds" { ok with seeds = [] };
+  rejects "no drivers" { ok with drivers = [] };
+  rejects "no topologies" { ok with topos = [] }
+
 (* ---------------- ab comparison ---------------- *)
 
 let report metrics =
@@ -251,6 +309,8 @@ let () =
           Alcotest.test_case "round-trip" `Quick test_manifest_roundtrip;
           Alcotest.test_case "defaults" `Quick test_manifest_defaults;
           Alcotest.test_case "strictness" `Quick test_manifest_strictness;
+          Alcotest.test_case "flag grid = Sweep.make" `Quick
+            test_flag_grid_matches_sweep_make;
         ] );
       ( "ab",
         [
