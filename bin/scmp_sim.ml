@@ -220,8 +220,8 @@ let tree_cmd =
 
 (* ---------- run ---------- *)
 
-(* Protocols come from the driver registry, so a newly registered
-   driver (e.g. pim-sm) is selectable by name with no CLI change. *)
+(* Protocols come from the driver list, so a newly added driver
+   (e.g. pim-sm) is selectable by name with no CLI change. *)
 let protocol_conv =
   Arg.conv
     ( (function
@@ -494,7 +494,7 @@ let run_cmd =
 (* ---------- sweep ---------- *)
 
 (* Shared by the parallel subcommands, sweep and chaos. [--drivers all]
-   stands for every registered driver. *)
+   stands for every driver. *)
 let drivers_arg =
   let doc =
     Printf.sprintf "Comma-separated protocols (%s) or all."

@@ -69,6 +69,27 @@ $SIM metric /tmp/fault_smoke.json 'scmp/repair/count' --ge 1 > /dev/null
 $SIM metric /tmp/fault_smoke.json 'scmp/retransmissions' > /dev/null
 $SIM metric /tmp/fault_smoke.json 'delivery/ratio' --ge 0.95 > /dev/null
 
+# HPIM-DM control-loss smoke: the interest syncs ride the same
+# reliable transport (Protocols.Reliable) as SCMP's requests and
+# frames — under 5% control loss they must retransmit and still
+# deliver, and the run must be deterministic.
+echo "== hpim-dm control-loss smoke (reliable interest syncs)"
+$SIM run --topo arpanet --seed 1 -p hpim-dm --check \
+  --loss 0.05 --loss-class control --loss-seed 42 \
+  --report /tmp/hpim_loss_smoke.json > /tmp/hpim_loss_smoke1.txt
+$SIM run --topo arpanet --seed 1 -p hpim-dm --check \
+  --loss 0.05 --loss-class control --loss-seed 42 > /tmp/hpim_loss_smoke2.txt
+grep -v 'report written' /tmp/hpim_loss_smoke1.txt | cmp - /tmp/hpim_loss_smoke2.txt
+$SIM metric /tmp/hpim_loss_smoke.json 'hpim/retransmissions' --ge 1 > /dev/null
+$SIM metric /tmp/hpim_loss_smoke.json 'delivery/ratio' --ge 0.95 > /dev/null
+# One retry loop: the backoff formula lives in lib/protocols/reliable.ml
+# only; the protocols that use it must not grow their own again.
+if grep -nE '2\.0 \*\*|\*\. 2\.' lib/protocols/scmp_proto.ml \
+  lib/protocols/hpim_dm.ml; then
+  echo "check.sh: backoff formula outside Protocols.Reliable" >&2
+  exit 1
+fi
+
 # Routing-cache smoke: a fault-heavy run must reconverge once per
 # effective fault while the demand-driven cache builds far fewer SPTs
 # than eager recomputation (n per epoch, 80 x 8 = 640 here) would.

@@ -18,7 +18,7 @@
     fault unit makes the violation disappear. *)
 
 type spec = {
-  drivers : string list;  (** Registry names, e.g. ["scmp"]. *)
+  drivers : string list;  (** Driver names, e.g. ["scmp"]. *)
   topos : Sweep.topo list;
   trials : int;  (** Trials per driver x topology. *)
   packets : int;  (** Data packets per trial. *)

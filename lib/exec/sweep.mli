@@ -75,7 +75,7 @@ val perturb :
     [cs_seed] or else [seed + 31], [seed] being the topology seed. *)
 
 type spec = {
-  drivers : string list;  (** Registry names, e.g. ["scmp"]. *)
+  drivers : string list;  (** Driver names, e.g. ["scmp"]. *)
   topos : topo list;
   group_sizes : int list;
   seeds : int list;  (** Topology seeds — one cell per seed. *)

@@ -1,7 +1,8 @@
 let tree_cost t =
   let g = Tree.graph t in
   List.fold_left
-    (fun acc (p, c) -> acc +. Netgraph.Graph.link_cost g p c)
+    (fun acc (p, c) ->
+      acc +. Netgraph.Graph.edge_cost g (Netgraph.Graph.edge_id_ix g p c))
     0.0 (Tree.edges t)
 
 let member_delays t =

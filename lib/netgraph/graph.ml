@@ -238,12 +238,9 @@ let has_link t a b =
   check_node t b "has_link";
   edge_id_ix t a b >= 0
 
-let link_between t a b =
-  match edge_id_opt t a b with None -> None | Some e -> Some (edge_link t e)
-
-(* Dedicated scalar scans (no option/record allocation) with
-   option-returning and legacy raising entry points; Path sums and the
-   tree walks sit on these. *)
+(* Dedicated scalar scans (no record allocation) behind the
+   option-returning entry points; Path sums and the tree walks sit on
+   these. *)
 
 let find_slot t a b = find_slot_from t b t.off.(a + 1) t.off.(a)
 
@@ -258,18 +255,6 @@ let link_cost_opt t a b =
   check_node t b "link_cost_opt";
   let s = find_slot t a b in
   if s < 0 then None else Some t.slot_cost.(s)
-
-let link_delay t a b =
-  check_node t a "link_delay";
-  check_node t b "link_delay";
-  let s = find_slot t a b in
-  if s < 0 then raise Not_found else t.slot_delay.(s)
-
-let link_cost t a b =
-  check_node t a "link_cost";
-  check_node t b "link_cost";
-  let s = find_slot t a b in
-  if s < 0 then raise Not_found else t.slot_cost.(s)
 
 (* ---------------- neighborhood ---------------- *)
 

@@ -119,24 +119,11 @@ val iter_incident : t -> node -> (edge -> node -> unit) -> unit
 
 val has_link : t -> node -> node -> bool
 
-val link_between : t -> node -> node -> link option
-(** The link joining two nodes, if present (in either orientation). *)
-
 val link_delay_opt : t -> node -> node -> float option
 (** Delay of the link joining two nodes, or [None] if not adjacent. *)
 
 val link_cost_opt : t -> node -> node -> float option
 (** Cost of the link joining two nodes, or [None] if not adjacent. *)
-
-val link_delay : t -> node -> node -> float
-(** @deprecated Legacy raising form — prefer {!link_delay_opt} (or
-    {!edge_delay} when an edge id is at hand).
-    @raise Not_found if the nodes are not adjacent. *)
-
-val link_cost : t -> node -> node -> float
-(** @deprecated Legacy raising form — prefer {!link_cost_opt} (or
-    {!edge_cost} when an edge id is at hand).
-    @raise Not_found if the nodes are not adjacent. *)
 
 (** {1 Neighborhood} *)
 

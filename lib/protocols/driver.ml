@@ -15,7 +15,6 @@ type instance = {
   verify : unit -> (unit, string) result;
   observe : Obs.Metrics.t -> unit;
   blackouts : unit -> float list;
-  teardown : unit -> unit;
 }
 
 module type S = sig
@@ -41,7 +40,6 @@ let plain ~join ~leave ~send =
     verify = (fun () -> Ok ());
     observe = (fun _ -> ());
     blackouts = (fun () -> []);
-    teardown = (fun () -> ());
   }
 
 (* ---- the six built-in drivers ---- *)
@@ -63,7 +61,6 @@ module Scmp_driver = struct
       verify = (fun () -> Scmp_proto.verify p);
       observe = (fun m -> Scmp_proto.observe p m);
       blackouts = (fun () -> Scmp_proto.blackouts p);
-      teardown = (fun () -> ());
     }
 end
 
@@ -125,42 +122,24 @@ module Hpim_dm_driver = struct
     }
 end
 
-(* ---- registry ---- *)
+(* ---- the driver list ---- *)
 
-(* The registry is only touched by the submitting domain — Exec.Sweep
-   resolves driver names to first-class modules before dispatching any
-   task to the pool. *)
-let registry : (string, t) Hashtbl.t = Hashtbl.create 8  (* lint: allow domain-safety *)
-let order : string list ref = ref []  (* registration order, newest first; lint: allow domain-safety *)
+let builtins : t list =
+  [
+    (module Scmp_driver);
+    (module Cbt_driver);
+    (module Dvmrp_driver);
+    (module Mospf_driver);
+    (module Pim_sm_driver);
+    (module Hpim_dm_driver);
+  ]
 
-let normalize = String.lowercase_ascii
-
-let register d =
-  let key = normalize (name d) in
-  if key = "" then invalid_arg "Driver.register: empty name";
-  if Hashtbl.mem registry key then
-    invalid_arg (Printf.sprintf "Driver.register: %S already registered" key);
-  Hashtbl.replace registry key d;
-  order := key :: !order
-
-let () =
-  List.iter register
-    [
-      (module Scmp_driver : S);
-      (module Cbt_driver : S);
-      (module Dvmrp_driver : S);
-      (module Mospf_driver : S);
-      (module Pim_sm_driver : S);
-      (module Hpim_dm_driver : S);
-    ]
-
-let names () = List.rev !order
-
-let all () =
-  List.filter_map (fun key -> Hashtbl.find_opt registry key) (names ())
+let all () = builtins
+let names () = List.map name builtins
 
 let find key =
-  match Hashtbl.find_opt registry (normalize key) with
+  let key' = String.lowercase_ascii key in
+  match List.find_opt (fun d -> name d = key') builtins with
   | Some d -> Ok d
   | None ->
     Error

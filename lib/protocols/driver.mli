@@ -1,10 +1,11 @@
-(** First-class protocol drivers and the name-keyed registry.
+(** First-class protocol drivers and the fixed list of the six built-in
+    ones.
 
     A driver packages one multicast protocol behind a uniform
     signature, so the runner, the CLI, the bench harness and the
     examples select protocols by {e name} instead of pattern-matching a
-    closed variant — adding a protocol means registering a driver, not
-    editing every caller.
+    closed variant — adding a protocol means adding a driver to the
+    list in [driver.ml], not editing every caller.
 
     [setup] instantiates the protocol's agents on a network simulation
     and returns an {!instance}: the host-facing operations plus the
@@ -37,14 +38,11 @@ type instance = {
       (** Completed per-group blackout samples (sim seconds from a
           fault to the first post-repair delivery), oldest first; only
           SCMP measures these, baselines return []. *)
-  teardown : unit -> unit;
-      (** Release per-run resources. Built-in drivers need none; the
-          hook exists so external drivers can own some. *)
 }
 
 module type S = sig
   val name : string
-  (** Registry key, lowercase (e.g. ["pim-sm"]). *)
+  (** Lookup key, lowercase (e.g. ["pim-sm"]). *)
 
   val display : string
   (** Table/figure label (e.g. ["PIM-SM"]). *)
@@ -58,13 +56,10 @@ val name : t -> string
 val display : t -> string
 val setup : t -> config -> instance
 
-(** {2 Registry}
+(** {2 The driver list}
 
-    Pre-populated with the six built-ins, in this order: [scmp],
-    [cbt], [dvmrp], [mospf], [pim-sm], [hpim-dm]. *)
-
-val register : t -> unit
-(** @raise Invalid_argument on an empty or duplicate name. *)
+    The six built-ins, in this order: [scmp], [cbt], [dvmrp], [mospf],
+    [pim-sm], [hpim-dm]. *)
 
 val find : string -> (t, string) result
 (** Case-insensitive lookup; the error names the known protocols. *)
@@ -77,6 +72,6 @@ val find_all : string list -> ((string * t) list, string) result
     {!find}'s message for the first unknown name. *)
 
 val all : unit -> t list
-(** Registration order. *)
+(** The list order. *)
 
 val names : unit -> string list

@@ -2,17 +2,19 @@ module N = Eventsim.Netsim
 
 type node = Message.node
 
-(* One unacked interest update toward a neighbour. The timer chain
-   retransmits while the record survives with this sequence number. *)
-type unacked = { seq : int; interested : bool; attempts : int }
+(* Interest syncs are keyed per (router, neighbour, source, group). *)
+module Sync = Reliable.Make (struct
+  type t = node * node * node * Message.group
+
+  let equal (a : t) b = a = b
+  let hash (k : t) = Hashtbl.hash k
+end)
 
 (* All interest state is hard: a neighbour's no-interest declaration
    stays until a fresher sync replaces it, so there is no prune timer
    and no periodic re-flood (the defining difference from Dvmrp). *)
 type t = {
   net : Message.t N.t;
-  rto : float;
-  max_attempts : int;
   member : (node * Message.group, unit) Hashtbl.t;
   sources : (node * Message.group, unit) Hashtbl.t;
       (** Sources that injected data (verification walks one tree per
@@ -29,14 +31,13 @@ type t = {
       (** Last interest value this router synced to that neighbour
           (absent = dense-mode implicit interest). *)
   next_seq : (node * node * node * Message.group, int) Hashtbl.t;
-  pending : (node * node * node * Message.group, unacked) Hashtbl.t;
+  pending : (int * bool) Sync.t;
+      (** Unacked interest updates: (sequence number, interest). *)
   applied : (node * node * node * Message.group, int) Hashtbl.t;
       (** Receiver side: highest sequence number applied per peer. *)
   delivery : Delivery.t option;
   mutable syncs : int;
   mutable acks : int;
-  mutable retransmissions : int;
-  mutable giveups : int;
 }
 
 let is_member t ~group x = Hashtbl.mem t.member (x, group)
@@ -71,34 +72,12 @@ let interested t x src group =
   |> List.exists (fun y ->
          Some y <> up && not (Hashtbl.mem t.no_interest (x, y, src, group)))
 
-(* Foreground retransmission with exponential backoff: a lost sync must
-   be able to wake the engine back up, and the attempt bound keeps a
-   permanently partitioned peer from holding the run alive forever. *)
-let rec arm_timer t x y src group seq ~delay =
-  Eventsim.Engine.schedule (N.engine t.net) ~delay (fun () ->
-      match Hashtbl.find_opt t.pending (x, y, src, group) with
-      | Some p when p.seq = seq ->
-        if p.attempts + 1 >= t.max_attempts then begin
-          Hashtbl.remove t.pending (x, y, src, group);
-          t.giveups <- t.giveups + 1
-        end
-        else begin
-          Hashtbl.replace t.pending (x, y, src, group)
-            { p with attempts = p.attempts + 1 };
-          t.retransmissions <- t.retransmissions + 1;
-          N.transmit t.net ~src:x ~dst:y
-            (Message.Hpim_sync
-               { group; src; from = x; seq; interested = p.interested });
-          arm_timer t x y src group seq ~delay:(delay *. 2.)
-        end
-      | Some _ | None -> ())
-
 let send_sync t x ~to_:y ~src ~group ~interested =
   ensure_seen t x src group;
   let key = (x, y, src, group) in
   let already =
-    match (Hashtbl.find_opt t.pending key, Hashtbl.find_opt t.out_state key) with
-    | Some p, _ -> p.interested = interested
+    match (Sync.find t.pending key, Hashtbl.find_opt t.out_state key) with
+    | Some (_, i), _ -> i = interested
     | None, Some b -> b = interested
     | None, None -> false
   in
@@ -106,11 +85,8 @@ let send_sync t x ~to_:y ~src ~group ~interested =
     let seq = 1 + Option.value ~default:0 (Hashtbl.find_opt t.next_seq key) in
     Hashtbl.replace t.next_seq key seq;
     Hashtbl.replace t.out_state key interested;
-    Hashtbl.replace t.pending key { seq; interested; attempts = 0 };
     t.syncs <- t.syncs + 1;
-    N.transmit t.net ~src:x ~dst:y
-      (Message.Hpim_sync { group; src; from = x; seq; interested });
-    arm_timer t x y src group seq ~delay:t.rto
+    Sync.send t.pending key (seq, interested)
   end
 
 (* Re-sync this router's interest toward its RPF upstream if what the
@@ -123,10 +99,8 @@ let sync_upstream t x src group =
     let want = interested t x src group in
     let key = (x, up, src, group) in
     let told =
-      match
-        (Hashtbl.find_opt t.pending key, Hashtbl.find_opt t.out_state key)
-      with
-      | Some p, _ -> p.interested
+      match (Sync.find t.pending key, Hashtbl.find_opt t.out_state key) with
+      | Some (_, i), _ -> i
       | None, Some b -> b
       | None, None -> true
     in
@@ -165,9 +139,9 @@ let handle_sync t x ~from group src seq interested =
 
 let handle_ack t x ~from group src seq =
   let key = (x, from, src, group) in
-  match Hashtbl.find_opt t.pending key with
-  | Some p when p.seq <= seq ->
-    Hashtbl.remove t.pending key;
+  match Sync.find t.pending key with
+  | Some (s, _) when s = seq ->
+    Sync.ack t.pending key;
     t.acks <- t.acks + 1
   | Some _ | None -> ()
 
@@ -212,13 +186,18 @@ let handle_topology_change t =
            sync_upstream t x src group
          end)
 
+(* A lost sync must be able to wake the engine back up, so its timers
+   run in the foreground; the attempt bound keeps a permanently
+   partitioned peer from holding the run alive forever. *)
 let create ?delivery ?(rto = 0.6) ?(max_attempts = 8) net () =
   let g = N.graph net in
+  let resend (x, y, src, group) (seq, interested) =
+    N.transmit net ~src:x ~dst:y
+      (Message.Hpim_sync { group; src; from = x; seq; interested })
+  in
   let t =
     {
       net;
-      rto;
-      max_attempts;
       member = Hashtbl.create 32;
       sources = Hashtbl.create 8;
       seen = Hashtbl.create 64;
@@ -226,13 +205,16 @@ let create ?delivery ?(rto = 0.6) ?(max_attempts = 8) net () =
       no_interest = Hashtbl.create 64;
       out_state = Hashtbl.create 64;
       next_seq = Hashtbl.create 64;
-      pending = Hashtbl.create 64;
+      pending =
+        Sync.create (N.engine net) ~rto ~max_attempts
+          ~rtt:(fun _ _ -> 0.0)
+          ~resend
+          ~settled:(fun _ _ -> false)
+          ~give_up:(fun _ _ -> ());
       applied = Hashtbl.create 64;
       delivery;
       syncs = 0;
       acks = 0;
-      retransmissions = 0;
-      giveups = 0;
     }
   in
   for x = 0 to Netgraph.Graph.node_count g - 1 do
@@ -317,5 +299,6 @@ let observe t m =
   let set_c name v = Obs.Metrics.set_counter (Obs.Metrics.counter m name) v in
   set_c "hpim/syncs" t.syncs;
   set_c "hpim/acks" t.acks;
-  set_c "hpim/retransmissions" t.retransmissions;
-  if t.giveups > 0 then set_c "hpim/giveups" t.giveups
+  set_c "hpim/retransmissions" (Sync.retransmissions t.pending);
+  let giveups = Sync.giveups t.pending in
+  if giveups > 0 then set_c "hpim/giveups" giveups

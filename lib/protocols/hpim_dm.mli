@@ -10,10 +10,10 @@
       after the first flood round a source tree carries data only where
       interest exists, permanently;
     - {b Sequence-numbered reliable sync}: every interest change
-      travels as an {!Message.Hpim_sync} retransmitted with exponential
-      backoff until the matching {!Message.Hpim_ack} arrives; receivers
-      apply only fresher sequence numbers, so reordered or duplicated
-      control packets cannot roll state back;
+      travels as an {!Message.Hpim_sync} retransmitted through a
+      {!Reliable} window until the matching {!Message.Hpim_ack}
+      arrives; receivers apply only fresher sequence numbers, so
+      reordered or duplicated control packets cannot roll state back;
     - {b Explicit grafting}: because pruned state is permanent, a new
       member (or a route reconvergence after a fault) re-opens its
       branch by syncing interest up the RPF chain — the cascade
@@ -32,8 +32,9 @@ val create :
   t
 (** [rto] is the base retransmission timeout for interest syncs in
     simulated seconds (default 0.6, doubling per attempt);
-    [max_attempts] bounds the retransmission chain (default 8). No
-    core/root parameter: trees are rooted at each source. *)
+    [max_attempts] bounds the sends of one sync (default 8). No
+    core/root parameter: trees are rooted at each source.
+    @raise Invalid_argument if [rto <= 0] or [max_attempts < 1]. *)
 
 val host_join : t -> group:Message.group -> node -> unit
 val host_leave : t -> group:Message.group -> node -> unit

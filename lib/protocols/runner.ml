@@ -343,7 +343,6 @@ let run ?(check = false) ?report driver s =
         ~churn:churn_state ~expected ~join_wall:!join_wall ~run_wall ~setup_wall)
     report;
   let blackouts = inst.Driver.blackouts () in
-  inst.Driver.teardown ();
   {
     data_overhead = Eventsim.Netsim.data_overhead net;
     protocol_overhead = Eventsim.Netsim.control_overhead net;
@@ -365,8 +364,3 @@ let run ?(check = false) ?report driver s =
     spt_invalidated = Eventsim.Routes.invalidated (Eventsim.Netsim.routes net);
     blackouts;
   }
-
-let run_name ?check ?report name s =
-  match Driver.find name with
-  | Ok d -> Ok (run ?check ?report d s)
-  | Error _ as e -> e

@@ -14,9 +14,8 @@
     paper. Correctness counters (duplicates, spurious and missed
     deliveries) come along for the tests.
 
-    Protocols are selected through the {!Driver} registry — any
-    registered driver runs here, including ones registered by client
-    code. *)
+    Protocols are selected through {!Driver}: any of its six built-in
+    drivers runs here. *)
 
 type churn = {
   mean_interarrival : float;  (** mean seconds between churn arrivals *)
@@ -167,12 +166,3 @@ val run : ?check:bool -> ?report:Obs.Report.t -> Driver.t -> scenario -> result
     cadence ([delivery/cumulative], [net/transmissions]). Wall-clock
     metrics are flagged, so the report serialized with
     [~wallclock:false] is byte-identical across same-scenario runs. *)
-
-val run_name :
-  ?check:bool ->
-  ?report:Obs.Report.t ->
-  string ->
-  scenario ->
-  (result, string) Stdlib.result
-(** {!run} through {!Driver.find} — convenience for name-driven
-    callers (CLI, bench); the error is [find]'s message. *)

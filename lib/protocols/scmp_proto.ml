@@ -24,12 +24,19 @@ let rec mem_int (x : int) = function
    structural equality; here both are straight-line OCaml. The mixer
    folds the node field (bits 32+) into the low bits [key_index]
    actually uses. *)
-module IT = Hashtbl.Make (struct
+module Int_key = struct
   type t = int
 
   let equal (a : int) b = a = b
   let hash k = (k lxor (k lsr 29)) * 0x9E3779B1 land max_int
-end)
+end
+
+module IT = Hashtbl.Make (Int_key)
+
+(* Both reliable windows key on immediate ints: DR requests on
+   [pk dr group], frames on their token (so a window's oldest-send-first
+   order is ascending token order). *)
+module Rel = Reliable.Make (Int_key)
 
 type distribution = Incremental | Always_full_tree
 
@@ -70,29 +77,15 @@ type standby = {
   mutable hb_seq : int;
 }
 
-(* One end-to-end DR request (JOIN/LEAVE/GRAFT) in flight: sent over
-   lossy unicast, re-sent with exponential backoff until it observably
-   completed, was acked, or ran out of attempts. *)
-type request = {
-  rq_kind : Message.req_kind;
-  rq_group : Message.group;
-  rq_dr : node;
-  rq_seq : int;
-  mutable rq_attempts : int;
-  mutable rq_acked : bool;
-  mutable rq_settled : bool;
-}
-
 (* One reliable frame in flight: hop-by-hop TREE/BRANCH/PRUNE framing
-   ([rel_routed = false]; the neighbour acks the token back over the
-   link) or a routed end-to-end INVALIDATE/RESYNC ([rel_routed = true];
+   ([f_routed = false]; the neighbour acks the token back over the
+   link) or a routed end-to-end INVALIDATE/RESYNC ([f_routed = true];
    the target acks over unicast). *)
-type rel = {
-  rel_src : node;
-  rel_dst : node;
-  rel_routed : bool;
-  rel_msg : Message.t;
-  mutable rel_attempts : int;
+type frame = {
+  f_src : node;
+  f_dst : node;
+  f_routed : bool;
+  f_msg : Message.t;
 }
 
 type t = {
@@ -111,8 +104,7 @@ type t = {
   distribution : distribution;
   cpu : (Eventsim.Server.t * float) option;
       (* control-plane processing station + per-request service time *)
-  rto : float;  (* base retransmission timeout (doubles per attempt) *)
-  max_attempts : int;
+  rto : float;  (* the windows' base timeout; repair polls run at half of it *)
   (* Split-brain fencing: the highest epoch each router has adopted and
      the authority it consequently addresses. [epoch_owner] maps an
      epoch to the authority that claimed it (filled at takeover). *)
@@ -123,13 +115,13 @@ type t = {
   pending_iface : unit IT.t;  (* key = [pk router group] *)
   (* Reliable control transport. *)
   mutable ctl_seq : int;  (* request sequence numbers, network-wide *)
-  requests : request IT.t;  (* key = [pk dr group] *)
-      (* latest outstanding request per (dr, group); a new request
-         supersedes the old one *)
+  requests : Message.t Rel.t;  (* key = [pk dr group] *)
+      (* latest outstanding JOIN/LEAVE/GRAFT per (dr, group); a new
+         request supersedes the old one *)
   mutable tokens : int;  (* reliable-frame token allocator *)
-  rel_pending : (int, rel) Hashtbl.t;  (* unacked frames by token *)
+  frames : frame Rel.t;  (* outstanding frames by token *)
   rel_seen : (int, unit) Hashtbl.t;  (* receiver-side duplicate filter *)
-  mutable dead_letters : (Message.group * node) list;
+  dead_letters : (Message.group * node) list ref;
       (* invalidations abandoned while their target was unreachable;
          retried by the active authority once connectivity returns, so
          a long partition cannot strand a stale entry past its heal *)
@@ -146,9 +138,7 @@ type t = {
   mutable invalidations : int;    (* invalidations issued *)
   mutable tree_computes : int;    (* DCDM create/join/leave operations *)
   mutable tree_compute_s : float; (* their accumulated wall-clock cost *)
-  (* reliability + repair accounting *)
-  mutable retransmissions : int;  (* request + frame resends *)
-  mutable giveups : int;          (* requests/frames abandoned *)
+  (* repair accounting *)
   mutable repairs : int;          (* post-failure tree rebuilds *)
   mutable repair_unconverged : int;
   mutable repair_latencies : float list;  (* newest first, sim seconds *)
@@ -196,6 +186,12 @@ let active_auth t =
 
 let active_epoch t = (active_auth t).a_epoch
 
+(* Request + frame resends, and requests/frames abandoned. *)
+let retransmissions t =
+  Rel.retransmissions t.requests + Rel.retransmissions t.frames
+
+let giveups t = Rel.giveups t.requests + Rel.giveups t.frames
+
 let stats t =
   {
     tree_packets = t.tree_pkts;
@@ -203,8 +199,8 @@ let stats t =
     invalidations = t.invalidations;
     tree_computes = t.tree_computes;
     tree_compute_wall_s = t.tree_compute_s;
-    retransmissions = t.retransmissions;
-    giveups = t.giveups;
+    retransmissions = retransmissions t;
+    giveups = giveups t;
     repairs = t.repairs;
     epoch = active_epoch t;
     fenced = t.fenced;
@@ -227,8 +223,8 @@ let observe t m =
   set_c "scmp/branch_packets" t.branch_pkts;
   set_c "scmp/invalidations" t.invalidations;
   set_c "scmp/tree_computes" t.tree_computes;
-  set_c "scmp/retransmissions" t.retransmissions;
-  set_c "scmp/giveups" t.giveups;
+  set_c "scmp/retransmissions" (retransmissions t);
+  set_c "scmp/giveups" (giveups t);
   set_c "scmp/repair/count" t.repairs;
   set_c "scmp/repair/unconverged" t.repair_unconverged;
   let h = Obs.Metrics.histogram m "scmp/repair/latency_s" in
@@ -249,7 +245,6 @@ let observe t m =
     t.tree_compute_s
 
 let mrouter t = t.active
-let active_mrouter t = t.active
 
 let standby_took_over t =
   match t.standby with Some sb -> sb.sb_auth.a_active | None -> false
@@ -330,49 +325,30 @@ let roster table group =
 
 (* ---- reliable frame transport ---- *)
 
-let backoff t attempts = t.rto *. (2.0 ** float_of_int (attempts - 1))
+let resend_frame net _token f =
+  if f.f_routed then N.unicast net ~src:f.f_src ~dst:f.f_dst f.f_msg
+  else N.transmit net ~src:f.f_src ~dst:f.f_dst f.f_msg
 
-let rel_resend t r =
-  if r.rel_routed then N.unicast t.net ~src:r.rel_src ~dst:r.rel_dst r.rel_msg
-  else N.transmit t.net ~src:r.rel_src ~dst:r.rel_dst r.rel_msg
+(* A routed INVALIDATE abandoned while its target was unreachable
+   becomes a dead letter, retried once connectivity returns. *)
+let dead_letter dead_letters _token f =
+  match f.f_msg with
+  | Message.Scmp_invalidate { group; _ } when f.f_routed ->
+    dead_letters := (group, f.f_dst) :: !dead_letters
+  | _ -> ()
 
-let rec arm_rel t token r =
-  Eventsim.Engine.schedule (N.engine t.net) ~delay:(backoff t r.rel_attempts)
-    (fun () ->
-      if Hashtbl.mem t.rel_pending token then begin
-        if r.rel_attempts >= t.max_attempts then begin
-          Hashtbl.remove t.rel_pending token;
-          t.giveups <- t.giveups + 1;
-          match r.rel_msg with
-          | Message.Scmp_invalidate { group; _ } when r.rel_routed ->
-            t.dead_letters <- (group, r.rel_dst) :: t.dead_letters
-          | _ -> ()
-        end
-        else begin
-          r.rel_attempts <- r.rel_attempts + 1;
-          t.retransmissions <- t.retransmissions + 1;
-          rel_resend t r;
-          arm_rel t token r
-        end
-      end)
-
-let rel_send t ~routed ~src ~dst msg_of_token =
+let next_token t =
   t.tokens <- t.tokens + 1;
-  let token = t.tokens in
-  let msg = msg_of_token token in
-  let r =
-    { rel_src = src; rel_dst = dst; rel_routed = routed; rel_msg = msg;
-      rel_attempts = 1 }
-  in
-  Hashtbl.replace t.rel_pending token r;
-  rel_resend t r;
-  arm_rel t token r
+  t.tokens
+
+let rel_send t ~routed ~src ~dst token msg =
+  Rel.send t.frames token { f_src = src; f_dst = dst; f_routed = routed; f_msg = msg }
 
 (* One-hop reliable send of a tree-maintenance message: framed with a
    fresh token the neighbour acks back over the same link. *)
 let rel_transmit t ~src ~dst inner =
-  rel_send t ~routed:false ~src ~dst (fun token ->
-      Message.Scmp_reliable { token; inner })
+  let token = next_token t in
+  rel_send t ~routed:false ~src ~dst token (Message.Scmp_reliable { token; inner })
 
 (* ---- epoch fencing (split-brain) ---- *)
 
@@ -420,9 +396,10 @@ let step_down (t : t) a ~epoch =
           | None -> []
         in
         t.resyncs <- t.resyncs + 1;
-        rel_send t ~routed:true ~src:a.an ~dst:owner (fun token ->
-            Message.Scmp_resync
-              { group; token; members; left; seen; relays; epoch }))
+        let token = next_token t in
+        rel_send t ~routed:true ~src:a.an ~dst:owner token
+          (Message.Scmp_resync
+             { group; token; members; left; seen; relays; epoch }))
       groups
   end
 
@@ -515,8 +492,9 @@ let distribute_branch t a group tree dr =
 
 let send_invalidate (t : t) a group x =
   t.invalidations <- t.invalidations + 1;
-  rel_send t ~routed:true ~src:a.an ~dst:x (fun token ->
-      Message.Scmp_invalidate { group; token; epoch = a.a_epoch })
+  let token = next_token t in
+  rel_send t ~routed:true ~src:a.an ~dst:x token
+    (Message.Scmp_invalidate { group; token; epoch = a.a_epoch })
 
 let distribute_tree t a group tree removed_nodes =
   (* Invalidations still in flight for routers the new tree re-admits
@@ -524,19 +502,11 @@ let distribute_tree t a group tree removed_nodes =
      them, and a retry landing after this distribution (e.g. queued
      toward an unreachable router during a partition, delivered after
      the heal's rebuild) would wipe the entry it just installed. *)
-  let cancelled =
-    Hashtbl.fold
-      (fun token r acc ->
-        match r.rel_msg with
-        | Message.Scmp_invalidate { group = g; _ }
-          when r.rel_routed && g = group && Mtree.Tree.on_tree tree r.rel_dst
-          ->
-          token :: acc
-        | _ -> acc)
-      t.rel_pending []
-    |> List.sort Int.compare
-  in
-  List.iter (Hashtbl.remove t.rel_pending) cancelled;
+  Rel.cancel_if t.frames (fun _ f ->
+      match f.f_msg with
+      | Message.Scmp_invalidate { group = g; _ } ->
+        f.f_routed && g = group && Mtree.Tree.on_tree tree f.f_dst
+      | _ -> false);
   let root_entry = authority_entry t a group in
   let children = Mtree.Tree.children tree a.an in
   root_entry.downstream <- children;
@@ -923,14 +893,23 @@ let handle_prune t x group ~from =
 
 (* ---- reliable DR requests (JOIN/LEAVE/GRAFT) ---- *)
 
-let request_message rq =
-  match rq.rq_kind with
-  | Message.Join ->
-    Message.Scmp_join { group = rq.rq_group; dr = rq.rq_dr; seq = rq.rq_seq }
-  | Message.Leave ->
-    Message.Scmp_leave { group = rq.rq_group; dr = rq.rq_dr; seq = rq.rq_seq }
-  | Message.Graft ->
-    Message.Scmp_graft { group = rq.rq_group; dr = rq.rq_dr; seq = rq.rq_seq }
+(* Every (re-)send targets the DR's *current* view: a request that
+   outlives a takeover follows the DR to the new authority as soon as
+   an epoch-carrying frame re-pointed it. *)
+let resend_request net view key msg =
+  let dr = pk_hi key in
+  N.unicast net ~src:dr ~dst:view.(dr) msg
+
+(* Requests are acked end-to-end across the domain, so their timer
+   must scale with the DR<->m-router round trip, not the one-hop frame
+   rto: with a fixed sub-RTT timer every request would retransmit
+   several times before the first ack could possibly return, and each
+   duplicate JOIN re-triggers a BRANCH distribution. TCP-style: base
+   timeout = measured path RTT plus the rto as slack. *)
+let request_rtt net view key _msg =
+  let dr = pk_hi key in
+  let d = Eventsim.Routes.distance (N.routes net) ~src:dr ~dst:view.(dr) in
+  if Float.is_finite d then 2.0 *. d else 0.0
 
 (* A GRAFT also completes when its effect becomes observable at the DR
    — arrival of a repaired upstream acts as the ack — so a lost
@@ -940,68 +919,28 @@ let request_message rq =
    (§III.B) — when the DR already relays for the group, the flag is
    set before the m-router has heard anything, and treating it as
    completion would silently drop a lost JOIN, leaving the m-router's
-   tree without the member forever. *)
-let request_completed t rq =
-  rq.rq_acked
-  ||
-  match rq.rq_kind with
-  | Message.Join -> false
-  | Message.Leave -> false
-  | Message.Graft -> (
-    match entry_opt t rq.rq_dr rq.rq_group with
+   tree without the member forever. The request key is the DR's entry
+   key. *)
+let request_completed entries key msg =
+  match msg with
+  | Message.Scmp_graft _ -> (
+    match IT.find_opt entries key with
     | Some e -> e.upstream <> None
     | None -> true (* invalidated meanwhile: nothing left to repair *))
-
-(* Requests are acked end-to-end across the domain, so their timer
-   must scale with the DR<->m-router round trip, not the one-hop frame
-   rto: with a fixed sub-RTT timer every request would retransmit
-   several times before the first ack could possibly return, and each
-   duplicate JOIN re-triggers a BRANCH distribution. TCP-style: base
-   timeout = measured path RTT plus slack, doubled per attempt. *)
-let request_rto t rq =
-  let d =
-    Eventsim.Routes.distance (N.routes t.net) ~src:rq.rq_dr
-      ~dst:t.view.(rq.rq_dr)
-  in
-  if Float.is_finite d then Float.max t.rto ((2.0 *. d) +. t.rto) else t.rto
-
-(* Every (re-)send targets the DR's *current* view: a request that
-   outlives a takeover follows the DR to the new authority as soon as
-   an epoch-carrying frame re-pointed it. *)
-let rec arm_request t rq =
-  Eventsim.Engine.schedule (N.engine t.net)
-    ~delay:
-      (request_rto t rq *. (2.0 ** float_of_int (rq.rq_attempts - 1)))
-    (fun () ->
-      if not rq.rq_settled then begin
-        if request_completed t rq then rq.rq_settled <- true
-        else if rq.rq_attempts >= t.max_attempts then begin
-          rq.rq_settled <- true;
-          t.giveups <- t.giveups + 1
-        end
-        else begin
-          rq.rq_attempts <- rq.rq_attempts + 1;
-          t.retransmissions <- t.retransmissions + 1;
-          N.unicast t.net ~src:rq.rq_dr ~dst:t.view.(rq.rq_dr)
-            (request_message rq);
-          arm_request t rq
-        end
-      end)
+  | _ -> false
 
 let submit_request t ~group ~dr kind =
   t.ctl_seq <- t.ctl_seq + 1;
-  let rq =
-    { rq_kind = kind; rq_group = group; rq_dr = dr; rq_seq = t.ctl_seq;
-      rq_attempts = 1; rq_acked = false; rq_settled = false }
+  let seq = t.ctl_seq in
+  let msg =
+    match kind with
+    | Message.Join -> Message.Scmp_join { group; dr; seq }
+    | Message.Leave -> Message.Scmp_leave { group; dr; seq }
+    | Message.Graft -> Message.Scmp_graft { group; dr; seq }
   in
   (* A newer request from the same DR for the same group supersedes the
      outstanding one (e.g. LEAVE overtaking a still-retrying JOIN). *)
-  (match IT.find_opt t.requests (pk dr group) with
-  | Some old -> old.rq_settled <- true
-  | None -> ());
-  IT.replace t.requests (pk dr group) rq;
-  N.unicast t.net ~src:dr ~dst:t.view.(dr) (request_message rq);
-  arm_request t rq
+  Rel.send t.requests (pk dr group) msg
 
 (* ---- introspection ---- *)
 
@@ -1068,30 +1007,12 @@ let tree_uses_dead_element t tree =
   List.exists (fun (a, b) -> not (N.link_alive t.net a b)) (Mtree.Tree.edges tree)
 
 (* Reliable frames whose link (or routed destination) died will never
-   be acked: abandon them now instead of letting the backoff chain play
+   be acked: abandon them now instead of letting the retry chain play
    out over a dead link. *)
 let abort_dead_rel t =
-  let stale =
-    Hashtbl.fold
-      (fun token r acc ->
-        let dead =
-          if r.rel_routed then not (N.node_alive t.net r.rel_dst)
-          else not (N.link_alive t.net r.rel_src r.rel_dst)
-        in
-        if dead then token :: acc else acc)
-      t.rel_pending []
-    |> List.sort Int.compare
-  in
-  List.iter
-    (fun token ->
-      (match Hashtbl.find_opt t.rel_pending token with
-      | Some { rel_routed = true; rel_dst;
-               rel_msg = Message.Scmp_invalidate { group; _ }; _ } ->
-        t.dead_letters <- (group, rel_dst) :: t.dead_letters
-      | Some _ | None -> ());
-      Hashtbl.remove t.rel_pending token;
-      t.giveups <- t.giveups + 1)
-    stale
+  Rel.abort_if t.frames (fun _ f ->
+      if f.f_routed then not (N.node_alive t.net f.f_dst)
+      else not (N.link_alive t.net f.f_src f.f_dst))
 
 (* After a repair is distributed, watch the network until the group's
    distributed state coheres again and record the latency (sim time
@@ -1216,9 +1137,9 @@ let on_topology_change t =
        && Eventsim.Routes.distance (N.routes t.net) ~src:a.an ~dst:x < infinity
      in
      let retry, keep =
-       List.partition (fun (_, x) -> reachable x) t.dead_letters
+       List.partition (fun (_, x) -> reachable x) !(t.dead_letters)
      in
-     t.dead_letters <- keep;
+     t.dead_letters := keep;
      List.iter
        (fun (group, x) ->
          let on_tree =
@@ -1269,12 +1190,11 @@ let mrouter_work t job =
   | None -> job ()
   | Some (station, service_time) -> Eventsim.Server.submit station ~service_time job
 
-let same_kind a b =
-  match (a, b) with
-  | Message.Join, Message.Join
-  | Message.Leave, Message.Leave
-  | Message.Graft, Message.Graft ->
-    true
+let is_request msg kind seq =
+  match (kind, msg) with
+  | Message.Join, Message.Scmp_join r -> r.seq = seq
+  | Message.Leave, Message.Scmp_leave r -> r.seq = seq
+  | Message.Graft, Message.Scmp_graft r -> r.seq = seq
   | (Message.Join | Message.Leave | Message.Graft), _ -> false
 
 (* A DR request lands at [x]: an active authority processes it; a
@@ -1312,9 +1232,9 @@ let rec handle_message t x ~from msg =
     | Message.Scmp_req_ack { group; dr; kind; seq; epoch } ->
       if x = dr && not (fence t x epoch) then begin
         adopt t x epoch;
-        match IT.find_opt t.requests (pk dr group) with
-        | Some rq when rq.rq_seq = seq && same_kind rq.rq_kind kind ->
-          rq.rq_acked <- true
+        match Rel.find t.requests (pk dr group) with
+        | Some msg when is_request msg kind seq ->
+          Rel.ack t.requests (pk dr group)
         | Some _ | None -> ()
       end
     | Message.Scmp_reliable { token; inner } ->
@@ -1327,8 +1247,8 @@ let rec handle_message t x ~from msg =
         handle_message t x ~from inner
       end
     | Message.Scmp_ack { token } -> (
-      match Hashtbl.find_opt t.rel_pending token with
-      | Some r when x = r.rel_src -> Hashtbl.remove t.rel_pending token
+      match Rel.find t.frames token with
+      | Some f when x = f.f_src -> Rel.ack t.frames token
       | Some _ | None -> ())
     | Message.Scmp_tree { group; epoch; packet } ->
       if not (fence t x epoch) then begin
@@ -1414,12 +1334,24 @@ let create ?delivery ?(bound = Mtree.Bound.Tightest)
     ?(distribution = Incremental) ?standby ?(heartbeat_interval = 1.0)
     ?(takeover_after = 3.0) ?(install_handlers = true) ?cpu ?(rto = 0.25)
     ?(max_attempts = 6) net ~mrouter () =
-  if rto <= 0.0 then invalid_arg "Scmp_proto.create: rto must be positive";
-  if max_attempts < 1 then
-    invalid_arg "Scmp_proto.create: max_attempts must be at least 1";
   let g = N.graph net in
   let engine = N.engine net in
   let n = Netgraph.Graph.node_count g in
+  let view = Array.make n mrouter in
+  let entries = IT.create 64 in
+  let dead_letters = ref [] in
+  let requests =
+    Rel.create engine ~rto ~max_attempts ~rtt:(request_rtt net view)
+      ~resend:(resend_request net view) ~settled:(request_completed entries)
+      ~give_up:(fun _ _ -> ())
+  in
+  let frames =
+    Rel.create engine ~rto ~max_attempts
+      ~rtt:(fun _ _ -> 0.0)
+      ~resend:(resend_frame net)
+      ~settled:(fun _ _ -> false)
+      ~give_up:(dead_letter dead_letters)
+  in
   let standby_state =
     Option.map
       (fun sb_node ->
@@ -1447,22 +1379,21 @@ let create ?delivery ?(bound = Mtree.Bound.Tightest)
       standby = standby_state;
       cpu;
       rto;
-      max_attempts;
       apsp = base_apsp;
       base_apsp;
       bound;
       distribution;
       node_epoch = Array.make n 1;
-      view = Array.make n mrouter;
+      view;
       epoch_owner;
-      entries = IT.create 64;
+      entries;
       pending_iface = IT.create 16;
       ctl_seq = 0;
-      requests = IT.create 16;
+      requests;
       tokens = 0;
-      rel_pending = Hashtbl.create 32;
+      frames;
       rel_seen = Hashtbl.create 64;
-      dead_letters = [];
+      dead_letters;
       delivery;
       dark = Hashtbl.create 8;
       blackouts = [];
@@ -1471,8 +1402,6 @@ let create ?delivery ?(bound = Mtree.Bound.Tightest)
       invalidations = 0;
       tree_computes = 0;
       tree_compute_s = 0.0;
-      retransmissions = 0;
-      giveups = 0;
       repairs = 0;
       repair_unconverged = 0;
       repair_latencies = [];

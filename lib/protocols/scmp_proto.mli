@@ -25,18 +25,20 @@
       encapsulation to the m-router for off-tree sources (§III.F).
 
     {b Reliable control plane.} The paper assumes control packets
-    arrive; this reproduction does not. Every JOIN/LEAVE/GRAFT is
-    sequence-numbered and retransmitted with exponential backoff
-    (starting at [rto], doubling per attempt, at most [max_attempts]
-    sends) until it is acknowledged or observably complete — for a JOIN
-    the arriving BRANCH/TREE itself acts as the acknowledgement; an
-    explicit {!Message.Scmp_req_ack} covers the cases with nothing to
-    distribute. The m-router suppresses duplicates by highest sequence
-    number per (group, DR) and re-acks them. Tree distribution
-    (TREE/BRANCH/PRUNE) travels in one-hop reliable frames
-    ({!Message.Scmp_reliable}) acked per link; invalidations are acked
-    end-to-end. Requests and frames that exhaust their attempts are
-    counted as give-ups, never retried forever.
+    arrive; this reproduction does not. Two {!Reliable} windows carry
+    SCMP's control flows, with the shared retry rule documented there
+    (base timeout doubling per attempt, at most [max_attempts] sends,
+    then a counted give-up). Every JOIN/LEAVE/GRAFT is
+    sequence-numbered and retransmitted, with a base timeout of [rto]
+    plus the DR's round trip to the m-router, until its explicit
+    {!Message.Scmp_req_ack} arrives — a GRAFT also completes when its
+    repaired upstream does — or a newer request from the same DR for
+    the same group supersedes it. The m-router suppresses duplicates by
+    highest sequence number per (group, DR) and re-acks them. Tree
+    distribution (TREE/BRANCH/PRUNE) travels in one-hop reliable frames
+    ({!Message.Scmp_reliable}) acked per link; invalidations and
+    resyncs are acked end-to-end, and an invalidation abandoned while
+    its target was unreachable is retried once connectivity returns.
 
     {b Tree repair.} The agent registers a
     {!Eventsim.Netsim.on_topology_change} hook. When a link or node
@@ -118,9 +120,6 @@ val create :
 
 val mrouter : t -> node
 (** The m-router currently in charge (the standby after takeover). *)
-
-val active_mrouter : t -> node
-(** Alias of {!mrouter}. *)
 
 val standby_took_over : t -> bool
 

@@ -6,7 +6,7 @@
     an experiment is reviewable data, not a shell incantation.
 
     Parsing is strict: unknown fields are errors, driver names are
-    validated against the {!Protocols.Driver} registry, and every
+    validated against the {!Protocols.Driver} list, and every
     fault program line is checked against the {!Eventsim.Faults}
     CLI parsers at load time. Printing is canonical (fixed field
     order, absent optionals omitted), so parse -> print -> parse is
@@ -24,7 +24,7 @@ type loss = {
 
 type t = {
   name : string;
-  drivers : string list;  (** Validated registry names. *)
+  drivers : string list;  (** Validated driver names. *)
   topos : Exec.Sweep.topo list;
   group_sizes : int list;
   seeds : int list;

@@ -18,6 +18,7 @@ module Trace = Eventsim.Trace
 module Message = Protocols.Message
 module Delivery = Protocols.Delivery
 module Scmp_proto = Protocols.Scmp_proto
+module Hpim_dm = Protocols.Hpim_dm
 module Runner = Protocols.Runner
 module Driver = Protocols.Driver
 module Prng = Scmp_util.Prng
@@ -259,6 +260,59 @@ let test_giveup_after_max_attempts () =
   checkb "the m-router never heard of the group" true
     (Scmp_proto.mrouter_tree p ~group:1 = None)
 
+(* ---------------- HPIM-DM reliable sync ---------------- *)
+
+let hpim_counter p name =
+  let m = Obs.Metrics.create () in
+  Hpim_dm.observe p m;
+  if List.mem name (Obs.Metrics.names m) then
+    Some (Obs.Metrics.counter_value (Obs.Metrics.counter m name))
+  else None
+
+(* The SCMP give-up test's HPIM-DM twin. Source 0 floods one packet;
+   router 2 (no member, nothing downstream) withdraws with a
+   no-interest sync toward 1, and the 1-2 link dies while that sync is
+   in flight — every retransmission then dies too. *)
+let test_hpim_giveup_after_max_attempts () =
+  let e, net = path_net () in
+  let p = Hpim_dm.create ~rto:0.01 ~max_attempts:3 net () in
+  Hpim_dm.send_data p ~group:1 ~src:0 ~seq:0;
+  Engine.run ~until:0.0025 e;
+  Netsim.fail_link net 1 2;
+  Engine.run e;
+  Alcotest.(check (option int)) "one sync" (Some 1) (hpim_counter p "hpim/syncs");
+  Alcotest.(check (option int)) "never acked" (Some 0) (hpim_counter p "hpim/acks");
+  Alcotest.(check (option int))
+    "exactly max_attempts - 1 retransmissions" (Some 2)
+    (hpim_counter p "hpim/retransmissions");
+  Alcotest.(check (option int)) "the sync was given up" (Some 1)
+    (hpim_counter p "hpim/giveups")
+
+let test_hpim_no_giveup_metric_when_clean () =
+  let e, net = path_net () in
+  let p = Hpim_dm.create net () in
+  Hpim_dm.send_data p ~group:1 ~src:0 ~seq:0;
+  Engine.run e;
+  (* 2 withdraws, then 1 (now without interest) withdraws toward 0. *)
+  Alcotest.(check (option int)) "both syncs" (Some 2) (hpim_counter p "hpim/syncs");
+  Alcotest.(check (option int)) "both acked" (Some 2) (hpim_counter p "hpim/acks");
+  Alcotest.(check (option int)) "no giveups metric" None
+    (hpim_counter p "hpim/giveups")
+
+let test_hpim_create_validates () =
+  let _, net = path_net () in
+  Alcotest.check_raises "rto = 0"
+    (Invalid_argument "Reliable.create: rto must be positive") (fun () ->
+      ignore (Hpim_dm.create ~rto:0.0 net ()));
+  Alcotest.check_raises "negative rto"
+    (Invalid_argument "Reliable.create: rto must be positive") (fun () ->
+      ignore (Hpim_dm.create ~rto:(-0.5) net ()));
+  Alcotest.check_raises "max_attempts = 0"
+    (Invalid_argument "Reliable.create: max_attempts must be at least 1")
+    (fun () -> ignore (Hpim_dm.create ~max_attempts:0 net ()));
+  (* The bounds themselves are accepted. *)
+  ignore (Hpim_dm.create ~rto:1e-9 ~max_attempts:1 net ())
+
 (* Fig 5 of the paper: 6 routers, the m-router at 0, members 4, 3, 5.
    Delays scaled to simulated milliseconds so protocol timers (rto
    0.25 s) dominate link latency, as in the runner. *)
@@ -383,6 +437,12 @@ let () =
             test_lost_join_retransmitted;
           Alcotest.test_case "give-up after max attempts" `Quick
             test_giveup_after_max_attempts;
+          Alcotest.test_case "hpim-dm sync give-up after max attempts" `Quick
+            test_hpim_giveup_after_max_attempts;
+          Alcotest.test_case "hpim-dm clean run reports no give-ups" `Quick
+            test_hpim_no_giveup_metric_when_clean;
+          Alcotest.test_case "hpim-dm create validates rto and attempts" `Quick
+            test_hpim_create_validates;
         ] );
       ( "tree-repair",
         [

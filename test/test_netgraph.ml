@@ -11,6 +11,7 @@ module Prng = Scmp_util.Prng
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checkf msg = Alcotest.check (Alcotest.float 1e-9) msg
+let checkfo msg = Alcotest.check Alcotest.(option (float 1e-9)) msg
 
 (* The paper's Fig 5 example network: 6 nodes; labels (delay, cost).
    0 is the m-router; 1..5 as drawn (members g1=4, g2=3, g3=5). *)
@@ -59,8 +60,8 @@ let test_graph_basic () =
   checkb "has link" true (G.has_link g 0 1);
   checkb "symmetric" true (G.has_link g 1 0);
   checkb "absent" false (G.has_link g 4 5);
-  checkf "delay" 3.0 (G.link_delay g 0 1);
-  checkf "cost" 6.0 (G.link_cost g 1 0);
+  checkfo "delay" (Some 3.0) (G.link_delay_opt g 0 1);
+  checkfo "cost" (Some 6.0) (G.link_cost_opt g 1 0);
   checki "degree of 2" 4 (G.degree g 2);
   Alcotest.check (Alcotest.float 1e-9) "mean degree" (16.0 /. 6.0) (G.mean_degree g)
 
@@ -80,17 +81,9 @@ let test_graph_errors () =
     (Invalid_argument "Graph.Builder.create: negative node count") (fun () ->
       ignore (G.Builder.create (-1)));
   let g = G.Builder.freeze bld in
-  checkb "missing link delay raises" true
-    (try
-       ignore (G.link_delay g 0 2);
-       false
-     with Not_found -> true);
-  Alcotest.check
-    Alcotest.(option (float 1e-9))
-    "missing link delay opt" None (G.link_delay_opt g 0 2);
-  Alcotest.check
-    Alcotest.(option (float 1e-9))
-    "present link cost opt" (Some 1.0) (G.link_cost_opt g 1 0)
+  checkfo "missing link delay opt" None (G.link_delay_opt g 0 2);
+  checkfo "missing link cost opt" None (G.link_cost_opt g 2 0);
+  checkfo "present link cost opt" (Some 1.0) (G.link_cost_opt g 1 0)
 
 let test_graph_components () =
   let links = [ (0, 1, 1.0, 1.0); (2, 3, 1.0, 1.0) ] in
@@ -117,8 +110,8 @@ let test_graph_links_order () =
 let test_graph_map_links () =
   let g = fig5 () in
   let doubled = G.map_links g ~f:(fun l -> (l.G.delay *. 2.0, l.G.cost)) in
-  checkf "delay doubled" 6.0 (G.link_delay doubled 0 1);
-  checkf "cost kept" 6.0 (G.link_cost doubled 0 1);
+  checkfo "delay doubled" (Some 6.0) (G.link_delay_opt doubled 0 1);
+  checkfo "cost kept" (Some 6.0) (G.link_cost_opt doubled 0 1);
   checki "same structure" (G.link_count g) (G.link_count doubled)
 
 let test_graph_neighbors () =
