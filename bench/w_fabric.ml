@@ -124,8 +124,7 @@ let fabric () =
 let multi () =
   section "multiple m-routers per domain (§II.A extension)";
   let spec = Topology.Waxman.generate ~seed:11 ~n:60 () in
-  let g0 = spec.Topology.Spec.graph in
-  let apsp = Netgraph.Apsp.compute g0 in
+  let apsp = Netgraph.Apsp.compute spec.Topology.Spec.graph in
   let tab =
     T.create
       [
@@ -179,12 +178,8 @@ let multi () =
         (List.hd mrouters) mrouters
   in
   let run_config name ~regional mrouters =
-    let g =
-      Netgraph.Graph.map_links g0 ~f:(fun l ->
-          (l.Netgraph.Graph.delay *. 3e-6, l.Netgraph.Graph.cost))
-    in
     let e = Eventsim.Engine.create () in
-    let net = Eventsim.Netsim.create e g ~classify:Protocols.Message.classify in
+    let net = Protocols.Message.network e (Topology.Spec.sim_graph spec) in
     let rng = Scmp_util.Prng.create 99 in
     let groups = [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
     let grp_members =
@@ -247,14 +242,8 @@ let capacity () =
     (fun k ->
       List.iter
         (fun rate ->
-          let g =
-            Netgraph.Graph.map_links spec.Topology.Spec.graph ~f:(fun l ->
-                (l.Netgraph.Graph.delay *. 3e-6, l.Netgraph.Graph.cost))
-          in
           let e = Eventsim.Engine.create () in
-          let net =
-            Eventsim.Netsim.create e g ~classify:Protocols.Message.classify
-          in
+          let net = Protocols.Message.network e (Topology.Spec.sim_graph spec) in
           let station = Eventsim.Server.create e ~servers:k in
           let p =
             Protocols.Scmp_proto.create ~cpu:(station, service) net ~mrouter:0 ()
@@ -306,7 +295,6 @@ let capacity () =
 let congestion () =
   section "traffic concentration at the center (§I motivation)";
   let spec = Topology.Waxman.generate ~seed:23 ~n:40 () in
-  let g0 = spec.Topology.Spec.graph in
   let { Protocols.Runner.center; members; _ } =
     (draw ~rng:(Scmp_util.Prng.create 5) ~group_size:12 spec).scenario
   in
@@ -314,12 +302,8 @@ let congestion () =
      sustains 100 pkts/s *)
   let service = 0.010 in
   let run_case processors =
-    let g =
-      Netgraph.Graph.map_links g0 ~f:(fun l ->
-          (l.Netgraph.Graph.delay *. 3e-6, l.Netgraph.Graph.cost))
-    in
     let e = Eventsim.Engine.create () in
-    let net = Eventsim.Netsim.create e g ~classify:Protocols.Message.classify in
+    let net = Protocols.Message.network e (Topology.Spec.sim_graph spec) in
     let delivery = Protocols.Delivery.create e in
     let station = Eventsim.Server.create e ~servers:processors in
     Eventsim.Netsim.set_node_processing net center station ~service_time:service;

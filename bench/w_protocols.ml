@@ -75,7 +75,6 @@ let placement ~seeds () =
 let pimsm () =
   section "extension — PIM-SM with SPT switchover";
   let spec = Topology.Flat_random.generate ~seed:4 ~n:50 ~avg_degree:3.0 in
-  let g0 = spec.Topology.Spec.graph in
   let { Protocols.Runner.center; members; _ } =
     (draw ~rng:(Scmp_util.Prng.create 41) ~group_size:12 spec).scenario
   in
@@ -84,14 +83,9 @@ let pimsm () =
     List.find (fun x -> (not (List.mem x members)) && x <> center)
       (List.init 50 Fun.id)
   in
-  let scale = 3e-6 in
   let run_case name instantiate =
-    let g =
-      Netgraph.Graph.map_links g0 ~f:(fun l ->
-          (l.Netgraph.Graph.delay *. scale, l.Netgraph.Graph.cost))
-    in
     let e = Eventsim.Engine.create () in
-    let net = Eventsim.Netsim.create e g ~classify:Protocols.Message.classify in
+    let net = Protocols.Message.network e (Topology.Spec.sim_graph spec) in
     let delivery = Protocols.Delivery.create e in
     let send = instantiate e net delivery in
     for seq = 0 to 19 do

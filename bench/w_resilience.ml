@@ -94,12 +94,8 @@ let failover () =
       (List.init 40 Fun.id)
   in
   let run_case ~with_standby ~fail =
-    let g =
-      Netgraph.Graph.map_links spec.Topology.Spec.graph ~f:(fun l ->
-          (l.Netgraph.Graph.delay *. 3e-6, l.Netgraph.Graph.cost))
-    in
     let e = Eventsim.Engine.create () in
-    let net = Eventsim.Netsim.create e g ~classify:Protocols.Message.classify in
+    let net = Protocols.Message.network e (Topology.Spec.sim_graph spec) in
     let delivery = Protocols.Delivery.create e in
     let p =
       if with_standby then

@@ -115,24 +115,21 @@ let branch_ablation ~seeds () =
   in
   List.iter
     (fun size ->
-      let overhead distribution =
+      let overhead driver =
         let acc = Scmp_util.Stats.create () in
         for seed = 1 to seeds do
           let spec = Exec.Sweep.generate_topo (Exec.Sweep.Random3 50) seed in
           let rng = Scmp_util.Prng.create ((seed * 499) + size) in
-          let sc =
-            { (draw ~rng ~group_size:size spec).scenario with
-              scmp_distribution = distribution }
-          in
           let r =
-            Protocols.Runner.run (Protocols.Driver.find_exn "scmp") sc
+            Protocols.Runner.run driver
+              (draw ~rng ~group_size:size spec).scenario
           in
           Scmp_util.Stats.add acc r.Protocols.Runner.protocol_overhead
         done;
         Scmp_util.Stats.mean acc
       in
-      let incr = overhead Protocols.Scmp_proto.Incremental in
-      let full = overhead Protocols.Scmp_proto.Always_full_tree in
+      let incr = overhead (Protocols.Driver.find_exn "scmp") in
+      let full = overhead Protocols.Driver.scmp_always_full_tree in
       T.add_row tab
         [
           string_of_int size;

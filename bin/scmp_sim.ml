@@ -639,22 +639,32 @@ let trace_stats_cmd =
     in
     let links = Hashtbl.create 64 in
     let kinds = Hashtbl.create 16 in
-    let control = ref 0 and data = ref 0 and total = ref 0 in
+    let drops = Hashtbl.create 4 in
+    let control = ref 0 and data = ref 0 and total = ref 0 and dropped = ref 0 in
     let t_min = ref infinity and t_max = ref neg_infinity in
     let bump tbl key =
       Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+    in
+    let stamp time =
+      match float_of_string_opt time with
+      | Some t ->
+        if t < !t_min then t_min := t;
+        if t > !t_max then t_max := t
+      | None -> ()
     in
     (try
        while true do
          let line = input_line ic in
          match String.split_on_char ' ' line with
+         | time :: _ :: _ :: "X" :: reason :: _ ->
+           (* A drop is no crossing: its src/dst need not be a link
+              (no_route, node_down) and its reason is no message kind. *)
+           incr dropped;
+           stamp time;
+           bump drops reason
          | time :: src :: dst :: cls :: descr :: _ ->
            incr total;
-           (match float_of_string_opt time with
-           | Some t ->
-             if t < !t_min then t_min := t;
-             if t > !t_max then t_max := t
-           | None -> ());
+           stamp time;
            (match cls with
            | "C" -> incr control
            | "D" -> incr data
@@ -673,6 +683,13 @@ let trace_stats_cmd =
       Hashtbl.fold (fun k v acc -> (v, k) :: acc) tbl []
       |> List.sort (fun a b -> compare b a)
     in
+    Printf.printf "%d drops%s\n" !dropped
+      (match ranked drops with
+      | [] -> ""
+      | rs ->
+        Printf.sprintf " (%s)"
+          (String.concat ", "
+             (List.map (fun (count, reason) -> Printf.sprintf "%s %d" reason count) rs)));
     Printf.printf "\nbusiest links:\n";
     List.iteri
       (fun i (count, (a, b)) ->

@@ -90,6 +90,32 @@ if grep -nE '2\.0 \*\*|\*\. 2\.' lib/protocols/scmp_proto.ml \
   exit 1
 fi
 
+# One network builder: the grid-unit-to-seconds delay conversion is
+# written once, in Topology.Spec.sim_graph.
+if [ "$(grep -rl '3e-6' lib bin bench examples test | wc -l)" -ne 1 ]; then
+  grep -rn '3e-6' lib bin bench examples test >&2
+  echo "check.sh: delay conversion written outside Topology.Spec.sim_graph" >&2
+  exit 1
+fi
+
+# Trace gate: on a lossy run, trace-stats must agree with the run's own
+# counters — its crossings are the transmissions, its drops (counted
+# apart from crossings) are net/dropped.
+echo "== trace gate (trace-stats vs run counters, lossy run)"
+$SIM run --topo arpanet --seed 1 -p scmp --loss 0.05 --loss-seed 42 \
+  --trace /tmp/trace_gate.tr --report /tmp/trace_gate.json > /dev/null
+$SIM trace-stats /tmp/trace_gate.tr > /tmp/trace_gate.txt
+crossings=$(awk 'NR == 1 && $2 == "crossings" { print $1 }' /tmp/trace_gate.txt)
+drops=$(awk 'NR == 2 && $2 == "drops" { print $1 }' /tmp/trace_gate.txt)
+data=$($SIM metric /tmp/trace_gate.json 'net/data/transmissions')
+control=$($SIM metric /tmp/trace_gate.json 'net/control/transmissions')
+if [ "$crossings" != "$((data + control))" ]; then
+  echo "check.sh: trace-stats counts $crossings crossings, the run $((data + control)) transmissions" >&2
+  exit 1
+fi
+$SIM metric /tmp/trace_gate.json 'net/dropped' --ge 1 > /dev/null
+$SIM metric /tmp/trace_gate.json 'net/dropped' --eq "$drops" > /dev/null
+
 # Routing-cache smoke: a fault-heavy run must reconverge once per
 # effective fault while the demand-driven cache builds far fewer SPTs
 # than eager recomputation (n per epoch, 80 x 8 = 640 here) would.

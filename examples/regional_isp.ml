@@ -11,19 +11,14 @@
 
 let () =
   let spec = Scmp.Arpanet.generate ~seed:9 in
-  let g0 = spec.Scmp.Topology_spec.graph in
 
   (* two regional anchors: UTAH in the west, DC in the east *)
   let west = 12 and east = 39 in
   Printf.printf "m-routers: %s (west, node %d) and %s (east, node %d)\n"
     Scmp.Arpanet.site_names.(west) west Scmp.Arpanet.site_names.(east) east;
 
-  let g =
-    Scmp.Graph.map_links g0 ~f:(fun l ->
-        (l.Scmp.Graph.delay *. 3e-6, l.Scmp.Graph.cost))
-  in
   let engine = Scmp.Engine.create () in
-  let net = Scmp.Netsim.create engine g ~classify:Scmp.Message.classify in
+  let net = Scmp.Message.network engine (Scmp.Topology_spec.sim_graph spec) in
   let delivery = Scmp.Delivery.create engine in
 
   (* group 101: west-coast sites; group 102: east-coast sites *)

@@ -27,24 +27,20 @@ let now t = Eventsim.Engine.now t.engine
 let service t = t.service
 let fabric t = t.fabric
 
-let create ?(bound = Mtree.Bound.Tightest) ?(fabric_ports = 64)
-    ?(placement = Placement.Min_avg_delay) ?mrouter ?standby
-    ?(delay_scale = 3e-6) ~spec () =
-  let g0 = spec.Topology.Spec.graph in
-  let g =
-    Netgraph.Graph.map_links g0 ~f:(fun l ->
-        (l.Netgraph.Graph.delay *. delay_scale, l.Netgraph.Graph.cost))
-  in
+let create ?(fabric_ports = 64) ?mrouter ?standby ~spec () =
   let root =
     match mrouter with
     | Some m -> m
-    | None -> Placement.pick (Netgraph.Apsp.compute g0) placement
+    | None ->
+      Placement.pick
+        (Netgraph.Apsp.compute spec.Topology.Spec.graph)
+        Placement.Min_avg_delay
   in
   let engine = Eventsim.Engine.create () in
-  let net = Eventsim.Netsim.create engine g ~classify:Protocols.Message.classify in
+  let net = Protocols.Message.network engine (Topology.Spec.sim_graph spec) in
   let delivery = Protocols.Delivery.create engine in
   let proto =
-    Protocols.Scmp_proto.create ~delivery ~bound ?standby net ~mrouter:root ()
+    Protocols.Scmp_proto.create ~delivery ?standby net ~mrouter:root ()
   in
   let service = Service.create () in
   let t =
@@ -64,7 +60,7 @@ let create ?(bound = Mtree.Bound.Tightest) ?(fabric_ports = 64)
     }
   in
   let igmp =
-    Array.init (Netgraph.Graph.node_count g) (fun x ->
+    Array.init (Netgraph.Graph.node_count spec.Topology.Spec.graph) (fun x ->
         Protocols.Igmp.create engine ~router:x
           ~on_first_join:(fun group ->
             Service.record service ~group ~now:(Eventsim.Engine.now engine)

@@ -23,22 +23,18 @@ type node = Netgraph.Graph.node
 type t
 
 val create :
-  ?bound:Mtree.Bound.t ->
   ?fabric_ports:int ->
-  ?placement:Placement.rule ->
   ?mrouter:node ->
   ?standby:node ->
-  ?delay_scale:float ->
   spec:Topology.Spec.t ->
   unit ->
   t
-(** [mrouter] overrides automatic placement ([placement], default
-    rule 1 — min average delay). [standby] enables a hot-standby
+(** [mrouter] overrides automatic placement (rule 1 — min average
+    delay, {!Placement.Min_avg_delay}). [standby] enables a hot-standby
     secondary m-router at the named node (see {!fail_mrouter}).
     [fabric_ports] (default 64, power of two) sizes the sandwich
-    fabric. [delay_scale] converts topology delay units to simulated
-    seconds (default 3e-6). [bound] is the DCDM delay constraint
-    (default [Tightest]). *)
+    fabric. The network runs on {!Topology.Spec.sim_graph}; DCDM
+    enforces the tightest delay bound. *)
 
 val mrouter : t -> node
 val spec : t -> Topology.Spec.t

@@ -2,9 +2,6 @@ type config = {
   net : Message.t Eventsim.Netsim.t;
   delivery : Delivery.t;
   center : Message.node;
-  scmp_bound : Mtree.Bound.t;
-  scmp_distribution : Scmp_proto.distribution;
-  dvmrp_prune_timeout : float;
 }
 
 type instance = {
@@ -44,24 +41,25 @@ let plain ~join ~leave ~send =
 
 (* ---- the six built-in drivers ---- *)
 
+let scmp_setup distribution cfg =
+  let p =
+    Scmp_proto.create ~delivery:cfg.delivery ~distribution cfg.net
+      ~mrouter:cfg.center ()
+  in
+  {
+    join = Scmp_proto.host_join p;
+    leave = Scmp_proto.host_leave p;
+    send = Scmp_proto.send_data p;
+    snapshots = (fun () -> Scmp_proto.snapshots p);
+    verify = (fun () -> Scmp_proto.verify p);
+    observe = (fun m -> Scmp_proto.observe p m);
+    blackouts = (fun () -> Scmp_proto.blackouts p);
+  }
+
 module Scmp_driver = struct
   let name = "scmp"
   let display = "SCMP"
-
-  let setup cfg =
-    let p =
-      Scmp_proto.create ~delivery:cfg.delivery ~bound:cfg.scmp_bound
-        ~distribution:cfg.scmp_distribution cfg.net ~mrouter:cfg.center ()
-    in
-    {
-      join = Scmp_proto.host_join p;
-      leave = Scmp_proto.host_leave p;
-      send = Scmp_proto.send_data p;
-      snapshots = (fun () -> Scmp_proto.snapshots p);
-      verify = (fun () -> Scmp_proto.verify p);
-      observe = (fun m -> Scmp_proto.observe p m);
-      blackouts = (fun () -> Scmp_proto.blackouts p);
-    }
+  let setup = scmp_setup Scmp_proto.Incremental
 end
 
 module Cbt_driver = struct
@@ -79,10 +77,7 @@ module Dvmrp_driver = struct
   let display = "DVMRP"
 
   let setup cfg =
-    let p =
-      Dvmrp.create ~delivery:cfg.delivery ~prune_timeout:cfg.dvmrp_prune_timeout
-        cfg.net ()
-    in
+    let p = Dvmrp.create ~delivery:cfg.delivery cfg.net () in
     plain ~join:(Dvmrp.host_join p) ~leave:(Dvmrp.host_leave p)
       ~send:(Dvmrp.send_data p)
 end
@@ -121,6 +116,17 @@ module Hpim_dm_driver = struct
       observe = (fun m -> Hpim_dm.observe p m);
     }
 end
+
+(* ---- variants outside the list ---- *)
+
+(* §III.E's BRANCH-vs-TREE ablation: SCMP with every membership change
+   distributed as a full TREE packet. *)
+let scmp_always_full_tree : t =
+  (module struct
+    let name = "scmp-full-tree"
+    let display = "SCMP (always TREE)"
+    let setup = scmp_setup Scmp_proto.Always_full_tree
+  end)
 
 (* ---- the driver list ---- *)
 

@@ -17,10 +17,11 @@ type config = {
   center : Message.node;
       (** m-router (SCMP) / core (CBT) / RP (PIM-SM); unused by the SPT
           protocols. *)
-  scmp_bound : Mtree.Bound.t;
-  scmp_distribution : Scmp_proto.distribution;
-  dvmrp_prune_timeout : float;
 }
+(** What a driver is set up on. Nothing here tunes a protocol: each
+    agent runs with its own defaults (SCMP's tightest delay bound,
+    DVMRP's 10 s prune lifetime), and a protocol variant is a driver
+    value of its own ({!scmp_always_full_tree}). *)
 
 type instance = {
   join : group:Message.group -> Message.node -> unit;
@@ -55,6 +56,11 @@ type t = (module S)
 val name : t -> string
 val display : t -> string
 val setup : t -> config -> instance
+
+val scmp_always_full_tree : t
+(** SCMP distributing every membership change as a full TREE packet,
+    never a BRANCH — the §III.E ablation. Not in the driver list, so
+    {!find}, {!all} and {!names} never return it. *)
 
 (** {2 The driver list}
 

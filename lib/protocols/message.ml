@@ -191,3 +191,6 @@ let rec wire_words = function
   | Hpim_ack _ -> 5
 
 let wire_bytes msg = 4 * wire_words msg
+
+let network engine graph =
+  Eventsim.Netsim.create ~sizeof:wire_bytes engine graph ~classify

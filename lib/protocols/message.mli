@@ -141,3 +141,8 @@ val wire_words : t -> int
 
 val wire_bytes : t -> int
 (** [4 * wire_words]. *)
+
+val network : Eventsim.Engine.t -> Netgraph.Graph.t -> t Eventsim.Netsim.t
+(** The protocol network every experiment runs on: a packet simulator
+    over the graph (normally {!Topology.Spec.sim_graph}) that classifies
+    with {!classify} and sizes with {!wire_bytes}. *)

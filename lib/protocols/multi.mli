@@ -20,14 +20,15 @@ type t
 
 val create :
   ?delivery:Delivery.t ->
-  ?bound:Mtree.Bound.t ->
   ?assign:(Message.group -> node) ->
   Message.t Eventsim.Netsim.t ->
   mrouters:node list ->
   unit ->
   t
-(** [assign] maps a group to its home m-router and must return one of
-    [mrouters] (checked at use; default: round-robin by group id).
+(** One {!Scmp_proto} agent set per m-router, each with the tightest
+    DCDM delay bound. [assign] maps a group to its home m-router and
+    must return one of [mrouters] (checked at use; default: round-robin
+    by group id).
     @raise Invalid_argument on an empty or duplicated m-router list. *)
 
 val mrouters : t -> node list
@@ -47,3 +48,5 @@ val tree : t -> group:Message.group -> Mtree.Tree.t option
 (** The home m-router's current tree for the group. *)
 
 val network_tree_consistent : t -> group:Message.group -> (unit, string) result
+(** {!Scmp_proto.network_tree_consistent} on the group's home agent
+    set. *)

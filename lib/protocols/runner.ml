@@ -10,15 +10,9 @@ type scenario = {
   center : Message.node;
   source : Message.node;
   members : Message.node list;
-  join_start : float;
-  join_spacing : float;
   data_start : float;
   data_interval : float;
   data_count : int;
-  dvmrp_prune_timeout : float;
-  scmp_bound : Mtree.Bound.t;
-  scmp_distribution : Scmp_proto.distribution;
-  delay_scale : float;
   leavers : (float * Message.node) list;
   trace_path : string option;
   trace_limit : int option;
@@ -26,38 +20,29 @@ type scenario = {
   loss_class : Eventsim.Netsim.pkt_class option;
   faults : Eventsim.Faults.spec list;
   churn : churn option;
-  (* Delay-scaled graph, memoized: a pure function of [spec] and
-     [delay_scale], both immutable, so every run of the scenario uses
-     the same frozen graph instead of re-freezing a copy per run. *)
+  (* Simulation graph, memoized: a pure function of the immutable
+     [spec], so every run of the scenario uses the same frozen graph
+     instead of re-freezing a copy per run. *)
   mutable scaled : Netgraph.Graph.t option;
 }
 
-let make ?(join_start = 0.1) ?(join_spacing = 0.5) ?data_start
-    ?(data_interval = 1.0) ?(data_count = 30) ?(dvmrp_prune_timeout = 10.0)
-    ?(scmp_bound = Mtree.Bound.Tightest)
-    ?(scmp_distribution = Scmp_proto.Incremental) ?(delay_scale = 3e-6)
-    ?(leavers = []) ?trace_path ?trace_limit ?loss ?loss_class ?(faults = [])
-    ?churn ~spec ~center ~source ~members () =
-  let last_join =
-    join_start +. (join_spacing *. float_of_int (List.length members))
-  in
-  let data_start =
-    match data_start with Some t -> t | None -> last_join +. 3.0
-  in
+(* §IV.B's set-up: joins from t = 0.1 s spaced 0.5 s apart, so control
+   flows do not collide, and traffic 3 s after the last join. *)
+let join_start = 0.1
+let join_spacing = 0.5
+let join_at i = join_start +. (join_spacing *. float_of_int i)
+
+let make ?(data_interval = 1.0) ?(data_count = 30) ?(leavers = []) ?trace_path
+    ?trace_limit ?loss ?loss_class ?(faults = []) ?churn ~spec ~center ~source
+    ~members () =
   {
     spec;
     center;
     source;
     members;
-    join_start;
-    join_spacing;
-    data_start;
+    data_start = join_at (List.length members) +. 3.0;
     data_interval;
     data_count;
-    dvmrp_prune_timeout;
-    scmp_bound;
-    scmp_distribution;
-    delay_scale;
     leavers;
     trace_path;
     trace_limit;
@@ -145,24 +130,16 @@ let report_finish r s ~engine ~net ~delivery ~trace ~(inst : Driver.instance)
 let run ?(check = false) ?report driver s =
   let group = 1 in
   let wall0 = Obs.Clock.now_s () in
-  (* Scale topology delays into simulated seconds; costs stay in the
-     paper's link-cost units. *)
   let g =
     match s.scaled with
     | Some g -> g
     | None ->
-      let g =
-        Netgraph.Graph.map_links s.spec.Topology.Spec.graph ~f:(fun l ->
-            (l.Netgraph.Graph.delay *. s.delay_scale, l.Netgraph.Graph.cost))
-      in
+      let g = Topology.Spec.sim_graph s.spec in
       s.scaled <- Some g;
       g
   in
   let engine = Eventsim.Engine.create () in
-  let net =
-    Eventsim.Netsim.create ~sizeof:Message.wire_bytes engine g
-      ~classify:Message.classify
-  in
+  let net = Message.network engine g in
   (match s.loss with
   | None -> ()
   | Some (rate, seed) ->
@@ -186,38 +163,28 @@ let run ?(check = false) ?report driver s =
       s.trace_path
   in
   let inst =
-    Driver.setup driver
-      {
-        Driver.net;
-        delivery;
-        center = s.center;
-        scmp_bound = s.scmp_bound;
-        scmp_distribution = s.scmp_distribution;
-        dvmrp_prune_timeout = s.dvmrp_prune_timeout;
-      }
+    Driver.setup driver { Driver.net; delivery; center = s.center }
   in
   Option.iter (fun r -> report_meta r driver s) report;
   let setup_wall = Obs.Clock.now_s () -. wall0 in
   let run0 = Obs.Clock.now_s () in
   let join_wall = ref 0.0 in
   (* Membership: staggered joins, optional departures, optional seeded
-     churn. The [live] table mirrors every join/leave as it happens —
-     the in-run ground truth the churn path's expected sets are built
-     from (the static path reconstructs them from the scenario instead,
-     keeping pre-churn reports byte-identical). *)
-  let live : (Message.node, unit) Hashtbl.t = Hashtbl.create 16 in
+     churn. [live] mirrors every join/leave as it happens, the source
+     excluded (its subnet gets the packet locally): it is the expected
+     set of a packet sent now. *)
+  let live = ref [] in
   let do_join m =
-    Hashtbl.replace live m ();
+    if m <> s.source then live := m :: !live;
     inst.Driver.join ~group m
   in
   let do_leave m =
-    Hashtbl.remove live m;
+    live := List.filter (fun x -> x <> m) !live;
     inst.Driver.leave ~group m
   in
   List.iteri
     (fun i m ->
-      let at = s.join_start +. (s.join_spacing *. float_of_int i) in
-      Eventsim.Engine.schedule_at engine ~time:at (fun () -> do_join m))
+      Eventsim.Engine.schedule_at engine ~time:(join_at i) (fun () -> do_join m))
     s.members;
   List.iter
     (fun (at, m) ->
@@ -239,21 +206,6 @@ let run ?(check = false) ?report driver s =
            ~mean_interarrival:c.mean_interarrival ~mean_holding:c.mean_holding
            ~horizon:c.horizon)
   in
-  (* Who is expected to receive packet [seq] sent at time [t]: members
-     that have joined (all joins precede data_start) and not yet left,
-     the source excluded (its subnet gets the packet locally). Under
-     churn the set is read off [live] at the send instant instead. *)
-  let expected_at t =
-    List.filter
-      (fun m ->
-        m <> s.source
-        && not (List.exists (fun (lt, lm) -> lm = m && lt <= t) s.leavers))
-      s.members
-  in
-  let expected_now () =
-    Hashtbl.fold (fun m () acc -> if m = s.source then acc else m :: acc) live []
-    |> List.sort Int.compare
-  in
   let expected_acc = ref 0 in
   (* Join/data phase boundary. Scheduled before the checkpoint and data
      events at the same instant, so the equal-key FIFO order of the
@@ -270,13 +222,8 @@ let run ?(check = false) ?report driver s =
   for seq = 0 to s.data_count - 1 do
     let at = s.data_start +. (s.data_interval *. float_of_int seq) in
     Eventsim.Engine.schedule_at engine ~time:at (fun () ->
-        let members =
-          match s.churn with
-          | None -> expected_at at
-          | Some _ -> expected_now ()
-        in
-        expected_acc := !expected_acc + List.length members;
-        Delivery.expect delivery ~seq ~members ~sent_at:at;
+        expected_acc := !expected_acc + List.length !live;
+        Delivery.expect delivery ~seq ~members:!live ~sent_at:at;
         inst.Driver.send ~group ~src:s.source ~seq)
   done;
   (* Sim-time series for the report, sampled at the data cadence.

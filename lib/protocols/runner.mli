@@ -32,18 +32,10 @@ type scenario = {
   center : Message.node;  (** m-router (SCMP) / core (CBT) / RP (PIM-SM); unused by the SPT protocols. *)
   source : Message.node;
   members : Message.node list;
-  join_start : float;
-  join_spacing : float;
-  data_start : float;  (** must leave room for all joins to converge *)
+  data_start : float;
+      (** First data packet: 3 s after the last staggered join. *)
   data_interval : float;
   data_count : int;
-  dvmrp_prune_timeout : float;
-  scmp_bound : Mtree.Bound.t;
-  scmp_distribution : Scmp_proto.distribution;
-      (** BRANCH/TREE policy (ablation); default [Incremental]. *)
-  delay_scale : float;
-      (** Converts topology delay units (grid distance) to simulated
-          seconds. *)
   leavers : (float * Message.node) list;
       (** Optional mid-run departures (time, member); departed members
           are dropped from subsequent packets' expected sets. *)
@@ -65,23 +57,15 @@ type scenario = {
           the run ({!Eventsim.Faults.install}). *)
   churn : churn option;
       (** Seeded background churn; a churn run counts as perturbed
-          (expected sets are accumulated in-run from the live
-          membership, packet conservation is not enforced). *)
+          (packet conservation is not enforced). *)
   mutable scaled : Netgraph.Graph.t option;
-      (** Internal memo of the delay-scaled graph; managed by {!run},
-          leave as [None]. *)
+      (** Internal memo of {!Topology.Spec.sim_graph}; managed by
+          {!run}, leave as [None]. *)
 }
 
 val make :
-  ?join_start:float ->
-  ?join_spacing:float ->
-  ?data_start:float ->
   ?data_interval:float ->
   ?data_count:int ->
-  ?dvmrp_prune_timeout:float ->
-  ?scmp_bound:Mtree.Bound.t ->
-  ?scmp_distribution:Scmp_proto.distribution ->
-  ?delay_scale:float ->
   ?leavers:(float * Message.node) list ->
   ?trace_path:string ->
   ?trace_limit:int ->
@@ -95,12 +79,12 @@ val make :
   members:Message.node list ->
   unit ->
   scenario
-(** Paper defaults: joins from t=0.1 spaced 0.5 s; 30 data packets at
-    1/s starting 3 s after the last join (or at [data_start]); DVMRP
-    prune lifetime 10 s; SCMP tightest bound, incremental distribution;
-    delay scale 3e-6 s per grid unit; no leavers, no trace, no loss, no
-    faults. Every knob is a labelled optional, so ablations override
-    just the knob they study. *)
+(** The paper's set-up, fixed: members join from t=0.1 spaced 0.5 s;
+    [data_count] packets (default 30) every [data_interval] (default
+    1 s) from 3 s after the last join; delays from
+    {!Topology.Spec.sim_graph}. By default no leavers, no trace, no
+    loss, no faults and no churn. Protocol variants are driver values
+    ({!Driver}), not scenario fields. *)
 
 val data_end : scenario -> float
 (** [data_start +. data_interval *. data_count]: the end of the data

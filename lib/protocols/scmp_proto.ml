@@ -100,7 +100,6 @@ type t = {
   base_apsp : Netgraph.Apsp.t;
       (* the unfiltered table over the base graph, also lent to the
          unicast routes cache: [apsp] whenever the overlay is clean *)
-  bound : Mtree.Bound.t;
   distribution : distribution;
   cpu : (Eventsim.Server.t * float) option;
       (* control-plane processing station + per-request service time *)
@@ -527,7 +526,7 @@ let group_state t a group =
   | None ->
     let d =
       timed_compute t (fun () ->
-          Mtree.Dcdm.create t.apsp ~root:a.an ~bound:t.bound ())
+          Mtree.Dcdm.create t.apsp ~root:a.an ~bound:Mtree.Bound.Tightest ())
     in
     Hashtbl.replace a.a_dcdm group d;
     (* The root's own routing entry exists from group creation on. *)
@@ -595,7 +594,7 @@ let rebuild_group t a ?prior group members_now =
   in
   let d =
     timed_compute t (fun () ->
-        Mtree.Dcdm.create t.apsp ~root:a.an ~bound:t.bound ())
+        Mtree.Dcdm.create t.apsp ~root:a.an ~bound:Mtree.Bound.Tightest ())
   in
   Hashtbl.replace a.a_dcdm group d;
   ignore (authority_entry t a group);
@@ -960,46 +959,59 @@ let observable t x =
   && (x = t.active
      || Eventsim.Routes.distance (N.routes t.net) ~src:t.active ~dst:x < infinity)
 
-let network_tree_consistent t ~group =
-  match mrouter_tree t ~group with
-  | None ->
-    let stray =
-      (* emptiness test only — iteration order never escapes *)
-      IT.fold
-        (fun k _ acc ->
-          if pk_lo k = group && observable t (pk_hi k) then pk_hi k :: acc
-          else acc)
-        t.entries []
-    in
-    if stray = [] then Ok ()
-    else Error "routers hold entries for a group unknown to the m-router"
-  | Some tree ->
-    let problems = ref [] in
-    let note fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-    let on_tree = Mtree.Tree.nodes tree in
-    List.iter
-      (fun x ->
-        match entry_opt t x group with
-        | None -> note "on-tree router %d has no entry" x
-        | Some e ->
-          let want_up = Mtree.Tree.parent tree x in
-          if e.upstream <> want_up then note "router %d upstream mismatch" x;
-          let want_down = List.sort Int.compare (Mtree.Tree.children tree x) in
-          if List.sort Int.compare e.downstream <> want_down then
-            note "router %d downstream mismatch" x;
-          if e.member <> Mtree.Tree.is_member tree x then
-            note "router %d member flag mismatch" x)
-      on_tree;
-    IT.iter
-      (fun k _ ->
+(* ---- invariant snapshots (lib/check bridge) ---- *)
+
+let groups t =
+  Hashtbl.fold (fun g _ acc -> g :: acc) (active_auth t).a_dcdm []
+  |> List.sort Int.compare
+
+let snapshot t ~group =
+  let entries =
+    IT.fold
+      (fun k e acc ->
+        (* Dead routers, a failed m-router's leftovers and partitioned
+           routers hold state the live network cannot observe; the
+           verifier skips them. *)
         let x = pk_hi k in
-        if pk_lo k = group && (not (Mtree.Tree.on_tree tree x))
-           && observable t x
-        then note "off-tree router %d still holds an entry" x)
-      t.entries;
-    (match !problems with
-    | [] -> Ok ()
-    | ps -> Error (String.concat "; " (List.rev ps)))
+        if pk_lo k = group && observable t x then
+          {
+            Check.Invariant.router = x;
+            upstream = e.upstream;
+            downstream = e.downstream;
+            member = e.member;
+            epoch = e.ep;
+          }
+          :: acc
+        else acc)
+      t.entries []
+    |> List.sort (fun a b ->
+           Int.compare a.Check.Invariant.router b.Check.Invariant.router)
+  in
+  let limit =
+    match Hashtbl.find_opt (active_auth t).a_dcdm group with
+    | Some d -> Mtree.Dcdm.current_limit d
+    | None -> infinity
+  in
+  {
+    Check.Invariant.group;
+    mrouter = t.active;
+    auth_epoch = active_epoch t;
+    tree = Option.map Check.Invariant.view (mrouter_tree t ~group);
+    limit;
+    entries;
+    dead_links = N.dead_link_list t.net;
+  }
+
+let snapshots t = List.map (fun group -> snapshot t ~group) (groups t)
+
+let verify t = Check.Invariant.verify_all (snapshots t)
+
+(* I3 (entry/tree coherence) over the observable state: the repair
+   poll's convergence test and the tests' quiesced-state check. *)
+let network_tree_consistent t ~group =
+  match Check.Invariant.check_coherence (snapshot t ~group) with
+  | [] -> Ok ()
+  | vs -> Error (Check.Invariant.report_to_string vs)
 
 (* ---- failure detection and tree repair ---- *)
 
@@ -1330,8 +1342,7 @@ let make_authority node ~active ~epoch =
     a_seen = IT.create 16;
   }
 
-let create ?delivery ?(bound = Mtree.Bound.Tightest)
-    ?(distribution = Incremental) ?standby ?(heartbeat_interval = 1.0)
+let create ?delivery ?(distribution = Incremental) ?standby ?(heartbeat_interval = 1.0)
     ?(takeover_after = 3.0) ?(install_handlers = true) ?cpu ?(rto = 0.25)
     ?(max_attempts = 6) net ~mrouter () =
   let g = N.graph net in
@@ -1381,7 +1392,6 @@ let create ?delivery ?(bound = Mtree.Bound.Tightest)
       rto;
       apsp = base_apsp;
       base_apsp;
-      bound;
       distribution;
       node_epoch = Array.make n 1;
       view;
@@ -1465,49 +1475,3 @@ let host_leave t ~group x =
 
 let send_data t ~group ~src ~seq = originate_data t group ~src ~seq
 
-(* ---- invariant snapshots (lib/check bridge) ---- *)
-
-let groups t =
-  Hashtbl.fold (fun g _ acc -> g :: acc) (active_auth t).a_dcdm []
-  |> List.sort Int.compare
-
-let snapshot t ~group =
-  let entries =
-    IT.fold
-      (fun k e acc ->
-        (* Dead routers, a failed m-router's leftovers and partitioned
-           routers hold state the live network cannot observe; the
-           verifier skips them. *)
-        let x = pk_hi k in
-        if pk_lo k = group && observable t x then
-          {
-            Check.Invariant.router = x;
-            upstream = e.upstream;
-            downstream = e.downstream;
-            member = e.member;
-            epoch = e.ep;
-          }
-          :: acc
-        else acc)
-      t.entries []
-    |> List.sort (fun a b ->
-           Int.compare a.Check.Invariant.router b.Check.Invariant.router)
-  in
-  let limit =
-    match Hashtbl.find_opt (active_auth t).a_dcdm group with
-    | Some d -> Mtree.Dcdm.current_limit d
-    | None -> infinity
-  in
-  {
-    Check.Invariant.group;
-    mrouter = t.active;
-    auth_epoch = active_epoch t;
-    tree = Option.map Check.Invariant.view (mrouter_tree t ~group);
-    limit;
-    entries;
-    dead_links = N.dead_link_list t.net;
-  }
-
-let snapshots t = List.map (fun group -> snapshot t ~group) (groups t)
-
-let verify t = Check.Invariant.verify_all (snapshots t)

@@ -75,14 +75,14 @@ type distribution =
           tree (§III.E: "if the change is small, using a TREE packet
           containing the whole tree structure is too expensive"). *)
   | Always_full_tree
-      (** Ablation: distribute the whole tree on every change; the
-          bench quantifies what BRANCH packets save. *)
+      (** Ablation: distribute the whole tree on every change
+          ({!Driver.scmp_always_full_tree}); the bench quantifies what
+          BRANCH packets save. *)
 
 type t
 
 val create :
   ?delivery:Delivery.t ->
-  ?bound:Mtree.Bound.t ->
   ?distribution:distribution ->
   ?standby:node ->
   ?heartbeat_interval:float ->
@@ -95,8 +95,8 @@ val create :
   mrouter:node ->
   unit ->
   t
-(** Installs handlers on every node. [bound] is the QoS delay
-    constraint DCDM enforces (default [Tightest]). The all-pairs
+(** Installs handlers on every node. DCDM enforces the tightest QoS
+    delay constraint ({!Mtree.Bound.Tightest}). The all-pairs
     shortest-path tables the m-router needs are computed here, once.
 
     [standby] enables the hot-standby of the paper's concluding
@@ -220,13 +220,15 @@ val router_state :
     it has one. The m-router's entry has [upstream = None]. *)
 
 val network_tree_consistent : t -> group:Message.group -> (unit, string) result
-(** Quiesced-state check: every edge of the m-router's tree is mirrored
-    by matching upstream/downstream entries in the network, and no
-    router outside the tree holds an entry. Entries the live network
-    cannot observe — at dead nodes, at a failed primary, at routers
-    partitioned away from the active m-router — are exempt. Run only
-    after the event queue has drained (or poll it, as tree repair
-    does). *)
+(** Quiesced-state check: entry/tree coherence
+    ({!Check.Invariant.check_coherence}) over {!snapshot} — every edge
+    of the m-router's tree is mirrored by matching upstream/downstream
+    entries, and no router outside the tree holds an entry. Only
+    entries the live network can observe count: one at a dead node, at
+    a failed primary or at a router partitioned away from the active
+    m-router is neither stale nor a match. The error is the verifier's
+    report. Run only after the event queue has drained (or poll it, as
+    tree repair does). *)
 
 (** {2 Invariant snapshots (the [lib/check] bridge)} *)
 

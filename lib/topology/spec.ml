@@ -23,6 +23,10 @@ let random_coords rng n =
       in
       draw ())
 
+let sim_graph t =
+  Netgraph.Graph.map_links t.graph ~f:(fun l ->
+      (l.Netgraph.Graph.delay *. 3e-6, l.Netgraph.Graph.cost))
+
 let uniform_delay rng ~cost =
   let d = Scmp_util.Prng.float rng cost in
   if d <= 0.0 then cost *. 0.5 else d

@@ -26,6 +26,11 @@ val random_coords : Scmp_util.Prng.t -> int -> (int * int) array
 (** [random_coords rng n] places [n] nodes uniformly on the grid,
     re-drawing collisions so positions are distinct. *)
 
+val sim_graph : t -> Netgraph.Graph.t
+(** The graph the packet simulator runs on: link delays converted from
+    grid units to simulated seconds at 3 µs per unit, costs kept in the
+    paper's link-cost units. *)
+
 val uniform_delay : Scmp_util.Prng.t -> cost:float -> float
 (** Draw the paper's link delay: uniform in (0, cost], never zero. *)
 

@@ -701,6 +701,128 @@ let test_runner_churn_with_checks () =
   checki "dups" 0 r.Runner.duplicates;
   checki "spurious" 0 r.Runner.spurious
 
+(* ---------------- the repair poll's coherence test ----------------
+
+   SCMP's repair poll once ran its own entry/tree predicate; it is now
+   I3 ({!I.check_coherence}) over [Scmp_proto.snapshot]. The old
+   predicate, copied here as the oracle, read every on-tree router's
+   entry whether or not the live network could observe it; the
+   snapshot keeps observable entries only. The differential replays
+   the repair poll's cadence after every fault that triggered a repair
+   (one probe every [rto / 2], until both predicates hold or 200
+   probes) on random runs with link flaps, partitions, router and
+   m-router crashes, control loss and membership churn, and requires
+   both predicates to agree at every probe. *)
+
+module P = Protocols.Scmp_proto
+
+let legacy_consistent p ~group =
+  let observable = (P.snapshot p ~group).I.entries in
+  match P.mrouter_tree p ~group with
+  | None -> observable = []
+  | Some tree ->
+    List.for_all
+      (fun x ->
+        match P.router_state p x ~group with
+        | None -> false
+        | Some (up, down, member) ->
+          up = Mtree.Tree.parent tree x
+          && List.sort Int.compare down
+             = List.sort Int.compare (Mtree.Tree.children tree x)
+          && member = Mtree.Tree.is_member tree x)
+      (Mtree.Tree.nodes tree)
+    && List.for_all (fun e -> Mtree.Tree.on_tree tree e.I.router) observable
+
+let coherence_differential seed =
+  let n = 30 in
+  let rng = Prng.create seed in
+  let spec = Topology.Waxman.generate ~seed ~n () in
+  let g = Topology.Spec.sim_graph spec in
+  let e = Eventsim.Engine.create () in
+  let net = Protocols.Message.network e g in
+  Eventsim.Netsim.set_loss ~only:`Control net ~rate:0.03 ~seed;
+  let rto = 0.25 in
+  let p =
+    P.create ~rto ~standby:1 ~heartbeat_interval:0.5 ~takeover_after:1.5 net
+      ~mrouter:0 ()
+  in
+  let members = Prng.sample rng 8 (n - 2) |> List.map (fun x -> x + 2) in
+  List.iteri
+    (fun i m ->
+      Eventsim.Engine.schedule_at e ~time:(0.1 +. (0.2 *. float_of_int i))
+        (fun () -> P.host_join p ~group:1 m))
+    members;
+  ignore
+    (Protocols.Churn.start e ~rng:(Prng.split rng)
+       ~candidates:
+         (List.init (n - 2) (fun x -> x + 2)
+         |> List.filter (fun x -> not (List.mem x members)))
+       ~join:(fun x -> P.host_join p ~group:1 x)
+       ~leave:(fun x -> P.host_leave p ~group:1 x)
+       ~mean_interarrival:0.7 ~mean_holding:5.0 ~horizon:30.0);
+  let crash x at back =
+    [
+      { Eventsim.Faults.at; event = Node_down x };
+      { Eventsim.Faults.at = at +. back; event = Node_up x };
+    ]
+  in
+  let faults =
+    Eventsim.Faults.random_link_failures ~seed ~count:3 ~t0:4.0 ~t1:25.0
+      ~restore_after:2.0 g
+    @ Eventsim.Faults.random_partitions ~seed:(seed + 1) ~count:1 ~t0:4.0
+        ~t1:25.0 ~heal_after:1.5 g
+    @ crash (2 + Prng.int rng (n - 2)) (4.0 +. Prng.float rng 20.0) 3.0
+    @ if Prng.bool rng then crash 0 (4.0 +. Prng.float rng 20.0) 4.0 else []
+  in
+  let probes = ref 0 and disagreements = ref [] in
+  let rec probe k =
+    Eventsim.Engine.schedule e ~background:true ~delay:(rto /. 2.0) (fun () ->
+        incr probes;
+        let old_ok = legacy_consistent p ~group:1 in
+        let new_ok = Result.is_ok (P.network_tree_consistent p ~group:1) in
+        if old_ok <> new_ok then
+          disagreements := Eventsim.Engine.now e :: !disagreements;
+        if k < 200 && not (old_ok && new_ok) then probe (k + 1))
+  in
+  (* Bracket every fault instant: the repair count before and after the
+     fault event tells whether it started a repair poll. *)
+  let repairs () = (P.stats p).P.repairs in
+  let before = Hashtbl.create 8 in
+  List.iter
+    (fun { Eventsim.Faults.at; _ } ->
+      Eventsim.Engine.schedule_at e ~time:at (fun () ->
+          Hashtbl.replace before at (repairs ())))
+    faults;
+  ignore (Eventsim.Faults.install net faults);
+  List.iter
+    (fun { Eventsim.Faults.at; _ } ->
+      Eventsim.Engine.schedule_at e ~time:at (fun () ->
+          if repairs () > Hashtbl.find before at then probe 0))
+    faults;
+  (* Open bug, outside this differential: a group's DCDM state keeps
+     the APSP table of its last rebuild, so after a restore a JOIN from
+     a DR that table cannot reach raises out of [Dcdm.join]. Such a run
+     ends there; every probe before it still counts. *)
+  (try Eventsim.Engine.run e
+   with Invalid_argument msg when contains msg "Dcdm.join" -> ());
+  (!probes, List.rev !disagreements)
+
+let prop_coherence_matches_legacy =
+  QCheck.Test.make ~count:100 ~name:"repair poll: I3 = legacy predicate"
+    QCheck.(int_range 1 100_000)
+    (fun seed ->
+      match coherence_differential seed with
+      | _, [] -> true
+      | _, t :: _ -> QCheck.Test.fail_reportf "seed %d: disagree at t=%.6f" seed t)
+
+let test_coherence_differential_probes () =
+  (* The differential is not vacuous: the fixed seeds do poll. *)
+  let probes =
+    List.fold_left (fun acc seed -> acc + fst (coherence_differential seed)) 0
+      [ 1; 2; 3 ]
+  in
+  checkb "repair polls probed" true (probes > 0)
+
 let () =
   Alcotest.run "check"
     [
@@ -784,5 +906,11 @@ let () =
         [
           Alcotest.test_case "SCMP churn run under full checks" `Quick
             test_runner_churn_with_checks;
+        ] );
+      ( "repair-coherence",
+        [
+          Alcotest.test_case "differential probes repair polls" `Quick
+            test_coherence_differential_probes;
+          QCheck_alcotest.to_alcotest prop_coherence_matches_legacy;
         ] );
     ]

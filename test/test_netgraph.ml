@@ -112,7 +112,19 @@ let test_graph_map_links () =
   let doubled = G.map_links g ~f:(fun l -> (l.G.delay *. 2.0, l.G.cost)) in
   checkfo "delay doubled" (Some 6.0) (G.link_delay_opt doubled 0 1);
   checkfo "cost kept" (Some 6.0) (G.link_cost_opt doubled 0 1);
-  checki "same structure" (G.link_count g) (G.link_count doubled)
+  checki "same structure" (G.link_count g) (G.link_count doubled);
+  (* The simulator's graph is one more map: delays scaled to seconds. *)
+  let spec = { Topology.Spec.name = "fig5"; graph = g; coords = Array.make 6 (0, 0) } in
+  let sim = Topology.Spec.sim_graph spec in
+  checki "sim graph: same structure" (G.link_count g) (G.link_count sim);
+  let scale (l : G.link) = Option.get (G.link_delay_opt sim l.u l.v) /. l.delay in
+  let k = scale (List.hd (G.links g)) in
+  checkb "sim graph: grid units become microseconds" true (k > 1e-7 && k < 1e-5);
+  List.iter
+    (fun (l : G.link) ->
+      checkfo "sim graph: cost kept" (Some l.cost) (G.link_cost_opt sim l.u l.v);
+      checkb "sim graph: one delay scale" true (Float.abs (scale l -. k) <= 1e-12 *. k))
+    (G.links g)
 
 let test_graph_neighbors () =
   let g = fig5 () in

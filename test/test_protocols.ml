@@ -917,11 +917,7 @@ let test_churn_drives_scmp_consistently () =
      transitions complete before the next one starts — and transient
      overlap is exactly what the protocol must survive. *)
   let spec = Topology.Waxman.generate ~seed:13 ~n:40 () in
-  let g =
-    G.map_links spec.Topology.Spec.graph ~f:(fun l ->
-        (l.G.delay *. 3e-6, l.G.cost))
-  in
-  let e, net, _delivery = make_net g in
+  let e, net, _delivery = make_net (Topology.Spec.sim_graph spec) in
   let p = Scmp_proto.create net ~mrouter:0 () in
   let c =
     Churn.start e
@@ -1090,6 +1086,60 @@ let test_runner_leavers () =
   checki "deliveries drop after leave" ((16 * (n - 1)) + (14 * (n - 2)))
     r.Runner.deliveries
 
+let delivery_expected driver sc =
+  let r = Obs.Report.create ~name:"expected" () in
+  ignore (Runner.run ~report:r driver sc);
+  Obs.Metrics.counter_value
+    (Obs.Metrics.counter (Obs.Report.metrics r) "delivery/expected")
+
+let test_runner_expected_pinned () =
+  (* Each packet is expected by the live membership at its send
+     instant, whether members leave on a script or churn; the totals
+     are pinned. *)
+  let scmp = Protocols.Driver.find_exn "scmp" in
+  let sc0 = runner_scenario 17 in
+  let departer = List.nth sc0.Runner.members 3 in
+  let leavers =
+    { sc0 with Runner.leavers = [ (sc0.Runner.data_start +. 15.2, departer) ] }
+  in
+  checki "leavers run" 256 (delivery_expected scmp leavers);
+  let sc0 = runner_scenario 19 in
+  let departer = List.nth sc0.Runner.members 2 in
+  let churn =
+    {
+      sc0 with
+      Runner.leavers = [ (sc0.Runner.data_start +. 10.5, departer) ];
+      churn =
+        Some
+          {
+            Runner.mean_interarrival = 0.5;
+            mean_holding = 6.0;
+            horizon = Runner.data_end sc0;
+            churn_seed = 3;
+          };
+    }
+  in
+  checki "churn run" 702 (delivery_expected scmp churn)
+
+let test_driver_always_full_tree () =
+  (* The BRANCH-vs-TREE ablation is a driver outside the list: same
+     trees, so the same deliveries over the same data plane, but every
+     change costs a full TREE packet. *)
+  let sc = runner_scenario 11 in
+  let full_tree = Protocols.Driver.scmp_always_full_tree in
+  let a = Runner.run (Protocols.Driver.find_exn "scmp") sc in
+  let b = Runner.run full_tree sc in
+  checki "same deliveries" a.Runner.deliveries b.Runner.deliveries;
+  checki "none missed" 0 b.Runner.missed;
+  checki "no duplicates" 0 b.Runner.duplicates;
+  checkf "same data overhead" a.Runner.data_overhead b.Runner.data_overhead;
+  checkb "protocol overhead at least SCMP's" true
+    (b.Runner.protocol_overhead >= a.Runner.protocol_overhead);
+  let name = Protocols.Driver.name full_tree in
+  checkb "not in the driver list" false
+    (List.mem name (Protocols.Driver.names ()));
+  checkb "not found by name" true (Result.is_error (Protocols.Driver.find name))
+
 let qc = QCheck_alcotest.to_alcotest
 
 let () =
@@ -1194,5 +1244,9 @@ let () =
             test_runner_exactly_once_all_protocols;
           Alcotest.test_case "deterministic" `Quick test_runner_deterministic;
           Alcotest.test_case "leavers" `Quick test_runner_leavers;
+          Alcotest.test_case "expected sets pinned" `Quick
+            test_runner_expected_pinned;
+          Alcotest.test_case "always-TREE driver" `Quick
+            test_driver_always_full_tree;
         ] );
     ]
