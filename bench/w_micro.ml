@@ -233,6 +233,17 @@ let micro ?json ~full ~jobs () =
   in
   pr "%-34s %14.2f x (ref / new, paired batches)\n" "scmp/engine-churn-speedup"
     churn_speedup;
+  (* Placement rule 1's gate: the pruned pick against the full scan it
+     replaced, same interleaved discipline. A pick takes tenths of a
+     second, so fewer rounds; before the DCDM churn, whose warmed
+     Waxman-1000 table would slow it. *)
+  let placement_speedup, placement_ns, placement_ref_ns =
+    Placement_pick.run g1k ~k:(if full then 9 else 5) ~min_batch_s
+  in
+  pr "%-34s %14.1f ns/run\n" "scmp/placement-1000" placement_ns;
+  pr "%-34s %14.1f ns/run\n" "scmp/placement-1000-ref" placement_ref_ns;
+  pr "%-34s %14.2f x (ref / pruned, paired batches)\n"
+    "scmp/placement-1000-speedup" placement_speedup;
   (* End-to-end throughput: the full SCMP runner scenario. The
      instrumented first run supplies the event and delivery totals (and
      warms the scenario's scaled-graph/APSP memos); the throughput
@@ -296,9 +307,15 @@ let micro ?json ~full ~jobs () =
           | None -> name
         in
         wall_gauge (Printf.sprintf "micro/%s/ns_per_run" key) est)
-      (rows @ [ ("scmp/dcdm-churn-1000", dcdm_churn_ns) ]);
+      (rows
+      @ [
+          ("scmp/dcdm-churn-1000", dcdm_churn_ns);
+          ("scmp/placement-1000", placement_ns);
+          ("scmp/placement-1000-ref", placement_ref_ns);
+        ]);
     wall_gauge "micro/dijkstra-100-speedup/x" dij_speedup;
     wall_gauge "micro/engine-churn-speedup/x" churn_speedup;
+    wall_gauge "micro/placement-1000-speedup/x" placement_speedup;
     wall_gauge "e2e/scmp/wall_s" e2e_wall;
     wall_gauge "e2e/scmp/events_per_s" (float_of_int events /. e2e_wall);
     wall_gauge "e2e/scmp/deliveries_per_s"

@@ -49,6 +49,11 @@ $SIM metric /tmp/bench_smoke.json 'micro/engine-churn-speedup/x' --ge 2.0 > /dev
 # must hold at least 3x over the preserved adjacency-list + binary-heap
 # reference on a 100-node graph, same paired discipline.
 $SIM metric /tmp/bench_smoke.json 'micro/dijkstra-100-speedup/x' --ge 3.0 > /dev/null
+# Placement rule 1's floor: the pruned pick (cut searches that stop
+# once a candidate provably loses) must hold at least 2.5x over the
+# preserved full scan of one complete Dijkstra per node on a
+# Waxman-1000, same paired discipline.
+$SIM metric /tmp/bench_smoke.json 'micro/placement-1000-speedup/x' --ge 2.5 > /dev/null
 # The dijkstra redesign's structural claim: no hashtable lookups remain
 # on the SPT / APSP / route-invalidation hot path — CSR arrays and
 # edge-id bitsets only.

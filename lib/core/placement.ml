@@ -21,25 +21,29 @@ let argbest n ~better ~score =
 let pick apsp rule =
   let g = Netgraph.Apsp.graph apsp in
   let n = Netgraph.Graph.node_count g in
+  if n = 0 then invalid_arg "Placement.pick: graph has no nodes";
   match rule with
-  | Min_avg_delay ->
-    argbest n ~better:( < ) ~score:(fun x -> Netgraph.Apsp.mean_delay_from apsp x)
+  | Min_avg_delay -> Netgraph.Apsp.min_mean_delay_node apsp
   | Max_degree ->
     argbest n
       ~better:( > )
       ~score:(fun x -> float_of_int (Netgraph.Graph.degree g x))
   | Diameter_midpoint ->
     (* Find the pair realizing the diameter, then the node on its
-       shortest-delay path closest to the midpoint delay. *)
+       shortest-delay path closest to the midpoint delay. Each source's
+       row is scanned through a scratch SPT, so only [u]'s ends up
+       memoized. *)
     let diam = ref neg_infinity and ends = ref (0, 0) in
     for u = 0 to n - 1 do
-      for v = u + 1 to n - 1 do
-        let d = Netgraph.Apsp.delay apsp u v in
-        if Float.is_finite d && d > !diam then begin
-          diam := d;
-          ends := (u, v)
-        end
-      done
+      Netgraph.Apsp.with_delay_spt apsp u (fun spt ->
+          let dist = Netgraph.Dijkstra.dists spt in
+          for v = u + 1 to n - 1 do
+            let d = dist.(v) in
+            if Float.is_finite d && d > !diam then begin
+              diam := d;
+              ends := (u, v)
+            end
+          done)
     done;
     let u, v = !ends in
     (match Netgraph.Apsp.sl_path apsp u v with

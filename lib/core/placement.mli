@@ -24,7 +24,17 @@ val all_rules : rule list
 val rule_name : rule -> string
 
 val pick : Netgraph.Apsp.t -> rule -> Netgraph.Graph.node
-(** Deterministic: ties break toward the smaller node id. *)
+(** Deterministic: ties break toward the smaller node id.
+
+    Rule 1 is {!Netgraph.Apsp.min_mean_delay_node}: the exact argmin of
+    {!Netgraph.Apsp.mean_delay_from}, ties included, found without
+    running every candidate's search to the end — a search stops once
+    its delay sum provably exceeds the best mean so far times its
+    reach, with a relative slack of 1e-9 so a tie is never cut. Rule 3
+    scans each source's delays through a scratch SPT
+    ({!Netgraph.Apsp.with_delay_spt}), so picking by any rule memoizes
+    at most one SPT in the table.
+    @raise Invalid_argument on a graph with no nodes. *)
 
 val evaluate :
   Netgraph.Apsp.t ->

@@ -16,9 +16,9 @@ type t = {
   (* Shared search scratch (frontier, settled stamps): without it every
      forced source would rebuild the radix heap and stamp arrays from
      nothing. Memoized results are never recycled into it; only the
-     throwaway SPTs of [mean_delay_from] are, so a force may reuse
-     their arrays — the table's entries stay live and byte-identical to
-     workspace-less runs. *)
+     throwaway SPTs of the whole-table scans ([with_delay_spt], rule 1's
+     cut searches) are, so a force may reuse their arrays — the table's
+     entries stay live and byte-identical to workspace-less runs. *)
   ws : Dijkstra.workspace;
 }
 
@@ -94,32 +94,35 @@ let lc_path t a b = Dijkstra.path (cost_spt t a) b
 let delay_of_lc t a b = Dijkstra.other_dist (cost_spt t a) b
 let cost_of_sl t a b = Dijkstra.other_dist (delay_spt t a) b
 
+(* One source's delay SPT for the length of one scan: the memoized SPT
+   when there is one, else a scratch SPT run in the table's workspace
+   and recycled straight after, instead of leaving n SPTs (4n words
+   each) in a table usually dropped right after placement. *)
+let with_delay_spt t x f =
+  match t.by_delay.(x) with
+  | Some r -> f r
+  | None ->
+    let spt =
+      Dijkstra.run ~ws:t.ws ?node_ok:t.node_ok ?edge_ok:t.edge_ok t.g
+        ~metric:Dijkstra.Delay ~source:x
+    in
+    let v = f spt in
+    Dijkstra.recycle t.ws spt;
+    v
+
 let diameter t =
   let n = Graph.node_count t.g in
   let acc = ref 0.0 in
   for s = 0 to n - 1 do
-    acc := Float.max !acc (Dijkstra.eccentricity (delay_spt t s))
+    acc := Float.max !acc (with_delay_spt t s Dijkstra.eccentricity)
   done;
   !acc
 
-(* One scalar per source: placement's rule 1 scans every source once,
-   so an SPT the table has not memoized is run in the table's workspace
-   and recycled straight after, instead of leaving n SPTs (4n words
-   each) in a table usually dropped right after placement. The dists
-   are read off the raw array, which boxes no float. *)
-let mean_delay_from t x =
-  let n = Graph.node_count t.g in
-  let spt, scratch =
-    match t.by_delay.(x) with
-    | Some r -> (r, false)
-    | None ->
-      ( Dijkstra.run ~ws:t.ws ?node_ok:t.node_ok ?edge_ok:t.edge_ok t.g
-          ~metric:Dijkstra.Delay ~source:x,
-        true )
-  in
+(* The dists are read off the raw array, which boxes no float. *)
+let mean_of_spt x spt =
   let dist = Dijkstra.dists spt in
   let total = ref 0.0 and count = ref 0 in
-  for y = 0 to n - 1 do
+  for y = 0 to Array.length dist - 1 do
     if y <> x then begin
       let d = dist.(y) in
       if d < infinity then begin
@@ -128,5 +131,56 @@ let mean_delay_from t x =
       end
     end
   done;
-  if scratch then Dijkstra.recycle t.ws spt;
   if !count = 0 then 0.0 else !total /. float_of_int !count
+
+let mean_delay_from t x = with_delay_spt t x (mean_of_spt x)
+
+(* Relative slack on the cut: a completed search sums its dists in
+   index order, the cut bound in settle order, and the two roundings
+   differ by about n * 2^-53 — far below this. *)
+let cut_slack = 1.0 +. 1e-9
+
+(* Rule 1 by index-order scan with strict [<], as an argbest over
+   [mean_delay_from] would: candidate x can only win if its mean is
+   below the best so far, so its search may stop once its delay sum
+   provably exceeds [best * reach x] (with slack). A candidate that
+   ties is never cut, and every search that completes is scored
+   exactly as [mean_delay_from] scores it, so the winner is the same
+   node, ties included. A filtered table's components are not the
+   graph's, so it scans every source in full. *)
+let min_mean_delay_node t =
+  let n = Graph.node_count t.g in
+  if n = 0 then invalid_arg "Apsp.min_mean_delay_node: empty graph";
+  let unfiltered =
+    match (t.node_ok, t.edge_ok) with None, None -> true | _ -> false
+  in
+  let reach = Array.make n 0 in
+  if unfiltered then
+    List.iter
+      (fun comp ->
+        let r = List.length comp - 1 in
+        List.iter (fun x -> reach.(x) <- r) comp)
+      (Graph.components t.g);
+  let best = ref 0 and best_mean = ref (mean_delay_from t 0) in
+  for x = 1 to n - 1 do
+    let mean =
+      match t.by_delay.(x) with
+      | None when unfiltered -> (
+        let cutoff = !best_mean *. float_of_int reach.(x) *. cut_slack in
+        match
+          Dijkstra.run_bounded ~ws:t.ws t.g ~metric:Dijkstra.Delay ~source:x
+            ~reach:reach.(x) ~cutoff
+        with
+        | None -> infinity
+        | Some spt ->
+          let m = mean_of_spt x spt in
+          Dijkstra.recycle t.ws spt;
+          m)
+      | Some _ | None -> mean_delay_from t x
+    in
+    if mean < !best_mean then begin
+      best := x;
+      best_mean := mean
+    end
+  done;
+  !best

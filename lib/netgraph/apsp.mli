@@ -69,12 +69,41 @@ val sl_tree : t -> Graph.node -> Dijkstra.result
 val lc_tree : t -> Graph.node -> Dijkstra.result
 (** The memoized least-cost SPT of one source. *)
 
+val with_delay_spt : t -> Graph.node -> (Dijkstra.result -> 'a) -> 'a
+(** [with_delay_spt t x f] applies [f] to [x]'s shortest-delay SPT: the
+    memoized one when there is one, else a scratch SPT run in the
+    table's workspace and recycled as soon as [f] returns. [f] must not
+    keep the SPT or its raw arrays. A scan over every source through it
+    leaves the table as it found it instead of holding n SPTs. *)
+
 val diameter : t -> float
 (** Largest finite inter-node delay (the graph "diameter" used by
-    m-router placement rule 3). *)
+    m-router placement rule 3). Scans every source through
+    {!with_delay_spt}, so it memoizes nothing. *)
 
 val mean_delay_from : t -> Graph.node -> float
 (** Mean unicast delay from one node to all others (placement rule 1);
-    [0.] on a one-node graph. Unreachable pairs are excluded. Reads a
-    memoized SPT when there is one, but does not memoize the SPT it
-    runs: a scan over every source leaves the table as it found it. *)
+    [0.] on a one-node graph and on an isolated node. Unreachable pairs
+    are excluded. Reads a memoized SPT when there is one, but does not
+    memoize the SPT it runs ({!with_delay_spt}). *)
+
+val min_mean_delay_node : t -> Graph.node
+(** Placement rule 1: the node of least {!mean_delay_from}, the lowest
+    index among equal means — exactly the node an index-order scan
+    with a strict [<] over every {!mean_delay_from} picks, ties
+    included, without running every search to the end.
+
+    Candidates are visited in index order. Candidate [x], with [m] the
+    size of its component minus one, can only win if its delay sum is
+    below [best * m], [best] being the least mean so far. Its search
+    settles nodes in nondecreasing distance; after [k] of them, summing
+    to [S] with the last at distance [d], the sum is at least
+    [S + (m - k) * d], and the search stops once that bound exceeds
+    [best * m * (1 + 1e-9)] (see {!Dijkstra.run_bounded}). The slack
+    covers the rounding between summing in settle order and in index
+    order (about n * 2^-53), so a candidate that ties the best is never
+    cut. A search that completes is scored exactly as
+    {!mean_delay_from} scores it. A memoized SPT is read as it is, and
+    a table with liveness filters scans every source in full: exact,
+    only slower. Memoizes nothing.
+    @raise Invalid_argument on a graph with no nodes. *)

@@ -58,6 +58,11 @@ let rec take_pooled ws n =
     ws.pool <- rest;
     if Array.length r.dist = n then Some r else take_pooled ws n
 
+(* Raised by a cut search, after its arrays went back to the pool: a
+   partial tree never escapes as a result, and a search that completes
+   returns its result without a wrapper to allocate. *)
+exception Cut
+
 (* [node_ok] / [edge_ok] let the search run directly over the base graph
    plus a fault overlay, without materializing the surviving subgraph: a
    node failing [node_ok] (or an edge id failing [edge_ok]) is treated
@@ -67,8 +72,12 @@ let rec take_pooled ws n =
    and the radix heap pops equal keys in insertion order (the binary
    heap's seq rule), so the result — dist and pred alike, ties included
    — is identical to an unfiltered run over a copy of the surviving
-   subgraph, and byte-identical to the pre-CSR implementation. *)
-let run ?ws ?node_ok ?edge_ok g ~metric ~source =
+   subgraph, and byte-identical to the pre-CSR implementation.
+
+   [reach] and [cutoff] are {!Scmp_util.Radix_heap.drain_csr}'s cut,
+   which only the unfiltered drain implements: [run_bounded] takes no
+   filters, and [run] passes [cutoff = infinity]. *)
+let search ?ws ?node_ok ?edge_ok g ~metric ~source ~reach ~cutoff =
   let n = Graph.node_count g in
   if source < 0 || source >= n then invalid_arg "Dijkstra.run: source out of range";
   let heap, stamp, ep, pooled, runbuf =
@@ -113,6 +122,7 @@ let run ?ws ?node_ok ?edge_ok g ~metric ~source =
      smallest enqueued key, which is exactly the current dist.(x) — so
      skipping the key return keeps the loop allocation-free without
      changing a single extraction or tie. *)
+  let complete = ref true in
   (match (node_ok, edge_ok) with
   | None, None ->
     (* Unfiltered fast path: the APSP / Routes steady state. The whole
@@ -121,8 +131,9 @@ let run ?ws ?node_ok ?edge_ok g ~metric ~source =
        loop fused in a single compilation unit (the non-flambda
        compiler never inlines across modules, so per-operation heap
        calls would otherwise dominate this loop). *)
-    Scmp_util.Radix_heap.drain_csr heap ~off ~nbr ~eid ~wsel ~woth ~dist
-      ~pred ~pred_edge ~other
+    complete :=
+      Scmp_util.Radix_heap.drain_csr heap ~off ~nbr ~eid ~wsel ~woth ~dist
+        ~pred ~pred_edge ~other ~reach ~cutoff
   | _ ->
     let node_ok = match node_ok with None -> fun _ -> true | Some f -> f in
     let edge_ok = match edge_ok with None -> fun _ -> true | Some f -> f in
@@ -156,7 +167,23 @@ let run ?ws ?node_ok ?edge_ok g ~metric ~source =
       done;
       k := Scmp_util.Radix_heap.pop_run heap runbuf
     done);
-  { src = source; dist; pred; pred_edge; other }
+  let r = { src = source; dist; pred; pred_edge; other } in
+  if not !complete then begin
+    (match ws with Some ws -> recycle ws r | None -> ());
+    raise_notrace Cut
+  end;
+  r
+
+let run ?ws ?node_ok ?edge_ok g ~metric ~source =
+  search ?ws ?node_ok ?edge_ok g ~metric ~source ~reach:0 ~cutoff:infinity
+
+let run_bounded ~ws g ~metric ~source ~reach ~cutoff =
+  match search ~ws g ~metric ~source ~reach ~cutoff with
+  | r -> Some r
+  | exception Cut -> None
+
+let frontier_usage ws =
+  (Scmp_util.Radix_heap.length ws.heap, Scmp_util.Radix_heap.capacity ws.heap)
 
 let source r = r.src
 let dist r x = r.dist.(x)

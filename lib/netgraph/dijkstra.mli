@@ -61,6 +61,29 @@ val run :
     non-empty) the result arrays come from the workspace instead of
     fresh allocations. *)
 
+val run_bounded :
+  ws:workspace ->
+  Graph.t ->
+  metric:metric ->
+  source:Graph.node ->
+  reach:int ->
+  cutoff:float ->
+  result option
+(** An unfiltered {!run} that gives up once the sum of the distances
+    from the source to the [reach] nodes it can reach (the size of its
+    component minus one) provably exceeds [cutoff]: nodes settle in
+    nondecreasing distance, so after [k] settles summing to [S], the
+    last at distance [d], that sum is at least [S + (reach - k) * d].
+    [None] when the search was cut; its arrays then go back to [ws]'s
+    pool and the workspace's frontier is empty with its storage kept.
+    [Some r] otherwise, with [r] byte-identical to {!run}'s. With
+    [cutoff = infinity] it is never cut. *)
+
+val frontier_usage : workspace -> int * int
+(** [(queued, slots)]: the entries left in the workspace's frontier
+    (0 between searches, cut or not) and the bucket storage it holds
+    for the next search ({!Scmp_util.Radix_heap.capacity}). *)
+
 val source : result -> Graph.node
 val dist : result -> Graph.node -> float
 (** Shortest distance from the source; [infinity] if unreachable. *)

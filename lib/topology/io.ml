@@ -36,9 +36,10 @@ let of_string text =
       Ok ()
     | [ "nodes"; n ] -> (
       match int_of_string_opt n with
-      | Some n when n >= 0 ->
+      | Some n when n >= 1 ->
         state.nodes <- Some n;
         Ok ()
+      | Some 0 -> error lineno "a topology needs at least one node"
       | Some _ | None -> error lineno "bad node count")
     | [ "coord"; i; x; y ] -> (
       match (int_of_string_opt i, int_of_string_opt x, int_of_string_opt y) with

@@ -36,4 +36,4 @@ let check t =
   if Array.length t.coords <> n then
     invalid_arg (t.name ^ ": coords/node count mismatch");
   if not (Netgraph.Graph.is_connected t.graph) then
-    invalid_arg (t.name ^ ": generated graph is not connected")
+    invalid_arg (t.name ^ ": graph is not connected")

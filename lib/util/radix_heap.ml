@@ -134,6 +134,9 @@ let create () =
 let length t = t.size
 let is_empty t = t.size = 0
 
+let capacity t =
+  Array.fold_left (fun acc b -> acc + Array.length b.keys) 0 t.buckets
+
 (* Grow using [fill] (a value about to be stored) as the payload
    filler, so no dummy ['a] is ever fabricated — {!Heap.ensure_room}'s
    trick. *)
@@ -381,9 +384,17 @@ let pop_run (t : int t) buf =
 
    Pops happen one entry at a time in exactly [pop_min] order, and
    relaxations visit slots in CSR (insertion) order — byte-identical
-   results to a drain loop built from the public per-op API. *)
+   results to a drain loop built from the public per-op API.
+
+   The cut: settles come in nondecreasing distance, so once [k] of the
+   [reach + 1] nodes the search can settle (source included) are done,
+   summing to [sum], with the last at [d], every remaining node is at
+   least [d] away and the search's total distance is at least
+   [sum + (reach + 1 - k) * d]. When that bound exceeds [cutoff] the
+   drain stops before relaxing. With [cutoff = infinity] the test never
+   fires and the drain is the uncut one. *)
 let drain_csr (t : int t) ~off ~nbr ~eid ~wsel ~woth ~dist ~pred ~pred_edge
-    ~other =
+    ~other ~reach ~cutoff =
   let buckets = t.buckets in
   let b0 = Array.unsafe_get buckets 0 in
   (* Heap state as locals: register-resident across the whole drain,
@@ -400,6 +411,8 @@ let drain_csr (t : int t) ~off ~nbr ~eid ~wsel ~woth ~dist ~pred ~pred_edge
   let head = ref t.head in
   (* key (image) of the entry the current iteration popped *)
   let pik = ref 0 in
+  (* settles still to come, their distances so far, and the cut flag *)
+  let left = ref (reach + 1) and sum = ref 0.0 and cut = ref false in
   while !size > 0 do
     let x =
       if !head < b0.len then begin
@@ -463,36 +476,52 @@ let drain_csr (t : int t) ~off ~nbr ~eid ~wsel ~woth ~dist ~pred ~pred_edge
     decr size;
     let d = Array.unsafe_get dist x in
     if image d = !pik then begin
-      let ox = Array.unsafe_get other x in
-      for s = Array.unsafe_get off x to Array.unsafe_get off (x + 1) - 1 do
-        let y = Array.unsafe_get nbr s in
-        let nd = d +. Array.unsafe_get wsel s in
-        if nd < Array.unsafe_get dist y then begin
-          Array.unsafe_set dist y nd;
-          Array.unsafe_set pred y x;
-          Array.unsafe_set pred_edge y (Array.unsafe_get eid s);
-          Array.unsafe_set other y (ox +. Array.unsafe_get woth s);
-          (* add, inline *)
-          let ik = image nd in
-          let bi = bucket_of !ifloor ik in
-          let b = Array.unsafe_get buckets bi in
-          if b.len = Array.length b.keys then grow b y;
-          Array.unsafe_set b.keys b.len ik;
-          Array.unsafe_set b.vals b.len y;
-          b.len <- b.len + 1;
-          if bi > 0 && bi < !lowbi then lowbi := bi;
-          incr size
-        end
-      done
+      decr left;
+      sum := !sum +. d;
+      if !sum +. (float_of_int !left *. d) > cutoff then begin
+        cut := true;
+        size := 0
+      end
+      else begin
+        let ox = Array.unsafe_get other x in
+        for s = Array.unsafe_get off x to Array.unsafe_get off (x + 1) - 1 do
+          let y = Array.unsafe_get nbr s in
+          let nd = d +. Array.unsafe_get wsel s in
+          if nd < Array.unsafe_get dist y then begin
+            Array.unsafe_set dist y nd;
+            Array.unsafe_set pred y x;
+            Array.unsafe_set pred_edge y (Array.unsafe_get eid s);
+            Array.unsafe_set other y (ox +. Array.unsafe_get woth s);
+            (* add, inline *)
+            let ik = image nd in
+            let bi = bucket_of !ifloor ik in
+            let b = Array.unsafe_get buckets bi in
+            if b.len = Array.length b.keys then grow b y;
+            Array.unsafe_set b.keys b.len ik;
+            Array.unsafe_set b.vals b.len y;
+            b.len <- b.len + 1;
+            if bi > 0 && bi < !lowbi then lowbi := bi;
+            incr size
+          end
+        done
+      end
     end
   done;
+  (* A cut leaves entries behind: drop them by length alone, so the
+     buckets keep their storage for the next search (an int payload
+     holds nothing alive). *)
+  if !cut then
+    for i = 0 to nbuckets - 1 do
+      (Array.unsafe_get buckets i).len <- 0
+    done;
   (* Drained: occ/size/head are all zero again; keep the advanced
      floor so the post-state matches a per-op drain exactly. *)
   t.ifloor <- !ifloor;
   t.occ <- 0;
   t.size <- 0;
   t.head <- 0;
-  t.mbi <- -1
+  t.mbi <- -1;
+  not !cut
 
 (* An empty queue needs no bucket reset: every bucket is already at
    len 0 (and a boxed queue drained by [pop_min] has released its

@@ -83,7 +83,9 @@ val drain_csr :
   pred:int array ->
   pred_edge:int array ->
   other:float array ->
-  unit
+  reach:int ->
+  cutoff:float ->
+  bool
 (** Run the unfiltered CSR Dijkstra drain to completion: repeatedly pop
     the minimum node, relax its CSR slots ([off]/[nbr]/[eid] topology,
     [wsel] selected / [woth] companion weights), and push improved
@@ -97,10 +99,24 @@ val drain_csr :
     guarantees array lengths and index ranges (all accesses are
     unchecked) and non-negative finite weights; see
     {!Netgraph.Dijkstra.run}, the owning API. Keeps the bucket storage
-    when the heap drains (workspace reuse). *)
+    when the heap drains (workspace reuse).
+
+    [reach] is the number of nodes other than the source that the
+    search can settle. Settles come in nondecreasing distance, so after
+    [k] of them (source included), summing to [S] with the last at
+    distance [d], the sum over all of them is at least
+    [S + (reach + 1 - k) * d]. The drain stops, before relaxing, once
+    that bound exceeds [cutoff], and returns [false]; the queue is then
+    emptied but keeps its bucket storage, and [dist] holds a partial
+    search. [cutoff = infinity] never stops it: the drain is the uncut
+    one, result and pop order alike, and returns [true]. *)
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool
+
+val capacity : 'a t -> int
+(** Entry slots the buckets hold, queued or free: what a workspace
+    keeps from one search to the next. *)
 
 val clear : 'a t -> unit
 (** Empty the heap and reset the floor to 0.0. O(1) on an empty heap,

@@ -117,6 +117,151 @@ let test_placement_evaluate () =
   in
   checkf "deterministic" score again
 
+(* Rule 1's oracle: the full scan, an index-order argbest over every
+   [mean_delay_from] with a strict [<]. *)
+let rule1_full_scan apsp =
+  let n = Netgraph.Graph.node_count (Netgraph.Apsp.graph apsp) in
+  let best = ref 0 and best_mean = ref (Netgraph.Apsp.mean_delay_from apsp 0) in
+  for x = 1 to n - 1 do
+    let m = Netgraph.Apsp.mean_delay_from apsp x in
+    if m < !best_mean then begin
+      best := x;
+      best_mean := m
+    end
+  done;
+  !best
+
+(* Rule 3's oracle: the pair scan through the memoizing [Apsp.delay]. *)
+let rule3_memoizing apsp =
+  let n = Netgraph.Graph.node_count (Netgraph.Apsp.graph apsp) in
+  let diam = ref neg_infinity and ends = ref (0, 0) in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      let d = Netgraph.Apsp.delay apsp u v in
+      if Float.is_finite d && d > !diam then begin
+        diam := d;
+        ends := (u, v)
+      end
+    done
+  done;
+  let u, v = !ends in
+  match Netgraph.Apsp.sl_path apsp u v with
+  | None -> u
+  | Some p ->
+    let half = !diam /. 2.0 in
+    let best = ref u and gap = ref infinity in
+    List.iter
+      (fun x ->
+        let here = Float.abs (Netgraph.Apsp.delay apsp u x -. half) in
+        if here < !gap then begin
+          gap := here;
+          best := x
+        end)
+      p;
+    !best
+
+let link_tuples ?(shift = 0) ?(delay = fun (l : Netgraph.Graph.link) -> l.delay) g =
+  List.map
+    (fun (l : Netgraph.Graph.link) -> (l.u + shift, l.v + shift, delay l, l.cost))
+    (Netgraph.Graph.links g)
+
+(* Test graphs for the rule-1 differential: the four topology families,
+   the same with delays quantized to 1..3 (many equal means), and
+   disconnected variants — two components, or an isolated node first
+   (mean 0 from the start) or last. *)
+let placement_graph ~family ~variant ~seed ~n =
+  let base =
+    match family mod 6 with
+    | 0 | 4 -> (Topology.Waxman.generate ~seed ~n ()).Topology.Spec.graph
+    | 1 | 5 ->
+      (Topology.Flat_random.generate ~seed ~n ~avg_degree:3.0).Topology.Spec.graph
+    | 2 -> (Topology.Flat_random.generate ~seed ~n ~avg_degree:5.0).Topology.Spec.graph
+    | _ -> (Topology.Arpanet.generate ~seed).Topology.Spec.graph
+  in
+  let delay =
+    if family mod 6 >= 4 then fun (l : Netgraph.Graph.link) ->
+      float_of_int (1 + (int_of_float l.delay mod 3))
+    else fun (l : Netgraph.Graph.link) -> l.delay
+  in
+  let nb = Netgraph.Graph.node_count base in
+  match variant mod 4 with
+  | 0 -> Netgraph.Graph.of_links ~n:nb (link_tuples ~delay base)
+  | 1 ->
+    let other =
+      (Topology.Waxman.generate ~seed:(seed + 1) ~n:(2 + (n / 3)) ()).Topology.Spec.graph
+    in
+    Netgraph.Graph.of_links
+      ~n:(nb + Netgraph.Graph.node_count other)
+      (link_tuples ~delay base @ link_tuples ~shift:nb ~delay other)
+  | 2 -> Netgraph.Graph.of_links ~n:(nb + 1) (link_tuples ~shift:1 ~delay base)
+  | _ -> Netgraph.Graph.of_links ~n:(nb + 1) (link_tuples ~delay base)
+
+let prop_rule1_pruned_matches_full_scan =
+  QCheck.Test.make ~name:"rule 1: pruned pick = full-scan argbest" ~count:300
+    QCheck.(quad (int_range 0 5) (int_range 0 3) small_int (int_range 8 48))
+    (fun (family, variant, seed, n) ->
+      let g = placement_graph ~family ~variant ~seed ~n in
+      let nodes = Netgraph.Graph.node_count g in
+      let check what apsp =
+        let oracle = rule1_full_scan apsp in
+        let picked = Placement.pick apsp Placement.Min_avg_delay in
+        if picked <> oracle then
+          QCheck.Test.fail_reportf "%s: picked %d, full scan %d" what picked oracle
+      in
+      (* the graph is new, so its unfiltered table starts empty; a
+         pass-everything filter takes the uncut path *)
+      let apsp = Netgraph.Apsp.compute g in
+      check "unfiltered" apsp;
+      check "filtered" (Netgraph.Apsp.compute ~edge_ok:(fun _ -> true) g);
+      let rng = Scmp_util.Prng.create seed in
+      for _ = 1 to 1 + (nodes / 4) do
+        ignore (Netgraph.Apsp.sl_tree apsp (Scmp_util.Prng.int rng nodes))
+      done;
+      check "partly memoized" apsp;
+      true)
+
+let test_rule1_ties_and_components () =
+  (* a unit ring: every mean is equal, so the lowest index wins *)
+  let ring n =
+    Netgraph.Graph.of_links ~n (List.init n (fun i -> (i, (i + 1) mod n, 1.0, 1.0)))
+  in
+  checki "ring tie" 0 (Placement.pick (Netgraph.Apsp.compute (ring 12)) Placement.Min_avg_delay);
+  (* the path 0-1-2 plus an isolated node 3: the isolated node's mean
+     is 0., as [mean_delay_from] scores it, so it wins *)
+  let g = Netgraph.Graph.of_links ~n:4 [ (0, 1, 1.0, 1.0); (1, 2, 1.0, 1.0) ] in
+  let apsp = Netgraph.Apsp.compute g in
+  checkf "isolated mean" 0.0 (Netgraph.Apsp.mean_delay_from apsp 3);
+  checki "isolated node" 3 (Placement.pick apsp Placement.Min_avg_delay);
+  checki "one node" 0
+    (Placement.pick (Netgraph.Apsp.compute (Netgraph.Graph.of_links ~n:1 [])) Placement.Min_avg_delay);
+  checkb "no nodes" true
+    (try
+       ignore (Placement.pick (Netgraph.Apsp.compute (Netgraph.Graph.of_links ~n:0 [])) Placement.Min_avg_delay);
+       false
+     with Invalid_argument _ -> true)
+
+let prop_rule3_matches_memoizing_scan =
+  QCheck.Test.make ~name:"rule 3 and diameter: scratch scan = memoizing scan" ~count:100
+    QCheck.(quad (int_range 0 5) (int_range 0 3) small_int (int_range 8 40))
+    (fun (family, variant, seed, n) ->
+      let g = placement_graph ~family ~variant ~seed ~n in
+      (* the graph is new, so its unfiltered table starts empty; a
+         pass-everything filter gives a second, separate table *)
+      let scratch = Netgraph.Apsp.compute g in
+      let memoizing = Netgraph.Apsp.compute ~edge_ok:(fun _ -> true) g in
+      let picked = Placement.pick scratch Placement.Diameter_midpoint in
+      let oracle = rule3_memoizing memoizing in
+      let diam = Netgraph.Apsp.diameter scratch in
+      let diam_oracle =
+        List.fold_left
+          (fun acc s -> Float.max acc (Netgraph.Dijkstra.eccentricity (Netgraph.Apsp.sl_tree memoizing s)))
+          0.0
+          (List.init (Netgraph.Graph.node_count g) Fun.id)
+      in
+      if picked <> oracle then
+        QCheck.Test.fail_reportf "rule 3: picked %d, memoizing scan %d" picked oracle;
+      Int64.equal (Int64.bits_of_float diam) (Int64.bits_of_float diam_oracle))
+
 (* ---------------- Domain ---------------- *)
 
 let make_domain () =
@@ -254,6 +399,10 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_placement_pick_deterministic;
           Alcotest.test_case "rules optimal" `Quick test_placement_rules_make_sense;
           Alcotest.test_case "evaluate" `Quick test_placement_evaluate;
+          Alcotest.test_case "rule 1 ties and components" `Quick
+            test_rule1_ties_and_components;
+          QCheck_alcotest.to_alcotest prop_rule1_pruned_matches_full_scan;
+          QCheck_alcotest.to_alcotest prop_rule3_matches_memoizing_scan;
         ] );
       ( "domain",
         [

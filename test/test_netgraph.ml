@@ -189,6 +189,62 @@ let test_dijkstra_unreachable () =
        false
      with Not_found -> true)
 
+(* A cut search must leave its workspace as a finished one does: an
+   empty frontier that kept its bucket storage, and arrays whose reuse
+   by the next search changes nothing. Cut and completed bounded
+   searches are interleaved with full runs in one workspace; every
+   result must match a run in a fresh workspace, slot for slot. *)
+let test_dijkstra_cut_keeps_workspace () =
+  let g = random_graph 11 120 240 in
+  let n = G.node_count g in
+  let ws = D.create_workspace () in
+  let same what a b =
+    for x = 0 to n - 1 do
+      let bits f r = Int64.bits_of_float (f r x) in
+      if
+        bits D.dist a <> bits D.dist b
+        || bits D.other_dist a <> bits D.other_dist b
+        || D.parent_ix a x <> D.parent_ix b x
+        || D.parent_edge_ix a x <> D.parent_edge_ix b x
+      then Alcotest.failf "%s: node %d differs from a fresh workspace" what x
+    done
+  in
+  let fresh source =
+    D.run ~ws:(D.create_workspace ()) g ~metric:D.Delay ~source
+  in
+  D.recycle ws (D.run ~ws g ~metric:D.Delay ~source:0);
+  let _, slots0 = D.frontier_usage ws in
+  checkb "a search grows the frontier" true (slots0 > 0);
+  let rng = Prng.create 5 in
+  let cuts = ref 0 in
+  for i = 1 to 60 do
+    let source = Prng.int rng n in
+    let sum = Array.fold_left ( +. ) 0.0 (D.dists (fresh source)) in
+    (* below the search's own delay sum, just above it (summing in
+       settle order instead of index order may round up by an ulp or
+       so), and unbounded *)
+    let cutoff =
+      match i mod 3 with
+      | 0 -> sum *. 0.5
+      | 1 -> sum *. (1.0 +. 1e-9)
+      | _ -> infinity
+    in
+    (match D.run_bounded ~ws g ~metric:D.Delay ~source ~reach:(n - 1) ~cutoff with
+    | None ->
+      incr cuts;
+      let queued, slots = D.frontier_usage ws in
+      checki "cut leaves no entry queued" 0 queued;
+      checkb "cut keeps the bucket storage" true (slots >= slots0)
+    | Some r ->
+      same "completed bounded search" r (fresh source);
+      D.recycle ws r);
+    let next = Prng.int rng n in
+    let r = D.run ~ws g ~metric:D.Delay ~source:next in
+    same "full run after a bounded one" r (fresh next);
+    D.recycle ws r
+  done;
+  checki "every search below its sum is cut" 20 !cuts
+
 (* Bellman-Ford cross-check on random graphs. *)
 let bellman_ford g metric source =
   let n = G.node_count g in
@@ -403,6 +459,8 @@ let () =
           Alcotest.test_case "fig5 delays" `Quick test_dijkstra_fig5;
           Alcotest.test_case "fig5 costs" `Quick test_dijkstra_by_cost;
           Alcotest.test_case "unreachable" `Quick test_dijkstra_unreachable;
+          Alcotest.test_case "cut keeps workspace" `Quick
+            test_dijkstra_cut_keeps_workspace;
           qc prop_dijkstra_vs_bellman_ford;
           qc prop_dijkstra_paths_realize_distances;
         ] );

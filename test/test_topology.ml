@@ -177,6 +177,24 @@ let test_io_rejects_garbage () =
   (* duplicate link *);
   bad "scmp-topology 1\nname x\nnodes 2\nwhatever\n"
 
+(* A node-less file is an error, not a topology every consumer must
+   guard (placement reads node 0), and a loaded file's connectivity
+   error does not claim the graph was generated. *)
+let test_io_error_messages () =
+  let error_of text =
+    match Topology.Io.of_string text with
+    | Ok _ -> Alcotest.failf "accepted: %S" text
+    | Error e -> e
+  in
+  Alcotest.check Alcotest.string "no nodes"
+    "line 3: a topology needs at least one node"
+    (error_of "scmp-topology 1\nname empty\nnodes 0\n");
+  Alcotest.check Alcotest.string "disconnected" "x: graph is not connected"
+    (error_of "scmp-topology 1\nname x\nnodes 2\ncoord 0 1 1\ncoord 1 2 2\n");
+  checkb "one node is a topology" true
+    (Result.is_ok
+       (Topology.Io.of_string "scmp-topology 1\nname one\nnodes 1\ncoord 0 1 1\n"))
+
 let test_io_ignores_comments () =
   let spec = Topology.Waxman.generate ~seed:4 ~n:10 () in
   let text = "# a comment\n\n" ^ Topology.Io.to_string spec ^ "\n# trailing\n" in
@@ -216,6 +234,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_io_roundtrip;
           Alcotest.test_case "file roundtrip" `Quick test_io_file_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_io_rejects_garbage;
+          Alcotest.test_case "error messages" `Quick test_io_error_messages;
           Alcotest.test_case "comments" `Quick test_io_ignores_comments;
         ] );
     ]
