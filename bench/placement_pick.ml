@@ -7,7 +7,9 @@ open Bench_util
    full scan it replaced — one complete delay Dijkstra per node, an
    index-order argbest over [mean_delay_from] — in paired interleaved
    batches, so the ratio survives host speed drift. Neither side
-   memoizes an SPT, so every pick does the same work. A pick takes
+   memoizes an SPT, so every pick does the same work. Both search the
+   table's live delay CSR, which the first pick (the assertion below)
+   leaves pruned. A pick takes
    tenths of a second, so every batch is one pick and each side's
    ns/run is its fastest pick. Returns (ref / pruned median ratio,
    pruned ns, ref ns). *)

@@ -244,6 +244,16 @@ let micro ?json ~full ~jobs () =
   pr "%-34s %14.1f ns/run\n" "scmp/placement-1000-ref" placement_ref_ns;
   pr "%-34s %14.2f x (ref / pruned, paired batches)\n"
     "scmp/placement-1000-speedup" placement_speedup;
+  (* The live delay CSR's gate: delay SPTs over a fresh table's
+     shrinking live CSR against full-CSR runs of the same sources,
+     paired source by source; also before the DCDM churn. *)
+  let apsp_delay_speedup, apsp_delay_ns, apsp_delay_ref_ns =
+    Apsp_delay.run g1k ~k:(if full then 9 else 5)
+  in
+  pr "%-34s %14.1f ns/run\n" "scmp/apsp-delay-1000" apsp_delay_ns;
+  pr "%-34s %14.1f ns/run\n" "scmp/apsp-delay-1000-ref" apsp_delay_ref_ns;
+  pr "%-34s %14.2f x (ref / live, paired per source)\n"
+    "scmp/apsp-delay-1000-speedup" apsp_delay_speedup;
   (* End-to-end throughput: the full SCMP runner scenario. The
      instrumented first run supplies the event and delivery totals (and
      warms the scenario's scaled-graph/APSP memos); the throughput
@@ -312,10 +322,13 @@ let micro ?json ~full ~jobs () =
           ("scmp/dcdm-churn-1000", dcdm_churn_ns);
           ("scmp/placement-1000", placement_ns);
           ("scmp/placement-1000-ref", placement_ref_ns);
+          ("scmp/apsp-delay-1000", apsp_delay_ns);
+          ("scmp/apsp-delay-1000-ref", apsp_delay_ref_ns);
         ]);
     wall_gauge "micro/dijkstra-100-speedup/x" dij_speedup;
     wall_gauge "micro/engine-churn-speedup/x" churn_speedup;
     wall_gauge "micro/placement-1000-speedup/x" placement_speedup;
+    wall_gauge "micro/apsp-delay-1000-speedup/x" apsp_delay_speedup;
     wall_gauge "e2e/scmp/wall_s" e2e_wall;
     wall_gauge "e2e/scmp/events_per_s" (float_of_int events /. e2e_wall);
     wall_gauge "e2e/scmp/deliveries_per_s"

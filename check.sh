@@ -54,6 +54,11 @@ $SIM metric /tmp/bench_smoke.json 'micro/dijkstra-100-speedup/x' --ge 3.0 > /dev
 # preserved full scan of one complete Dijkstra per node on a
 # Waxman-1000, same paired discipline.
 $SIM metric /tmp/bench_smoke.json 'micro/placement-1000-speedup/x' --ge 2.5 > /dev/null
+# The live delay CSR's floor: delay SPTs for 300 sources on a fresh
+# Waxman-1000 table, whose live CSR shrinks as they run, must hold at
+# least 1.05x over full-CSR runs of the same sources, same paired
+# discipline.
+$SIM metric /tmp/bench_smoke.json 'micro/apsp-delay-1000-speedup/x' --ge 1.05 > /dev/null
 # The dijkstra redesign's structural claim: no hashtable lookups remain
 # on the SPT / APSP / route-invalidation hot path — CSR arrays and
 # edge-id bitsets only.

@@ -5,7 +5,13 @@
    The optional liveness filters let the table answer over a fault
    overlay without materializing the surviving subgraph; a table's
    filters are captured at [compute] time, so a fresh table must be
-   created when the overlay changes. *)
+   created when the overlay changes.
+
+   An unfiltered table runs its delay searches over its own live delay
+   CSR ({!Dijkstra.live}): each search retires the links at its source
+   that it proves lie on no shortest-delay path, so later searches
+   relax fewer slots and return the same trees. Cost searches and
+   filtered tables use the full CSR. *)
 
 type t = {
   g : Graph.t;
@@ -20,6 +26,9 @@ type t = {
      cut searches) are, so a force may reuse their arrays — the table's
      entries stay live and byte-identical to workspace-less runs. *)
   ws : Dijkstra.workspace;
+  (* Made by the first delay search of an unfiltered table, then
+     shared by all of them; a filtered table never has one. *)
+  mutable live : Dijkstra.live option;
 }
 
 let fresh ?node_ok ?edge_ok g =
@@ -31,7 +40,30 @@ let fresh ?node_ok ?edge_ok g =
     by_delay = Array.make n None;
     by_cost = Array.make n None;
     ws = Dijkstra.create_workspace ();
+    live = None;
   }
+
+let unfiltered t =
+  match (t.node_ok, t.edge_ok) with None, None -> true | _ -> false
+
+(* The live delay CSR the table's delay searches run over, made on
+   first use; [None] on a filtered table. *)
+let live_csr t =
+  match t.live with
+  | Some _ as l -> l
+  | None when unfiltered t ->
+    t.live <- Some (Dijkstra.live t.g);
+    t.live
+  | None -> None
+
+let live t = t.live
+
+let search t metric s =
+  let live =
+    match metric with Dijkstra.Delay -> live_csr t | Dijkstra.Cost -> None
+  in
+  Dijkstra.run ~ws:t.ws ?live ?node_ok:t.node_ok ?edge_ok:t.edge_ok t.g ~metric
+    ~source:s
 
 (* Unfiltered tables are memoized per graph (physical identity): the
    graph is frozen and every entry is a pure function of it, so two
@@ -68,10 +100,7 @@ let force t table metric s =
   match table.(s) with
   | Some r -> r
   | None ->
-    let r =
-      Dijkstra.run ~ws:t.ws ?node_ok:t.node_ok ?edge_ok:t.edge_ok t.g ~metric
-        ~source:s
-    in
+    let r = search t metric s in
     table.(s) <- Some r;
     r
 
@@ -102,10 +131,7 @@ let with_delay_spt t x f =
   match t.by_delay.(x) with
   | Some r -> f r
   | None ->
-    let spt =
-      Dijkstra.run ~ws:t.ws ?node_ok:t.node_ok ?edge_ok:t.edge_ok t.g
-        ~metric:Dijkstra.Delay ~source:x
-    in
+    let spt = search t Dijkstra.Delay x in
     let v = f spt in
     Dijkstra.recycle t.ws spt;
     v
@@ -151,9 +177,7 @@ let cut_slack = 1.0 +. 1e-9
 let min_mean_delay_node t =
   let n = Graph.node_count t.g in
   if n = 0 then invalid_arg "Apsp.min_mean_delay_node: empty graph";
-  let unfiltered =
-    match (t.node_ok, t.edge_ok) with None, None -> true | _ -> false
-  in
+  let unfiltered = unfiltered t in
   let reach = Array.make n 0 in
   if unfiltered then
     List.iter
@@ -168,8 +192,8 @@ let min_mean_delay_node t =
       | None when unfiltered -> (
         let cutoff = !best_mean *. float_of_int reach.(x) *. cut_slack in
         match
-          Dijkstra.run_bounded ~ws:t.ws t.g ~metric:Dijkstra.Delay ~source:x
-            ~reach:reach.(x) ~cutoff
+          Dijkstra.run_bounded ~ws:t.ws ?live:(live_csr t) t.g
+            ~metric:Dijkstra.Delay ~source:x ~reach:reach.(x) ~cutoff
         with
         | None -> infinity
         | Some spt ->

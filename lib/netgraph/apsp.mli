@@ -8,6 +8,13 @@
     on first query, memoized — consumers that touch few sources (DCDM
     asks only about on-tree routers) never pay for the rest.
 
+    An unfiltered table runs every delay search (memoized, scratch or
+    cut) over its own live delay CSR ({!Dijkstra.live}) rather than
+    the whole graph: each search retires the links at its source that
+    it proves lie on no shortest-delay path, so later delay searches
+    relax fewer slots. The trees are byte-identical to full-graph runs.
+    Cost searches and filtered tables always read the full graph.
+
     For a path chosen under one metric, the {e other} metric along the
     same concrete node sequence is exposed too (e.g. the delay of the
     least-cost path), which is what the DCDM feasibility test needs.
@@ -27,7 +34,8 @@ val compute :
   Graph.t ->
   t
 (** O(1): no Dijkstra runs until the first query; each queried source
-    costs O(m + n log n) per metric, once. The optional filters (see
+    costs at most O(m + n log n) per metric, once (an unfiltered
+    table's first delay search also copies the delay slots, O(m)). The optional filters (see
     {!Dijkstra.run}) make the table answer over a fault overlay
     without copying the surviving subgraph; they are consulted at
     SPT-build time, so create a fresh table whenever the overlay
@@ -37,6 +45,11 @@ val compute :
     unfiltered table instead. *)
 
 val graph : t -> Graph.t
+
+val live : t -> Dijkstra.live option
+(** The table's live delay CSR: [None] until an unfiltered table's
+    first delay search, and always on a filtered table. For inspection
+    ({!Dijkstra.live_edges}); searching with it is the table's job. *)
 
 val delay : t -> Graph.node -> Graph.node -> float
 (** Shortest-path delay (the paper's {e unicast delay} between the two

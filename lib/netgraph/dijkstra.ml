@@ -58,6 +58,108 @@ let rec take_pooled ws n =
     ws.pool <- rest;
     if Array.length r.dist = n then Some r else take_pooled ws n
 
+(* A live delay CSR: a private copy of a graph's slot arrays whose node
+   ranges keep their live slots first, in original order, up to a
+   per-node live end; the slots behind an end are links no
+   shortest-delay path uses. [off] is the graph's own (ranges never
+   move), everything else is private and mutated by [prune].
+
+   Soundness. Every label a search sets is the float sum along some
+   real path, and a computed distance lies within n * 2^-53 * L of the
+   exact one, L being the sum of all link delays (no simple path is
+   longer). So a link (u, v) of delay w > dist_u(v) + slack, with
+   [slack] several such errors, is longer than an exact u-v path by
+   more than any rounding: from every source r, relaxing it yields
+   fl(d(r,u) + w) > d(r,v), a label that can never be v's last. Such a
+   relaxation only ever sets a transient label on v (a queue entry the
+   drain later skips as stale) and can block only other transient
+   labels, so dropping it changes neither which relaxation sets each
+   node's final label nor the FIFO order of the final labels' queue
+   entries: dist, pred, pred_edge and other come out byte-identical,
+   ties included. The argument holds for every source at once, so a
+   link dropped after one search stays dropped for all later ones.
+
+   Order-keeping matters for the ties: the drain relaxes a node's live
+   slots in CSR order, and a stable removal keeps the survivors in
+   their original relative order. A slack relative to the link alone
+   would be unsound: the rounding lives in the path sums, which can be
+   far longer than w. *)
+type live = {
+  lg : Graph.t;
+  off : int array;  (* the graph's offsets, shared *)
+  ends : int array;  (* per-node live end, off.(x) <= ends.(x) <= off.(x + 1) *)
+  nbr : int array;
+  eid : int array;
+  delay : float array;
+  cost : float array;
+  slack : float;
+}
+
+let live g =
+  let n = Graph.node_count g in
+  let delays = Graph.edge_delays g in
+  let total = ref 0.0 in
+  for e = 0 to Array.length delays - 1 do
+    total := !total +. delays.(e)
+  done;
+  {
+    lg = g;
+    off = Graph.csr_offsets g;
+    ends = Array.copy (Graph.csr_ends g);
+    nbr = Array.copy (Graph.csr_neighbors g);
+    eid = Array.copy (Graph.csr_edge_ids g);
+    delay = Array.copy (Graph.csr_delays g);
+    cost = Array.copy (Graph.csr_costs g);
+    slack =
+      !total *. Float.max 1e-9 (float_of_int (2 * (n + 1)) *. epsilon_float);
+  }
+
+let live_slack lv = lv.slack
+
+let live_edges lv x =
+  if x < 0 || x >= Graph.node_count lv.lg then
+    invalid_arg "Dijkstra.live_edges: node out of range";
+  List.init (lv.ends.(x) - lv.off.(x)) (fun k -> lv.eid.(lv.off.(x) + k))
+
+(* Move live slot [i] of node [x] to just behind x's live end, shifting
+   the live slots after it down one: the survivors keep their order. *)
+let retire lv x i =
+  let last = lv.ends.(x) - 1 in
+  let y = lv.nbr.(i) and e = lv.eid.(i) in
+  let d = lv.delay.(i) and c = lv.cost.(i) in
+  for k = i to last - 1 do
+    lv.nbr.(k) <- lv.nbr.(k + 1);
+    lv.eid.(k) <- lv.eid.(k + 1);
+    lv.delay.(k) <- lv.delay.(k + 1);
+    lv.cost.(k) <- lv.cost.(k + 1)
+  done;
+  lv.nbr.(last) <- y;
+  lv.eid.(last) <- e;
+  lv.delay.(last) <- d;
+  lv.cost.(last) <- c;
+  lv.ends.(x) <- last
+
+(* x's live slot holding edge [e]; a link is live at both ends or at
+   neither, so it is there. *)
+let rec live_slot lv x e i =
+  if i >= lv.ends.(x) then invalid_arg "Dijkstra: live CSR ends out of step"
+  else if lv.eid.(i) = e then i
+  else live_slot lv x e (i + 1)
+
+(* After a search from [src] (complete or cut), retire at both ends
+   every live link at the source whose delay exceeds the far end's
+   label by more than the slack. Scanning down keeps the slots still to
+   be read where they are. *)
+let prune lv src dist =
+  for i = lv.ends.(src) - 1 downto lv.off.(src) do
+    let y = lv.nbr.(i) in
+    if lv.delay.(i) > dist.(y) +. lv.slack then begin
+      let e = lv.eid.(i) in
+      retire lv src i;
+      retire lv y (live_slot lv y e lv.off.(y))
+    end
+  done
+
 (* Raised by a cut search, after its arrays went back to the pool: a
    partial tree never escapes as a result, and a search that completes
    returns its result without a wrapper to allocate. *)
@@ -76,10 +178,22 @@ exception Cut
 
    [reach] and [cutoff] are {!Scmp_util.Radix_heap.drain_csr}'s cut,
    which only the unfiltered drain implements: [run_bounded] takes no
-   filters, and [run] passes [cutoff = infinity]. *)
-let search ?ws ?node_ok ?edge_ok g ~metric ~source ~reach ~cutoff =
+   filters, and [run] passes [cutoff = infinity]. [live] swaps the
+   graph's delay slots for a live CSR's on the unfiltered drain and
+   prunes it afterwards. [caller] names the public entry point in
+   argument errors. *)
+let search ~caller ?ws ?live ?node_ok ?edge_ok g ~metric ~source ~reach ~cutoff
+    =
   let n = Graph.node_count g in
-  if source < 0 || source >= n then invalid_arg "Dijkstra.run: source out of range";
+  if source < 0 || source >= n then invalid_arg (caller ^ ": source out of range");
+  (match live with
+  | None -> ()
+  | Some lv ->
+    if lv.lg != g (* lint: allow physical-eq *) then
+      invalid_arg (caller ^ ": live CSR of another graph");
+    match (metric, node_ok, edge_ok) with
+    | Delay, None, None -> ()
+    | _ -> invalid_arg (caller ^ ": a live CSR serves unfiltered delay searches"));
   let heap, stamp, ep, pooled, runbuf =
     match ws with
     | None ->
@@ -131,9 +245,17 @@ let search ?ws ?node_ok ?edge_ok g ~metric ~source ~reach ~cutoff =
        loop fused in a single compilation unit (the non-flambda
        compiler never inlines across modules, so per-operation heap
        calls would otherwise dominate this loop). *)
-    complete :=
-      Scmp_util.Radix_heap.drain_csr heap ~off ~nbr ~eid ~wsel ~woth ~dist
-        ~pred ~pred_edge ~other ~reach ~cutoff
+    (match live with
+    | None ->
+      complete :=
+        Scmp_util.Radix_heap.drain_csr heap ~off ~ends:(Graph.csr_ends g) ~nbr
+          ~eid ~wsel ~woth ~dist ~pred ~pred_edge ~other ~reach ~cutoff
+    | Some lv ->
+      complete :=
+        Scmp_util.Radix_heap.drain_csr heap ~off ~ends:lv.ends ~nbr:lv.nbr
+          ~eid:lv.eid ~wsel:lv.delay ~woth:lv.cost ~dist ~pred ~pred_edge
+          ~other ~reach ~cutoff;
+      prune lv source dist)
   | _ ->
     let node_ok = match node_ok with None -> fun _ -> true | Some f -> f in
     let edge_ok = match edge_ok with None -> fun _ -> true | Some f -> f in
@@ -174,11 +296,15 @@ let search ?ws ?node_ok ?edge_ok g ~metric ~source ~reach ~cutoff =
   end;
   r
 
-let run ?ws ?node_ok ?edge_ok g ~metric ~source =
-  search ?ws ?node_ok ?edge_ok g ~metric ~source ~reach:0 ~cutoff:infinity
+let run ?ws ?live ?node_ok ?edge_ok g ~metric ~source =
+  search ~caller:"Dijkstra.run" ?ws ?live ?node_ok ?edge_ok g ~metric ~source
+    ~reach:0 ~cutoff:infinity
 
-let run_bounded ~ws g ~metric ~source ~reach ~cutoff =
-  match search ~ws g ~metric ~source ~reach ~cutoff with
+let run_bounded ~ws ?live g ~metric ~source ~reach ~cutoff =
+  match
+    search ~caller:"Dijkstra.run_bounded" ~ws ?live g ~metric ~source ~reach
+      ~cutoff
+  with
   | r -> Some r
   | exception Cut -> None
 

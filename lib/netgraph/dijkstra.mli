@@ -11,7 +11,9 @@
     ({!Scmp_util.Radix_heap}, the event engine's queue too) over int
     node ids; it pops equal keys in insertion order — the same tie
     rule as the general binary heap, so shortest-path trees (preds
-    included) are byte-identical to the pre-CSR engine. *)
+    included) are byte-identical to the pre-CSR engine. An unfiltered
+    delay search may read a {!live} delay CSR instead of the whole
+    graph: fewer slots, the same tree. *)
 
 type metric = Delay | Cost
 
@@ -37,8 +39,35 @@ val recycle : workspace -> result -> unit
     overwrites its arrays in place. Routes invalidation recycles each
     dropped SPT so steady-state recomputation allocates nothing. *)
 
+type live
+(** A {e live delay CSR}: a private, prunable copy of one graph's delay
+    slots. Each node's slot range keeps its live slots first, in their
+    original order, up to a per-node live end; a link behind the ends
+    lies on no shortest-delay path. A delay search run over it reads
+    only live slots, then retires every live link at its source whose
+    delay exceeds the far end's label by more than {!live_slack}, at
+    both ends, keeping the survivors' order. Its results are
+    byte-identical to full-graph runs (dist, pred, pred_edge and
+    other, ties included); only the work shrinks. Each {!Apsp} table
+    over an unfiltered graph owns one. Not domain-safe. *)
+
+val live : Graph.t -> live
+(** A fresh live delay CSR with every link live. O(m). *)
+
+val live_slack : live -> float
+(** The absolute slack of the retire test: a few times the worst
+    rounding of any path sum, about [n * 2^-53] times the sum of all
+    link delays (at least [1e-9] times that sum). *)
+
+val live_edges : live -> Graph.node -> Graph.edge list
+(** A node's live links, in slot order: a subsequence of its incident
+    links in insertion order. A link is live at both ends or at
+    neither.
+    @raise Invalid_argument if the node is out of range. *)
+
 val run :
   ?ws:workspace ->
+  ?live:live ->
   ?node_ok:(Graph.node -> bool) ->
   ?edge_ok:(Graph.edge -> bool) ->
   Graph.t ->
@@ -59,10 +88,18 @@ val run :
 
     When [ws] is supplied, scratch state and (when the pool is
     non-empty) the result arrays come from the workspace instead of
-    fresh allocations. *)
+    fresh allocations.
+
+    When [live] is supplied the search reads its live slots instead of
+    the graph's and prunes it afterwards (see {!live}); the result is
+    the same.
+    @raise Invalid_argument if the source is out of range, or [live] is
+    given with the [Cost] metric, with a filter, or for another
+    graph. *)
 
 val run_bounded :
   ws:workspace ->
+  ?live:live ->
   Graph.t ->
   metric:metric ->
   source:Graph.node ->
@@ -77,7 +114,9 @@ val run_bounded :
     [None] when the search was cut; its arrays then go back to [ws]'s
     pool and the workspace's frontier is empty with its storage kept.
     [Some r] otherwise, with [r] byte-identical to {!run}'s. With
-    [cutoff = infinity] it is never cut. *)
+    [cutoff = infinity] it is never cut. A cut search prunes [live]
+    too: its labels are sums along real paths, which is all the retire
+    test needs. Raises like {!run}. *)
 
 val frontier_usage : workspace -> int * int
 (** [(queued, slots)]: the entries left in the workspace's frontier

@@ -15,6 +15,7 @@ type t = {
   n : int;
   m : int;
   off : int array;  (* n + 1 *)
+  ends : int array;  (* n: off.(x + 1), the end of x's slot range *)
   nbr : int array;  (* 2m *)
   slot_eid : int array;  (* 2m *)
   slot_delay : float array;  (* 2m *)
@@ -159,6 +160,7 @@ module Builder = struct
       n;
       m;
       off;
+      ends = Array.sub off 1 n;
       nbr;
       slot_eid;
       slot_delay;
@@ -356,6 +358,7 @@ let pp fmt t =
 (* ---------------- CSR internals ---------------- *)
 
 let csr_offsets t = t.off
+let csr_ends t = t.ends
 let csr_neighbors t = t.nbr
 let csr_edge_ids t = t.slot_eid
 let csr_delays t = t.slot_delay

@@ -179,6 +179,12 @@ val pp : Format.formatter -> t -> unit
     Callers must not mutate the returned arrays. *)
 
 val csr_offsets : t -> int array
+
+val csr_ends : t -> int array
+(** Per-node slot ends: [(csr_ends g).(x) = (csr_offsets g).(x + 1)].
+    The full-graph end array that {!Scmp_util.Radix_heap.drain_csr}
+    takes; a live delay CSR ({!Dijkstra.live}) keeps its own. *)
+
 val csr_neighbors : t -> int array
 val csr_edge_ids : t -> int array
 val csr_delays : t -> float array

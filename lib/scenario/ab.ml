@@ -55,6 +55,7 @@ let bench_rules =
     { pattern = "micro/dijkstra-100-speedup/x"; direction = Lower_worse; tol = 0.15 };
     { pattern = "micro/engine-churn-speedup/x"; direction = Lower_worse; tol = 0.15 };
     { pattern = "micro/placement-1000-speedup/x"; direction = Lower_worse; tol = 0.15 };
+    { pattern = "micro/apsp-delay-1000-speedup/x"; direction = Lower_worse; tol = 0.15 };
     { pattern = "micro/*/ns_per_run"; direction = Higher_worse; tol = 1.5 };
     (* Minor words of a fixed, warmed workload do not depend on the
        host: a tight band catches an allocation creeping back onto a

@@ -368,13 +368,16 @@ let pop_run (t : int t) buf =
    Netgraph.Dijkstra remains the owning API (filters, workspaces,
    results) and documents the array contract.
 
-   Caller contract (trusted, all accesses below are unsafe): [off] has
-   n+1 offsets; [nbr]/[eid]/[wsel]/[woth] are CSR slot arrays of length
-   [off.(n)]; [dist]/[pred]/[pred_edge]/[other] have length n; every
-   payload already in the heap and every [nbr] value is in [0, n);
-   weights are non-negative and finite. Keys pushed here are
-   d + w >= d >= floor, so the monotonicity guard of [add] is
-   unnecessary.
+   Caller contract (trusted, all accesses below are unsafe): node x's
+   slots are [off.(x) .. ends.(x) - 1], so [off] and [ends] have at
+   least n entries and every such range lies inside the CSR slot
+   arrays [nbr]/[eid]/[wsel]/[woth]; [dist]/[pred]/[pred_edge]/[other]
+   have length n; every payload already in the heap and every [nbr]
+   value in a range is in [0, n); weights are non-negative and finite.
+   A full graph passes [ends.(x) = off.(x + 1)]; a live delay CSR
+   passes shorter ends, and the slots past them are never read. Keys
+   pushed here are d + w >= d >= floor, so the monotonicity guard of
+   [add] is unnecessary.
 
    A popped entry for x is fresh (x not yet settled) iff its key still
    equals [image dist.(x)]: a push happens only on a strict improvement,
@@ -393,8 +396,8 @@ let pop_run (t : int t) buf =
    [sum + (reach + 1 - k) * d]. When that bound exceeds [cutoff] the
    drain stops before relaxing. With [cutoff = infinity] the test never
    fires and the drain is the uncut one. *)
-let drain_csr (t : int t) ~off ~nbr ~eid ~wsel ~woth ~dist ~pred ~pred_edge
-    ~other ~reach ~cutoff =
+let drain_csr (t : int t) ~off ~ends ~nbr ~eid ~wsel ~woth ~dist ~pred
+    ~pred_edge ~other ~reach ~cutoff =
   let buckets = t.buckets in
   let b0 = Array.unsafe_get buckets 0 in
   (* Heap state as locals: register-resident across the whole drain,
@@ -484,7 +487,7 @@ let drain_csr (t : int t) ~off ~nbr ~eid ~wsel ~woth ~dist ~pred ~pred_edge
       end
       else begin
         let ox = Array.unsafe_get other x in
-        for s = Array.unsafe_get off x to Array.unsafe_get off (x + 1) - 1 do
+        for s = Array.unsafe_get off x to Array.unsafe_get ends x - 1 do
           let y = Array.unsafe_get nbr s in
           let nd = d +. Array.unsafe_get wsel s in
           if nd < Array.unsafe_get dist y then begin

@@ -75,6 +75,7 @@ val pop_run : int t -> int array -> int
 val drain_csr :
   int t ->
   off:int array ->
+  ends:int array ->
   nbr:int array ->
   eid:int array ->
   wsel:float array ->
@@ -87,19 +88,26 @@ val drain_csr :
   cutoff:float ->
   bool
 (** Run the unfiltered CSR Dijkstra drain to completion: repeatedly pop
-    the minimum node, relax its CSR slots ([off]/[nbr]/[eid] topology,
-    [wsel] selected / [woth] companion weights), and push improved
-    distances — fused with the heap so the hot loop pays no
-    per-operation call overhead (the non-flambda compiler does not
-    inline across compilation units). Pops and relaxations happen in
-    exactly the order a [pop_min]/[add_image] loop would produce, so
+    the minimum node [x], relax its slots [off.(x) .. ends.(x) - 1]
+    ([nbr]/[eid] topology, [wsel] selected / [woth] companion weights),
+    and push improved distances — fused with the heap so the hot loop
+    pays no per-operation call overhead (the non-flambda compiler does
+    not inline across compilation units). Pops and relaxations happen
+    in exactly the order a [pop_min]/[add_image] loop would produce, so
     results are byte-identical; a popped entry is recognized as stale
     (node already settled) when its key no longer equals
-    [image dist.(x)], so no settled-marker array is needed. The caller
-    guarantees array lengths and index ranges (all accesses are
-    unchecked) and non-negative finite weights; see
-    {!Netgraph.Dijkstra.run}, the owning API. Keeps the bucket storage
-    when the heap drains (workspace reuse).
+    [image dist.(x)], so no settled-marker array is needed.
+
+    The caller guarantees, unchecked (all accesses are unsafe): [off]
+    and [ends] cover every node, each range [off.(x) .. ends.(x) - 1]
+    lies inside the slot arrays, every [nbr] value in a range and every
+    queued payload is a node below [Array.length dist], the four result
+    arrays have one length, and weights are non-negative and finite. A
+    full graph passes {!Netgraph.Graph.csr_ends}; a live delay CSR
+    ({!Netgraph.Dijkstra.live}) passes its own shorter ends, and slots
+    past an end are never read. See {!Netgraph.Dijkstra.run}, the
+    owning API. Keeps the bucket storage when the heap drains
+    (workspace reuse).
 
     [reach] is the number of nodes other than the source that the
     search can settle. Settles come in nondecreasing distance, so after

@@ -262,6 +262,218 @@ let prop_mst_weight =
       w = msf_weight_oracle g ~metric:Dijkstra.Delay)
 
 (* ------------------------------------------------------------------ *)
+(* Live delay CSR                                                     *)
+
+module Apsp = Netgraph.Apsp
+
+(* Chained triangles a-b-c with tiny sides and a direct a-c link longer
+   than a-b-c by 3 parts in 10^9 of itself, joined by unit-scale links:
+   the a-c links sit above a slack relative to the link but far below
+   the absolute one, which must keep them live. *)
+let near_tie_of_seed seed =
+  let rng = Prng.create ((seed * 7919) + 3) in
+  let k = 3 + Prng.int rng 5 in
+  let b = G.Builder.create (3 * k) in
+  for t = 0 to k - 1 do
+    let a = 3 * t in
+    let x = 1e-6 *. (1.0 +. Prng.float rng 1.0) in
+    let y = 1e-6 *. (1.0 +. Prng.float rng 1.0) in
+    G.Builder.add_link b a (a + 1) ~delay:x ~cost:1.0;
+    G.Builder.add_link b (a + 1) (a + 2) ~delay:y ~cost:1.0;
+    G.Builder.add_link b a (a + 2) ~delay:((x +. y) *. (1.0 +. 3e-9)) ~cost:1.0;
+    if t > 0 then
+      G.Builder.add_link b (a - 1) a ~delay:(1.0 +. Prng.float rng 9.0) ~cost:1.0
+  done;
+  G.Builder.freeze b
+
+(* Two random components and an isolated node. *)
+let disconnected_of_seed seed =
+  let rng = Prng.create ((seed * 104729) + 11) in
+  let n1 = 4 + Prng.int rng 8 and n2 = 3 + Prng.int rng 8 in
+  let n = n1 + n2 + 1 in
+  let b = G.Builder.create n in
+  let part lo hi =
+    for v = lo + 1 to hi - 1 do
+      G.Builder.add_link b (lo + Prng.int rng (v - lo)) v
+        ~delay:(1.0 +. Prng.float rng 9.0) ~cost:(1.0 +. Prng.float rng 9.0)
+    done;
+    for _ = 1 to hi - lo do
+      let u = lo + Prng.int rng (hi - lo) and v = lo + Prng.int rng (hi - lo) in
+      if u <> v && not (G.Builder.has_link b u v) then
+        G.Builder.add_link b u v ~delay:(1.0 +. Prng.float rng 9.0)
+          ~cost:(1.0 +. Prng.float rng 9.0)
+    done
+  in
+  part 0 n1;
+  part n1 (n1 + n2);
+  G.Builder.freeze b
+
+let live_case seed =
+  let n = 12 + (seed mod 20) in
+  match seed mod 7 with
+  | 0 -> ("waxman", waxman_of_seed seed)
+  | 1 ->
+    ("random3", (Topology.Flat_random.generate ~seed ~n ~avg_degree:3.0).Topology.Spec.graph)
+  | 2 ->
+    ("random5", (Topology.Flat_random.generate ~seed ~n ~avg_degree:5.0).Topology.Spec.graph)
+  | 3 -> ("arpanet", (Topology.Arpanet.generate ~seed).Topology.Spec.graph)
+  | 4 -> ("quantized", quantized_of_seed seed)
+  | 5 -> ("disconnected", disconnected_of_seed seed)
+  | _ -> ("near-tie", near_tie_of_seed seed)
+
+(* Bit-identical SPTs: dist everywhere, other/pred/pred_edge wherever
+   they are meaningful (reachable, not the source). *)
+let same_spt g a b =
+  let src = Dijkstra.source a in
+  let ok = ref (src = Dijkstra.source b) in
+  for x = 0 to G.node_count g - 1 do
+    let bits f r = Int64.bits_of_float (f r x) in
+    if
+      bits Dijkstra.dist a <> bits Dijkstra.dist b
+      || bits Dijkstra.other_dist a <> bits Dijkstra.other_dist b
+      || Dijkstra.parent_ix a x <> Dijkstra.parent_ix b x
+      || Dijkstra.parent_edge_ix a x <> Dijkstra.parent_edge_ix b x
+    then ok := false
+  done;
+  !ok
+
+(* Rule 1 by brute force over full-graph runs, scored as
+   [Apsp.mean_delay_from] scores a source. *)
+let full_mean g x =
+  let r = Dijkstra.run g ~metric:Dijkstra.Delay ~source:x in
+  let total = ref 0.0 and count = ref 0 in
+  for y = 0 to G.node_count g - 1 do
+    if y <> x && Dijkstra.dist r y < infinity then begin
+      total := !total +. Dijkstra.dist r y;
+      incr count
+    end
+  done;
+  if !count = 0 then 0.0 else !total /. float_of_int !count
+
+let full_scan_winner g =
+  let best = ref 0 and best_mean = ref (full_mean g 0) in
+  for x = 1 to G.node_count g - 1 do
+    let m = full_mean g x in
+    if m < !best_mean then begin
+      best := x;
+      best_mean := m
+    end
+  done;
+  !best
+
+let rec is_subsequence sub l =
+  match (sub, l) with
+  | [], _ -> true
+  | _ :: _, [] -> false
+  | a :: sub', b :: l' -> if a = b then is_subsequence sub' l' else is_subsequence sub l'
+
+(* The live CSR's shape after any sequence of searches: each node's
+   live links are a subsequence of its incident links, a link is live
+   at both ends or at neither, and every retired link is longer than
+   its ends' shortest-delay distance by more than 1e-9 times the sum of
+   all link delays (the slack's documented floor). *)
+let live_shape_ok g lv =
+  let n = G.node_count g in
+  let total = ref 0.0 in
+  G.iter_links g (fun l -> total := !total +. l.G.delay);
+  let slack = 1e-9 *. !total in
+  let ok = ref (Dijkstra.live_slack lv >= slack) in
+  let live = Array.init n (Dijkstra.live_edges lv) in
+  for x = 0 to n - 1 do
+    let incident = ref [] in
+    G.iter_incident g x (fun e _ -> incident := e :: !incident);
+    let incident = List.rev !incident in
+    if not (is_subsequence live.(x) incident) then ok := false;
+    let dist = lazy (Dijkstra.run g ~metric:Dijkstra.Delay ~source:x) in
+    List.iter
+      (fun e ->
+        let u, v = G.edge_ends g e in
+        let y = if u = x then v else u in
+        let live_here = List.mem e live.(x) in
+        if live_here <> List.mem e live.(y) then ok := false;
+        if
+          (not live_here)
+          && not (G.edge_delay g e > Dijkstra.dist (Lazy.force dist) y +. slack)
+        then ok := false)
+      incident
+  done;
+  !ok
+
+(* One table per case, driven through a random sequence of its
+   unfiltered delay searches — memoized SPTs, scratch SPTs, mean delays
+   and rule 1's cut searches — each completed SPT checked against a
+   fresh full-CSR run; then the live CSR's shape and the rule-1 winner. *)
+let prop_live_csr =
+  QCheck.Test.make ~name:"live delay CSR = full-CSR Dijkstra" ~count:210
+    QCheck.small_nat
+    (fun seed ->
+      let name, g = live_case seed in
+      let n = G.node_count g in
+      let t = Apsp.compute g in
+      let fresh s = Dijkstra.run g ~metric:Dijkstra.Delay ~source:s in
+      let winner = full_scan_winner g in
+      let rng = Prng.create (seed + 17) in
+      let fail what = QCheck.Test.fail_reportf "%s (seed %d): %s" name seed what in
+      for _ = 1 to 2 * n do
+        let s = Prng.int rng n in
+        match Prng.int rng 6 with
+        | 0 | 1 -> if not (same_spt g (Apsp.sl_tree t s) (fresh s)) then fail "sl_tree"
+        | 2 | 3 ->
+          if not (Apsp.with_delay_spt t s (fun r -> same_spt g r (fresh s))) then
+            fail "with_delay_spt"
+        | 4 ->
+          if
+            Int64.bits_of_float (Apsp.mean_delay_from t s)
+            <> Int64.bits_of_float (full_mean g s)
+          then fail "mean_delay_from"
+        | _ -> if Apsp.min_mean_delay_node t <> winner then fail "rule-1 winner"
+      done;
+      (match Apsp.live t with
+      | None -> fail "no live CSR after delay searches"
+      | Some lv -> if not (live_shape_ok g lv) then fail "live CSR shape");
+      Apsp.min_mean_delay_node t = winner || fail "final rule-1 winner")
+
+(* The live CSR does prune: a full scan of a Waxman-100 (the diameter)
+   retires over a quarter of its links (about 40%), and every tree read afterwards is still the
+   full-graph one. *)
+let test_live_prunes () =
+  let g = (Topology.Waxman.generate ~seed:3 ~n:100 ()).Topology.Spec.graph in
+  let t = Apsp.compute g in
+  ignore (Apsp.diameter t);
+  let lv = Option.get (Apsp.live t) in
+  let live = ref 0 in
+  for x = 0 to G.node_count g - 1 do
+    live := !live + List.length (Dijkstra.live_edges lv x)
+  done;
+  Alcotest.(check bool)
+    "under 3/4 of the slots live" true
+    (4 * !live < 3 * 2 * G.edge_count g);
+  Alcotest.(check bool) "live CSR shape" true (live_shape_ok g lv);
+  for s = 0 to G.node_count g - 1 do
+    if
+      not
+        (same_spt g (Apsp.sl_tree t s)
+           (Dijkstra.run g ~metric:Dijkstra.Delay ~source:s))
+    then Alcotest.failf "source %d: SPT differs from the full graph's" s
+  done;
+  (* a live CSR serves unfiltered delay searches of its own graph only *)
+  Alcotest.check_raises "cost metric"
+    (Invalid_argument "Dijkstra.run: a live CSR serves unfiltered delay searches")
+    (fun () -> ignore (Dijkstra.run ~live:lv g ~metric:Dijkstra.Cost ~source:0));
+  Alcotest.check_raises "another graph"
+    (Invalid_argument "Dijkstra.run: live CSR of another graph")
+    (fun () ->
+      ignore
+        (Dijkstra.run ~live:lv (quantized_of_seed 1) ~metric:Dijkstra.Delay
+           ~source:0));
+  Alcotest.check_raises "bounded search names itself"
+    (Invalid_argument "Dijkstra.run_bounded: source out of range")
+    (fun () ->
+      ignore
+        (Dijkstra.run_bounded ~ws:(Dijkstra.create_workspace ()) g
+           ~metric:Dijkstra.Delay ~source:(-1) ~reach:0 ~cutoff:infinity))
+
+(* ------------------------------------------------------------------ *)
 (* Builder misuse                                                     *)
 
 let test_builder_misuse () =
@@ -448,6 +660,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_dijkstra_ties;
           QCheck_alcotest.to_alcotest prop_dijkstra_filtered_noop;
           QCheck_alcotest.to_alcotest prop_mst_weight;
+        ] );
+      ( "live-csr",
+        [
+          QCheck_alcotest.to_alcotest prop_live_csr;
+          Alcotest.test_case "prunes and keeps trees" `Quick test_live_prunes;
         ] );
       ( "builder",
         [ Alcotest.test_case "misuse raises" `Quick test_builder_misuse ] );
