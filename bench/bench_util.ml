@@ -151,3 +151,35 @@ let paired_ratio ?(k = 9) ?(min_batch_s = 2e-3) fa fb =
   Array.sort compare ratios;
   ratios.(k / 2)
 
+(* Median-of-ratios A/B timing paired per operation: each of [k] rounds
+   runs [ops] pairs, one [fa] and one [fb] each timed on its own, the
+   pair order alternating (ABBA), so host drift lands on both sides
+   alike. An untimed [Gc.major ()] before each operation settles the
+   garbage the previous one left, so each side pays only for its own.
+   Returns the median of the rounds' (fb time / fa time) and each side's
+   fastest operation in ns. *)
+let paired_per_op ?(k = 9) ~ops fa fb =
+  let fastest_a = ref infinity and fastest_b = ref infinity in
+  let time best f =
+    Gc.major ();
+    let _, s = Obs.Clock.time f in
+    if s < !best then best := s;
+    s
+  in
+  let ratios =
+    Array.init k (fun _ ->
+        let sa = ref 0.0 and sb = ref 0.0 in
+        for i = 1 to ops do
+          if i land 1 = 1 then begin
+            sa := !sa +. time fastest_a fa;
+            sb := !sb +. time fastest_b fb
+          end
+          else begin
+            sb := !sb +. time fastest_b fb;
+            sa := !sa +. time fastest_a fa
+          end
+        done;
+        !sb /. !sa)
+  in
+  Array.sort compare ratios;
+  (ratios.(k / 2), !fastest_a *. 1e9, !fastest_b *. 1e9)

@@ -191,8 +191,6 @@ let micro ?json ~full ~jobs () =
       );
       ("kmb-build-30", fun () -> ignore (Mtree.Kmb.build apsp ~root:0 ~members));
       ("spt-build-30", fun () -> ignore (Mtree.Spt.build apsp ~root:0 ~members));
-      ("engine-churn", fun () -> ignore (churn_new ()));
-      ("engine-churn-ref", fun () -> ignore (churn_ref ()));
       ("benes-route-64", fun () -> ignore (Fabric.Benes.route perm));
       ( "tree-packet-roundtrip",
         fun () -> ignore (Protocols.Tree_packet.decode words) );
@@ -226,23 +224,27 @@ let micro ?json ~full ~jobs () =
   pr "%-34s %14.2f x (ref / csr, paired batches)\n" "scmp/dijkstra-100-speedup"
     dij_speedup;
   (* The event-kernel gate: radix-heap + dispatch-record engine
-     against the heap-and-thunks shape it replaced, same interleaved
-     discipline. *)
-  let churn_speedup =
-    paired_ratio ~k:(if full then 11 else 9) ~min_batch_s churn_new churn_ref
+     against the heap-and-thunks shape it replaced, paired per
+     operation: a churn takes milliseconds, long enough to time alone,
+     and batches of one side let the other's GC debt land unevenly. *)
+  let churn_speedup, churn_ns, churn_ref_ns =
+    paired_per_op ~k:(if full then 11 else 9) ~ops:(if full then 16 else 8)
+      churn_new churn_ref
   in
-  pr "%-34s %14.2f x (ref / new, paired batches)\n" "scmp/engine-churn-speedup"
-    churn_speedup;
+  pr "%-34s %14.1f ns/run\n" "scmp/engine-churn" churn_ns;
+  pr "%-34s %14.1f ns/run\n" "scmp/engine-churn-ref" churn_ref_ns;
+  pr "%-34s %14.2f x (ref / new, paired per operation)\n"
+    "scmp/engine-churn-speedup" churn_speedup;
   (* Placement rule 1's gate: the pruned pick against the full scan it
      replaced, same interleaved discipline. A pick takes tenths of a
      second, so fewer rounds; before the DCDM churn, whose warmed
      Waxman-1000 table would slow it. *)
   let placement_speedup, placement_ns, placement_ref_ns =
-    Placement_pick.run g1k ~k:(if full then 9 else 5) ~min_batch_s
+    Placement_pick.run g1k ~k:(if full then 9 else 5)
   in
   pr "%-34s %14.1f ns/run\n" "scmp/placement-1000" placement_ns;
   pr "%-34s %14.1f ns/run\n" "scmp/placement-1000-ref" placement_ref_ns;
-  pr "%-34s %14.2f x (ref / pruned, paired batches)\n"
+  pr "%-34s %14.2f x (ref / pruned, paired per round)\n"
     "scmp/placement-1000-speedup" placement_speedup;
   (* The live delay CSR's gate: delay SPTs over a fresh table's
      shrinking live CSR against full-CSR runs of the same sources,
@@ -256,7 +258,8 @@ let micro ?json ~full ~jobs () =
     "scmp/apsp-delay-1000-speedup" apsp_delay_speedup;
   (* End-to-end throughput: the full SCMP runner scenario. The
      instrumented first run supplies the event and delivery totals (and
-     warms the scenario's scaled-graph/APSP memos); the throughput
+     builds the spec's simulated graph and the m-router's APSP table,
+     which later runs of the scenario share); the throughput
      figure is steady-state — best of k batches over the warmed
      scenario — so it measures the kernel and the protocol work, not
      first-run cache fills, under the same noise discipline as the
@@ -320,6 +323,8 @@ let micro ?json ~full ~jobs () =
       (rows
       @ [
           ("scmp/dcdm-churn-1000", dcdm_churn_ns);
+          ("scmp/engine-churn", churn_ns);
+          ("scmp/engine-churn-ref", churn_ref_ns);
           ("scmp/placement-1000", placement_ns);
           ("scmp/placement-1000-ref", placement_ref_ns);
           ("scmp/apsp-delay-1000", apsp_delay_ns);

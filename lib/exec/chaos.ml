@@ -9,11 +9,13 @@
    minimal-schedule search just re-runs the descriptor with subsets of
    its fault program.
 
-   Isolation follows the Sweep contract: workers regenerate the
-   topology from the descriptor's seed inside their task, drivers are
-   resolved before dispatch, and per-trial reports merge in
-   trial-index order, so the campaign report serialized with
-   [~wallclock:false] is byte-identical for every jobs count. *)
+   Isolation follows the Sweep contract: workers get the topology
+   from the descriptor's seed inside their task (through
+   [Sweep.generate_topo]'s per-domain memo, so a shrink's replays
+   can share one spec), drivers are resolved before dispatch, and
+   per-trial reports merge in trial-index order, so the campaign
+   report serialized with [~wallclock:false] is byte-identical for
+   every jobs count. *)
 
 module Prng = Scmp_util.Prng
 module Faults = Eventsim.Faults
@@ -189,10 +191,10 @@ type trial_result = {
   wall_s : float;
 }
 
-(* Replay one descriptor (possibly with a shrunk program): regenerate
-   the topology, rebuild the scenario, run with the invariant verifier
-   on. An invariant trip is an outcome, not an error — the campaign
-   exists to find them. *)
+(* Replay one descriptor (possibly with a shrunk program): the
+   descriptor's topology, a rebuilt scenario, one run with the
+   invariant verifier on. An invariant trip is an outcome, not an
+   error — the campaign exists to find them. *)
 let run_trial ~packets driver (t : trial) =
   let tspec = Sweep.generate_topo t.topo t.tseed in
   let faults = List.concat_map (fun u -> u.events) t.program in

@@ -74,8 +74,10 @@ type trial_result = {
 }
 
 val run_trial : packets:int -> Protocols.Driver.t -> trial -> trial_result
-(** Replay one descriptor in isolation (fresh topology, scenario and
-    report) with [~check:true]; {!Tripped} carries the violation. *)
+(** Replay one descriptor in isolation (its own scenario and report;
+    the topology from {!Sweep.generate_topo}, shared with other replays
+    of the same (topo, seed) on this domain) with [~check:true];
+    {!Tripped} carries the violation. *)
 
 type violation = {
   v_trial : trial;

@@ -1,16 +1,20 @@
 (* Declarative scenario sweeps over the protocol runner, executed on a
    Pool with a deterministic merge.
 
-   Isolation contract: every cell builds its own topology, APSP table,
-   scenario and report inside its task — nothing mutable crosses the
-   pool boundary. Drivers are resolved to first-class modules before
-   dispatch (the registry's tables are touched only by the submitting
-   domain), and each cell's member sampling uses a PRNG stream derived
-   by [Prng.split] from the master seed in cell-index order, so the
-   stream a cell sees depends on its grid position and never on which
-   worker ran it or when. The merged report folds cell reports in
-   cell-index order; with [~wallclock:false] serialization it is
-   byte-identical across any jobs count. *)
+   Isolation contract: every cell builds its own scenario and report
+   inside its task — nothing mutable crosses the pool boundary. Cells
+   that share a (topo, seed) pair on one worker may share the topology
+   and what derives from it (see [generate_topo]): pure functions of the
+   pair, memoized per domain, so a cell's result does not depend on
+   which cells its worker ran before it. Drivers are resolved to
+   first-class modules before dispatch (the registry's tables are
+   touched only by the submitting domain), and each cell's member
+   sampling uses a PRNG stream derived by [Prng.split] from the master
+   seed in cell-index order, so the stream a cell sees depends on its
+   grid position and never on which worker ran it or when. The merged
+   report folds cell reports in cell-index order; with
+   [~wallclock:false] serialization it is byte-identical across any
+   jobs count. *)
 
 type topo =
   | Waxman of int
@@ -52,12 +56,51 @@ let topo_of_string s =
             arpanet)"
            s))
 
-let generate_topo topo seed =
+let generate topo seed =
   match topo with
   | Waxman n -> Topology.Waxman.generate ~seed ~n ()
   | Random3 n -> Topology.Flat_random.generate ~seed ~n ~avg_degree:3.0
   | Random5 n -> Topology.Flat_random.generate ~seed ~n ~avg_degree:5.0
   | Arpanet -> Topology.Arpanet.generate ~seed
+
+(* A spec is a pure function of (topo, seed), so cells, runs and
+   replays that share the pair share one spec — and through it one
+   simulated graph, one APSP table per graph and one rule-1 centre.
+   The memo is a small round-robin of weak slots, so it never keeps a
+   spec alive that no caller still holds, and it is domain-local, as
+   [Netgraph.Apsp.compute]'s is: a spec reached through one domain's
+   memo is never handed to another domain's cells by it. A slot's key
+   is plain data and is compared first; its spec is read with
+   [Weak.get] only on a key match, so a lookup never revives the
+   specs of the other slots. *)
+let memo_slots = 8
+
+let memo_key =
+  Domain.DLS.new_key (fun () ->
+      (Array.make memo_slots None, Weak.create memo_slots, ref 0))
+
+let generate_topo topo seed =
+  let keys, specs, next = Domain.DLS.get memo_key in
+  let rec find i =
+    if i = memo_slots then None
+    else
+      match keys.(i) with
+      | Some (t, s) when s = seed && t = topo -> Some i
+      | Some _ | None -> find (i + 1)
+  in
+  let store i =
+    let spec = generate topo seed in
+    keys.(i) <- Some (topo, seed);
+    Weak.set specs i (Some spec);
+    spec
+  in
+  match find 0 with
+  | Some i -> (
+    match Weak.get specs i with Some spec -> spec | None -> store i)
+  | None ->
+    let i = !next in
+    next := (i + 1) mod memo_slots;
+    store i
 
 type random_failures = {
   rf_seed : int;
@@ -201,9 +244,9 @@ let perturb ?loss ?loss_class ?(faults = []) ?random_link_failures ?churn
   in
   { sc with loss; loss_class; faults = faults @ random_faults; churn }
 
-(* One isolated task: regenerate the topology from the cell's seed,
-   sample members from the cell's private stream, run, publish into a
-   fresh report. *)
+(* One isolated task: the cell's topology (possibly shared with
+   earlier cells of its (topo, seed) on this worker), members sampled from the
+   cell's private stream, one run published into a fresh report. *)
 let run_cell ?(check = false) sweep driver cell rng =
   let spec = generate_topo cell.topo cell.seed in
   let base =

@@ -7,10 +7,13 @@
     byte-identical (serialized with [~wallclock:false]) for every jobs
     count, because:
 
-    - each cell is isolated: it builds its own topology, APSP table and
+    - each cell is isolated: it builds its own scenario and
       {!Obs.Report}, and samples members from a private PRNG stream
       derived by [Prng.split] from the master seed in {e cell-index}
-      order — never scheduling order;
+      order — never scheduling order. Cells that share a (topology,
+      seed) pair on one worker may share its spec, simulated graph,
+      APSP tables and rule-1 centre ({!generate_topo}); all of these are
+      pure functions of the pair, so sharing changes no result;
     - drivers are resolved before dispatch, so workers never touch the
       registry;
     - per-cell reports are folded into the sweep report in cell-index
@@ -41,7 +44,11 @@ val topo_of_string : string -> (topo, string) result
 val generate_topo : topo -> int -> Topology.Spec.t
 (** Instantiate a topology cell from a seed — shared with the chaos
     campaign engine ({!Chaos}), which replays trials from (topo, seed)
-    pairs. *)
+    pairs. Memoized per domain on (topo, seed) in a few weak slots:
+    while a caller still holds the spec of a pair, asking for the pair
+    again returns physically that spec (with the simulated graph,
+    APSP tables and rule-1 centre already derived from it); once no
+    caller holds it, it is regenerated, equal field for field. *)
 
 type random_failures = {
   rf_seed : int;
@@ -130,6 +137,18 @@ type cell_result = {
   report : Obs.Report.t;  (** The cell's own full report. *)
   wall_s : float;  (** Wall-clock seconds this cell took. *)
 }
+
+val run_cell :
+  ?check:bool ->
+  spec ->
+  Protocols.Driver.t ->
+  cell ->
+  Scmp_util.Prng.t ->
+  cell_result
+(** One cell as {!run} executes it on a worker: the cell's topology
+    ({!generate_topo}), a scenario drawn from the given stream,
+    the sweep's perturbations, one run into a fresh report that also
+    carries the cell's [cell/<name>/...] rows. *)
 
 type outcome = {
   report : Obs.Report.t;  (** Merged sweep report. *)

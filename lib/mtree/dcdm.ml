@@ -181,6 +181,9 @@ let repair_limit_violations t limit =
     done
   end
 
+let reaches t s =
+  Tree.on_tree t.tree s || Float.is_finite (Apsp.delay t.apsp (Tree.root t.tree) s)
+
 let join t s =
   let root = Tree.root t.tree in
   t.last_graft <- None;

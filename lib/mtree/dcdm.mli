@@ -58,6 +58,11 @@ val join : t -> Tree.node -> unit
     its own group. @raise Invalid_argument if the node is unreachable
     from the root. *)
 
+val reaches : t -> Tree.node -> bool
+(** Whether {!join} can add the node: it is on the tree already, or the
+    group's APSP table reaches it from the root. {!join} raises exactly
+    when this is [false]. *)
+
 val leave : t -> Tree.node -> unit
 (** Remove a member and prune per §III.C/D. No-op for non-members.
     When the departed member was the farthest one the dynamic bound

@@ -29,6 +29,9 @@ type t = {
   (* Made by the first delay search of an unfiltered table, then
      shared by all of them; a filtered table never has one. *)
   mutable live : Dijkstra.live option;
+  (* Rule 1's pick, kept after the first [min_mean_delay_node]: a pure
+     function of the table, like the SPTs; -1 until then. *)
+  mutable rule1 : int;
 }
 
 let fresh ?node_ok ?edge_ok g =
@@ -41,6 +44,7 @@ let fresh ?node_ok ?edge_ok g =
     by_cost = Array.make n None;
     ws = Dijkstra.create_workspace ();
     live = None;
+    rule1 = -1;
   }
 
 let unfiltered t =
@@ -174,9 +178,8 @@ let cut_slack = 1.0 +. 1e-9
    exactly as [mean_delay_from] scores it, so the winner is the same
    node, ties included. A filtered table's components are not the
    graph's, so it scans every source in full. *)
-let min_mean_delay_node t =
+let rule1_scan t =
   let n = Graph.node_count t.g in
-  if n = 0 then invalid_arg "Apsp.min_mean_delay_node: empty graph";
   let unfiltered = unfiltered t in
   let reach = Array.make n 0 in
   if unfiltered then
@@ -208,3 +211,9 @@ let min_mean_delay_node t =
     end
   done;
   !best
+
+let min_mean_delay_node t =
+  if Graph.node_count t.g = 0 then
+    invalid_arg "Apsp.min_mean_delay_node: empty graph";
+  if t.rule1 < 0 then t.rule1 <- rule1_scan t;
+  t.rule1

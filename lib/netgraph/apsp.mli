@@ -118,5 +118,6 @@ val min_mean_delay_node : t -> Graph.node
     cut. A search that completes is scored exactly as
     {!mean_delay_from} scores it. A memoized SPT is read as it is, and
     a table with liveness filters scans every source in full: exact,
-    only slower. Memoizes nothing.
+    only slower. Memoizes no SPT, but keeps the picked node in the
+    table: every later call on the same table returns it at once.
     @raise Invalid_argument on a graph with no nodes. *)

@@ -20,10 +20,6 @@ type scenario = {
   loss_class : Eventsim.Netsim.pkt_class option;
   faults : Eventsim.Faults.spec list;
   churn : churn option;
-  (* Simulation graph, memoized: a pure function of the immutable
-     [spec], so every run of the scenario uses the same frozen graph
-     instead of re-freezing a copy per run. *)
-  mutable scaled : Netgraph.Graph.t option;
 }
 
 (* §IV.B's set-up: joins from t = 0.1 s spaced 0.5 s apart, so control
@@ -50,7 +46,6 @@ let make ?(data_interval = 1.0) ?(data_count = 30) ?(leavers = []) ?trace_path
     loss_class;
     faults;
     churn;
-    scaled = None;
   }
 
 let data_end s = s.data_start +. (s.data_interval *. float_of_int s.data_count)
@@ -130,14 +125,7 @@ let report_finish r s ~engine ~net ~delivery ~trace ~(inst : Driver.instance)
 let run ?(check = false) ?report driver s =
   let group = 1 in
   let wall0 = Obs.Clock.now_s () in
-  let g =
-    match s.scaled with
-    | Some g -> g
-    | None ->
-      let g = Topology.Spec.sim_graph s.spec in
-      s.scaled <- Some g;
-      g
-  in
+  let g = Topology.Spec.sim_graph s.spec in
   let engine = Eventsim.Engine.create () in
   let net = Message.network engine g in
   (match s.loss with

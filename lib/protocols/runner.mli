@@ -58,9 +58,6 @@ type scenario = {
   churn : churn option;
       (** Seeded background churn; a churn run counts as perturbed
           (packet conservation is not enforced). *)
-  mutable scaled : Netgraph.Graph.t option;
-      (** Internal memo of {!Topology.Spec.sim_graph}; managed by
-          {!run}, leave as [None]. *)
 }
 
 val make :
@@ -82,7 +79,9 @@ val make :
 (** The paper's set-up, fixed: members join from t=0.1 spaced 0.5 s;
     [data_count] packets (default 30) every [data_interval] (default
     1 s) from 3 s after the last join; delays from
-    {!Topology.Spec.sim_graph}. By default no leavers, no trace, no
+    {!Topology.Spec.sim_graph}, which is built once per spec, so every
+    scenario and run on one spec simulates one graph and shares its
+    m-router APSP table. By default no leavers, no trace, no
     loss, no faults and no churn. Protocol variants are driver values
     ({!Driver}), not scenario fields. *)
 

@@ -686,11 +686,33 @@ let fail_primary t =
 let distribute_restructured t a group tree =
   distribute_tree t a group tree (Mtree.Tree.removed_since_mark tree)
 
+(* A group keeps the APSP table it was created or last rebuilt with,
+   so a group whose tree no fault touched may hold a table built under
+   an earlier overlay, one that cannot reach [dr]. [Dcdm.join] would
+   raise there. The group is then rebuilt over the current [t.apsp]
+   from its roster, which holds [dr] already, as a repair rebuilds it:
+   [dr] joins if [t.apsp] reaches it, and is skipped until connectivity
+   returns if not. The rebuild distributed the whole tree, so the JOIN
+   has nothing left to distribute. *)
 let handle_join_at_mrouter t a group dr =
   let d = group_state t a group in
   let tree = Mtree.Dcdm.tree d in
   Mtree.Tree.mark tree;
-  timed_compute t (fun () -> Mtree.Dcdm.join d dr);
+  let joined =
+    timed_compute t (fun () ->
+        let ok = Mtree.Dcdm.reaches d dr in
+        if ok then Mtree.Dcdm.join d dr;
+        ok)
+  in
+  let tree =
+    if joined then tree
+    else begin
+      rebuild_group t a group (roster a.a_members group);
+      let tree = Mtree.Dcdm.tree (group_state t a group) in
+      Mtree.Tree.mark tree;
+      tree
+    end
+  in
   replicate t a group dr true;
   if dr = a.an then (authority_entry t a group).member <- true
   else

@@ -105,6 +105,4 @@ let generate ~seed =
       let delay = Spec.uniform_delay rng ~cost in
       Netgraph.Graph.Builder.add_link b u v ~delay ~cost)
     edges;
-  let t = { Spec.name = "arpanet"; graph = Netgraph.Graph.Builder.freeze b; coords } in
-  Spec.check t;
-  t
+  Spec.make ~name:"arpanet" ~graph:(Netgraph.Graph.Builder.freeze b) ~coords

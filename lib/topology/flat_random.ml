@@ -33,12 +33,6 @@ let generate ~seed ~n ~avg_degree =
       incr added
     end
   done;
-  let t =
-    {
-      Spec.name = Printf.sprintf "random-%d-deg%g" n avg_degree;
-      graph = Netgraph.Graph.Builder.freeze b;
-      coords;
-    }
-  in
-  Spec.check t;
-  t
+  Spec.make
+    ~name:(Printf.sprintf "random-%d-deg%g" n avg_degree)
+    ~graph:(Netgraph.Graph.Builder.freeze b) ~coords

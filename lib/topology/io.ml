@@ -87,9 +87,7 @@ let of_string text =
           state.coords;
         if not (Array.for_all Fun.id seen) then failwith "missing coord lines";
         let g = Netgraph.Graph.of_links ~n (List.rev state.links) in
-        let t = { Spec.name; graph = g; coords } in
-        Spec.check t;
-        Ok t
+        Ok (Spec.make ~name ~graph:g ~coords)
       with
       | Failure msg -> Error msg
       | Invalid_argument msg -> Error msg))

@@ -17,7 +17,7 @@
 val to_string : Spec.t -> string
 
 val of_string : string -> (Spec.t, string) result
-(** Parses and validates (via {!Spec.check}); all errors — bad syntax,
+(** Parses and validates (via {!Spec.make}); all errors — bad syntax,
     bad counts, duplicate links, disconnected graphs — come back as
     [Error]. *)
 

@@ -6,11 +6,19 @@
     (0, cost]. Keeping the coordinates around lets tests re-check those
     invariants and lets the placement study reason about geography. *)
 
-type t = {
+type t = private {
   name : string;  (** e.g. ["waxman-100"], ["arpanet"]. *)
   graph : Netgraph.Graph.t;
   coords : (int * int) array;  (** Grid position of each node. *)
+  mutable sim : Netgraph.Graph.t option;
+      (** {!sim_graph}'s memo; [None] until its first call. *)
 }
+
+val make :
+  name:string -> graph:Netgraph.Graph.t -> coords:(int * int) array -> t
+(** The one constructor: validates generator output (connected graph,
+    one coordinate per node).
+    @raise Invalid_argument on violation. *)
 
 val grid_size : int
 (** Side of the placement grid, 32767 (paper §IV.A). *)
@@ -29,11 +37,9 @@ val random_coords : Scmp_util.Prng.t -> int -> (int * int) array
 val sim_graph : t -> Netgraph.Graph.t
 (** The graph the packet simulator runs on: link delays converted from
     grid units to simulated seconds at 3 µs per unit, costs kept in the
-    paper's link-cost units. *)
+    paper's link-cost units. Built on the first call and kept on the
+    spec, so every call on one spec returns physically the same graph
+    (and, through {!Netgraph.Apsp.compute}'s memo, one APSP table). *)
 
 val uniform_delay : Scmp_util.Prng.t -> cost:float -> float
 (** Draw the paper's link delay: uniform in (0, cost], never zero. *)
-
-val check : t -> unit
-(** Validates generator output: connected graph, one coordinate per node.
-    @raise Invalid_argument on violation. *)

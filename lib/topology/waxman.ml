@@ -45,6 +45,5 @@ let generate ?(alpha = default_alpha) ?(beta = default_beta) ~seed ~n () =
       connect ()
   in
   connect ();
-  let t = { Spec.name = Printf.sprintf "waxman-%d" n; graph = Netgraph.Graph.Builder.freeze b; coords } in
-  Spec.check t;
-  t
+  Spec.make ~name:(Printf.sprintf "waxman-%d" n)
+    ~graph:(Netgraph.Graph.Builder.freeze b) ~coords

@@ -799,29 +799,41 @@ let coherence_differential seed =
       Eventsim.Engine.schedule_at e ~time:at (fun () ->
           if repairs () > Hashtbl.find before at then probe 0))
     faults;
-  (* Open bug, outside this differential: a group's DCDM state keeps
-     the APSP table of its last rebuild, so after a restore a JOIN from
-     a DR that table cannot reach raises out of [Dcdm.join]. Such a run
-     ends there; every probe before it still counts. *)
-  (try Eventsim.Engine.run e
-   with Invalid_argument msg when contains msg "Dcdm.join" -> ());
-  (!probes, List.rev !disagreements)
+  Eventsim.Engine.run e;
+  (p, !probes, List.rev !disagreements)
 
 let prop_coherence_matches_legacy =
   QCheck.Test.make ~count:100 ~name:"repair poll: I3 = legacy predicate"
     QCheck.(int_range 1 100_000)
     (fun seed ->
       match coherence_differential seed with
-      | _, [] -> true
-      | _, t :: _ -> QCheck.Test.fail_reportf "seed %d: disagree at t=%.6f" seed t)
+      | _, _, [] -> true
+      | _, _, t :: _ -> QCheck.Test.fail_reportf "seed %d: disagree at t=%.6f" seed t)
 
 let test_coherence_differential_probes () =
   (* The differential is not vacuous: the fixed seeds do poll. *)
   let probes =
-    List.fold_left (fun acc seed -> acc + fst (coherence_differential seed)) 0
-      [ 1; 2; 3 ]
+    List.fold_left
+      (fun acc seed ->
+        let _, probes, _ = coherence_differential seed in
+        acc + probes)
+      0 [ 1; 2; 3 ]
   in
   checkb "repair polls probed" true (probes > 0)
+
+(* Pinned regression: in seed 8's run, a JOIN reaches the m-router
+   from a DR that the group's DCDM table — built under an earlier
+   fault — cannot reach, although the live network can. The m-router
+   once raised [Dcdm.join]'s [Invalid_argument] out of [Engine.run]
+   here; it now rebuilds the group over the current table and the run
+   reaches quiescence with every invariant holding. *)
+let test_join_after_restore () =
+  let p, probes, disagreements = coherence_differential 8 in
+  checkb "repair polls probed" true (probes > 0);
+  checki "disagreements" 0 (List.length disagreements);
+  match P.verify p with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "quiescent invariants: %s" msg
 
 let () =
   Alcotest.run "check"
@@ -912,5 +924,7 @@ let () =
           Alcotest.test_case "differential probes repair polls" `Quick
             test_coherence_differential_probes;
           QCheck_alcotest.to_alcotest prop_coherence_matches_legacy;
+          Alcotest.test_case "join after restore (seed 8)" `Quick
+            test_join_after_restore;
         ] );
     ]

@@ -210,14 +210,21 @@ let prop_rule1_pruned_matches_full_scan =
       in
       (* the graph is new, so its unfiltered table starts empty; a
          pass-everything filter takes the uncut path *)
-      let apsp = Netgraph.Apsp.compute g in
-      check "unfiltered" apsp;
+      check "unfiltered" (Netgraph.Apsp.compute g);
       check "filtered" (Netgraph.Apsp.compute ~edge_ok:(fun _ -> true) g);
+      (* a new table (the table keeps its pick, so it takes a physically
+         new copy of the graph) with some SPTs memoized before the pick *)
+      let apsp =
+        Netgraph.Apsp.compute
+          (Netgraph.Graph.map_links g ~f:(fun l -> (l.Netgraph.Graph.delay, l.cost)))
+      in
       let rng = Scmp_util.Prng.create seed in
       for _ = 1 to 1 + (nodes / 4) do
         ignore (Netgraph.Apsp.sl_tree apsp (Scmp_util.Prng.int rng nodes))
       done;
       check "partly memoized" apsp;
+      (* a second pick on the same table reads the kept one *)
+      check "repeated" apsp;
       true)
 
 let test_rule1_ties_and_components () =

@@ -395,6 +395,108 @@ let test_perturb_matches_record_updates () =
   checkb "no perturbation leaves the scenario alone" true
     (Sweep.perturb ~seed:7 base = base)
 
+(* ---- per-topology memos ---- *)
+
+let gen_topo_seed =
+  QCheck.Gen.(
+    pair
+      (oneof
+         [
+           map (fun n -> Sweep.Waxman n) (int_range 2 40);
+           map (fun n -> Sweep.Random3 n) (int_range 4 40);
+           map (fun n -> Sweep.Random5 n) (int_range 6 40);
+           return Sweep.Arpanet;
+         ])
+      (int_range 1 10_000))
+
+let arb_topo_seed =
+  QCheck.make
+    ~print:(fun (t, s) -> Printf.sprintf "%s seed=%d" (Sweep.topo_to_string t) s)
+    gen_topo_seed
+
+(* The unmemoized oracle: the generator called directly. *)
+let generate_fresh topo seed =
+  match topo with
+  | Sweep.Waxman n -> Topology.Waxman.generate ~seed ~n ()
+  | Sweep.Random3 n -> Topology.Flat_random.generate ~seed ~n ~avg_degree:3.0
+  | Sweep.Random5 n -> Topology.Flat_random.generate ~seed ~n ~avg_degree:5.0
+  | Sweep.Arpanet -> Topology.Arpanet.generate ~seed
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_links g h =
+  List.length (Netgraph.Graph.links g) = List.length (Netgraph.Graph.links h)
+  && List.for_all2
+       (fun (a : Netgraph.Graph.link) (b : Netgraph.Graph.link) ->
+         a.u = b.u && a.v = b.v && bits_equal a.delay b.delay
+         && bits_equal a.cost b.cost)
+       (Netgraph.Graph.links g) (Netgraph.Graph.links h)
+
+let same_spec (a : Topology.Spec.t) (b : Topology.Spec.t) =
+  a.name = b.name && a.coords = b.coords && same_links a.graph b.graph
+
+let prop_generate_topo_memo =
+  QCheck.Test.make ~count:200 ~name:"generate_topo: shared while held, equal after"
+    arb_topo_seed (fun (topo, seed) ->
+      let held = Sweep.generate_topo topo seed in
+      let again = Sweep.generate_topo topo seed in
+      if held != again then QCheck.Test.fail_report "a held spec was rebuilt";
+      if not (same_spec held (generate_fresh topo seed)) then
+        QCheck.Test.fail_report "memoized spec differs from the generator's";
+      (* drop every reference, collect, and ask again *)
+      ignore (Sys.opaque_identity held);
+      Gc.full_major ();
+      same_spec (Sweep.generate_topo topo seed) (generate_fresh topo seed))
+
+let prop_sim_graph_memo =
+  QCheck.Test.make ~count:100 ~name:"Spec.sim_graph: one graph per spec"
+    arb_topo_seed (fun (topo, seed) ->
+      let spec = generate_fresh topo seed in
+      let g = Topology.Spec.sim_graph spec in
+      (* the oracle: the [map_links] scaling of a spec that never
+         built one *)
+      let oracle =
+        Topology.Spec.sim_graph
+          (Topology.Spec.make ~name:spec.name ~graph:spec.graph
+             ~coords:spec.coords)
+      in
+      g == Topology.Spec.sim_graph spec && g != oracle && same_links g oracle)
+
+(* Cells that share a (topo, seed) — two drivers, two group sizes, each
+   run twice on a worker that holds the spec — report byte-for-byte
+   what each cell reports alone on a fresh domain, whose memos start
+   empty. *)
+let prop_shared_cells_match_fresh =
+  QCheck.Test.make ~count:12 ~name:"run_cell: shared topology = fresh topology"
+    arb_topo_seed (fun (topo, seed) ->
+      let sweep =
+        Sweep.make ~packets:4 ~drivers:[ "scmp"; "pim-sm" ] ~topos:[ topo ]
+          ~group_sizes:[ 3; 7 ] ~seeds:[ seed ] ()
+      in
+      let cells = Sweep.cells sweep in
+      let run cell =
+        match
+          Sweep.run_cell sweep
+            (Protocols.Driver.find_exn cell.Sweep.driver)
+            cell
+            (Prng.create (seed + cell.index))
+        with
+        | r -> Obs.Report.to_string ~wallclock:false r.report
+        | exception Invalid_argument msg -> msg (* a draw of the m-router only *)
+      in
+      let shared =
+        Domain.join
+          (Domain.spawn (fun () ->
+               let held = Sweep.generate_topo topo seed in
+               let reports = List.map run (cells @ cells) in
+               ignore (Sys.opaque_identity held);
+               reports))
+      in
+      let fresh =
+        List.map (fun c -> Domain.join (Domain.spawn (fun () -> run c))) cells
+      in
+      shared = fresh @ fresh)
+
 let () =
   Alcotest.run "exec"
     [
@@ -435,5 +537,11 @@ let () =
             test_builder_errors;
           Alcotest.test_case "perturb = record updates" `Quick
             test_perturb_matches_record_updates;
+        ] );
+      ( "memo",
+        [
+          QCheck_alcotest.to_alcotest prop_generate_topo_memo;
+          QCheck_alcotest.to_alcotest prop_sim_graph_memo;
+          QCheck_alcotest.to_alcotest prop_shared_cells_match_fresh;
         ] );
     ]

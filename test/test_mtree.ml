@@ -388,6 +388,9 @@ let test_dcdm_unreachable () =
   let g = G.Builder.freeze bld in
   let apsp = A.compute g in
   let d = Dcdm.create apsp ~root:0 ~bound:Bound.Loosest () in
+  checkb "root reaches itself" true (Dcdm.reaches d 0);
+  checkb "linked node reachable" true (Dcdm.reaches d 1);
+  checkb "isolated node unreachable" false (Dcdm.reaches d 2);
   Alcotest.check_raises "unreachable member"
     (Invalid_argument "Dcdm.join: member unreachable from the m-router") (fun () ->
       Dcdm.join d 2)

@@ -114,7 +114,7 @@ let test_graph_map_links () =
   checkfo "cost kept" (Some 6.0) (G.link_cost_opt doubled 0 1);
   checki "same structure" (G.link_count g) (G.link_count doubled);
   (* The simulator's graph is one more map: delays scaled to seconds. *)
-  let spec = { Topology.Spec.name = "fig5"; graph = g; coords = Array.make 6 (0, 0) } in
+  let spec = Topology.Spec.make ~name:"fig5" ~graph:g ~coords:(Array.make 6 (0, 0)) in
   let sim = Topology.Spec.sim_graph spec in
   checki "sim graph: same structure" (G.link_count g) (G.link_count sim);
   let scale (l : G.link) = Option.get (G.link_delay_opt sim l.u l.v) /. l.delay in
