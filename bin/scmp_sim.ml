@@ -454,9 +454,18 @@ let run_cmd =
       (fun d ->
         let name = Protocols.Driver.name d in
         let rep = Option.map (fun _ -> Obs.Report.create ~name ()) report in
+        let write_report () =
+          match (rep, report_path_for name) with
+          | Some rep, Some path ->
+            or_die (Obs.Report.write ~pretty:true rep ~path);
+            Printf.printf "  report written to %s\n" path
+          | _ -> ()
+        in
         let r =
           try Protocols.Runner.run ~check ?report:rep d sc
-          with Check.Invariant.Violation msg -> or_die (Error msg)
+          with Check.Invariant.Violation msg ->
+            write_report ();
+            or_die (Error msg)
         in
         Printf.printf "%-7s %14.0f %16.0f %9.4fs %10d %s\n"
           (Protocols.Driver.display d)
@@ -476,11 +485,7 @@ let run_cmd =
             (n * (r.routes_epochs + 1))
             r.spt_invalidated
         end;
-        match (rep, report_path_for name) with
-        | Some rep, Some path ->
-          or_die (Obs.Report.write ~pretty:true rep ~path);
-          Printf.printf "  report written to %s\n" path
-        | _ -> ())
+        write_report ())
       drivers
   in
   Cmd.v

@@ -1,11 +1,14 @@
 open Parsetree
 
-let parse ~path src =
+let parse_with parser ~path src =
   let lexbuf = Lexing.from_string src in
   Lexing.set_filename lexbuf path;
   (* any lex/parse error means "no AST" — the engine reports it and
      runs no rule on the file *)
-  try Some (Parse.implementation lexbuf) with _ -> None (* lint: allow catchall-exn *)
+  try Some (parser lexbuf) with _ -> None (* lint: allow catchall-exn *)
+
+let parse = parse_with Parse.implementation
+let parse_interface = parse_with Parse.interface
 
 let line_of (loc : Location.t) = loc.loc_start.pos_lnum
 
@@ -85,47 +88,26 @@ let iter_idents e f =
   in
   it.expr it e
 
+let value_names structure f =
+  iter_exprs structure (fun e ->
+      match e.pexp_desc with
+      | Pexp_ident { txt; _ } -> f (Longident.last txt)
+      | _ -> ())
+
+let toplevel_vals signature =
+  List.filter_map
+    (fun item ->
+      match item.psig_desc with
+      | Psig_value vd -> Some (vd.pval_name.txt, line_of vd.pval_loc)
+      | _ -> None)
+    signature
+
 let expr_mentions e name =
   let found = ref false in
   iter_idents e (fun p _ -> if p = name then found := true);
   !found
 
-(* Identifiers inside [e], *not* descending into nested function
-   literals: what the expression computes when evaluated now, rather
-   than what a closure it builds would do later. *)
-let iter_immediate_idents e f =
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it x ->
-          match x.pexp_desc with
-          | Pexp_fun _ | Pexp_function _ -> ()
-          | Pexp_ident { txt; loc } ->
-            f (ident_path txt) loc;
-            Ast_iterator.default_iterator.expr it x
-          | _ -> Ast_iterator.default_iterator.expr it x);
-    }
-  in
-  it.expr it e
-
 (* ---- binding analysis ---- *)
-
-let pattern_vars p =
-  let acc = ref [] in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      pat =
-        (fun it p ->
-          (match p.ppat_desc with
-          | Ppat_var { txt; _ } | Ppat_alias (_, { txt; _ }) -> acc := txt :: !acc
-          | _ -> ());
-          Ast_iterator.default_iterator.pat it p);
-    }
-  in
-  it.pat it p;
-  !acc
 
 (* Unqualified value identifiers used by [e] but bound nowhere inside
    it — an over-approximation of the closure's free variables (any

@@ -10,6 +10,9 @@ val parse : path:string -> string -> Parsetree.structure option
 (** [None] when the source does not lex/parse ([path] only names the
     file in locations). *)
 
+val parse_interface : path:string -> string -> Parsetree.signature option
+(** {!parse} for an [.mli]. *)
+
 val line_of : Location.t -> int
 (** 1-based line of the location's start. *)
 
@@ -44,17 +47,16 @@ val iter_idents :
   Parsetree.expression -> (string -> Location.t -> unit) -> unit
 (** Every identifier occurrence within the expression. *)
 
+val value_names : Parsetree.structure -> (string -> unit) -> unit
+(** The last component of every value identifier in the file: [f] for
+    [f], [M.f] and [M.N.f] alike. *)
+
+val toplevel_vals : Parsetree.signature -> (string * int) list
+(** The [val]s (and [external]s) at the top of an interface, with the
+    line each starts on, in source order. *)
+
 val expr_mentions : Parsetree.expression -> string -> bool
 (** Is the (dotted) identifier used anywhere in the expression? *)
-
-val iter_immediate_idents :
-  Parsetree.expression -> (string -> Location.t -> unit) -> unit
-(** Like {!iter_idents} but without descending into nested function
-    literals: the identifiers evaluated {e now}, not captured for
-    later. *)
-
-val pattern_vars : Parsetree.pattern -> string list
-(** Variables the pattern binds. *)
 
 val free_names : Parsetree.expression -> string list
 (** Unqualified value identifiers used but nowhere bound inside the
@@ -62,11 +64,8 @@ val free_names : Parsetree.expression -> string list
     closure (sorted). Names bound {e anywhere} within count as bound,
     so the result can only miss captures, never invent them. *)
 
-val allocates_mutable : Parsetree.expression -> bool
-(** Does evaluating the expression immediately apply [ref] or
-    [Hashtbl.create]? (Nested function literals excluded.) *)
-
 val toplevel_mutable_bindings : Parsetree.structure -> (string * int) list
 (** Non-function top-level bindings (recursing into nested
-    [module M = struct .. end]) whose right-hand side
-    {!allocates_mutable} — [(name, line)] in source order. *)
+    [module M = struct .. end]) whose right-hand side immediately
+    applies [ref] or [Hashtbl.create] (nested function literals
+    excluded) — [(name, line)] in source order. *)

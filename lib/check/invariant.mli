@@ -66,13 +66,15 @@ type snapshot = {
 
 (** {2 Predicates} *)
 
-val check_tree : tree_view -> violation list
+val check_tree : (* lint: allow unused-export: invariant checker, I1 alone on a seeded defect *)
+  tree_view -> violation list
 (** I1 — tree well-formedness: single parent per non-root node, parent
     and children mirror each other, every tree edge is a graph link,
     everything on-tree is root-reachable (hence acyclic), members are
     on-tree. Protects §III.A/D. *)
 
-val check_delay_bound : tree_view -> limit:float -> violation list
+val check_delay_bound : (* lint: allow unused-export: invariant checker, I2 alone on a seeded defect *)
+  tree_view -> limit:float -> violation list
 (** I2 — every member's multicast delay (root-to-member tree path
     delay) stays within [limit]. Protects the DCDM QoS contract of
     §III.D / Fig 7. No-op when [limit] is infinite. *)
@@ -92,23 +94,21 @@ type delivery_counters = {
   missed : int;
 }
 
-val check_delivery : delivery_counters -> violation list
+val check_delivery : (* lint: allow unused-export: invariant checker, I4 alone on seeded counters *)
+  delivery_counters -> violation list
 (** I4 — packet conservation: every expected (seq, member) pair
     delivered exactly once, nothing delivered to non-members. Protects
     the F-set forwarding rule of §III.F. *)
 
-val check_fabric : Fabric.Sandwich.t -> violation list
-(** I5 — sandwich-fabric routing validity: the PN/CCN/DN plan routes
-    every registered source to its group's merge block and every merged
-    signal to its output port, with disjoint merge trees (§II.C). *)
-
-val check_live_links : snapshot -> violation list
+val check_live_links : (* lint: allow unused-export: invariant checker, I6 alone on a seeded defect *)
+  snapshot -> violation list
 (** I6 — a consistent tree only uses live links: no tree edge may
     cross a link listed in [dead_links]. A converged repair always
     satisfies this; a violation means the m-router distributed (or
     kept) a tree through a failed element. *)
 
-val check_epochs : snapshot -> violation list
+val check_epochs : (* lint: allow unused-export: invariant checker, I7 alone on a seeded defect *)
+  snapshot -> violation list
 (** I7 — no stale-epoch entries: every observable entry was installed
     under the reigning authority's epoch ([auth_epoch]). A violation
     means a deposed m-router's tree state survived a partition heal —
@@ -116,9 +116,6 @@ val check_epochs : snapshot -> violation list
     exist to prevent. *)
 
 (** {2 Aggregation} *)
-
-val verify_snapshot : snapshot -> violation list
-(** I1 + I2 + I3 + I6 + I7 on one group. *)
 
 val verify_all :
   ?delivery:delivery_counters ->

@@ -65,6 +65,7 @@ let rule_graph_freeze = "graph-freeze"
 let rule_raw_engine_queue = "raw-engine-queue"
 let rule_parse_failure = "parse-failure"
 let rule_unused_suppression = "unused-suppression"
+let rule_unused_export = "unused-export"
 
 (* ---- AST rule implementations ---- *)
 
@@ -563,7 +564,13 @@ let registry : Rule.t list =
 
 let all_rules =
   List.map (fun (r : Rule.t) -> r.Rule.id) registry
-  @ [ rule_mli; rule_dune_flags; rule_parse_failure; rule_unused_suppression ]
+  @ [
+      rule_mli;
+      rule_dune_flags;
+      rule_unused_export;
+      rule_parse_failure;
+      rule_unused_suppression;
+    ]
 
 let severity_of_rule rule =
   match List.find_opt (fun (r : Rule.t) -> r.Rule.id = rule) registry with
@@ -578,6 +585,9 @@ let doc_of_rule rule =
       [
         (rule_mli, "every lib/**/*.ml carries a .mli interface");
         (rule_dune_flags, "library dune files carry the strict warning flags");
+        ( rule_unused_export,
+          "every lib/**/*.mli value is used by another unit under lib, bin, \
+           bench, benchmark or examples" );
         (rule_parse_failure, "the file did not parse; no rule ran on it");
         (rule_unused_suppression, "an allow-suppression marker excuses no finding");
       ]
@@ -620,6 +630,29 @@ let suppressed markers (v : violation) =
     true
   | None -> false
 
+(* A marker that excused nothing is itself a finding (only meaningful
+   over the full rule set). *)
+let unused_markers ~path markers =
+  List.filter_map
+    (fun mk ->
+      if mk.m_used then None
+      else
+        Some
+          {
+            path;
+            line = mk.m_line;
+            rule = rule_unused_suppression;
+            severity = Error;
+            message =
+              (if List.mem mk.m_rule all_rules then
+                 Printf.sprintf
+                   "lint: allow %s matches no finding on this line; drop the \
+                    stale suppression"
+                   mk.m_rule
+               else Printf.sprintf "lint: allow %s names an unknown rule" mk.m_rule);
+          })
+    markers
+
 (* ---- per-file scan ---- *)
 
 let selected ?rules ?max_severity id =
@@ -633,19 +666,20 @@ let selected ?rules ?max_severity id =
    when the file does not parse. Such a file cannot build under the
    strict flags, so it gets exactly one [parse-failure] finding and no
    rule runs on it: no source rule, no mli-coverage, no marker audit. *)
+let parse_failure path =
+  {
+    path;
+    line = 1;
+    rule = rule_parse_failure;
+    severity = Error;
+    message = "file does not parse; no lint rule ran on it";
+  }
+
 let scan_source ?rules ?max_severity ~path src =
   match Ast_scan.parse ~path src with
   | None ->
-    let failure =
-      {
-        path;
-        line = 1;
-        rule = rule_parse_failure;
-        severity = Error;
-        message = "file does not parse; no lint rule ran on it";
-      }
-    in
-    ( (if selected ?rules ?max_severity rule_parse_failure then [ failure ]
+    ( (if selected ?rules ?max_severity rule_parse_failure then
+         [ parse_failure path ]
        else []),
       None )
   | Some ast ->
@@ -727,6 +761,86 @@ let under_lib path =
   || (String.length path >= 4 && String.sub path 0 4 = "lib/")
   || path_contains path "/lib/"
 
+(* ---- unused-export ---- *)
+
+(* The directories whose code counts as a caller of a library value;
+   test/ is not among them. *)
+let consumer_dirs = [ "lib"; "bin"; "bench"; "benchmark"; "examples" ]
+
+(* The rule over one scan root named [lib]: every top-level [val] of
+   its [.mli] files must be named by an identifier in some other
+   unit's [.ml] under the consumer directories beside it. Names are
+   matched on their last component only ([M.f], [N.f] and a bare [f]
+   under [open] or [include] all count for [f]), so aliases, local
+   opens, includes and first-class modules need no resolution: the
+   rule can miss an unused value that shares its name with a used one,
+   never report one that is used. Returns the number of interfaces
+   read and the findings, markers applied and audited. *)
+let unused_exports ~audit lib_root =
+  let parent = Filename.dirname lib_root in
+  let beside d =
+    if d = "lib" then lib_root
+    else if parent = Filename.current_dir_name then d
+    else Filename.concat parent d
+  in
+  let users = Hashtbl.create 4096 in
+  List.iter
+    (fun d ->
+      let dir = beside d in
+      if is_dir dir then
+        List.iter
+          (fun p ->
+            if has_suffix p ".ml" then
+              match Ast_scan.parse ~path:p (read_file p) with
+              | None -> ()
+              | Some ast ->
+                Ast_scan.value_names ast (fun name ->
+                    match Hashtbl.find_opt users name with
+                    | Some (q :: _) when q = p -> ()
+                    | Some qs -> Hashtbl.replace users name (p :: qs)
+                    | None -> Hashtbl.replace users name [ p ]))
+          (List.sort String.compare (walk dir [])))
+    consumer_dirs;
+  let mlis =
+    List.filter (fun p -> has_suffix p ".mli") (walk lib_root [])
+    |> List.sort String.compare
+  in
+  let check path =
+    let own = Filename.remove_extension path ^ ".ml" in
+    let src = read_file path in
+    match Ast_scan.parse_interface ~path src with
+    | None -> [ parse_failure path ]
+    | Some signature ->
+      let markers = markers_of (Array.of_list (lines src)) in
+      let used name =
+        match Hashtbl.find_opt users name with
+        | Some files -> List.exists (fun f -> f <> own) files
+        | None -> false
+      in
+      let findings =
+        List.filter_map
+          (fun (name, line) ->
+            let v =
+              {
+                path;
+                line;
+                rule = rule_unused_export;
+                severity = Error;
+                message =
+                  Printf.sprintf
+                    "%s is exported but no other unit under %s uses it; \
+                     delete it, or drop it from the interface"
+                    name
+                    (String.concat ", " consumer_dirs);
+              }
+            in
+            if used name || suppressed markers v then None else Some v)
+          (Ast_scan.toplevel_vals signature)
+      in
+      findings @ if audit then unused_markers ~path markers else []
+  in
+  (List.length mlis, List.concat_map check mlis)
+
 type summary = {
   roots : string list;
   files_scanned : int;
@@ -774,32 +888,7 @@ let scan ?rules ?max_severity roots =
             else []
           in
           push mli_findings;
-          (* unused-suppression audit: a marker that excused nothing is
-             itself a finding (only meaningful over the full rule set). *)
-          if audit then
-            push
-              (List.filter_map
-                 (fun mk ->
-                   if mk.m_used then None
-                   else
-                     Some
-                       {
-                         path = p;
-                         line = mk.m_line;
-                         rule = rule_unused_suppression;
-                         severity = Error;
-                         message =
-                           (if List.mem mk.m_rule all_rules then
-                              Printf.sprintf
-                                "lint: allow %s matches no finding on this \
-                                 line; drop the stale suppression"
-                                mk.m_rule
-                            else
-                              Printf.sprintf
-                                "lint: allow %s names an unknown rule"
-                                mk.m_rule);
-                       })
-                 markers)
+          if audit then push (unused_markers ~path:p markers)
         end
         else if
           Filename.basename p = "dune" && under_lib p
@@ -809,12 +898,19 @@ let scan ?rules ?max_severity roots =
           push (scan_dune ~path:p (read_file p))
         end)
       files;
+    if selected ?rules ?max_severity rule_unused_export then
+      List.iter
+        (fun r ->
+          if Filename.basename r = "lib" && is_dir r then begin
+            let mlis, findings = unused_exports ~audit r in
+            scanned := !scanned + mlis;
+            push findings
+          end)
+        roots;
     (List.sort compare_violations !out, !scanned)
   in
   let (findings, files_scanned), wall_s = Obs.Clock.time run in
   { roots; files_scanned; findings; wall_s }
-
-let scan_tree roots = (scan roots).findings
 
 (* ---- machine-readable report (scmp-lint/1) ---- *)
 

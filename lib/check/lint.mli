@@ -12,7 +12,8 @@
 
     {b Style/layering (severity Error)} — [poly-compare],
     [hashtbl-find], [failwith-hot-path], [mli-coverage],
-    [dune-strict-flags], [raw-transmit], [domain-safety].
+    [dune-strict-flags], [raw-transmit], [domain-safety],
+    [unused-export].
 
     {b Determinism & domain hazards} — the invariants behind the
     byte-identical report guarantees: [hashtbl-iter-order] (D1, Warn),
@@ -21,8 +22,9 @@
     [exec-capture] (D6, Warn).
 
     A raw line containing [lint: allow <rule>] (conventionally in a
-    trailing comment) exempts that line from that rule; a marker that
-    excuses nothing is itself an Error ([unused-suppression]).
+    trailing comment) exempts that line from that rule, in an [.ml] or,
+    for [unused-export], an [.mli]; a marker that excuses nothing is
+    itself an Error ([unused-suppression]).
     Warn-level findings gate through the committed baseline
     ([lint-baseline.json], {!diff_baseline}); Error findings always
     gate. *)
@@ -40,50 +42,27 @@ type violation = {
 val to_string : violation -> string
 (** [path:line: [rule] message] — compiler-style, clickable. *)
 
-val compare_violations : violation -> violation -> int
-(** Path, line, rule, message — the canonical (deterministic) order. *)
-
 val all_rules : string list
 (** Every rule id, registry order (source rules, then tree-level
-    [mli-coverage]/[dune-strict-flags], then the engine rules
-    [parse-failure]/[unused-suppression]). *)
+    [mli-coverage]/[dune-strict-flags]/[unused-export], then the engine
+    rules [parse-failure]/[unused-suppression]). *)
 
 val severity_of_rule : string -> severity
 val doc_of_rule : string -> string option
 
-val rule_poly_compare : string
-val rule_hashtbl_find : string
-val rule_failwith : string
-val rule_mli : string
-val rule_dune_flags : string
-val rule_raw_transmit : string
-val rule_raw_fault : string
-val rule_domain_safety : string
-val rule_hashtbl_iter_order : string
-val rule_wallclock : string
-val rule_unseeded_random : string
-val rule_catchall : string
-val rule_physical_eq : string
-val rule_exec_capture : string
-val rule_graph_freeze : string
-val rule_raw_engine_queue : string
-val rule_parse_failure : string
-val rule_unused_suppression : string
-
-val scan_ml : path:string -> string -> violation list
+val scan_ml : (* lint: allow unused-export: reference oracle, the source rules on one in-memory file *)
+  path:string -> string -> violation list
 (** Apply the source rules to one [.ml]'s contents — or, when it does
     not parse, report just that ([parse-failure]); suppression markers
-    applied; sorted with {!compare_violations}. Scoped rules only fire
+    applied; sorted by path, line, rule and message. Scoped rules only fire
     on matching [path]s ([failwith-hot-path] under [protocols],
     [raw-transmit] outside [protocols]/[eventsim], [domain-safety]
     outside [exec], [wallclock-outside-obs] outside [obs]). *)
 
-val scan_dune : path:string -> string -> violation list
+val scan_dune : (* lint: allow unused-export: reference oracle, the flags rule on one in-memory dune file *)
+  path:string -> string -> violation list
 (** Apply the [dune-strict-flags] rule to one library [dune] file; a
     [-warn-error] inside a [;] line comment does not count. *)
-
-val scan_tree : string list -> violation list
-(** [(scan roots).findings] — the legacy entry point. *)
 
 type summary = {
   roots : string list;
@@ -97,7 +76,11 @@ val scan :
 (** Walk the given root directories (skipping [_build] and dotfiles)
     and apply every rule in scope: source rules to [*.ml], interface
     coverage and dune-flag rules to files under [lib], plus the
-    unused-suppression audit. [?rules] restricts to the named rule
+    unused-suppression audit. A root named [lib] also gets the
+    [unused-export] pass: each top-level [val] of its [.mli] files
+    must be named, by last path component, in another unit's [.ml]
+    under the [lib], [bin], [bench], [benchmark] or [examples]
+    directory beside it ([test] does not count). [?rules] restricts to the named rule
     ids; [?max_severity:Error] runs Error-severity rules only. The
     audit is skipped when either filter is active (a marker for a
     filtered-out rule is not "unused"). *)

@@ -93,7 +93,7 @@ let create_group t =
         ignore (Service.revoke_group t.service addr);
         e
       | Ok () ->
-        (match Service.start_session t.service ~group:addr ~lifetime:None ~now:(now t) with
+        (match Service.start_session t.service ~group:addr ~now:(now t) with
         | Ok _ -> ()
         | Error _ -> ());
         Hashtbl.replace t.groups addr
@@ -140,7 +140,6 @@ let send t ~group ~src =
   Protocols.Scmp_proto.send_data t.proto ~group ~src ~seq
 
 let run t = Eventsim.Engine.run t.engine
-let run_until t time = Eventsim.Engine.run ~until:time t.engine
 
 let tree t ~group = Protocols.Scmp_proto.mrouter_tree t.proto ~group
 

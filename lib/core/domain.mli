@@ -54,7 +54,7 @@ val close_group : t -> Service.addr -> unit
 val join : t -> group:Service.addr -> ?host:int -> node -> unit
 (** A host on the router's subnet joins (through IGMP; the first host
     triggers the SCMP JOIN). Effects unfold as simulation events — call
-    {!run} (or {!run_until}) to let them settle. *)
+    {!run} to let them settle. *)
 
 val leave : t -> group:Service.addr -> ?host:int -> node -> unit
 
@@ -64,8 +64,6 @@ val send : t -> group:Service.addr -> src:node -> unit
 
 val run : t -> unit
 (** Drain all pending simulation events. *)
-
-val run_until : t -> float -> unit
 
 val tree : t -> group:Service.addr -> Mtree.Tree.t option
 (** The m-router's current multicast tree for the group. *)
@@ -97,5 +95,6 @@ val fail_mrouter : t -> unit
 
 val standby_took_over : t -> bool
 
-val igmp : t -> node -> Protocols.Igmp.t
+val igmp : (* lint: allow unused-export: introspection, one router's IGMP subnet state *)
+  t -> node -> Protocols.Igmp.t
 (** The router's subnet model (for inspecting host membership). *)

@@ -8,23 +8,21 @@ type event =
   | Session_started of session_id
   | Session_ended of session_id
 
-type session = { group : addr; expires_at : float option }
+(* The address pool: 256 addresses from 0xE0000100 (224.0.1.0). *)
+let first_addr = 0xE0000100
+let pool_size = 256
 
 type t = {
-  first_addr : addr;
-  pool_size : int;
   mutable next_fresh : int;  (* addresses never issued yet *)
   mutable returned : addr list;  (* revoked, reusable *)
   issued : (addr, unit) Hashtbl.t;
   logs : (addr, (float * event) list ref) Hashtbl.t;  (* newest first *)
-  sessions : (session_id, session) Hashtbl.t;
+  sessions : (session_id, addr) Hashtbl.t;  (* session -> its group *)
   mutable next_session : session_id;
 }
 
-let create ?(first_addr = 0xE0000100) ?(pool_size = 256) () =
+let create () =
   {
-    first_addr;
-    pool_size;
     next_fresh = 0;
     returned = [];
     issued = Hashtbl.create 32;
@@ -61,16 +59,16 @@ let allocate_group t ~now =
     t.returned <- rest;
     issue a
   | [] ->
-    if t.next_fresh >= t.pool_size then Error "multicast address pool exhausted"
+    if t.next_fresh >= pool_size then Error "multicast address pool exhausted"
     else begin
-      let a = t.first_addr + t.next_fresh in
+      let a = first_addr + t.next_fresh in
       t.next_fresh <- t.next_fresh + 1;
       issue a
     end
 
 let active_sessions t ~group =
   Hashtbl.fold
-    (fun sid s acc -> if s.group = group then sid :: acc else acc)
+    (fun sid g acc -> if g = group then sid :: acc else acc)
     t.sessions []
   |> List.sort Int.compare
 
@@ -84,16 +82,12 @@ let revoke_group t a =
     Ok ()
   end
 
-let published_groups t =
-  Hashtbl.fold (fun a () acc -> a :: acc) t.issued [] |> List.sort Int.compare
-
-let start_session t ~group ~lifetime ~now =
+let start_session t ~group ~now =
   if not (group_exists t group) then Error "unknown group"
   else begin
     let sid = t.next_session in
     t.next_session <- sid + 1;
-    let expires_at = Option.map (fun l -> now +. l) lifetime in
-    Hashtbl.replace t.sessions sid { group; expires_at };
+    Hashtbl.replace t.sessions sid group;
     record t ~group ~now (Session_started sid);
     Ok sid
   end
@@ -101,23 +95,10 @@ let start_session t ~group ~lifetime ~now =
 let end_session t sid ~now =
   match Hashtbl.find_opt t.sessions sid with
   | None -> Error "unknown session"
-  | Some s ->
+  | Some group ->
     Hashtbl.remove t.sessions sid;
-    record t ~group:s.group ~now (Session_ended sid);
+    record t ~group ~now (Session_ended sid);
     Ok ()
-
-let expire t ~now =
-  let expired =
-    Hashtbl.fold
-      (fun sid s acc ->
-        match s.expires_at with
-        | Some e when e <= now -> sid :: acc
-        | Some _ | None -> acc)
-      t.sessions []
-    |> List.sort Int.compare
-  in
-  List.iter (fun sid -> ignore (end_session t sid ~now)) expired;
-  expired
 
 let log t ~group =
   match Hashtbl.find_opt t.logs group with

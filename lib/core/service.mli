@@ -2,8 +2,7 @@
 
     "The m-router is the sole entity for managing the multicast groups
     and multicast sessions": it issues and revokes multicast addresses,
-    publishes existing groups, starts and tears down sessions with
-    service-defined lifetimes, and keeps per-group accounting of every
+    starts and tears down sessions, and keeps per-group accounting of every
     membership on-off and traffic event "for accounting/billing
     purposes" — queryable by outsiders. All of that state lives in this
     module's database.
@@ -25,8 +24,8 @@ type event =
 
 type t
 
-val create : ?first_addr:addr -> ?pool_size:int -> unit -> t
-(** Default pool: 256 addresses starting at 0xE0000100 (224.0.1.0). *)
+val create : unit -> t
+(** A pool of 256 addresses starting at 0xE0000100 (224.0.1.0). *)
 
 (** {2 Group address management} *)
 
@@ -39,26 +38,14 @@ val revoke_group : t -> addr -> (unit, string) result
     accounting log is retained). Errors on unknown or active-session
     groups. *)
 
-val group_exists : t -> addr -> bool
-
-val published_groups : t -> addr list
-(** Addresses currently issued, ascending — what the m-router
-    "publishes" for prospective members. *)
-
 (** {2 Session management} *)
 
-val start_session :
-  t -> group:addr -> lifetime:float option -> now:float -> (session_id, string) result
-(** Open a session on a group; [lifetime], when given, sets the expiry
-    {!expire} enforces. Errors on unknown groups. *)
+val start_session : t -> group:addr -> now:float -> (session_id, string) result
+(** Open a session on a group. Errors on unknown groups. *)
 
 val end_session : t -> session_id -> now:float -> (unit, string) result
 
 val active_sessions : t -> group:addr -> session_id list
-
-val expire : t -> now:float -> session_id list
-(** Tear down every session whose lifetime has elapsed; returns the
-    sessions closed. The m-router calls this periodically. *)
 
 (** {2 Accounting and queries} *)
 

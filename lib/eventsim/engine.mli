@@ -67,10 +67,12 @@ val schedule_fast :
     closure is allocated per event.
     @raise Invalid_argument if [time < now t]. *)
 
-val pending : t -> int
+val pending : (* lint: allow unused-export: introspection counter, events queued now *)
+  t -> int
 (** Events currently queued. *)
 
-val pending_foreground : t -> int
+val pending_foreground : (* lint: allow unused-export: introspection counter, foreground events queued now *)
+  t -> int
 (** Non-background events currently queued. *)
 
 (** {2 Observability} *)
@@ -78,7 +80,8 @@ val pending_foreground : t -> int
 val events_executed : t -> int
 (** Events executed since creation. *)
 
-val heap_high_water : t -> int
+val heap_high_water : (* lint: allow unused-export: introspection counter, the queue's high-water mark *)
+  t -> int
 (** Largest queue length ever reached — the engine's memory
     high-water mark. *)
 

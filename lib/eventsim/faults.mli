@@ -40,7 +40,8 @@ val install : 'm Netsim.t -> spec list -> t
     {!Engine.run} (scheduling in the past raises in the engine).
     @raise Invalid_argument on a negative event time. *)
 
-val applied : t -> int
+val applied : (* lint: allow unused-export: introspection counter, fault events applied *)
+  t -> int
 (** Total events applied so far. *)
 
 val random_link_failures :

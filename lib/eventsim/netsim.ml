@@ -178,8 +178,6 @@ let set_node_processing t x station ~service_time =
     invalid_arg "Netsim.set_node_processing: negative service time";
   t.processing.(x) <- Some (station, service_time)
 
-let clear_node_processing t x = t.processing.(x) <- None
-
 let set_loss ?only t ~rate ~seed =
   if rate < 0.0 || rate >= 1.0 then
     invalid_arg "Netsim.set_loss: rate must be in [0, 1)";
@@ -545,9 +543,6 @@ let unicast t ?(background = false) ~src ~dst msg =
     end
   end
 
-let loopback t x msg =
-  send_edge1 t ~background:false ~at:(Engine.now t.engine) ~from:x x (-1) msg
-
 let create ?sizeof engine graph ~classify =
   let n = Netgraph.Graph.node_count graph in
   let m = Netgraph.Graph.edge_count graph in
@@ -616,23 +611,11 @@ let data_overhead t = t.data_overhead
 let control_overhead t = t.control_overhead
 let data_transmissions t = t.data_tx
 let control_transmissions t = t.control_tx
-let data_bytes t = t.data_bytes
-let control_bytes t = t.control_bytes
 
 let link_crossings t (a, b) =
   match Netgraph.Graph.edge_id_opt t.graph a b with
   | Some e -> t.per_link.(e)
   | None -> 0
-
-let per_link_crossings t =
-  let acc = ref [] in
-  for e = Array.length t.per_link - 1 downto 0 do
-    if t.per_link.(e) > 0 then acc := ((t.eu.(e), t.ev.(e)), t.per_link.(e)) :: !acc
-  done;
-  List.sort
-    (fun ((a1, b1), _) ((a2, b2), _) ->
-      match Int.compare a1 a2 with 0 -> Int.compare b1 b2 | c -> c)
-    !acc
 
 let observe t m =
   let set_c name v = Obs.Metrics.set_counter (Obs.Metrics.counter m name) v in

@@ -78,10 +78,6 @@ val unicast : 'm t -> ?background:bool -> src:node -> dst:node -> 'm -> unit
     delay. A packet with no route (partitioned network) is dropped and
     counted ({!dropped}, reason {!No_route}). *)
 
-val loopback : 'm t -> node -> 'm -> unit
-(** Deliver to the node's own handler at the current instant + 0 (an
-    intra-router hand-off; no link crossed, nothing charged). *)
-
 (** {2 Accounting} *)
 
 val data_overhead : 'm t -> float
@@ -95,18 +91,9 @@ val data_transmissions : 'm t -> int
 
 val control_transmissions : 'm t -> int
 
-val data_bytes : 'm t -> int
-(** Bytes crossed by data packets ([sizeof] summed per crossing);
-    0 unless {!create} was given [sizeof]. *)
-
-val control_bytes : 'm t -> int
-
-val link_crossings : 'm t -> (node * node) -> int
+val link_crossings : (* lint: allow unused-export: introspection counter, crossings of one link *)
+  'm t -> (node * node) -> int
 (** Crossings of one undirected link (both directions pooled). *)
-
-val per_link_crossings : 'm t -> ((node * node) * int) list
-(** Every link that carried traffic with its crossing count, ordered by
-    link — per-link utilization for reports. *)
 
 val observe : 'm t -> Obs.Metrics.t -> unit
 (** Publish the accounting into a registry: [net/data/transmissions],
@@ -135,8 +122,6 @@ val set_node_processing : 'm t -> node -> Server.t -> service_time:float -> unit
     concentration at shared-tree cores versus the m-router's parallel
     fabric. @raise Invalid_argument on negative service time. *)
 
-val clear_node_processing : 'm t -> node -> unit
-
 (** {2 Failure injection} *)
 
 val set_loss : ?only:pkt_class -> 'm t -> rate:float -> seed:int -> unit
@@ -152,7 +137,8 @@ val set_loss : ?only:pkt_class -> 'm t -> rate:float -> seed:int -> unit
 val dropped : 'm t -> int
 (** Packets killed so far, for any reason. *)
 
-val dropped_by : 'm t -> drop_reason -> int
+val dropped_by : (* lint: allow unused-export: introspection counter, drops for one reason *)
+  'm t -> drop_reason -> int
 (** Packets killed for one specific reason. *)
 
 val on_drop :

@@ -183,10 +183,6 @@ let note_edge_up t e =
         then drop t s)
     t.results
 
-let invalidate_all t =
-  Array.iteri (fun s _ -> drop t s) t.results;
-  Array.fill t.edge_users 0 (Array.length t.edge_users) []
-
 let cached t =
   Array.fold_left
     (fun acc entry -> match entry with None -> acc | Some _ -> acc + 1)

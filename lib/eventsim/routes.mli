@@ -85,10 +85,8 @@ val note_edge_up : t -> Netgraph.Graph.edge -> unit
     shorten (or tie — ties can flip predecessor choices), judged from
     the cached distances of its endpoints. *)
 
-val invalidate_all : t -> unit
-(** Drop every cached entry (full reconvergence). *)
-
-val cached : t -> int
+val cached : (* lint: allow unused-export: introspection counter, sources memoized now *)
+  t -> int
 (** Number of sources currently memoized. *)
 
 val computed : t -> int

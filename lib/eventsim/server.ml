@@ -8,7 +8,6 @@ type t = {
   mutable completed : int;
   mutable total_wait : float;
   mutable max_queue : int;
-  mutable on_wait : (float -> unit) option;
 }
 
 let create engine ~servers =
@@ -21,23 +20,18 @@ let create engine ~servers =
     completed = 0;
     total_wait = 0.0;
     max_queue = 0;
-    on_wait = None;
   }
 
-let servers t = t.k
 let busy t = t.busy
 let queue_length t = Queue.length t.waiting
 let completed t = t.completed
 let total_queueing_delay t = t.total_wait
 let max_queue_length t = t.max_queue
 
-let on_wait t f = t.on_wait <- Some f
-
 let rec start t job =
   t.busy <- t.busy + 1;
   let wait = Engine.now t.engine -. job.arrived in
   t.total_wait <- t.total_wait +. wait;
-  (match t.on_wait with Some f -> f wait | None -> ());
   Engine.schedule t.engine ~delay:job.service_time (fun () ->
       t.busy <- t.busy - 1;
       t.completed <- t.completed + 1;
@@ -55,10 +49,6 @@ let submit t ~service_time run =
     if Queue.length t.waiting > t.max_queue then t.max_queue <- Queue.length t.waiting
   end
 
-let instrument t m ~prefix =
-  let hist = Obs.Metrics.histogram m (prefix ^ "/wait_s") in
-  on_wait t (fun w -> Obs.Metrics.observe hist w)
-
 let observe t m ~prefix =
   let set_c name v =
     Obs.Metrics.set_counter (Obs.Metrics.counter m (prefix ^ name)) v
@@ -66,8 +56,3 @@ let observe t m ~prefix =
   set_c "/completed" t.completed;
   set_c "/max_queue" t.max_queue;
   Obs.Metrics.set (Obs.Metrics.gauge m (prefix ^ "/total_wait_s")) t.total_wait
-
-let sample_queue_depth t series ~interval ~until =
-  Engine.every t.engine ~interval ~until ~background:true (fun () ->
-      Obs.Series.sample series ~t:(Engine.now t.engine)
-        (float_of_int (Queue.length t.waiting)))

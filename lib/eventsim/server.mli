@@ -16,17 +16,17 @@ type t
 val create : Engine.t -> servers:int -> t
 (** @raise Invalid_argument if [servers < 1]. *)
 
-val servers : t -> int
-
 val submit : t -> service_time:float -> (unit -> unit) -> unit
 (** Enqueue a job; its callback fires [service_time] after a server
     picks it up (immediately if one is idle).
     @raise Invalid_argument on negative service time. *)
 
-val busy : t -> int
+val busy : (* lint: allow unused-export: introspection counter, jobs in service now *)
+  t -> int
 (** Jobs currently in service. *)
 
-val queue_length : t -> int
+val queue_length : (* lint: allow unused-export: introspection counter, jobs waiting now *)
+  t -> int
 (** Jobs waiting for a server. *)
 
 val completed : t -> int
@@ -40,19 +40,6 @@ val max_queue_length : t -> int
 
 (** {2 Observability} *)
 
-val on_wait : t -> (float -> unit) -> unit
-(** Install a hook called with each job's queueing delay the moment it
-    enters service (replaces any previous hook). *)
-
-val instrument : t -> Obs.Metrics.t -> prefix:string -> unit
-(** Record every subsequent job's queueing delay into the histogram
-    [<prefix>/wait_s] of the registry (installs an {!on_wait} hook). *)
-
 val observe : t -> Obs.Metrics.t -> prefix:string -> unit
 (** Publish the aggregate statistics: [<prefix>/completed],
     [<prefix>/max_queue], [<prefix>/total_wait_s]. Idempotent. *)
-
-val sample_queue_depth : t -> Obs.Series.t -> interval:float -> until:float -> unit
-(** Sample the waiting-queue depth into a sim-time series every
-    [interval] seconds up to [until] (background events; they do not
-    keep the run alive). *)

@@ -38,7 +38,8 @@ val dropped : t -> int
 (** Oldest lines evicted by the [limit] ring buffer; 0 when
     unbounded. *)
 
-val drop_events : t -> int
+val drop_events : (* lint: allow unused-export: introspection counter, drop lines including evicted ones *)
+  t -> int
 (** Packet-kill ([X]) lines recorded so far (counted even when the ring
     buffer later evicts the line). *)
 

@@ -37,7 +37,8 @@ val map : t -> 'a list -> f:(int -> 'a -> 'b) -> 'b list
     and then {!Task_error} carries the lowest failing index.
     @raise Invalid_argument after {!shutdown}. *)
 
-val shutdown : t -> unit
+val shutdown : (* lint: allow unused-export: lifecycle invariant, a shut-down pool refuses work *)
+  t -> unit
 (** Drain and join the workers. Idempotent. *)
 
 val with_pool : ?jobs:int -> (t -> 'a) -> 'a

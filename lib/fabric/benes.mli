@@ -30,7 +30,8 @@ val depth : config -> int
 val element_count : config -> int
 (** Total 2x2 elements: [n/2 * depth] (the [n=2] base is one element). *)
 
-val crossed_count : config -> int
+val crossed_count : (* lint: allow unused-export: introspection, a configuration's crossed elements *)
+  config -> int
 (** Elements set to "cross" — a cheap fingerprint used by tests. *)
 
 val identity : int -> config

@@ -26,10 +26,12 @@ val free : t -> block -> unit
 (** Return a block; adjacent buddies coalesce.
     @raise Invalid_argument if the block is not currently allocated. *)
 
-val allocated : t -> block list
+val allocated : (* lint: allow unused-export: introspection, the live blocks *)
+  t -> block list
 (** Live blocks, by offset. *)
 
-val free_columns : t -> int
+val free_columns : (* lint: allow unused-export: introspection counter, columns in no block *)
+  t -> int
 (** Number of columns not in any live block. *)
 
 val pow2_ceil : int -> int

@@ -28,7 +28,8 @@ val create : int -> t
 
 val ports : t -> int
 
-val stages : t -> int
+val stages : (* lint: allow unused-export: introspection, the network depth *)
+  t -> int
 (** [log2 n]. *)
 
 type plan
@@ -46,5 +47,6 @@ val elements_used : plan -> int
 (** Internal elements the multicast occupies (its fan-out tree size):
     for a range of width w spanning depth d, between d and ~2w. *)
 
-val copies : plan -> int
+val copies : (* lint: allow unused-export: introspection, a plan's copy count *)
+  plan -> int
 (** Number of output copies produced, [hi - lo + 1]. *)

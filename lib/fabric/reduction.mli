@@ -19,7 +19,8 @@
 type node = { level : int; index : int }
 (** [level 0] nodes are the port columns themselves. *)
 
-val root_of : Buddy.block -> node
+val root_of : (* lint: allow unused-export: introspection, a block's merge root *)
+  Buddy.block -> node
 (** The reversed-tree root a block's sources merge into. *)
 
 val columns : node -> int * int
@@ -29,7 +30,8 @@ val merge_tree : Buddy.block -> node list
 (** Every tree node a group's merge uses, leaves included, root last.
     A singleton block uses exactly its leaf. *)
 
-val merge_depth : Buddy.block -> int
+val merge_depth : (* lint: allow unused-export: introspection, a block's merge depth *)
+  Buddy.block -> int
 (** Stages a signal crosses to reach the root: [log2 size]. *)
 
 val disjoint : Buddy.block -> Buddy.block -> bool

@@ -17,10 +17,6 @@ type t =
   | Factor of float
       (** Custom multiplier (>= 1.0) on the max member unicast delay. *)
 
-val factor : t -> float
-(** The multiplier; [infinity] for [Loosest].
-    @raise Invalid_argument on [Factor f] with [f < 1.0]. *)
-
 val limit : t -> max_unicast_delay:float -> float
 (** Absolute delay bound for the current member set. *)
 

@@ -70,7 +70,8 @@ val leave : t -> Tree.node -> unit
     re-grafted via its shortest-delay path so the delay invariant
     survives churn (compare {!join}'s repair pass). *)
 
-val last_graft : t -> Netgraph.Path.t option
+val last_graft : (* lint: allow unused-export: introspection, the branch the last join grafted *)
+  t -> Netgraph.Path.t option
 (** The path grafted by the most recent {!join} (tree-order: from graft
     node to the member); [None] if the join needed no new branch. Used
     by the SCMP protocol layer to emit BRANCH packets. *)

@@ -12,12 +12,4 @@ let member_delays t =
 let tree_delay t =
   List.fold_left (fun acc (_, d) -> Float.max acc d) 0.0 (member_delays t)
 
-let mean_member_delay t =
-  match member_delays t with
-  | [] -> 0.0
-  | ds -> List.fold_left (fun acc (_, d) -> acc +. d) 0.0 ds /. float_of_int (List.length ds)
-
 let hops t = List.length (Tree.edges t)
-
-let satisfies t ~bound =
-  List.for_all (fun (_, d) -> d <= bound +. 1e-9) (member_delays t)

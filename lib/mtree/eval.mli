@@ -11,14 +11,9 @@ val tree_cost : Tree.t -> float
 val tree_delay : Tree.t -> float
 (** Max multicast delay over members; [0.] when there are no members. *)
 
-val member_delays : Tree.t -> (Tree.node * float) list
+val member_delays : (* lint: allow unused-export: reference oracle, per-member tree delay *)
+  Tree.t -> (Tree.node * float) list
 (** Multicast delay of each member, ascending node order. *)
-
-val mean_member_delay : Tree.t -> float
-(** [0.] when there are no members. *)
 
 val hops : Tree.t -> int
 (** Number of tree links. *)
-
-val satisfies : Tree.t -> bound:float -> bool
-(** Every member's multicast delay is within [bound]. *)

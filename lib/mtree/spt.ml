@@ -10,19 +10,6 @@ let graft_shortest tree path =
   in
   match path with [] -> () | x :: rest -> walk x rest
 
-let of_dijkstra g res ~members =
-  let root = Netgraph.Dijkstra.source res in
-  let tree = Tree.create g ~root in
-  List.iter
-    (fun m ->
-      match Netgraph.Dijkstra.path res m with
-      | None -> invalid_arg "Spt.of_dijkstra: member unreachable from root"
-      | Some p ->
-        graft_shortest tree p;
-        Tree.set_member tree m)
-    (List.sort_uniq Int.compare members);
-  tree
-
 let build apsp ~root ~members =
   let g = Netgraph.Apsp.graph apsp in
   let tree = Tree.create g ~root in

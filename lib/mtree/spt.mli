@@ -10,8 +10,3 @@
 val build : Netgraph.Apsp.t -> root:Tree.node -> members:Tree.node list -> Tree.t
 (** Union of shortest-delay paths root -> member. Members unreachable
     from the root raise [Invalid_argument]. *)
-
-val of_dijkstra :
-  Netgraph.Graph.t -> Netgraph.Dijkstra.result -> members:Tree.node list -> Tree.t
-(** Same, reusing an existing delay-metric Dijkstra result rooted at its
-    source. *)

@@ -324,12 +324,3 @@ let copy t =
     w_touched = Array.copy t.w_touched;
     w_len = t.w_len;
   }
-
-let pp fmt t =
-  let rec visit indent x =
-    Format.fprintf fmt "%s%d%s@." indent x (if t.member.(x) then " *" else "");
-    List.iter (visit (indent ^ "  ")) t.children.(x)
-  in
-  Format.fprintf fmt "tree rooted at %d (%d nodes, %d members)@." t.root t.count
-    (member_count t);
-  visit "" t.root

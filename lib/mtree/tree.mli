@@ -62,10 +62,6 @@ val attach : t -> parent:node -> node -> unit
     @raise Invalid_argument if the edge is not a graph link, the parent
     is off-tree, or the child already on-tree. *)
 
-val is_ancestor : t -> node -> node -> bool
-(** [is_ancestor t a b] — is [a] on the upstream path from [b] to the
-    root (inclusive of [b] itself)? *)
-
 val graft_path : t -> Netgraph.Path.t -> unit
 (** [graft_path t path] grafts [path] — whose head must be on-tree —
     onto the tree, walking head to tail. Off-tree nodes are attached in
@@ -137,5 +133,3 @@ val validate : t -> (unit, string) result
     root, members are on-tree. *)
 
 val copy : t -> t
-
-val pp : Format.formatter -> t -> unit

@@ -64,12 +64,14 @@ val sl_path : t -> Graph.node -> Graph.node -> Path.t option
 val lc_path : t -> Graph.node -> Graph.node -> Path.t option
 (** Least-cost path [P_lc]. *)
 
-val delay_of_lc : t -> Graph.node -> Graph.node -> float
+val delay_of_lc : (* lint: allow unused-export: reference oracle, companion metric along P_lc *)
+  t -> Graph.node -> Graph.node -> float
 (** Delay accumulated along [P_lc]; [infinity] if disconnected. O(1)
     after the source's least-cost SPT is memoized — Dijkstra tracks the
     companion metric in lockstep with the predecessor chain. *)
 
-val cost_of_sl : t -> Graph.node -> Graph.node -> float
+val cost_of_sl : (* lint: allow unused-export: reference oracle, companion metric along P_sl *)
+  t -> Graph.node -> Graph.node -> float
 (** Cost accumulated along [P_sl]. O(1), same mechanism. *)
 
 val sl_tree : t -> Graph.node -> Dijkstra.result

@@ -335,9 +335,6 @@ let path r x =
     Some (walk [] x)
   end
 
-let path_exn r x =
-  match path r x with Some p -> p | None -> raise Not_found
-
 let dists r = r.dist
 let others r = r.other
 let preds r = r.pred

@@ -54,12 +54,14 @@ type live
 val live : Graph.t -> live
 (** A fresh live delay CSR with every link live. O(m). *)
 
-val live_slack : live -> float
+val live_slack : (* lint: allow unused-export: introspection, the live CSR's retire slack *)
+  live -> float
 (** The absolute slack of the retire test: a few times the worst
     rounding of any path sum, about [n * 2^-53] times the sum of all
     link delays (at least [1e-9] times that sum). *)
 
-val live_edges : live -> Graph.node -> Graph.edge list
+val live_edges : (* lint: allow unused-export: introspection, a node's live links *)
+  live -> Graph.node -> Graph.edge list
 (** A node's live links, in slot order: a subsequence of its incident
     links in insertion order. A link is live at both ends or at
     neither.
@@ -118,7 +120,8 @@ val run_bounded :
     too: its labels are sums along real paths, which is all the retire
     test needs. Raises like {!run}. *)
 
-val frontier_usage : workspace -> int * int
+val frontier_usage : (* lint: allow unused-export: introspection counter, frontier entries and slots *)
+  workspace -> int * int
 (** [(queued, slots)]: the entries left in the workspace's frontier
     (0 between searches, cut or not) and the bucket storage it holds
     for the next search ({!Scmp_util.Radix_heap.capacity}). *)
@@ -142,7 +145,8 @@ val parent : result -> Graph.node -> Graph.node option
 (** Predecessor on the shortest path; [None] for the source and
     unreachable nodes. *)
 
-val parent_edge : result -> Graph.node -> Graph.edge option
+val parent_edge : (* lint: allow unused-export: introspection, the SPT predecessor edge *)
+  result -> Graph.node -> Graph.edge option
 (** Edge id of the predecessor link; [None] for the source and
     unreachable nodes. O(1) — this is how Routes registers SPT edges
     in its usage map without pair lookups. *)
@@ -158,9 +162,6 @@ val parent_edge_ix : result -> Graph.node -> int
 val path : result -> Graph.node -> Path.t option
 (** Path from source to the node inclusive; [None] if unreachable;
     [Some [source]] for the source itself. *)
-
-val path_exn : result -> Graph.node -> Path.t
-(** @raise Not_found if the node is unreachable. *)
 
 val eccentricity : result -> float
 (** Largest finite distance from the source. *)

@@ -1,5 +1,5 @@
 let render ?(name = "network") ?coords ?(highlight = []) ?(members = [])
-    ?root ?(edge_labels = false) g =
+    ?root g =
   let buf = Buffer.create 1024 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let canon (a, b) = (min a b, max a b) in
@@ -27,9 +27,6 @@ let render ?(name = "network") ?coords ?(highlight = []) ?(members = [])
       let attrs = ref [] in
       if List.mem (canon (l.Graph.u, l.Graph.v)) hot then
         attrs := "color=red" :: "penwidth=2.5" :: !attrs;
-      if edge_labels then
-        attrs :=
-          Printf.sprintf "label=\"%.0f/%.0f\"" l.Graph.delay l.Graph.cost :: !attrs;
       if !attrs = [] then pr "  %d -- %d;\n" l.Graph.u l.Graph.v
       else pr "  %d -- %d [%s];\n" l.Graph.u l.Graph.v (String.concat ", " !attrs));
   pr "}\n";

@@ -12,7 +12,6 @@ val render :
   ?highlight:(Graph.node * Graph.node) list ->
   ?members:Graph.node list ->
   ?root:Graph.node ->
-  ?edge_labels:bool ->
   Graph.t ->
   string
 (** [render g] is a DOT document.
@@ -20,8 +19,7 @@ val render :
     - [coords]: node positions (scaled down to points for neato);
     - [highlight]: links drawn bold/colored (e.g. tree edges);
     - [members]: filled nodes (group members);
-    - [root]: doubled circle (the m-router);
-    - [edge_labels]: print "delay/cost" on links (default off). *)
+    - [root]: doubled circle (the m-router). *)
 
 val write_file : string -> string -> (unit, string) result
 (** [write_file path contents] — tiny helper so examples and the CLI

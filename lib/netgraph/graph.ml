@@ -200,10 +200,6 @@ let edge_v t e =
   check_edge t e "edge_v";
   t.ev.(e)
 
-let edge_ends t e =
-  check_edge t e "edge_ends";
-  (t.eu.(e), t.ev.(e))
-
 let edge_delay t e =
   check_edge t e "edge_delay";
   t.edelay.(e)
@@ -272,20 +268,6 @@ let degree t x =
   check_node t x "degree";
   t.off.(x + 1) - t.off.(x)
 
-let iter_neighbors t x f =
-  check_node t x "iter_neighbors";
-  for s = t.off.(x) to t.off.(x + 1) - 1 do
-    f t.nbr.(s) ~delay:t.slot_delay.(s) ~cost:t.slot_cost.(s)
-  done
-
-let fold_neighbors t x ~init ~f =
-  check_node t x "fold_neighbors";
-  let acc = ref init in
-  for s = t.off.(x) to t.off.(x + 1) - 1 do
-    acc := f !acc t.nbr.(s) ~delay:t.slot_delay.(s) ~cost:t.slot_cost.(s)
-  done;
-  !acc
-
 let iter_incident t x f =
   check_node t x "iter_incident";
   for s = t.off.(x) to t.off.(x + 1) - 1 do
@@ -349,11 +331,6 @@ let filter_links t ~f =
   let b = Builder.create t.n in
   iter_links t (fun l -> if f l then Builder.add_link b l.u l.v ~delay:l.delay ~cost:l.cost);
   Builder.freeze b
-
-let pp fmt t =
-  Format.fprintf fmt "graph: %d nodes, %d links@." t.n t.m;
-  iter_links t (fun l ->
-      Format.fprintf fmt "  %d -- %d  delay=%.3f cost=%.3f@." l.u l.v l.delay l.cost)
 
 (* ---------------- CSR internals ---------------- *)
 

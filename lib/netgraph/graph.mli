@@ -92,16 +92,11 @@ val edge_u : t -> edge -> node
 val edge_v : t -> edge -> node
 (** Larger endpoint of an edge. O(1). *)
 
-val edge_ends : t -> edge -> node * node
-(** [(edge_u, edge_v)]. *)
-
 val edge_delay : t -> edge -> float
 (** Per-edge delay by edge id. O(1). *)
 
 val edge_cost : t -> edge -> float
 (** Per-edge cost by edge id. O(1). *)
-
-val edge_link : t -> edge -> link
 
 val edge_id_opt : t -> node -> node -> edge option
 (** Edge id of the link joining two nodes, if adjacent. O(1) on small
@@ -132,13 +127,6 @@ val neighbors : t -> node -> node list
 
 val degree : t -> node -> int
 
-val iter_neighbors : t -> node -> (node -> delay:float -> cost:float -> unit) -> unit
-(** Tight loop over contiguous CSR slots — no allocation, no pointer
-    chasing. Neighbors visit in insertion order. *)
-
-val fold_neighbors :
-  t -> node -> init:'a -> f:('a -> node -> delay:float -> cost:float -> 'a) -> 'a
-
 (** {1 Whole-graph views} *)
 
 val links : t -> link list
@@ -166,9 +154,6 @@ val filter_links : t -> f:(link -> bool) -> t
 (** [filter_links g ~f] is a fresh frozen graph on the same node set
     keeping only links satisfying [f]. Edge ids are renumbered densely
     in the surviving links' original order. *)
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable dump: one line per link. *)
 
 (** {1 CSR internals}
 

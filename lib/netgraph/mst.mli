@@ -14,7 +14,7 @@ val prim_dense : n:int -> weight:(int -> int -> float) -> (int * int) list
     @raise Invalid_argument if any needed weight is not finite (the
     complete graph must really be complete). *)
 
-val kruskal :
+val kruskal : (* lint: allow unused-export: reference oracle, sparse MST against prim_dense *)
   Graph.t -> metric:Dijkstra.metric -> within:Graph.node list -> (int * int) list
 (** [kruskal g ~metric ~within] is a minimum spanning forest of the
     subgraph of [g] induced by [within], weighted by [metric]. Edges with

@@ -34,8 +34,3 @@ let concat p q =
   match (List.rev p, q) with
   | last :: _, qh :: qt when last = qh -> p @ qt
   | _ -> invalid_arg "Path.concat: paths do not share an endpoint"
-
-let reverse = List.rev
-
-let pp fmt path =
-  Format.fprintf fmt "[%s]" (String.concat " -> " (List.map string_of_int path))

@@ -6,7 +6,8 @@
 
 type t = Graph.node list
 
-val is_valid : Graph.t -> t -> bool
+val is_valid : (* lint: allow unused-export: reference oracle, path well-formedness *)
+  Graph.t -> t -> bool
 (** Consecutive nodes adjacent, no repeated node, non-empty. *)
 
 val delay : Graph.t -> t -> float
@@ -23,7 +24,3 @@ val edges : t -> (Graph.node * Graph.node) list
 val concat : t -> t -> t
 (** [concat p q] joins paths sharing an endpoint: last of [p] must equal
     head of [q]. @raise Invalid_argument otherwise. *)
-
-val reverse : t -> t
-
-val pp : Format.formatter -> t -> unit

@@ -17,8 +17,8 @@ type t = {
 
 let create () = { tbl = Hashtbl.create 32; order = [] }
 
-let default_buckets =
-  [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1.0; 10.0 |]
+(* Upper bucket bounds of every histogram, strictly increasing. *)
+let buckets = [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1.0; 10.0 |]
 
 let register t name ~wallclock make describe =
   match Hashtbl.find_opt t.tbl name with
@@ -48,13 +48,7 @@ let gauge ?(wallclock = false) t name =
       (Gauge g, g))
     (function Gauge g -> Some g | _ -> None)
 
-let histogram ?(wallclock = false) ?(buckets = default_buckets) t name =
-  if Array.length buckets = 0 then invalid_arg "Metrics.histogram: no buckets";
-  Array.iteri
-    (fun i b ->
-      if i > 0 && b <= buckets.(i - 1) then
-        invalid_arg "Metrics.histogram: bounds must be strictly increasing")
-    buckets;
+let histogram ?(wallclock = false) t name =
   register t name ~wallclock
     (fun () ->
       let h =

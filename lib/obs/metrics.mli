@@ -35,26 +35,21 @@ val counter_value : counter -> int
 
 val gauge : ?wallclock:bool -> t -> string -> gauge
 val set : gauge -> float -> unit
-val set_max : gauge -> float -> unit
-(** Keep the running maximum (high-water marks). *)
 
 val gauge_value : gauge -> float
 
 (** {2 Histograms} — value distributions (delays, waits). *)
 
-val default_buckets : float array
-(** Decades from 1 µs to 10 s — suited to the simulation's second-scale
-    delays. *)
-
-val histogram : ?wallclock:bool -> ?buckets:float array -> t -> string -> histogram
-(** [buckets] are upper bounds, strictly increasing; an implicit
-    overflow bucket catches the rest.
-    @raise Invalid_argument on empty or unsorted bounds. *)
+val histogram : ?wallclock:bool -> t -> string -> histogram
+(** Bucket upper bounds are the decades from 1 µs to 10 s, suited to
+    the simulation's second-scale delays; an implicit overflow bucket
+    catches the rest. *)
 
 val observe : histogram -> float -> unit
-val histogram_count : histogram -> int
-val histogram_sum : histogram -> float
-
+val histogram_count : (* lint: allow unused-export: introspection counter, samples observed *)
+  histogram -> int
+val histogram_sum : (* lint: allow unused-export: introspection counter, sum of samples observed *)
+  histogram -> float
 (** {2 Merge} *)
 
 val merge : t -> t -> unit

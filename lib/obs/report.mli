@@ -30,7 +30,8 @@ val set_meta : t -> string -> Json.t -> unit
 
 val add_series : t -> Series.t -> unit
 
-val series : t -> Series.t list
+val series : (* lint: allow unused-export: introspection, the series a run registered *)
+  t -> Series.t list
 (** In the order added. *)
 
 val merge : t -> t -> unit

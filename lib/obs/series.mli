@@ -15,7 +15,8 @@ val sample : t -> t:float -> float -> unit
 val name : t -> string
 val length : t -> int
 
-val points : t -> (float * float) list
+val points : (* lint: allow unused-export: introspection, the samples taken *)
+  t -> (float * float) list
 (** Oldest first. *)
 
 val to_json : t -> Json.t

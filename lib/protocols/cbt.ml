@@ -17,8 +17,6 @@ type t = {
   delivery : Delivery.t option;
 }
 
-let core t = t.core
-
 let entry_opt t x group = Hashtbl.find_opt t.entries (x, group)
 
 let get_or_create_entry t x group =

@@ -20,13 +20,11 @@ type t
 val create :
   ?delivery:Delivery.t -> Message.t Eventsim.Netsim.t -> core:node -> unit -> t
 
-val core : t -> node
-
 val host_join : t -> group:Message.group -> node -> unit
 val host_leave : t -> group:Message.group -> node -> unit
 val send_data : t -> group:Message.group -> src:node -> seq:int -> unit
 
-val router_state :
+val router_state : (* lint: allow unused-export: introspection, one router's entry *)
   t -> node -> group:Message.group -> (node option * node list * bool) option
 (** [(upstream, downstream, member)]; the core's entry has
     [upstream = None]. *)

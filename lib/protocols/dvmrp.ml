@@ -4,9 +4,11 @@ type node = Message.node
 
 (* Prune/forwarding state is per (router, source, group); membership per
    (router, group). *)
+(* The prune lifetime, in simulated seconds. *)
+let prune_timeout = 10.0
+
 type t = {
   net : Message.t N.t;
-  prune_timeout : float;
   member : (node * Message.group, unit) Hashtbl.t;
   pruned : (node * node * node * Message.group, unit) Hashtbl.t;
       (** (router, neighbour, source, group): do not send this
@@ -31,7 +33,7 @@ let rpf_upstream t x src =
    simulation alive once all protocol activity has quiesced. *)
 let mark_pruned t x y src group =
   Hashtbl.replace t.pruned (x, y, src, group) ();
-  Eventsim.Engine.schedule (N.engine t.net) ~background:true ~delay:t.prune_timeout
+  Eventsim.Engine.schedule (N.engine t.net) ~background:true ~delay:prune_timeout
     (fun () -> Hashtbl.remove t.pruned (x, y, src, group))
 
 let send_prune_upstream t x src group =
@@ -44,7 +46,7 @@ let send_prune_upstream t x src group =
          forget that we pruned at the same moment so the re-flood finds
          us ready to prune again. *)
       Eventsim.Engine.schedule (N.engine t.net) ~background:true
-        ~delay:t.prune_timeout (fun () ->
+        ~delay:prune_timeout (fun () ->
           Hashtbl.remove t.sent_prune (x, src, group));
       N.transmit t.net ~src:x ~dst:up (Message.Dvmrp_prune { group; src; from = x })
   end
@@ -111,12 +113,11 @@ let handle_message t x ~from msg =
   | Message.Hpim_ack _ ->
     ()
 
-let create ?delivery ?(prune_timeout = 10.0) net () =
+let create ?delivery net () =
   let g = N.graph net in
   let t =
     {
       net;
-      prune_timeout;
       member = Hashtbl.create 32;
       pruned = Hashtbl.create 64;
       sent_prune = Hashtbl.create 64;

@@ -24,13 +24,11 @@ type t
 
 val create :
   ?delivery:Delivery.t ->
-  ?prune_timeout:float ->
   Message.t Eventsim.Netsim.t ->
   unit ->
   t
-(** [prune_timeout] is the prune lifetime in simulated time units
-    (default 10.). No core/root parameter: DVMRP trees are rooted at
-    each source. *)
+(** Prunes live for 10 simulated seconds. No core/root parameter:
+    DVMRP trees are rooted at each source. *)
 
 val host_join : t -> group:Message.group -> node -> unit
 val host_leave : t -> group:Message.group -> node -> unit
@@ -38,5 +36,6 @@ val send_data : t -> group:Message.group -> src:node -> seq:int -> unit
 
 val is_member : t -> group:Message.group -> node -> bool
 
-val pruned_links : t -> int
+val pruned_links : (* lint: allow unused-export: introspection counter, live prune records *)
+  t -> int
 (** Live prune records across the domain (introspection for tests). *)

@@ -189,7 +189,10 @@ let handle_topology_change t =
 (* A lost sync must be able to wake the engine back up, so its timers
    run in the foreground; the attempt bound keeps a permanently
    partitioned peer from holding the run alive forever. *)
-let create ?delivery ?(rto = 0.6) ?(max_attempts = 8) net () =
+let create ?delivery net () =
+  (* base timeout in simulated seconds, doubling per attempt, and the
+     sends one sync may take *)
+  let rto = 0.6 and max_attempts = 8 in
   let g = N.graph net in
   let resend (x, y, src, group) (seq, interested) =
     N.transmit net ~src:x ~dst:y

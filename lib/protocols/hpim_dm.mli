@@ -25,16 +25,12 @@ type t
 
 val create :
   ?delivery:Delivery.t ->
-  ?rto:float ->
-  ?max_attempts:int ->
   Message.t Eventsim.Netsim.t ->
   unit ->
   t
-(** [rto] is the base retransmission timeout for interest syncs in
-    simulated seconds (default 0.6, doubling per attempt);
-    [max_attempts] bounds the sends of one sync (default 8). No
-    core/root parameter: trees are rooted at each source.
-    @raise Invalid_argument if [rto <= 0] or [max_attempts < 1]. *)
+(** Interest syncs retransmit after 0.6 simulated seconds, doubling
+    per attempt, and are given up after 8 sends. No core/root
+    parameter: trees are rooted at each source. *)
 
 val host_join : t -> group:Message.group -> node -> unit
 val host_leave : t -> group:Message.group -> node -> unit
@@ -42,7 +38,8 @@ val send_data : t -> group:Message.group -> src:node -> seq:int -> unit
 
 val is_member : t -> group:Message.group -> node -> bool
 
-val no_interest_links : t -> int
+val no_interest_links : (* lint: allow unused-export: introspection counter, live no-interest records *)
+  t -> int
 (** Live hard-state no-interest records across the domain
     (introspection for tests; the analogue of
     {!Dvmrp.pruned_links}). *)

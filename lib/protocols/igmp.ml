@@ -3,7 +3,6 @@ module Intset = Set.Make (Int)
 type t = {
   engine : Eventsim.Engine.t;
   router : Message.node;
-  last_member_wait : float;
   on_first_join : Message.group -> unit;
   on_last_leave : Message.group -> unit;
   table : (Message.group, Intset.t) Hashtbl.t;
@@ -28,13 +27,17 @@ let query_round t =
      members (the first report silences the rest). *)
   t.reports <- t.reports + List.length (groups t)
 
-let create engine ?(query_interval = 125.0) ?(last_member_wait = 1.0) ~router
-    ~on_first_join ~on_last_leave () =
+(* IGMP's default query interval, in simulated seconds, and how long
+   the DR waits for a report after a Leave before declaring the group
+   empty. *)
+let query_interval = 125.0
+let last_member_wait = 1.0
+
+let create engine ~router ~on_first_join ~on_last_leave () =
   let t =
     {
       engine;
       router;
-      last_member_wait;
       on_first_join;
       on_last_leave;
       table = Hashtbl.create 8;
@@ -65,7 +68,7 @@ let host_leave t ~host ~group =
            group is gone from this subnet. A re-join during the wait
            repopulates the table and the check below sees it. *)
         t.queries <- t.queries + 1;
-        Eventsim.Engine.schedule t.engine ~delay:t.last_member_wait (fun () ->
+        Eventsim.Engine.schedule t.engine ~delay:last_member_wait (fun () ->
             match Hashtbl.find_opt t.table group with
             | Some s when not (Intset.is_empty s) -> ()
             | Some _ | None ->

@@ -119,9 +119,6 @@ type t =
       (** Upstream's acknowledgement of the {!Hpim_sync} carrying
           [seq]; the sender retransmits with backoff until acked. *)
 
-val req_kind_label : req_kind -> string
-(** ["join"], ["leave"] or ["graft"]. *)
-
 val classify : t -> [ `Data | `Control ]
 
 val group_of : t -> group
@@ -132,17 +129,8 @@ val group_of : t -> group
 val describe : t -> string
 (** Short human-readable tag for traces, e.g. ["DATA g5 s3#12"]. *)
 
-val wire_words : t -> int
-(** Modelled wire size in 32-bit words: 2-word common header plus the
-    variable part (data payloads count 128 words; TREE/BRANCH packets
-    grow with the encoded tree — the paper's variable-length packets,
-    §III.E). Feeds the per-class byte accounting of
-    {!Eventsim.Netsim}. *)
-
-val wire_bytes : t -> int
-(** [4 * wire_words]. *)
-
 val network : Eventsim.Engine.t -> Netgraph.Graph.t -> t Eventsim.Netsim.t
 (** The protocol network every experiment runs on: a packet simulator
     over the graph (normally {!Topology.Spec.sim_graph}) that classifies
-    with {!classify} and sizes with {!wire_bytes}. *)
+    with {!classify} and sizes each message at 4 bytes per word of its
+    wire encoding. *)

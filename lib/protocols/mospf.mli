@@ -24,9 +24,11 @@ val host_join : t -> group:Message.group -> node -> unit
 val host_leave : t -> group:Message.group -> node -> unit
 val send_data : t -> group:Message.group -> src:node -> seq:int -> unit
 
-val knows_member : t -> at:node -> group:Message.group -> node -> bool
+val knows_member : (* lint: allow unused-export: introspection, one router's membership database *)
+  t -> at:node -> group:Message.group -> node -> bool
 (** Does [at]'s membership database list the given router as having
     members? (Tests use this to verify LSA convergence.) *)
 
-val lsa_count : t -> int
+val lsa_count : (* lint: allow unused-export: introspection counter, LSAs originated *)
+  t -> int
 (** LSAs originated so far (not flooding transmissions). *)

@@ -33,12 +33,9 @@ val create :
 
 val mrouters : t -> node list
 
-val home : t -> group:Message.group -> node
+val home : (* lint: allow unused-export: introspection, a group's home m-router *)
+  t -> group:Message.group -> node
 (** The group's home m-router. *)
-
-val agent : t -> node -> Scmp_proto.t
-(** The agent set of one m-router (introspection).
-    @raise Not_found for a non-m-router node. *)
 
 val host_join : t -> group:Message.group -> node -> unit
 val host_leave : t -> group:Message.group -> node -> unit

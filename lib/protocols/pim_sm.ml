@@ -30,8 +30,6 @@ type t = {
   delivery : Delivery.t option;
 }
 
-let rp t = t.rp
-
 let rpt_opt t x group = Hashtbl.find_opt t.rpt (x, group)
 
 let rpt_entry t x group =

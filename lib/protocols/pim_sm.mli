@@ -34,17 +34,18 @@ val create :
 (** [spt_switchover] (default true) enables the (S,G) switchover; with
     it off the agent behaves as a pure unidirectional RP tree. *)
 
-val rp : t -> node
-
 val host_join : t -> group:Message.group -> node -> unit
 val host_leave : t -> group:Message.group -> node -> unit
 val send_data : t -> group:Message.group -> src:node -> seq:int -> unit
 
-val on_rp_tree : t -> group:Message.group -> node list
+val on_rp_tree : (* lint: allow unused-export: introspection, routers with star-G state *)
+  t -> group:Message.group -> node list
 (** Routers holding star-G state, ascending. *)
 
-val on_spt : t -> group:Message.group -> src:node -> node list
+val on_spt : (* lint: allow unused-export: introspection, routers with (S,G) state *)
+  t -> group:Message.group -> src:node -> node list
 (** Routers holding (S,G) state for the source, ascending. *)
 
-val switched_over : t -> group:Message.group -> src:node -> node -> bool
+val switched_over : (* lint: allow unused-export: introspection, a DR's switchover state *)
+  t -> group:Message.group -> src:node -> node -> bool
 (** Has this member's DR completed its switchover to the source? *)

@@ -28,9 +28,8 @@ let join_start = 0.1
 let join_spacing = 0.5
 let join_at i = join_start +. (join_spacing *. float_of_int i)
 
-let make ?(data_interval = 1.0) ?(data_count = 30) ?(leavers = []) ?trace_path
-    ?trace_limit ?loss ?loss_class ?(faults = []) ?churn ~spec ~center ~source
-    ~members () =
+let make ?(data_interval = 1.0) ?(data_count = 30) ?loss ?(faults = []) ~spec
+    ~center ~source ~members () =
   {
     spec;
     center;
@@ -39,13 +38,13 @@ let make ?(data_interval = 1.0) ?(data_count = 30) ?(leavers = []) ?trace_path
     data_start = join_at (List.length members) +. 3.0;
     data_interval;
     data_count;
-    leavers;
-    trace_path;
-    trace_limit;
+    leavers = [];
+    trace_path = None;
+    trace_limit = None;
     loss;
-    loss_class;
+    loss_class = None;
     faults;
-    churn;
+    churn = None;
   }
 
 let data_end s = s.data_start +. (s.data_interval *. float_of_int s.data_count)
@@ -230,14 +229,21 @@ let run ?(check = false) ?report driver s =
                (Eventsim.Netsim.data_transmissions net
                + Eventsim.Netsim.control_transmissions net)))
     done;
-  Eventsim.Engine.run engine;
+  (* A tripped checkpoint still leaves its evidence: the trace and the
+     report are finished below, then the violation is re-raised. *)
+  let caught f =
+    match f () with
+    | () -> None
+    | exception (Check.Invariant.Violation _ as e) -> Some e
+  in
+  let violation = caught (fun () -> Eventsim.Engine.run engine) in
   let run_wall = Obs.Clock.now_s () -. run0 in
   let expected = !expected_acc in
   (* Final checkpoint on the quiesced network: distributed state still
      coheres after every leave/PRUNE cascade, and packet conservation
      holds over the whole run — the latter only on an unperturbed
      network, since loss and faults legitimately destroy packets. *)
-  if check then begin
+  let quiescent_checks () =
     let delivery_counters =
       if perturbed then None
       else
@@ -252,13 +258,16 @@ let run ?(check = false) ?report driver s =
     in
     Check.Invariant.verify_all_exn ~where:"runner quiescent"
       ?delivery:delivery_counters
-      (inst.Driver.snapshots ())
-  end;
-  if check then (
+      (inst.Driver.snapshots ());
     match inst.Driver.verify () with
     | Ok () -> ()
     | Error msg ->
-      raise (Check.Invariant.Violation ("runner driver verify: " ^ msg)));
+      raise (Check.Invariant.Violation ("runner driver verify: " ^ msg))
+  in
+  let violation =
+    if check && Option.is_none violation then caught quiescent_checks
+    else violation
+  in
   (match (trace, s.trace_path) with
   | Some tr, Some path -> ignore (Eventsim.Trace.save tr ~path)
   | _ -> ());
@@ -277,6 +286,7 @@ let run ?(check = false) ?report driver s =
       report_finish r s ~engine ~net ~delivery ~trace ~inst ~faults
         ~churn:churn_state ~expected ~join_wall:!join_wall ~run_wall ~setup_wall)
     report;
+  Option.iter raise violation;
   let blackouts = inst.Driver.blackouts () in
   {
     data_overhead = Eventsim.Netsim.data_overhead net;

@@ -63,13 +63,8 @@ type scenario = {
 val make :
   ?data_interval:float ->
   ?data_count:int ->
-  ?leavers:(float * Message.node) list ->
-  ?trace_path:string ->
-  ?trace_limit:int ->
   ?loss:float * int ->
-  ?loss_class:Eventsim.Netsim.pkt_class ->
   ?faults:Eventsim.Faults.spec list ->
-  ?churn:churn ->
   spec:Topology.Spec.t ->
   center:Message.node ->
   source:Message.node ->
@@ -81,9 +76,10 @@ val make :
     1 s) from 3 s after the last join; delays from
     {!Topology.Spec.sim_graph}, which is built once per spec, so every
     scenario and run on one spec simulates one graph and shares its
-    m-router APSP table. By default no leavers, no trace, no
-    loss, no faults and no churn. Protocol variants are driver values
-    ({!Driver}), not scenario fields. *)
+    m-router APSP table. By default no loss and no faults; leavers,
+    trace, loss class and churn start unset, and callers set them with
+    a record update. Protocol variants are driver values ({!Driver}),
+    not scenario fields. *)
 
 val data_end : scenario -> float
 (** [data_start +. data_interval *. data_count]: the end of the data
@@ -134,7 +130,9 @@ val run : ?check:bool -> ?report:Obs.Report.t -> Driver.t -> scenario -> result
     is verified — tree well-formedness, delay-bound compliance and
     entry/tree coherence for SCMP — and packet conservation is checked
     over the whole run for every protocol; the driver's own [verify]
-    hook runs as well. Any failure raises {!Check.Invariant.Violation}.
+    hook runs as well. Any failure raises {!Check.Invariant.Violation},
+    after the trace is saved and the report finished, so a tripped run
+    leaves the same evidence as a passing one.
     On a perturbed run ([loss] set or [faults] nonempty) the pre-data
     checkpoint and the packet-conservation check are skipped — loss and
     faults legitimately destroy packets and may fire before

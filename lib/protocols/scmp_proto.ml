@@ -600,9 +600,10 @@ let rebuild_group t a ?prior group members_now =
   ignore (authority_entry t a group);
   List.iter
     (fun m ->
-      try timed_compute t (fun () -> Mtree.Dcdm.join d m)
-      with Invalid_argument _ -> () (* partitioned away; skipped until
-                                       connectivity returns *))
+      (* a member partitioned away is skipped until connectivity
+         returns *)
+      if Mtree.Dcdm.reaches d m then
+        timed_compute t (fun () -> Mtree.Dcdm.join d m))
     members_now;
   let tree = Mtree.Dcdm.tree d in
   let stale =
@@ -808,8 +809,8 @@ let handle_resync t a group ~members ~left ~seen ~relays =
         IT.replace a.a_seen (pk dr group) s;
         if not (List.mem dr (roster a.a_members group)) then begin
           roster_apply a.a_members group dr true;
-          try timed_compute t (fun () -> Mtree.Dcdm.join d dr)
-          with Invalid_argument _ -> ()
+          if Mtree.Dcdm.reaches d dr then
+            timed_compute t (fun () -> Mtree.Dcdm.join d dr)
         end
       end)
     members;
@@ -820,8 +821,7 @@ let handle_resync t a group ~members ~left ~seen ~relays =
         IT.replace a.a_seen (pk dr group) s;
         if List.mem dr (roster a.a_members group) then begin
           roster_apply a.a_members group dr false;
-          try timed_compute t (fun () -> Mtree.Dcdm.leave d dr)
-          with Invalid_argument _ -> ()
+          timed_compute t (fun () -> Mtree.Dcdm.leave d dr)
         end
       end)
     left;
@@ -1365,8 +1365,10 @@ let make_authority node ~active ~epoch =
   }
 
 let create ?delivery ?(distribution = Incremental) ?standby ?(heartbeat_interval = 1.0)
-    ?(takeover_after = 3.0) ?(install_handlers = true) ?cpu ?(rto = 0.25)
-    ?(max_attempts = 6) net ~mrouter () =
+    ?(takeover_after = 3.0) ?(install_handlers = true) ?cpu net ~mrouter () =
+  (* the reliable transport's base timeout and the sends one request
+     or frame may take *)
+  let rto = 0.25 and max_attempts = 6 in
   let g = N.graph net in
   let engine = N.engine net in
   let n = Netgraph.Graph.node_count g in

@@ -27,10 +27,9 @@
     {b Reliable control plane.} The paper assumes control packets
     arrive; this reproduction does not. Two {!Reliable} windows carry
     SCMP's control flows, with the shared retry rule documented there
-    (base timeout doubling per attempt, at most [max_attempts] sends,
-    then a counted give-up). Every JOIN/LEAVE/GRAFT is
-    sequence-numbered and retransmitted, with a base timeout of [rto]
-    plus the DR's round trip to the m-router, until its explicit
+    (base timeout doubling per attempt, at most 6 sends, then a counted
+    give-up). Every JOIN/LEAVE/GRAFT is sequence-numbered and
+    retransmitted, with a base timeout of 0.25 s plus the DR's round trip to the m-router, until its explicit
     {!Message.Scmp_req_ack} arrives — a GRAFT also completes when its
     repaired upstream does — or a newer request from the same DR for
     the same group supersedes it. The m-router suppresses duplicates by
@@ -89,8 +88,6 @@ val create :
   ?takeover_after:float ->
   ?install_handlers:bool ->
   ?cpu:Eventsim.Server.t * float ->
-  ?rto:float ->
-  ?max_attempts:int ->
   Message.t Eventsim.Netsim.t ->
   mrouter:node ->
   unit ->
@@ -112,11 +109,9 @@ val create :
     JOIN/LEAVE requests then queue for a processor before the tree is
     recomputed and distributed — the capacity bench saturates this.
 
-    [rto] (default 0.25 s) is the base retransmission timeout of the
-    reliable control transport; [max_attempts] (default 6) bounds total
-    sends of one request or frame before it is abandoned and counted
-    as a give-up.
-    @raise Invalid_argument if [rto <= 0] or [max_attempts < 1]. *)
+    The reliable control transport retransmits after a base timeout of
+    0.25 s and abandons a request or frame after 6 sends, counting a
+    give-up. *)
 
 val mrouter : t -> node
 (** The m-router currently in charge (the standby after takeover). *)
@@ -165,7 +160,7 @@ type stats = {
       (** Control retransmissions: request re-sends plus reliable-frame
           re-sends. *)
   giveups : int;
-      (** Requests and frames abandoned after [max_attempts] sends (or
+      (** Requests and frames abandoned after 6 sends (or
           when their link died with no repair path). *)
   repairs : int;
       (** Post-failure tree rebuilds at the m-router (one per affected
@@ -181,8 +176,8 @@ type stats = {
           authorities. *)
 }
 
-val stats : t -> stats
-
+val stats : (* lint: allow unused-export: introspection counters, the protocol's own tallies *)
+  t -> stats
 val epoch : t -> int
 (** The active authority's epoch ({!stats}.epoch). *)
 
@@ -191,7 +186,8 @@ val blackouts : t -> float list
     from a fault (or from the last primary contact before a takeover)
     to the first delivery that reached a member of the group again. *)
 
-val active_authorities : t -> (node * int) list
+val active_authorities : (* lint: allow unused-export: introspection, every authority claiming the m-router role *)
+  t -> (node * int) list
 (** Every authority currently claiming the m-router role, with its
     epoch — primary first. Two entries only during a split-brain
     window (a deposed-but-unaware primary plus the new authority);
@@ -214,14 +210,14 @@ val observe : t -> Obs.Metrics.t -> unit
 val mrouter_tree : t -> group:Message.group -> Mtree.Tree.t option
 (** The m-router's current tree for the group (its own view). *)
 
-val router_state :
+val router_state : (* lint: allow unused-export: introspection, one router's entry *)
   t -> node -> group:Message.group -> (node option * node list * bool) option
 (** [(upstream, downstream, member)] of the router's routing entry, if
     it has one. The m-router's entry has [upstream = None]. *)
 
 val network_tree_consistent : t -> group:Message.group -> (unit, string) result
 (** Quiesced-state check: entry/tree coherence
-    ({!Check.Invariant.check_coherence}) over {!snapshot} — every edge
+    ({!Check.Invariant.check_coherence}) over the group's snapshot — every edge
     of the m-router's tree is mirrored by matching upstream/downstream
     entries, and no router outside the tree holds an entry. Only
     entries the live network can observe count: one at a dead node, at
@@ -235,14 +231,9 @@ val network_tree_consistent : t -> group:Message.group -> (unit, string) result
 val groups : t -> Message.group list
 (** Groups the (active) m-router holds tree state for, ascending. *)
 
-val snapshot : t -> group:Message.group -> Check.Invariant.snapshot
-(** Capture one group's central tree, its current absolute delay bound,
-    every observable i-router entry (dead, partitioned and
-    failed-primary leftovers excluded) and the currently dead links for
-    the invariant verifier. *)
-
 val snapshots : t -> Check.Invariant.snapshot list
-(** One {!snapshot} per known group. *)
+(** One snapshot per known group: its central tree, current absolute
+    delay bound, every observable i-router entry and the dead links. *)
 
 val verify : t -> (unit, string) result
 (** [Check.Invariant.verify_all] over {!snapshots}: tree

@@ -1,7 +1,5 @@
 type t = { children : (int * t) list }
 
-let leaf = { children = [] }
-
 let of_tree tree ~at =
   if not (Mtree.Tree.on_tree tree at) then
     invalid_arg "Tree_packet.of_tree: node is not on the tree";

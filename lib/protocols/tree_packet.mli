@@ -15,9 +15,6 @@
 type t = { children : (int * t) list }
 (** Sub-packet of one router: its downstream routers, in tree order. *)
 
-val leaf : t
-(** The packet of a leaf router: no children, encodes as [[0]]. *)
-
 val of_tree : Mtree.Tree.t -> at:Mtree.Tree.node -> t
 (** Sub-packet describing the subtree of [at] (its downstream and
     below). @raise Invalid_argument if [at] is off-tree. *)

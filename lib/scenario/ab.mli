@@ -45,37 +45,17 @@ type outcome = {
 val passed : outcome -> bool
 (** No regressions and no missing metrics. *)
 
-val default_rules : rule list
-(** A single catch-all: any metric moving more than 10% either way
-    regresses. *)
-
-val bench_rules : rule list
-(** The profile for gating [BENCH.json]: tight band on the
-    drift-immune speedup ratio, loose band on raw ns figures,
-    informational wall/throughput numbers, exact match on
-    deterministic simulation counts. *)
-
 val profile_of_string : string -> (rule list, string) result
 (** ["default"] or ["bench"]. *)
 
-val glob_match : string -> string -> bool
+val glob_match : (* lint: allow unused-export: reference oracle, the metric-name glob alone *)
+  string -> string -> bool
 (** [glob_match pattern s] — full-string match where ['*'] matches any
     possibly-empty substring. *)
-
-val metrics_of_report : Obs.Json.t -> ((string * float) list, string) result
-(** Extract the numeric metrics of a parsed [scmp-report/1] document;
-    errors on a wrong or missing schema tag. *)
 
 val metric_value : Obs.Json.t -> string -> (float, string) result
 (** Look up one metric by key; the error names the missing key so a
     gate can never silently match nothing. *)
-
-val compare_metrics :
-  ?rules:rule list ->
-  old_metrics:(string * float) list ->
-  new_metrics:(string * float) list ->
-  unit ->
-  outcome
 
 val compare_reports :
   ?rules:rule list -> old_json:Obs.Json.t -> new_json:Obs.Json.t -> unit ->

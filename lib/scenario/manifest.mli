@@ -57,9 +57,6 @@ val grid :
 (** An unperturbed manifest over the given grid (unvalidated) — what
     [scmp_sim sweep]'s grid flags lower into. *)
 
-val of_json : Obs.Json.t -> (t, string) result
-(** Parse strictly, then {!validate}. *)
-
 val of_string : string -> (t, string) result
 
 val load : path:string -> (t, string) result

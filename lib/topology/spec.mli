@@ -20,9 +20,6 @@ val make :
     one coordinate per node).
     @raise Invalid_argument on violation. *)
 
-val grid_size : int
-(** Side of the placement grid, 32767 (paper §IV.A). *)
-
 val manhattan : (int * int) -> (int * int) -> int
 (** [|x1-x2| + |y1-y2|]. *)
 

@@ -1,10 +1,8 @@
-let default_alpha = 0.25
-let default_beta = 0.2
+let alpha = 0.25
+let beta = 0.2
 
-let generate ?(alpha = default_alpha) ?(beta = default_beta) ~seed ~n () =
+let generate ~seed ~n () =
   if n < 2 then invalid_arg "Waxman.generate: need at least two nodes";
-  if alpha <= 0.0 || beta <= 0.0 then
-    invalid_arg "Waxman.generate: alpha and beta must be positive";
   let rng = Scmp_util.Prng.create seed in
   let coords = Spec.random_coords rng n in
   let b = Netgraph.Graph.Builder.create n in

@@ -7,8 +7,8 @@
 
     where [d] is the Manhattan distance and [L] the maximum possible
     distance. Link cost is the Manhattan distance; link delay is uniform
-    in (0, cost]. The paper's parameters are [alpha = 0.25],
-    [beta = 0.2], [n = 100].
+    in (0, cost]. [alpha = 0.25] and [beta = 0.2] are fixed at the
+    paper's values; its experiments use [n = 100].
 
     A raw Waxman draw can be disconnected; as is standard practice, the
     generator then augments it by joining each stray component to the
@@ -16,10 +16,6 @@
     published experiments (which assume reachability of every member)
     are well-defined on every seed. *)
 
-val default_alpha : float
-val default_beta : float
-
-val generate :
-  ?alpha:float -> ?beta:float -> seed:int -> n:int -> unit -> Spec.t
+val generate : seed:int -> n:int -> unit -> Spec.t
 (** [generate ~seed ~n ()] draws a connected Waxman topology.
-    @raise Invalid_argument if [n < 2] or parameters are non-positive. *)
+    @raise Invalid_argument if [n < 2]. *)

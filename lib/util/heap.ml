@@ -59,8 +59,6 @@ let add t ~key value =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
-let min_key t = if t.size = 0 then None else Some t.data.(0).key
-
 let peek t =
   if t.size = 0 then None
   else
@@ -86,11 +84,6 @@ let pop t =
       t.data <- [||];
     Some (top.key, top.value)
   end
-
-let pop_exn t =
-  match pop t with
-  | Some binding -> binding
-  | None -> invalid_arg "Heap.pop_exn: empty heap"
 
 let clear t =
   t.size <- 0;

@@ -19,18 +19,12 @@ val is_empty : 'a t -> bool
 val add : 'a t -> key:float -> 'a -> unit
 (** [add t ~key v] inserts [v] with priority [key]. O(log n). *)
 
-val min_key : 'a t -> float option
-(** Smallest key, if any, without removing it. *)
-
 val peek : 'a t -> (float * 'a) option
 (** Smallest binding without removing it. *)
 
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the smallest binding. Among equal keys, the
     earliest-inserted is returned first. O(log n). *)
-
-val pop_exn : 'a t -> float * 'a
-(** Like {!pop}. @raise Invalid_argument on an empty heap. *)
 
 val clear : 'a t -> unit
 (** Remove every element (the backing array is kept). *)

@@ -27,15 +27,9 @@ let int t bound =
   let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
   r mod bound
 
-let int_in t lo hi =
-  if hi < lo then invalid_arg "Prng.int_in: empty range";
-  lo + int t (hi - lo + 1)
-
 let float t bound =
   let r = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   bound *. (r /. 9007199254740992.0 (* 2^53 *))
-
-let bool t = Int64.compare (Int64.logand (bits64 t) 1L) 0L <> 0
 
 let chance t p =
   if p <= 0.0 then false

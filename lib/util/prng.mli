@@ -23,21 +23,16 @@ val split : t -> t
 (** [split t] derives a new generator from [t], advancing [t]. Streams of
     the parent and child are statistically independent. *)
 
-val bits64 : t -> int64
+val bits64 : (* lint: allow unused-export: reference oracle, the raw stream bit for bit *)
+  t -> int64
 (** Next raw 64-bit output. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. @raise Invalid_argument if
     [bound <= 0]. *)
 
-val int_in : t -> int -> int -> int
-(** [int_in t lo hi] is uniform in [\[lo, hi\]] inclusive. *)
-
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
-
-val bool : t -> bool
-(** Fair coin. *)
 
 val chance : t -> float -> bool
 (** [chance t p] is true with probability [p] (clamped to [\[0,1\]]). *)

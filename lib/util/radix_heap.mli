@@ -35,7 +35,8 @@ val image : float -> int
 val key_of_image : int -> float
 (** Inverse of {!image} on its range. *)
 
-val add_image : 'a t -> int -> 'a -> unit
+val add_image : (* lint: allow unused-export: reference oracle, the pre-imaged entry point against add *)
+  'a t -> int -> 'a -> unit
 (** [add_image t (image key) v] = [add t ~key v] for non-negative,
     non-NaN keys — the allocation-free hot-loop form. NaN images sort
     above every finite image rather than being rejected, so callers

@@ -1,26 +1,22 @@
 type t = {
   mutable n : int;
   mutable mean : float;
-  mutable m2 : float;
   mutable min_v : float;
   mutable max_v : float;
 }
 
 let create () =
-  { n = 0; mean = 0.0; m2 = 0.0; min_v = infinity; max_v = neg_infinity }
+  { n = 0; mean = 0.0; min_v = infinity; max_v = neg_infinity }
 
 let add t x =
   t.n <- t.n + 1;
   let delta = x -. t.mean in
   t.mean <- t.mean +. (delta /. float_of_int t.n);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
   if x < t.min_v then t.min_v <- x;
   if x > t.max_v then t.max_v <- x
 
 let count t = t.n
 let mean t = if t.n = 0 then 0.0 else t.mean
-let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
-let stddev t = sqrt (variance t)
 let min t = t.min_v
 let max t = t.max_v
 
@@ -28,9 +24,6 @@ let of_list xs =
   let t = create () in
   List.iter (add t) xs;
   t
-
-let mean_l xs = mean (of_list xs)
-let stddev_l xs = stddev (of_list xs)
 
 let sorted xs = List.sort Float.compare xs
 

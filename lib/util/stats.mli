@@ -4,8 +4,8 @@
     per-run measurements (overheads, delays). *)
 
 type t
-(** Streaming accumulator (Welford's online algorithm): numerically
-    stable mean and variance without storing samples. *)
+(** Streaming accumulator (Welford's online mean): numerically stable
+    mean, minimum and maximum without storing samples. *)
 
 val create : unit -> t
 val add : t -> float -> unit
@@ -13,10 +13,6 @@ val count : t -> int
 val mean : t -> float
 (** Mean of the samples; [0.] if empty. *)
 
-val variance : t -> float
-(** Unbiased sample variance; [0.] for fewer than two samples. *)
-
-val stddev : t -> float
 val min : t -> float
 (** Smallest sample; [infinity] if empty. *)
 
@@ -27,8 +23,6 @@ val of_list : float list -> t
 
 (** Pure helpers over lists. *)
 
-val mean_l : float list -> float
-val stddev_l : float list -> float
 val median_l : float list -> float
 (** Median (average of middle two for even length); [0.] if empty. *)
 

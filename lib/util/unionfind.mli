@@ -16,6 +16,5 @@ val union : t -> int -> int -> bool
 (** [union t a b] merges the two sets. Returns [false] when [a] and [b]
     were already in the same set. *)
 
-val same : t -> int -> int -> bool
 val count : t -> int
 (** Number of disjoint sets remaining. *)

@@ -12,36 +12,42 @@ let checkf msg = Alcotest.check (Alcotest.float 1e-9) msg
 (* ---------------- Service ---------------- *)
 
 let test_service_alloc_revoke () =
-  let s = Service.create ~first_addr:100 ~pool_size:2 () in
-  let a1 = Result.get_ok (Service.allocate_group s ~now:0.0) in
-  let a2 = Result.get_ok (Service.allocate_group s ~now:0.0) in
-  checki "first addr" 100 a1;
-  checki "second addr" 101 a2;
+  let s = Service.create () in
+  let issued =
+    List.init 256 (fun _ -> Result.get_ok (Service.allocate_group s ~now:0.0))
+  in
+  let a1 = List.hd issued in
+  checki "first addr (224.0.1.0)" 0xE0000100 a1;
+  Alcotest.check Alcotest.(list int) "consecutive addresses"
+    (List.init 256 (fun i -> 0xE0000100 + i))
+    issued;
   checkb "pool exhausted" true (Result.is_error (Service.allocate_group s ~now:0.0));
-  Alcotest.check Alcotest.(list int) "published" [ 100; 101 ] (Service.published_groups s);
-  checkb "exists" true (Service.group_exists s a1);
+  checkb "issued group takes sessions" true
+    (Result.is_ok (Service.start_session s ~group:a1 ~now:0.0));
+  let a2 = List.nth issued 1 in
   Alcotest.check
     (Alcotest.result Alcotest.unit Alcotest.string)
-    "revoke" (Ok ()) (Service.revoke_group s a1);
-  checkb "gone" false (Service.group_exists s a1);
+    "revoke" (Ok ()) (Service.revoke_group s a2);
+  checkb "gone" true (Result.is_error (Service.start_session s ~group:a2 ~now:0.0));
   (* the returned address is reusable *)
   let a3 = Result.get_ok (Service.allocate_group s ~now:1.0) in
-  checki "address recycled" 100 a3;
+  checki "address recycled" a2 a3;
   checkb "unknown revoke" true (Result.is_error (Service.revoke_group s 999))
 
 let test_service_sessions () =
   let s = Service.create () in
   let g = Result.get_ok (Service.allocate_group s ~now:0.0) in
-  let sid = Result.get_ok (Service.start_session s ~group:g ~lifetime:(Some 10.0) ~now:0.0) in
+  let sid = Result.get_ok (Service.start_session s ~group:g ~now:0.0) in
   Alcotest.check Alcotest.(list int) "active" [ sid ] (Service.active_sessions s ~group:g);
   checkb "revoke blocked by session" true (Result.is_error (Service.revoke_group s g));
-  (* expiry tears it down *)
-  Alcotest.check Alcotest.(list int) "nothing expires early" [] (Service.expire s ~now:5.0);
-  Alcotest.check Alcotest.(list int) "expires at deadline" [ sid ] (Service.expire s ~now:10.0);
+  Alcotest.check
+    (Alcotest.result Alcotest.unit Alcotest.string)
+    "end" (Ok ()) (Service.end_session s sid ~now:10.0);
   Alcotest.check Alcotest.(list int) "none left" [] (Service.active_sessions s ~group:g);
+  checkb "revoke allowed once ended" true (Result.is_ok (Service.revoke_group s g));
   checkb "unknown session end" true (Result.is_error (Service.end_session s 999 ~now:0.0));
   checkb "unknown group session" true
-    (Result.is_error (Service.start_session s ~group:12345 ~lifetime:None ~now:0.0))
+    (Result.is_error (Service.start_session s ~group:12345 ~now:0.0))
 
 let test_service_accounting () =
   let s = Service.create () in
@@ -247,6 +253,32 @@ let test_rule1_ties_and_components () =
        false
      with Invalid_argument _ -> true)
 
+(* Rule 1 runs in grid units, on the unscaled topology. Scaling every
+   delay by 3 µs changes the rounding of the mean-delay sums, so on
+   exact or near ties the simulated graph's table would pick another
+   centre; these are three such topologies, and [Setup.draw] must keep
+   the grid-unit pick. *)
+let test_rule1_in_grid_units () =
+  List.iter
+    (fun (label, spec, grid_pick, sim_pick) ->
+      let rng = Scmp_util.Prng.create 1 in
+      match Scmp.Setup.draw ~rng ~group_size:10 spec with
+      | Error e -> Alcotest.fail e
+      | Ok d ->
+        checki (label ^ ": centre from the grid table") grid_pick
+          d.Scmp.Setup.scenario.Protocols.Runner.center;
+        checki (label ^ ": the sim graph would pick") sim_pick
+          (Netgraph.Apsp.min_mean_delay_node
+             (Netgraph.Apsp.compute (Topology.Spec.sim_graph spec))))
+    [
+      ("arpanet seed 6", Topology.Arpanet.generate ~seed:6, 25, 24);
+      ("waxman-100 seed 1061", Topology.Waxman.generate ~seed:1061 ~n:100 (), 30, 81);
+      ( "random3:50 seed 21",
+        Topology.Flat_random.generate ~seed:21 ~n:50 ~avg_degree:3.0,
+        12,
+        41 );
+    ]
+
 let prop_rule3_matches_memoizing_scan =
   QCheck.Test.make ~name:"rule 3 and diameter: scratch scan = memoizing scan" ~count:100
     QCheck.(quad (int_range 0 5) (int_range 0 3) small_int (int_range 8 40))
@@ -278,10 +310,12 @@ let make_domain () =
 let test_domain_group_lifecycle () =
   let d = make_domain () in
   let g = Result.get_ok (Domain.create_group d) in
-  checkb "published" true (Service.group_exists (Domain.service d) g);
+  let revoke () = Service.revoke_group (Domain.service d) g in
+  checkb "published, held by its session" true
+    (revoke () = Error "group has active sessions");
   checki "session open" 1 (List.length (Service.active_sessions (Domain.service d) ~group:g));
   Domain.close_group d g;
-  checkb "revoked" false (Service.group_exists (Domain.service d) g);
+  checkb "revoked" true (revoke () = Error "unknown group");
   checkb "fabric clean" true (Domain.fabric_check d = Ok ())
 
 let test_domain_join_send_leave () =
@@ -410,6 +444,7 @@ let () =
             test_rule1_ties_and_components;
           QCheck_alcotest.to_alcotest prop_rule1_pruned_matches_full_scan;
           QCheck_alcotest.to_alcotest prop_rule3_matches_memoizing_scan;
+          Alcotest.test_case "rule 1 in grid units" `Quick test_rule1_in_grid_units;
         ] );
       ( "domain",
         [

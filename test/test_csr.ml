@@ -137,18 +137,13 @@ let check_csr_layout g =
     (* edge ids point back at the (x, y) link *)
     for s = off.(x) to off.(x + 1) - 1 do
       let e = eid.(s) in
-      let u, v = G.edge_ends g e in
+      let u, v = (G.edge_u g e, G.edge_v g e) in
       if not ((u = x && v = nbr.(s)) || (v = x && u = nbr.(s))) then
         ok := false;
       if G.edge_delay g e <> del.(s) || G.edge_cost g e <> cost.(s) then
         ok := false;
       if G.edge_id_opt g x nbr.(s) <> Some e then ok := false
     done;
-    (* iter_neighbors walks the same slots *)
-    let via_iter = ref [] in
-    G.iter_neighbors g x (fun y ~delay ~cost ->
-        via_iter := (y, delay, cost) :: !via_iter);
-    if List.rev !via_iter <> adj.(x) then ok := false;
     if G.degree g x <> List.length adj.(x) then ok := false
   done;
   (* option lookups agree with the oracle in both directions *)
@@ -387,7 +382,7 @@ let live_shape_ok g lv =
     let dist = lazy (Dijkstra.run g ~metric:Dijkstra.Delay ~source:x) in
     List.iter
       (fun e ->
-        let u, v = G.edge_ends g e in
+        let u, v = (G.edge_u g e, G.edge_v g e) in
         let y = if u = x then v else u in
         let live_here = List.mem e live.(x) in
         if live_here <> List.mem e live.(y) then ok := false;

@@ -227,19 +227,6 @@ let test_netsim_unicast_self () =
   checki "local delivery" 1 !got;
   checkf "free of charge" 0.0 (Netsim.control_overhead net)
 
-let test_netsim_loopback () =
-  let g = line_graph () in
-  let e = Engine.create () in
-  let net = Netsim.create e g ~classify in
-  let got = ref [] in
-  Netsim.set_handler net 1 (fun _ ~from m -> got := (from, m) :: !got);
-  Netsim.loopback net 1 (Ping 9);
-  Engine.run e;
-  (match !got with
-  | [ (1, Ping 9) ] -> ()
-  | _ -> Alcotest.fail "loopback should deliver locally");
-  checkf "no overhead" 0.0 (Netsim.control_overhead net)
-
 let test_netsim_per_link_and_hooks () =
   let g = line_graph () in
   let e = Engine.create () in
@@ -361,7 +348,6 @@ module Server = Eventsim.Server
 let test_server_single () =
   let e = Engine.create () in
   let s = Server.create e ~servers:1 in
-  checki "servers" 1 (Server.servers s);
   let done_at = ref [] in
   for _ = 1 to 3 do
     Server.submit s ~service_time:2.0 (fun () -> done_at := Engine.now e :: !done_at)
@@ -406,30 +392,17 @@ let test_server_observability () =
   let e = Engine.create () in
   let s = Server.create e ~servers:1 in
   let m = Obs.Metrics.create () in
-  Server.instrument s m ~prefix:"srv";
-  let depth = Obs.Series.create ~name:"srv/queue_depth" in
-  Server.sample_queue_depth s depth ~interval:1.0 ~until:6.0;
   for _ = 1 to 3 do
     Server.submit s ~service_time:2.0 ignore
   done;
   Engine.run e;
   Server.observe s m ~prefix:"srv";
-  let h = Obs.Metrics.histogram m "srv/wait_s" in
-  checki "every wait recorded" 3 (Obs.Metrics.histogram_count h);
   checki "completed published" 3
     (Obs.Metrics.counter_value (Obs.Metrics.counter m "srv/completed"));
   checki "max queue published" 2
     (Obs.Metrics.counter_value (Obs.Metrics.counter m "srv/max_queue"));
   Alcotest.check (Alcotest.float 1e-9) "total wait published" 6.0
-    (Obs.Metrics.gauge_value (Obs.Metrics.gauge m "srv/total_wait_s"));
-  (* depth every second; at tied instants the completion (scheduled
-     earlier) runs before the sampler, and background ticks never extend
-     the run past the last completion at t = 6 *)
-  Alcotest.check
-    Alcotest.(list (pair (float 1e-9) (float 1e-9)))
-    "queue depth series"
-    [ (1.0, 2.0); (2.0, 1.0); (3.0, 1.0); (4.0, 0.0); (5.0, 0.0) ]
-    (Obs.Series.points depth)
+    (Obs.Metrics.gauge_value (Obs.Metrics.gauge m "srv/total_wait_s"))
 
 let test_server_freed_picks_next () =
   let e = Engine.create () in
@@ -483,7 +456,6 @@ let () =
           Alcotest.test_case "transmit" `Quick test_netsim_transmit;
           Alcotest.test_case "unicast" `Quick test_netsim_unicast;
           Alcotest.test_case "unicast self" `Quick test_netsim_unicast_self;
-          Alcotest.test_case "loopback" `Quick test_netsim_loopback;
           Alcotest.test_case "links and hooks" `Quick test_netsim_per_link_and_hooks;
           Alcotest.test_case "no handler" `Quick test_netsim_no_handler_drops;
           Alcotest.test_case "loss injection" `Quick test_netsim_loss_injection;

@@ -125,7 +125,7 @@ let prop_buddy_invariants =
       let live = ref [] in
       let ok = ref true in
       for _ = 1 to 200 do
-        if Prng.bool rng || !live = [] then begin
+        if Int64.logand (Prng.bits64 rng) 1L = 1L || !live = [] then begin
           match Buddy.alloc b (1 + Prng.int rng 16) with
           | Some blk -> live := blk :: !live
           | None -> ()

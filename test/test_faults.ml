@@ -248,14 +248,14 @@ let test_lost_join_retransmitted () =
 
 let test_giveup_after_max_attempts () =
   let e, net = path_net () in
-  let p = Scmp_proto.create ~rto:0.01 ~max_attempts:3 net ~mrouter:0 () in
+  let p = Scmp_proto.create net ~mrouter:0 () in
   Netsim.fail_link net 1 2;
   Scmp_proto.host_join p ~group:1 2;
   (* The engine returning at all proves the retry chain is bounded —
      an unbounded one would keep scheduling foreground checks. *)
   Engine.run e;
   checkb "the request was given up" true ((Scmp_proto.stats p).giveups >= 1);
-  checki "exactly max_attempts - 1 retransmissions" 2
+  checki "exactly max_attempts - 1 retransmissions" 5
     (Scmp_proto.stats p).retransmissions;
   checkb "the m-router never heard of the group" true
     (Scmp_proto.mrouter_tree p ~group:1 = None)
@@ -275,7 +275,7 @@ let hpim_counter p name =
    in flight — every retransmission then dies too. *)
 let test_hpim_giveup_after_max_attempts () =
   let e, net = path_net () in
-  let p = Hpim_dm.create ~rto:0.01 ~max_attempts:3 net () in
+  let p = Hpim_dm.create net () in
   Hpim_dm.send_data p ~group:1 ~src:0 ~seq:0;
   Engine.run ~until:0.0025 e;
   Netsim.fail_link net 1 2;
@@ -283,7 +283,7 @@ let test_hpim_giveup_after_max_attempts () =
   Alcotest.(check (option int)) "one sync" (Some 1) (hpim_counter p "hpim/syncs");
   Alcotest.(check (option int)) "never acked" (Some 0) (hpim_counter p "hpim/acks");
   Alcotest.(check (option int))
-    "exactly max_attempts - 1 retransmissions" (Some 2)
+    "exactly max_attempts - 1 retransmissions" (Some 7)
     (hpim_counter p "hpim/retransmissions");
   Alcotest.(check (option int)) "the sync was given up" (Some 1)
     (hpim_counter p "hpim/giveups")
@@ -298,20 +298,6 @@ let test_hpim_no_giveup_metric_when_clean () =
   Alcotest.(check (option int)) "both acked" (Some 2) (hpim_counter p "hpim/acks");
   Alcotest.(check (option int)) "no giveups metric" None
     (hpim_counter p "hpim/giveups")
-
-let test_hpim_create_validates () =
-  let _, net = path_net () in
-  Alcotest.check_raises "rto = 0"
-    (Invalid_argument "Reliable.create: rto must be positive") (fun () ->
-      ignore (Hpim_dm.create ~rto:0.0 net ()));
-  Alcotest.check_raises "negative rto"
-    (Invalid_argument "Reliable.create: rto must be positive") (fun () ->
-      ignore (Hpim_dm.create ~rto:(-0.5) net ()));
-  Alcotest.check_raises "max_attempts = 0"
-    (Invalid_argument "Reliable.create: max_attempts must be at least 1")
-    (fun () -> ignore (Hpim_dm.create ~max_attempts:0 net ()));
-  (* The bounds themselves are accepted. *)
-  ignore (Hpim_dm.create ~rto:1e-9 ~max_attempts:1 net ())
 
 (* Fig 5 of the paper: 6 routers, the m-router at 0, members 4, 3, 5.
    Delays scaled to simulated milliseconds so protocol timers (rto
@@ -378,10 +364,14 @@ let acceptance_scenario () =
   let center = Scmp.Placement.pick apsp Scmp.Placement.Min_avg_delay in
   let rng = Prng.create (1 + 23) in
   let members = Prng.sample rng 16 48 |> List.filter (fun x -> x <> center) in
-  Runner.make ~spec ~center ~source:(List.hd members) ~members
-    ~loss:(0.05, 42) ~loss_class:`Control
-    ~faults:[ { Faults.at = 15.0; event = Faults.Link_down (23, 24) } ]
-    ()
+  {
+    (Runner.make ~spec ~center ~source:(List.hd members) ~members
+       ~loss:(0.05, 42)
+       ~faults:[ { Faults.at = 15.0; event = Faults.Link_down (23, 24) } ]
+       ())
+    with
+    Runner.loss_class = Some `Control;
+  }
 
 let run_acceptance () =
   let report = Obs.Report.create ~name:"acceptance" () in
@@ -441,8 +431,6 @@ let () =
             test_hpim_giveup_after_max_attempts;
           Alcotest.test_case "hpim-dm clean run reports no give-ups" `Quick
             test_hpim_no_giveup_metric_when_clean;
-          Alcotest.test_case "hpim-dm create validates rto and attempts" `Quick
-            test_hpim_create_validates;
         ] );
       ( "tree-repair",
         [

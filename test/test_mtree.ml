@@ -178,7 +178,7 @@ let prop_tree_random_churn_valid =
       let ok = ref true in
       for _ = 1 to 100 do
         let x = 1 + Prng.int rng 59 in
-        if Tree.on_tree t x && Prng.bool rng then begin
+        if Tree.on_tree t x && Int64.logand (Prng.bits64 rng) 1L = 1L then begin
           Tree.unset_member t x;
           Tree.prune_upward t x
         end
@@ -301,14 +301,15 @@ let test_window_loop_elimination () =
 (* ---------------- Bound ---------------- *)
 
 let test_bound () =
-  checkf "tightest factor" 1.0 (Bound.factor Bound.Tightest);
-  checkf "moderate factor" 1.5 (Bound.factor Bound.Moderate);
-  checkb "loosest infinite" true (Bound.factor Bound.Loosest = infinity);
+  let factor b = Bound.limit b ~max_unicast_delay:1.0 in
+  checkf "tightest factor" 1.0 (factor Bound.Tightest);
+  checkf "moderate factor" 1.5 (factor Bound.Moderate);
+  checkb "loosest infinite" true (factor Bound.Loosest = infinity);
   checkf "limit scales" 30.0 (Bound.limit Bound.Moderate ~max_unicast_delay:20.0);
   checkb "loosest limit" true (Bound.limit Bound.Loosest ~max_unicast_delay:5.0 = infinity);
   Alcotest.check_raises "infeasible factor"
     (Invalid_argument "Bound.factor: multiplier below 1.0 is infeasible") (fun () ->
-      ignore (Bound.factor (Bound.Factor 0.5)));
+      ignore (factor (Bound.Factor 0.5)));
   Alcotest.check Alcotest.string "names" "tightest" (Bound.to_string Bound.Tightest);
   checki "three levels" 3 (List.length Bound.all_levels)
 
@@ -423,7 +424,8 @@ let prop_dcdm_respects_bound =
             List.fold_left (fun acc m -> Float.max acc (A.delay apsp 0 m)) 0.0 members
           in
           Tree.validate t = Ok ()
-          && Eval.satisfies t ~bound:(Bound.limit bound ~max_unicast_delay:max_ul))
+          && Eval.tree_delay t
+             <= Bound.limit bound ~max_unicast_delay:max_ul +. 1e-9)
         [ Bound.Tightest; Bound.Moderate; Bound.Factor 2.0 ])
 
 (* The greedy heuristic is not strictly monotone per instance, so the
@@ -675,10 +677,9 @@ let test_eval () =
   Tree.set_member t 4;
   checkf "cost" 9.0 (Eval.tree_cost t);
   checkf "delay" 12.0 (Eval.tree_delay t);
-  checkf "mean member delay" 12.0 (Eval.mean_member_delay t);
+  Alcotest.check Alcotest.(list (pair int (float 1e-9)))
+    "member delays" [ (4, 12.0) ] (Eval.member_delays t);
   checki "hops" 2 (Eval.hops t);
-  checkb "satisfies 12" true (Eval.satisfies t ~bound:12.0);
-  checkb "violates 11" false (Eval.satisfies t ~bound:11.0);
   Tree.unset_member t 4;
   checkf "no members: zero delay" 0.0 (Eval.tree_delay t)
 

@@ -118,8 +118,10 @@ let test_metrics_registry () =
   checki "idempotent handle" 6 (Metrics.counter_value c);
   let g = Metrics.gauge m "a/gauge" in
   Metrics.set g 2.5;
-  Metrics.set_max g 1.0;
-  Alcotest.check (Alcotest.float 1e-9) "set_max keeps max" 2.5
+  let lower = Metrics.create () in
+  Metrics.set (Metrics.gauge lower "a/gauge") 1.0;
+  Metrics.merge m lower;
+  Alcotest.check (Alcotest.float 1e-9) "merge keeps the max" 2.5
     (Metrics.gauge_value g);
   let h = Metrics.histogram m "a/hist" in
   Metrics.observe h 0.5;

@@ -20,20 +20,32 @@ let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checkf msg = Alcotest.check (Alcotest.float 1e-9) msg
 
-let fig5 () =
-    let bld = G.Builder.create 6 in
-  G.Builder.add_link bld 0 1 ~delay:3.0 ~cost:6.0;
-  G.Builder.add_link bld 0 2 ~delay:2.0 ~cost:6.0;
-  G.Builder.add_link bld 0 3 ~delay:4.0 ~cost:5.0;
-  G.Builder.add_link bld 1 2 ~delay:3.0 ~cost:3.0;
-  G.Builder.add_link bld 1 4 ~delay:9.0 ~cost:3.0;
-  G.Builder.add_link bld 2 3 ~delay:3.0 ~cost:2.0;
-  G.Builder.add_link bld 3 5 ~delay:7.0 ~cost:2.0;
-  G.Builder.add_link bld 2 5 ~delay:9.0 ~cost:3.0;
-  let g = G.Builder.freeze bld in
-  g
+let fig5_scaled scale =
+  let bld = G.Builder.create 6 in
+  List.iter
+    (fun (u, v, delay, cost) ->
+      G.Builder.add_link bld u v ~delay:(delay *. scale) ~cost)
+    [
+      (0, 1, 3.0, 6.0);
+      (0, 2, 2.0, 6.0);
+      (0, 3, 4.0, 5.0);
+      (1, 2, 3.0, 3.0);
+      (1, 4, 9.0, 3.0);
+      (2, 3, 3.0, 2.0);
+      (3, 5, 7.0, 2.0);
+      (2, 5, 9.0, 3.0);
+    ];
+  G.Builder.freeze bld
+
+let fig5 () = fig5_scaled 1.0
+
+(* Delays in simulated milliseconds, so protocol timers (DVMRP's 10 s
+   prune lifetime) dominate link latency, as in the runner. *)
+let fig5_ms () = fig5_scaled 1e-3
 
 (* ---------------- Tree_packet ---------------- *)
+
+let leaf = { TP.children = [] }
 
 let test_tree_packet_paper_example () =
   (* §III.E's worked example: the m-router's subtree at node 2 with
@@ -43,9 +55,9 @@ let test_tree_packet_paper_example () =
     {
       TP.children =
         [
-          (4, TP.leaf);
-          (5, { TP.children = [ (7, TP.leaf); (8, TP.leaf) ] });
-          (6, { TP.children = [ (9, TP.leaf) ] });
+          (4, leaf);
+          (5, { TP.children = [ (7, leaf); (8, leaf) ] });
+          (6, { TP.children = [ (9, leaf) ] });
         ];
     }
   in
@@ -63,8 +75,8 @@ let test_tree_packet_paper_example () =
     "spanned nodes" [ 2; 4; 5; 7; 8; 6; 9 ] (TP.nodes t ~at:2)
 
 let test_tree_packet_leaf () =
-  Alcotest.check Alcotest.(list int) "leaf encodes [0]" [ 0 ] (TP.encode TP.leaf);
-  checki "leaf size" 1 (TP.size TP.leaf)
+  Alcotest.check Alcotest.(list int) "leaf encodes [0]" [ 0 ] (TP.encode leaf);
+  checki "leaf size" 1 (TP.size leaf)
 
 let test_tree_packet_of_tree () =
   let g = fig5 () in
@@ -96,7 +108,7 @@ let test_tree_packet_decode_errors () =
 
 let gen_packet =
   let rec make depth rng =
-    if depth = 0 then TP.leaf
+    if depth = 0 then leaf
     else begin
       let n = Prng.int rng 3 in
       let children =
@@ -170,15 +182,15 @@ let test_igmp_rejoin_during_wait () =
   let e = Engine.create () in
   let leaves = ref 0 in
   let igmp =
-    Igmp.create e ~last_member_wait:2.0 ~router:0
+    Igmp.create e ~router:0
       ~on_first_join:(fun _ -> ())
       ~on_last_leave:(fun _ -> incr leaves)
       ()
   in
   Igmp.host_join igmp ~host:1 ~group:5;
   Igmp.host_leave igmp ~host:1 ~group:5;
-  (* someone re-joins before the group-specific query times out *)
-  Engine.schedule e ~delay:1.0 (fun () -> Igmp.host_join igmp ~host:2 ~group:5);
+  (* someone re-joins before the group-specific query times out (1 s) *)
+  Engine.schedule e ~delay:0.5 (fun () -> Igmp.host_join igmp ~host:2 ~group:5);
   Engine.run e;
   checki "leave cancelled by re-join" 0 !leaves;
   Alcotest.check Alcotest.(list int) "member present" [ 2 ] (Igmp.members igmp ~group:5)
@@ -186,15 +198,16 @@ let test_igmp_rejoin_during_wait () =
 let test_igmp_queries () =
   let e = Engine.create () in
   let igmp =
-    Igmp.create e ~query_interval:10.0 ~router:0
+    Igmp.create e ~router:0
       ~on_first_join:(fun _ -> ())
       ~on_last_leave:(fun _ -> ())
       ()
   in
   Igmp.host_join igmp ~host:1 ~group:1;
   Igmp.host_join igmp ~host:2 ~group:2;
-  Engine.run ~until:35.0 e;
-  (* 3 general query rounds; one suppressed report per group each *)
+  Engine.run ~until:380.0 e;
+  (* 3 general query rounds, one per 125 s; one suppressed report per
+     group each *)
   checki "queries" 3 (Igmp.queries_sent igmp);
   checki "reports: 2 unsolicited + 3 rounds x 2 groups" 8 (Igmp.reports_sent igmp)
 
@@ -399,7 +412,6 @@ let test_cbt_join_and_tree_shape () =
   let g = fig5 () in
   let e, net, delivery = make_net g in
   let p = Cbt.create ~delivery net ~core:0 () in
-  checki "core" 0 (Cbt.core p);
   Cbt.host_join p ~group:1 4;
   Engine.run e;
   (* JOIN travelled 4-1-0 (shortest delay to core); ACK installed
@@ -450,9 +462,9 @@ let test_cbt_quit_cascade () =
 (* ---------------- DVMRP ---------------- *)
 
 let test_dvmrp_flood_prune_reflood () =
-  let g = fig5 () in
+  let g = fig5_ms () in
   let e, net, delivery = make_net g in
-  let p = Dvmrp.create ~delivery ~prune_timeout:50.0 net () in
+  let p = Dvmrp.create ~delivery net () in
   Dvmrp.host_join p ~group:1 5;
   checkb "membership" true (Dvmrp.is_member p ~group:1 5);
   (* first packet floods the whole domain and triggers prunes *)
@@ -472,22 +484,22 @@ let test_dvmrp_flood_prune_reflood () =
     (Delivery.duplicates delivery + Delivery.spurious delivery + Delivery.missed delivery)
 
 let test_dvmrp_prune_expiry_refloods () =
-  let g = fig5 () in
+  let g = fig5_ms () in
   let e, net, delivery = make_net g in
-  let p = Dvmrp.create ~delivery ~prune_timeout:5.0 net () in
+  let p = Dvmrp.create ~delivery net () in
   Dvmrp.host_join p ~group:1 5;
   expect_and_send e delivery ~seq:0 ~members:[ 5 ] ~send:(fun () ->
       Dvmrp.send_data p ~group:1 ~src:4 ~seq:0);
   checkb "pruned" true (Dvmrp.pruned_links p > 0);
-  (* after the timeout all prune state is gone *)
+  (* after the 10 s prune lifetime all prune state is gone *)
   Engine.schedule e ~delay:30.0 (fun () -> ());
   Engine.run e;
   checki "prunes expired" 0 (Dvmrp.pruned_links p)
 
 let test_dvmrp_graft () =
-  let g = fig5 () in
+  let g = fig5_ms () in
   let e, net, delivery = make_net g in
-  let p = Dvmrp.create ~delivery ~prune_timeout:1000.0 net () in
+  let p = Dvmrp.create ~delivery net () in
   Dvmrp.host_join p ~group:1 5;
   expect_and_send e delivery ~seq:0 ~members:[ 5 ] ~send:(fun () ->
       Dvmrp.send_data p ~group:1 ~src:4 ~seq:0);
@@ -500,9 +512,9 @@ let test_dvmrp_graft () =
   checki "no missed" 0 (Delivery.missed delivery)
 
 let test_dvmrp_leave_then_prune () =
-  let g = fig5 () in
+  let g = fig5_ms () in
   let e, net, delivery = make_net g in
-  let p = Dvmrp.create ~delivery ~prune_timeout:1000.0 net () in
+  let p = Dvmrp.create ~delivery net () in
   Dvmrp.host_join p ~group:1 5;
   Dvmrp.host_join p ~group:1 3;
   expect_and_send e delivery ~seq:0 ~members:[ 3; 5 ] ~send:(fun () ->
@@ -516,9 +528,9 @@ let test_dvmrp_leave_then_prune () =
 let test_dvmrp_per_source_prune_state () =
   (* prune state is per (source, group): pruning away from source 4
      must not dam up traffic from source 1 *)
-  let g = fig5 () in
+  let g = fig5_ms () in
   let e, net, delivery = make_net g in
-  let p = Dvmrp.create ~delivery ~prune_timeout:1000.0 net () in
+  let p = Dvmrp.create ~delivery net () in
   Dvmrp.host_join p ~group:1 5;
   expect_and_send e delivery ~seq:0 ~members:[ 5 ] ~send:(fun () ->
       Dvmrp.send_data p ~group:1 ~src:4 ~seq:0);
@@ -566,7 +578,6 @@ let test_pim_rpt_join_and_register () =
   let g = fig5 () in
   let e, net, delivery = make_net g in
   let p = Pim.create ~delivery net ~rp:0 () in
-  checki "rp" 0 (Pim.rp p);
   Pim.host_join p ~group:1 4;
   Engine.run e;
   Alcotest.check Alcotest.(list int) "star-G state on the RP path" [ 0; 1; 4 ]
@@ -764,7 +775,7 @@ let test_hpim_hard_state_no_reflood () =
   in
   let dvmrp =
     crossings_of_third
-      (fun delivery net -> Dvmrp.create ~delivery ~prune_timeout:10.0 net ())
+      (fun delivery net -> Dvmrp.create ~delivery net ())
       (fun p ->
         ( (fun () -> Dvmrp.host_join p ~group:1 5),
           fun ~seq -> Dvmrp.send_data p ~group:1 ~src:4 ~seq ))
@@ -1140,6 +1151,37 @@ let test_driver_always_full_tree () =
     (List.mem name (Protocols.Driver.names ()));
   checkb "not found by name" true (Result.is_error (Protocols.Driver.find name))
 
+(* A checked run that trips still finishes its trace and its report
+   before the violation escapes: SCMP whose quiescent self-check always
+   fails stands in for a real defect. *)
+module Failing_verify = struct
+  let name = "scmp-failing-verify"
+  let display = "SCMP*"
+
+  let setup cfg =
+    let inst = Protocols.Driver.setup (Protocols.Driver.find_exn "scmp") cfg in
+    { inst with Protocols.Driver.verify = (fun () -> Error "stub") }
+end
+
+let test_runner_trip_keeps_evidence () =
+  let trace = Filename.temp_file "scmp_trip" ".tr" in
+  Sys.remove trace;
+  let sc = { (runner_scenario 11) with Runner.trace_path = Some trace } in
+  let report = Obs.Report.create ~name:"trip" () in
+  (match
+     Runner.run ~check:true ~report (module Failing_verify : Protocols.Driver.S) sc
+   with
+  | _ -> Alcotest.fail "the stub verify must trip the run"
+  | exception Check.Invariant.Violation msg ->
+    Alcotest.check Alcotest.string "the stub tripped it"
+      "runner driver verify: stub" msg);
+  checkb "trace written" true (Sys.file_exists trace);
+  checkb "trace has crossings" true
+    (In_channel.with_open_bin trace In_channel.length > 0L);
+  Sys.remove trace;
+  checkb "report finished" true
+    (List.mem "delivery/ratio" (Obs.Metrics.names (Obs.Report.metrics report)))
+
 let qc = QCheck_alcotest.to_alcotest
 
 let () =
@@ -1248,5 +1290,7 @@ let () =
             test_runner_expected_pinned;
           Alcotest.test_case "always-TREE driver" `Quick
             test_driver_always_full_tree;
+          Alcotest.test_case "tripped check keeps trace and report" `Quick
+            test_runner_trip_keeps_evidence;
         ] );
     ]

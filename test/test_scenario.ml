@@ -227,8 +227,9 @@ let test_ab_bench_minor_words () =
   (* the bench profile bands deterministic allocation counts tightly,
      and only in the worse direction *)
   let key = "micro/dcdm-churn-1000/minor_words" in
+  let rules = Result.get_ok (Ab.profile_of_string "bench") in
   let bench old_v new_v =
-    compare_fixtures ~rules:Ab.bench_rules [ (key, old_v) ] [ (key, new_v) ]
+    compare_fixtures ~rules [ (key, old_v) ] [ (key, new_v) ]
   in
   let o = bench 100000.0 103000.0 in
   checkb "3% more words fails" false (Ab.passed o);
