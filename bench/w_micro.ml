@@ -55,11 +55,12 @@ let micro ?json ~full ~jobs () =
   let ref_iter_neighbors adj x f =
     List.iter (fun (y, d, c) -> f y ~delay:d ~cost:c) adj.(x)
   in
-  let dijkstra_ref ?node_ok ?edge_ok adj ~metric ~source =
-    (* Like the seed, filters default to always-true closures invoked
-       per node and per edge — plain runs paid that indirection too. *)
-    let node_ok = match node_ok with None -> fun _ -> true | Some f -> f in
-    let edge_ok = match edge_ok with None -> fun _ _ -> true | Some f -> f in
+  let dijkstra_ref adj ~metric ~source =
+    (* The seed called always-true liveness closures per node and per
+       edge on plain runs too; opaque, so the reference keeps paying
+       that indirection. *)
+    let node_ok = Sys.opaque_identity (fun (_ : int) -> true) in
+    let edge_ok = Sys.opaque_identity (fun (_ : int) (_ : int) -> true) in
     let n = Array.length adj in
     let dist = Array.make n infinity in
     let pred = Array.make n (-1) in

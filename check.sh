@@ -100,6 +100,15 @@ if grep -nE '2\.0 \*\*|\*\. 2\.' lib/protocols/scmp_proto.ml \
   exit 1
 fi
 
+# One drain: every Dijkstra search, over the whole graph or a CSR view,
+# is Radix_heap.drain_csr; the graph layer must not grow a pop loop of
+# its own again, nor the heap a batch pop to feed one.
+if grep -rn 'Radix_heap\.pop' lib/netgraph/ \
+  || grep -n 'pop_run' lib/util/radix_heap.mli; then
+  echo "check.sh: a Dijkstra drain outside Radix_heap.drain_csr" >&2
+  exit 1
+fi
+
 # One network builder: the grid-unit-to-seconds delay conversion is
 # written once, in Topology.Spec.sim_graph.
 if [ "$(grep -rl '3e-6' lib bin bench examples test | wc -l)" -ne 1 ]; then

@@ -109,7 +109,7 @@ type 'm t = {
   engine : Engine.t;
   graph : Netgraph.Graph.t;
   (* Edge endpoints by dense edge id, denormalized from the graph for
-     the overlay's hot lookups (edge_ok closure, in-flight stamps). *)
+     the overlay's hot lookups (edge liveness, in-flight stamps). *)
   eu : int array;
   ev : int array;
   routes : Routes.t;
@@ -143,9 +143,6 @@ type 'm t = {
      restored meanwhile. *)
   dead_edge : Bytes.t;
   node_down : bool array;
-  (* dead edges + down nodes currently in effect; [0] means the
-     overlay is clean and SPT builds may skip the edge filter *)
-  faults_live : int ref;
   link_fails : int array;  (* by edge id *)
   node_fails : int array;
   topo_hooks : (unit -> unit) hookset;
@@ -257,7 +254,6 @@ let fail_link t a b =
   let e = edge_of t a b "Netsim.fail_link: no such link" in
   if not (bit_get t.dead_edge e) then begin
     bit_set t.dead_edge e;
-    incr t.faults_live;
     t.link_fails.(e) <- t.link_fails.(e) + 1;
     Routes.note_edge_down t.routes e;
     reconverge t
@@ -267,7 +263,6 @@ let restore_link t a b =
   let e = edge_of t a b "Netsim.restore_link: no such link" in
   if bit_get t.dead_edge e then begin
     bit_clear t.dead_edge e;
-    decr t.faults_live;
     (* Only an effective revival invalidates: the link may still be
        severed by a dead endpoint, in which case nothing changed. *)
     if edge_alive t e then Routes.note_edge_up t.routes e;
@@ -288,7 +283,6 @@ let fail_links t pairs =
     (fun e ->
       if not (bit_get t.dead_edge e) then begin
         bit_set t.dead_edge e;
-        incr t.faults_live;
         t.link_fails.(e) <- t.link_fails.(e) + 1;
         Routes.note_edge_down t.routes e;
         effective := true
@@ -306,7 +300,6 @@ let restore_links t pairs =
     (fun e ->
       if bit_get t.dead_edge e then begin
         bit_clear t.dead_edge e;
-        decr t.faults_live;
         if edge_alive t e then Routes.note_edge_up t.routes e;
         effective := true
       end)
@@ -323,7 +316,6 @@ let fail_node t x =
     invalid_arg "Netsim.fail_node: no such node";
   if not t.node_down.(x) then begin
     t.node_down.(x) <- true;
-    incr t.faults_live;
     t.node_fails.(x) <- t.node_fails.(x) + 1;
     Netgraph.Graph.iter_incident t.graph x (fun e _ ->
         Routes.note_edge_down t.routes e);
@@ -335,7 +327,6 @@ let restore_node t x =
     invalid_arg "Netsim.restore_node: no such node";
   if t.node_down.(x) then begin
     t.node_down.(x) <- false;
-    decr t.faults_live;
     Netgraph.Graph.iter_incident t.graph x (fun e _ ->
         if edge_alive t e then Routes.note_edge_up t.routes e);
     reconverge t
@@ -546,20 +537,8 @@ let unicast t ?(background = false) ~src ~dst msg =
 let create ?sizeof engine graph ~classify =
   let n = Netgraph.Graph.node_count graph in
   let m = Netgraph.Graph.edge_count graph in
-  (* The overlay tables exist before the record so the routes cache can
-     close over them: an SPT is always built through the *current*
-     liveness, and invalidation notices keep cached entries exact. *)
   let eu = Array.init m (Netgraph.Graph.edge_u graph) in
   let ev = Array.init m (Netgraph.Graph.edge_v graph) in
-  let dead_edge = bitset_make m in
-  let node_down = Array.make n false in
-  let faults_live = ref 0 in
-  let edge_ok e =
-    (not (bit_get dead_edge e))
-    && (not node_down.(eu.(e)))
-    && not node_down.(ev.(e))
-  in
-  let all_ok () = !faults_live = 0 in
   let nop = Engine.dispatch (fun _ _ _ _ _ -> ()) in
   let t =
     {
@@ -567,7 +546,7 @@ let create ?sizeof engine graph ~classify =
       graph;
       eu;
       ev;
-      routes = Routes.compute ~edge_ok ~all_ok graph;
+      routes = Routes.compute graph;
       routes_epoch = 0;
       classify;
       sizeof;
@@ -587,9 +566,8 @@ let create ?sizeof engine graph ~classify =
       dropped_link_down = 0;
       dropped_node_down = 0;
       drop_hooks = hookset ();
-      dead_edge;
-      node_down;
-      faults_live;
+      dead_edge = bitset_make m;
+      node_down = Array.make n false;
       link_fails = Array.make m 0;
       node_fails = Array.make n 0;
       topo_hooks = hookset ();

@@ -31,29 +31,28 @@ module Apsp = Netgraph.Apsp
    into a Dijkstra workspace, so steady-state recomputation under
    churn reuses the same scratch arrays instead of reallocating.
 
-   Ownership: after [share], a fill with no live fault borrows the
-   shared APSP table's delay SPT instead of building an identical one.
-   The table owns that SPT — other consumers (the m-router's DCDM
-   join) keep reading it — so a borrowed slot is never recycled, only
-   forgotten. Only SPTs this cache built itself go back to the
-   workspace. *)
+   The notices also keep the cache's own fault view, a masked CSR view
+   made at the first [note_edge_down]: every fill the cache builds runs
+   over it, and a revived link relaxes in its original slot position,
+   so ties resolve as over a fresh copy of the surviving subgraph.
+
+   Ownership: after [share], a fill while the view has no dead link
+   borrows the shared APSP table's delay SPT instead of building an
+   identical one. The table owns that SPT — other consumers (the
+   m-router's DCDM join) keep reading it — so a borrowed slot is never
+   recycled, only forgotten. Only SPTs this cache built itself go back
+   to the workspace. *)
 
 type t = {
   g : G.t;
-  edge_ok : (G.edge -> bool) option;
-  (* [true] when [edge_ok] currently accepts every edge (no live
-     fault). An all-accepting filter is equivalent to no filter —
-     Dijkstra documents the filtered run as identical to the
-     unfiltered one — so a clean overlay takes the fused
-     [drain_csr] fast path instead of paying a closure call per
-     relaxation. *)
-  all_ok : (unit -> bool) option;
   ws : D.workspace;
   results : D.result option array;
   (* '\001' where [results] holds an SPT borrowed from [table]: the
      table owns it, so [drop] must not recycle it. *)
   borrowed : Bytes.t;
   mutable table : Apsp.t option;
+  (* The fault view; [None] until the first [note_edge_down]. *)
+  mutable view : D.live option;
   (* edge id -> sources whose cached SPT used the edge when built.
      Entries may be stale (source since dropped or rebuilt without the
      edge); [note_edge_down] re-checks before dropping. *)
@@ -68,15 +67,14 @@ type t = {
   mutable invalidated : int;
 }
 
-let compute ?edge_ok ?all_ok g =
+let compute g =
   {
     g;
-    edge_ok;
-    all_ok;
     ws = D.create_workspace ();
     results = Array.make (G.node_count g) None;
     borrowed = Bytes.make (G.node_count g) '\000';
     table = None;
+    view = None;
     edge_users = Array.make (G.edge_count g) [];
     registered = Bytes.make (G.node_count g) '\000';
     computed = 0;
@@ -109,18 +107,18 @@ let force t s =
   match t.results.(s) with
   | Some r -> r
   | None ->
-    let edge_ok =
-      match t.all_ok with Some f when f () -> None | _ -> t.edge_ok
+    let clean =
+      match t.view with None -> true | Some v -> D.dead_count v = 0
     in
     let r =
-      match (edge_ok, t.table) with
-      | None, Some table ->
+      match t.table with
+      | Some table when clean ->
         Bytes.set t.borrowed s '\001';
         t.shared_fills <- t.shared_fills + 1;
         Apsp.sl_tree table s
-      | _ ->
+      | Some _ | None ->
         Bytes.set t.borrowed s '\000';
-        D.run ~ws:t.ws ?edge_ok t.g ~metric:D.Delay ~source:s
+        D.run ~ws:t.ws ?live:t.view t.g ~metric:D.Delay ~source:s
     in
     t.results.(s) <- Some r;
     t.computed <- t.computed + 1;
@@ -157,7 +155,16 @@ let uses_edge t r e =
   D.parent_edge_ix r (G.edge_u t.g e) = e
   || D.parent_edge_ix r (G.edge_v t.g e) = e
 
+let view t =
+  match t.view with
+  | Some v -> v
+  | None ->
+    let v = D.masked t.g (fun _ -> true) in
+    t.view <- Some v;
+    v
+
 let note_edge_down t e =
+  D.kill (view t) e;
   match t.edge_users.(e) with
   | [] -> ()
   | users ->
@@ -170,6 +177,7 @@ let note_edge_down t e =
       users
 
 let note_edge_up t e =
+  Option.iter (fun v -> D.revive v e) t.view;
   let w = G.edge_delay t.g e in
   let a = G.edge_u t.g e and b = G.edge_v t.g e in
   Array.iteri

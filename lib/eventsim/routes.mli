@@ -17,7 +17,12 @@
     {!Netgraph.Dijkstra.workspace}, so recomputation under churn
     reuses scratch arrays instead of reallocating.
 
-    {b Ownership.} After {!share}, a fill made while no fault is live
+    The notices also keep the cache's own fault view, a masked CSR
+    view ({!Netgraph.Dijkstra.masked}) made at the first
+    {!note_edge_down}: every fill the cache builds runs over it, so a
+    search never calls a liveness predicate.
+
+    {b Ownership.} After {!share}, a fill made while no link is down
     borrows the shared {!Netgraph.Apsp} table's delay SPT instead of
     building its own, so a clean overlay costs one delay SPT per source
     for the unicast routes and the m-router together. Borrowed SPTs
@@ -28,31 +33,22 @@
 
 type t
 
-val compute :
-  ?edge_ok:(Netgraph.Graph.edge -> bool) ->
-  ?all_ok:(unit -> bool) ->
-  Netgraph.Graph.t ->
-  t
+val compute : Netgraph.Graph.t -> t
 (** An empty cache over [g]; no Dijkstra runs until the first query.
-    [edge_ok] (an edge-id liveness predicate, e.g. a fault overlay
-    bitset lookup) filters the graph at SPT-build time; it must be
-    constant between an invalidation notice and the queries that
-    follow it. Ties resolve deterministically (Dijkstra's fixed
-    relaxation order). [all_ok], when given, must report whether
-    [edge_ok] currently accepts every edge; a [true] answer lets an
-    SPT build skip the per-edge filter entirely (an all-accepting
-    filtered run is documented byte-identical to an unfiltered one),
-    which is the no-fault fast path. *)
+    Fills run over [g] minus the links noticed down
+    ({!note_edge_down}) and not since noticed up ({!note_edge_up}).
+    Ties resolve deterministically (Dijkstra's fixed relaxation
+    order), exactly as over a fresh copy of the surviving subgraph. *)
 
 val share : t -> Netgraph.Apsp.t -> unit
-(** [share t table] makes every later fill whose filter resolves to
-    "no filter" (no [edge_ok], or [all_ok] answering [true]) take
-    {!Netgraph.Apsp.sl_tree}[ table s] instead of running Dijkstra.
-    [table] must be an unfiltered table over the same graph, whose
-    delay SPTs are then byte-identical to the ones this cache would
-    build. Fills under a live fault still build and own their SPTs.
-    Edge registration and invalidation are unchanged, so answers are
-    too. A later call replaces the table for later fills.
+(** [share t table] makes every later fill made while no link is down
+    take {!Netgraph.Apsp.sl_tree}[ table s]
+    instead of running Dijkstra. [table] must be an unfiltered table
+    over the same graph, whose delay SPTs are then byte-identical to
+    the ones this cache would build. Fills under a live fault still
+    build and own their SPTs. Edge registration and invalidation are
+    unchanged, so answers are too. A later call replaces the table for
+    later fills.
     @raise Invalid_argument if [table] is over another graph. *)
 
 val next_hop : t -> src:Netgraph.Graph.node -> dst:Netgraph.Graph.node -> Netgraph.Graph.node option
@@ -76,14 +72,17 @@ val spt : t -> src:Netgraph.Graph.node -> Netgraph.Dijkstra.result
     cannot tell which kind they hold; the rule is the same.) *)
 
 val note_edge_down : t -> Netgraph.Graph.edge -> unit
-(** The edge just died: drop exactly the cached SPTs whose tree uses
-    it (tracked per edge id at build time, so untouched sources pay
-    nothing). Entries kept are provably identical to a recompute. *)
+(** The edge just died (its link or an end): later fills route
+    around it, and exactly the cached SPTs whose tree uses it are
+    dropped (tracked per edge id at build time, so untouched sources
+    pay nothing). Entries kept are provably identical to a recompute.
+    Noticing an edge already down again is harmless. *)
 
 val note_edge_up : t -> Netgraph.Graph.edge -> unit
-(** The edge just revived: drop the cached SPTs the edge could now
+(** The edge just revived — its link and both ends are up: later
+    fills may use it again, and the cached SPTs the edge could now
     shorten (or tie — ties can flip predecessor choices), judged from
-    the cached distances of its endpoints. *)
+    the cached distances of its endpoints, are dropped. *)
 
 val cached : (* lint: allow unused-export: introspection counter, sources memoized now *)
   t -> int

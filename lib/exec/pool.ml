@@ -46,7 +46,7 @@ let worker t () =
 
 let create ?jobs () =
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
-  if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
+  if jobs < 1 then invalid_arg "Pool.with_pool: jobs must be >= 1";
   let t =
     {
       jobs;

@@ -22,10 +22,6 @@ val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the machine's useful
     parallelism. *)
 
-val create : ?jobs:int -> unit -> t
-(** Spawn [jobs] worker domains (default {!default_jobs}).
-    @raise Invalid_argument if [jobs < 1]. *)
-
 val jobs : t -> int
 
 val map : t -> 'a list -> f:(int -> 'a -> 'b) -> 'b list
@@ -42,4 +38,6 @@ val shutdown : (* lint: allow unused-export: lifecycle invariant, a shut-down po
 (** Drain and join the workers. Idempotent. *)
 
 val with_pool : ?jobs:int -> (t -> 'a) -> 'a
-(** [create], run, and [shutdown] even on exceptions. *)
+(** Spawn [jobs] worker domains (default {!default_jobs}), run, and
+    {!shutdown} even on exceptions.
+    @raise Invalid_argument if [jobs < 1]. *)

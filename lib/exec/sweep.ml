@@ -66,41 +66,18 @@ let generate topo seed =
 (* A spec is a pure function of (topo, seed), so cells, runs and
    replays that share the pair share one spec — and through it one
    simulated graph, one APSP table per graph and one rule-1 centre.
-   The memo is a small round-robin of weak slots, so it never keeps a
-   spec alive that no caller still holds, and it is domain-local, as
-   [Netgraph.Apsp.compute]'s is: a spec reached through one domain's
-   memo is never handed to another domain's cells by it. A slot's key
-   is plain data and is compared first; its spec is read with
-   [Weak.get] only on a key match, so a lookup never revives the
-   specs of the other slots. *)
-let memo_slots = 8
+   The memo is the per-topology policy ({!Scmp_util.Weak_memo}). It
+   holds the two most recent specs itself: the grid's innermost loop
+   runs over the seeds, so consecutive cells alternate between specs
+   and drop each in between, and a spec held only weakly would be
+   rebuilt whenever a collection fell between two of them. *)
+let memo = Scmp_util.Weak_memo.create ~hold:2 ()
 
-let memo_key =
-  Domain.DLS.new_key (fun () ->
-      (Array.make memo_slots None, Weak.create memo_slots, ref 0))
+let same_topo (t, s) (t', s') = Int.equal s s' && t = t'
 
 let generate_topo topo seed =
-  let keys, specs, next = Domain.DLS.get memo_key in
-  let rec find i =
-    if i = memo_slots then None
-    else
-      match keys.(i) with
-      | Some (t, s) when s = seed && t = topo -> Some i
-      | Some _ | None -> find (i + 1)
-  in
-  let store i =
-    let spec = generate topo seed in
-    keys.(i) <- Some (topo, seed);
-    Weak.set specs i (Some spec);
-    spec
-  in
-  match find 0 with
-  | Some i -> (
-    match Weak.get specs i with Some spec -> spec | None -> store i)
-  | None ->
-    let i = !next in
-    next := (i + 1) mod memo_slots;
-    store i
+  Scmp_util.Weak_memo.find memo ~same:same_topo (topo, seed) (fun () ->
+      generate topo seed)
 
 type random_failures = {
   rf_seed : int;

@@ -307,20 +307,3 @@ let validate t =
   | [] -> Ok ()
   | ps -> Error (String.concat "; " (List.rev ps))
 
-let copy t =
-  {
-    graph = t.graph;
-    root = t.root;
-    parent = Array.copy t.parent;
-    on = Array.copy t.on;
-    children = Array.copy t.children;
-    member = Array.copy t.member;
-    count = t.count;
-    members_n = t.members_n;
-    w_epoch = t.w_epoch;
-    w_stamp = Array.copy t.w_stamp;
-    w_on = Array.copy t.w_on;
-    w_parent = Array.copy t.w_parent;
-    w_touched = Array.copy t.w_touched;
-    w_len = t.w_len;
-  }

@@ -132,4 +132,3 @@ val validate : t -> (unit, string) result
     parent/children agree, no cycles, every on-tree node reaches the
     root, members are on-tree. *)
 
-val copy : t -> t

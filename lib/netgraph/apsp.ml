@@ -2,103 +2,83 @@
    memoized. Consumers that touch a handful of sources — the DCDM join
    step consults only on-tree routers, SPT/KMB only the root and the
    members — no longer pay for the n-2 sources they never ask about.
-   The optional liveness filters let the table answer over a fault
-   overlay without materializing the surviving subgraph; a table's
-   filters are captured at [compute] time, so a fresh table must be
-   created when the overlay changes.
 
-   An unfiltered table runs its delay searches over its own live delay
-   CSR ({!Dijkstra.live}): each search retires the links at its source
-   that it proves lie on no shortest-delay path, so later searches
-   relax fewer slots and return the same trees. Cost searches and
-   filtered tables use the full CSR. *)
+   A table over a fault overlay reads its liveness predicate once, at
+   [compute] time, into a masked CSR view ({!Dijkstra.masked}) that all
+   its searches run over. An unfiltered table runs its delay searches
+   over its own pruned view ({!Dijkstra.live}): each search retires the
+   links at its source that it proves lie on no shortest-delay path, so
+   later searches relax fewer slots and return the same trees. Its cost
+   searches use the full CSR. *)
 
 type t = {
   g : Graph.t;
-  node_ok : (Graph.node -> bool) option;
-  edge_ok : (Graph.edge -> bool) option;
+  (* The fault overlay's masked view; [None] on an unfiltered table. *)
+  mask : Dijkstra.live option;
   by_delay : Dijkstra.result option array;  (* index = source *)
   by_cost : Dijkstra.result option array;
-  (* Shared search scratch (frontier, settled stamps): without it every
-     forced source would rebuild the radix heap and stamp arrays from
-     nothing. Memoized results are never recycled into it; only the
-     throwaway SPTs of the whole-table scans ([with_delay_spt], rule 1's
-     cut searches) are, so a force may reuse their arrays — the table's
-     entries stay live and byte-identical to workspace-less runs. *)
+  (* Shared search scratch (the frontier): without it every forced
+     source would rebuild the radix heap from nothing. Memoized results
+     are never recycled into it; only the throwaway SPTs of the
+     whole-table scans ([with_delay_spt], rule 1's cut searches) are,
+     so a force may reuse their arrays — the table's entries stay live
+     and byte-identical to workspace-less runs. *)
   ws : Dijkstra.workspace;
   (* Made by the first delay search of an unfiltered table, then
      shared by all of them; a filtered table never has one. *)
   mutable live : Dijkstra.live option;
-  (* Rule 1's pick, kept after the first [min_mean_delay_node]: a pure
-     function of the table, like the SPTs; -1 until then. *)
-  mutable rule1 : int;
 }
 
-let fresh ?node_ok ?edge_ok g =
+let fresh ?mask g =
   let n = Graph.node_count g in
   {
     g;
-    node_ok;
-    edge_ok;
+    mask;
     by_delay = Array.make n None;
     by_cost = Array.make n None;
     ws = Dijkstra.create_workspace ();
     live = None;
-    rule1 = -1;
   }
 
-let unfiltered t =
-  match (t.node_ok, t.edge_ok) with None, None -> true | _ -> false
+let unfiltered t = Option.is_none t.mask
 
-(* The live delay CSR the table's delay searches run over, made on
-   first use; [None] on a filtered table. *)
+(* The pruned view an unfiltered table's delay searches run over, made
+   on first use. *)
 let live_csr t =
   match t.live with
   | Some _ as l -> l
-  | None when unfiltered t ->
+  | None ->
     t.live <- Some (Dijkstra.live t.g);
     t.live
-  | None -> None
 
 let live t = t.live
 
 let search t metric s =
   let live =
-    match metric with Dijkstra.Delay -> live_csr t | Dijkstra.Cost -> None
+    match (t.mask, metric) with
+    | None, Dijkstra.Delay -> live_csr t
+    | mask, (Dijkstra.Delay | Dijkstra.Cost) -> mask
   in
-  Dijkstra.run ~ws:t.ws ?live ?node_ok:t.node_ok ?edge_ok:t.edge_ok t.g ~metric
-    ~source:s
+  Dijkstra.run ~ws:t.ws ?live t.g ~metric ~source:s
 
-(* Unfiltered tables are memoized per graph (physical identity): the
-   graph is frozen and every entry is a pure function of it, so two
-   tables over the same graph hold byte-identical results — sharing
-   one means repeated scenario runs (the bench loop, repeated
-   [Runner.run]) stop re-running the same Dijkstras. Filtered tables
-   are never shared: their answers depend on closures whose state the
-   table cannot see. The cache is a tiny round-robin of weak slots so
-   it never outlives its graphs — and it is domain-local: a table owns
-   a mutable Dijkstra workspace, so handing the same table to two
-   sweep-worker domains would race; each domain memoizes its own. *)
-let cache_key = Domain.DLS.new_key (fun () -> (Weak.create 8, ref 0))
+(* Unfiltered tables are memoized per graph, by the policy every
+   per-topology memo follows ({!Scmp_util.Weak_memo}, keyed by the
+   graph's stamp): the graph is frozen and every entry is a pure
+   function of it, so two tables over the same graph hold
+   byte-identical results — sharing one means repeated scenario runs
+   (the bench loop, repeated [Runner.run]) stop re-running the same
+   Dijkstras. The memo is domain-local, which matters here: a table
+   owns a mutable Dijkstra workspace, so handing the same table to two
+   sweep-worker domains would race. Filtered tables are never
+   shared. *)
+let memo = Scmp_util.Weak_memo.create ()
 
-let compute ?node_ok ?edge_ok g =
-  match (node_ok, edge_ok) with
-  | None, None ->
-    let cache, cache_next = Domain.DLS.get cache_key in
-    let found = ref None in
-    for i = 0 to Weak.length cache - 1 do
-      match Weak.get cache i with
-      | Some t when t.g == g -> found := Some t (* lint: allow physical-eq *)
-      | Some _ | None -> ()
-    done;
-    (match !found with
-    | Some t -> t
-    | None ->
-      let t = fresh g in
-      Weak.set cache !cache_next (Some t);
-      cache_next := (!cache_next + 1) mod Weak.length cache;
-      t)
-  | _ -> fresh ?node_ok ?edge_ok g
+let compute ?edge_ok g =
+  match edge_ok with
+  | None ->
+    Scmp_util.Weak_memo.find memo ~same:Int.equal (Graph.stamp g) (fun () ->
+        fresh g)
+  | Some edge_ok -> fresh ~mask:(Dijkstra.masked g edge_ok) g
 
 let force t table metric s =
   match table.(s) with
@@ -212,8 +192,15 @@ let rule1_scan t =
   done;
   !best
 
+(* Rule 1's pick over an unfiltered table is a pure function of its
+   graph, so it is memoized per graph stamp and outlives the table. An
+   int holds nothing alive, so the memo holds every pick. *)
+let rule1_memo = Scmp_util.Weak_memo.create ~hold:8 ()
+
 let min_mean_delay_node t =
   if Graph.node_count t.g = 0 then
     invalid_arg "Apsp.min_mean_delay_node: empty graph";
-  if t.rule1 < 0 then t.rule1 <- rule1_scan t;
-  t.rule1
+  if unfiltered t then
+    Scmp_util.Weak_memo.find rule1_memo ~same:Int.equal (Graph.stamp t.g)
+      (fun () -> rule1_scan t)
+  else rule1_scan t

@@ -9,11 +9,13 @@
     asks only about on-tree routers) never pay for the rest.
 
     An unfiltered table runs every delay search (memoized, scratch or
-    cut) over its own live delay CSR ({!Dijkstra.live}) rather than
+    cut) over its own pruned CSR view ({!Dijkstra.val-live}) rather than
     the whole graph: each search retires the links at its source that
     it proves lie on no shortest-delay path, so later delay searches
     relax fewer slots. The trees are byte-identical to full-graph runs.
-    Cost searches and filtered tables always read the full graph.
+    Its cost searches read the full graph. A filtered table runs every
+    search over one masked view of its fault overlay
+    ({!Dijkstra.masked}), never pruned.
 
     For a path chosen under one metric, the {e other} metric along the
     same concrete node sequence is exposed too (e.g. the delay of the
@@ -28,26 +30,24 @@
 
 type t
 
-val compute :
-  ?node_ok:(Graph.node -> bool) ->
-  ?edge_ok:(Graph.edge -> bool) ->
-  Graph.t ->
-  t
-(** O(1): no Dijkstra runs until the first query; each queried source
-    costs at most O(m + n log n) per metric, once (an unfiltered
-    table's first delay search also copies the delay slots, O(m)). The optional filters (see
-    {!Dijkstra.run}) make the table answer over a fault overlay
-    without copying the surviving subgraph; they are consulted at
-    SPT-build time, so create a fresh table whenever the overlay
-    changes — memoized entries are never re-checked. A filter that
-    accepts every edge and node gives answers byte-identical to no
-    filter, so a caller whose overlay is clean may keep using its
-    unfiltered table instead. *)
+val compute : ?edge_ok:(Graph.edge -> bool) -> Graph.t -> t
+(** O(1) without [edge_ok]: no Dijkstra runs until the first query;
+    each queried source costs at most O(m + n log n) per metric, once
+    (an unfiltered table's first delay search also copies the delay
+    slots, O(m)). Unfiltered tables are shared per graph, within a
+    domain, by the {!Scmp_util.Weak_memo} policy.
+
+    [edge_ok] makes the table answer over a fault overlay: the links
+    it rejects are absent. It is read once, here, into a masked view
+    ({!Dijkstra.masked}, O(m)), so create a fresh table whenever the
+    overlay changes. A filter that accepts every link gives answers
+    byte-identical to no filter, so a caller whose overlay is clean
+    may keep using its unfiltered table instead. *)
 
 val graph : t -> Graph.t
 
 val live : t -> Dijkstra.live option
-(** The table's live delay CSR: [None] until an unfiltered table's
+(** The table's pruned delay view: [None] until an unfiltered table's
     first delay search, and always on a filtered table. For inspection
     ({!Dijkstra.live_edges}); searching with it is the table's job. *)
 
@@ -119,7 +119,9 @@ val min_mean_delay_node : t -> Graph.node
     order (about n * 2^-53), so a candidate that ties the best is never
     cut. A search that completes is scored exactly as
     {!mean_delay_from} scores it. A memoized SPT is read as it is, and
-    a table with liveness filters scans every source in full: exact,
-    only slower. Memoizes no SPT, but keeps the picked node in the
-    table: every later call on the same table returns it at once.
+    a filtered table scans every source in full: exact,
+    only slower. Memoizes no SPT, but an unfiltered table's pick is
+    kept per graph ({!Scmp_util.Weak_memo}, by stamp): every later call
+    over the same graph, through this table or a later one, returns it
+    at once. A filtered table scans on every call.
     @raise Invalid_argument on a graph with no nodes. *)

@@ -25,27 +25,16 @@ type result = {
          scalar consumers observe bit-identical floats *)
 }
 
-(* Scratch arena shared across SPT builds: the radix-heap frontier, an
-   epoch-stamped settled array (no per-run clear), and a free pool of
-   dead results whose dist/pred/pred_edge/other arrays are reused
-   instead of reallocated. Results handed back via [recycle] must be
-   dead — the next [run] overwrites their arrays in place. *)
+(* Scratch arena shared across SPT builds: the radix-heap frontier and
+   a free pool of dead results whose dist/pred/pred_edge/other arrays
+   are reused instead of reallocated. Results handed back via [recycle]
+   must be dead — the next [run] overwrites their arrays in place. *)
 type workspace = {
   heap : int Scmp_util.Radix_heap.t;
-  mutable stamp : int array;
-  mutable epoch : int;
   mutable pool : result list;
-  runbuf : int array;  (* tie-run buffer for Radix_heap.pop_run *)
 }
 
-let create_workspace () =
-  {
-    heap = Scmp_util.Radix_heap.create ();
-    stamp = [||];
-    epoch = 0;
-    pool = [];
-    runbuf = Array.make 32 0;
-  }
+let create_workspace () = { heap = Scmp_util.Radix_heap.create (); pool = [] }
 
 let recycle ws r = ws.pool <- r :: ws.pool
 
@@ -58,32 +47,38 @@ let rec take_pooled ws n =
     ws.pool <- rest;
     if Array.length r.dist = n then Some r else take_pooled ws n
 
-(* A live delay CSR: a private copy of a graph's slot arrays whose node
+(* A CSR view: a private copy of a graph's slot arrays whose node
    ranges keep their live slots first, in original order, up to a
-   per-node live end; the slots behind an end are links no
-   shortest-delay path uses. [off] is the graph's own (ranges never
-   move), everything else is private and mutated by [prune].
+   per-node live end; the slots behind an end are never read. [off] is
+   the graph's own (ranges never move), everything else is private. A
+   link is live at both ends or at neither; a death moves its slot
+   behind each end's live end by a stable shift ([retire]), and a
+   revival lays each end's live range out afresh from the graph's own
+   slot order ([rederive]). So a view always relaxes exactly the slots
+   a copy of the surviving subgraph would, in the same order: results
+   are byte-identical to a run over that copy, ties included.
 
-   Soundness. Every label a search sets is the float sum along some
-   real path, and a computed distance lies within n * 2^-53 * L of the
-   exact one, L being the sum of all link delays (no simple path is
-   longer). So a link (u, v) of delay w > dist_u(v) + slack, with
-   [slack] several such errors, is longer than an exact u-v path by
-   more than any rounding: from every source r, relaxing it yields
-   fl(d(r,u) + w) > d(r,v), a label that can never be v's last. Such a
-   relaxation only ever sets a transient label on v (a queue entry the
-   drain later skips as stale) and can block only other transient
-   labels, so dropping it changes neither which relaxation sets each
-   node's final label nor the FIFO order of the final labels' queue
-   entries: dist, pred, pred_edge and other come out byte-identical,
-   ties included. The argument holds for every source at once, so a
-   link dropped after one search stays dropped for all later ones.
+   A masked view is a fault overlay ([kill], [revive]); a pruned view
+   ([prunes], made by [live]) is pruned by its own delay searches.
 
-   Order-keeping matters for the ties: the drain relaxes a node's live
-   slots in CSR order, and a stable removal keeps the survivors in
-   their original relative order. A slack relative to the link alone
-   would be unsound: the rounding lives in the path sums, which can be
-   far longer than w. *)
+   Soundness of pruning. Every label a search sets is the float sum
+   along some real path, and a computed distance lies within
+   n * 2^-53 * L of the exact one, L being the sum of all link delays
+   (no simple path is longer). So a link (u, v) of delay
+   w > dist_u(v) + slack, with [slack] several such errors, is longer
+   than an exact u-v path by more than any rounding: from every source
+   r, relaxing it yields fl(d(r,u) + w) > d(r,v), a label that can
+   never be v's last. Such a relaxation only ever sets a transient
+   label on v (a queue entry the drain later skips as stale) and can
+   block only other transient labels, so dropping it changes neither
+   which relaxation sets each node's final label nor the FIFO order of
+   the final labels' queue entries: dist, pred, pred_edge and other
+   come out byte-identical, ties included. The argument holds for every
+   source at once, so a link dropped after one search stays dropped for
+   all later ones — but only while no link dies, which is why a pruned
+   view takes no [kill]. A slack relative to the link alone would be
+   unsound: the rounding lives in the path sums, which can be far
+   longer than w. *)
 type live = {
   lg : Graph.t;
   off : int array;  (* the graph's offsets, shared *)
@@ -92,10 +87,13 @@ type live = {
   eid : int array;
   delay : float array;
   cost : float array;
+  dead : Bytes.t;  (* per edge id: '\001' once killed (masked views only) *)
+  mutable ndead : int;
+  prunes : bool;
   slack : float;
 }
 
-let live g =
+let view g ~prunes =
   let n = Graph.node_count g in
   let delays = Graph.edge_delays g in
   let total = ref 0.0 in
@@ -110,16 +108,28 @@ let live g =
     eid = Array.copy (Graph.csr_edge_ids g);
     delay = Array.copy (Graph.csr_delays g);
     cost = Array.copy (Graph.csr_costs g);
+    dead = Bytes.make (Graph.edge_count g) '\000';
+    ndead = 0;
+    prunes;
     slack =
       !total *. Float.max 1e-9 (float_of_int (2 * (n + 1)) *. epsilon_float);
   }
 
+let live g = view g ~prunes:true
+
 let live_slack lv = lv.slack
+let dead_count lv = lv.ndead
 
 let live_edges lv x =
   if x < 0 || x >= Graph.node_count lv.lg then
     invalid_arg "Dijkstra.live_edges: node out of range";
   List.init (lv.ends.(x) - lv.off.(x)) (fun k -> lv.eid.(lv.off.(x) + k))
+
+let is_dead lv e = Bytes.get lv.dead e <> '\000'
+
+let mark lv e dead =
+  Bytes.set lv.dead e (if dead then '\001' else '\000');
+  lv.ndead <- (lv.ndead + if dead then 1 else -1)
 
 (* Move live slot [i] of node [x] to just behind x's live end, shifting
    the live slots after it down one: the survivors keep their order. *)
@@ -146,10 +156,64 @@ let rec live_slot lv x e i =
   else if lv.eid.(i) = e then i
   else live_slot lv x e (i + 1)
 
+(* Retire link [e] at both ends. *)
+let retire_link lv e =
+  let retire_at x = retire lv x (live_slot lv x e lv.off.(x)) in
+  retire_at (Graph.edge_u lv.lg e);
+  retire_at (Graph.edge_v lv.lg e)
+
+(* Lay x's live range out afresh from the graph's own slot order: a
+   revived link takes back its original position among the survivors,
+   where appending it would reorder the ties. *)
+let rederive lv x =
+  let g = lv.lg in
+  let gnbr = Graph.csr_neighbors g and geid = Graph.csr_edge_ids g in
+  let gdelay = Graph.csr_delays g and gcost = Graph.csr_costs g in
+  let w = ref lv.off.(x) in
+  for s = lv.off.(x) to lv.off.(x + 1) - 1 do
+    let e = geid.(s) in
+    if not (is_dead lv e) then begin
+      let i = !w in
+      lv.nbr.(i) <- gnbr.(s);
+      lv.eid.(i) <- e;
+      lv.delay.(i) <- gdelay.(s);
+      lv.cost.(i) <- gcost.(s);
+      w := i + 1
+    end
+  done;
+  lv.ends.(x) <- !w
+
+let masked g edge_ok =
+  let lv = view g ~prunes:false in
+  for e = 0 to Graph.edge_count g - 1 do
+    if not (edge_ok e) then begin
+      mark lv e true;
+      retire_link lv e
+    end
+  done;
+  lv
+
+(* Flip one link of a masked view, at both ends; a no-op when it is
+   already in that state. *)
+let set_dead ~caller lv e dead =
+  if lv.prunes then invalid_arg (caller ^ ": a pruned view takes no faults");
+  if is_dead lv e <> dead then begin
+    mark lv e dead;
+    if dead then retire_link lv e
+    else begin
+      rederive lv (Graph.edge_u lv.lg e);
+      rederive lv (Graph.edge_v lv.lg e)
+    end
+  end
+
+let kill lv e = set_dead ~caller:"Dijkstra.kill" lv e true
+let revive lv e = set_dead ~caller:"Dijkstra.revive" lv e false
+
 (* After a search from [src] (complete or cut), retire at both ends
    every live link at the source whose delay exceeds the far end's
    label by more than the slack. Scanning down keeps the slots still to
-   be read where they are. *)
+   be read where they are. A pruned view takes no revival, so the
+   retired links are not marked dead. *)
 let prune lv src dist =
   for i = lv.ends.(src) - 1 downto lv.off.(src) do
     let y = lv.nbr.(i) in
@@ -165,48 +229,36 @@ let prune lv src dist =
    returns its result without a wrapper to allocate. *)
 exception Cut
 
-(* [node_ok] / [edge_ok] let the search run directly over the base graph
-   plus a fault overlay, without materializing the surviving subgraph: a
-   node failing [node_ok] (or an edge id failing [edge_ok]) is treated
-   as absent. The source always gets distance 0 even when excluded — it
-   is then isolated, exactly as a present-but-linkless node would be.
-   Relaxations visit surviving CSR slots in the graph's insertion order
-   and the radix heap pops equal keys in insertion order (the binary
-   heap's seq rule), so the result — dist and pred alike, ties included
-   — is identical to an unfiltered run over a copy of the surviving
-   subgraph, and byte-identical to the pre-CSR implementation.
+(* Every search, over the whole graph or a view, is one
+   {!Scmp_util.Radix_heap.drain_csr}: one cross-module call per
+   search, with heap state and relaxation loop fused in a single
+   compilation unit (the non-flambda compiler never inlines across
+   modules, so per-operation heap calls would otherwise dominate the
+   loop). The drain relaxes a node's live slots in CSR order and the
+   radix heap pops equal keys in insertion order (the binary heap's
+   seq rule), so the result — dist and pred alike, ties included — is
+   byte-identical to the pre-CSR implementation over the same links.
 
-   [reach] and [cutoff] are {!Scmp_util.Radix_heap.drain_csr}'s cut,
-   which only the unfiltered drain implements: [run_bounded] takes no
-   filters, and [run] passes [cutoff = infinity]. [live] swaps the
-   graph's delay slots for a live CSR's on the unfiltered drain and
-   prunes it afterwards. [caller] names the public entry point in
-   argument errors. *)
-let search ~caller ?ws ?live ?node_ok ?edge_ok g ~metric ~source ~reach ~cutoff
-    =
+   [reach] and [cutoff] are the drain's cut: [run] passes
+   [cutoff = infinity]. [live] swaps the graph's slots for the view's,
+   and a pruned view is pruned afterwards. [caller] names the public
+   entry point in argument errors. *)
+let search ~caller ?ws ?live g ~metric ~source ~reach ~cutoff =
   let n = Graph.node_count g in
   if source < 0 || source >= n then invalid_arg (caller ^ ": source out of range");
-  (match live with
-  | None -> ()
-  | Some lv ->
-    if lv.lg != g (* lint: allow physical-eq *) then
-      invalid_arg (caller ^ ": live CSR of another graph");
-    match (metric, node_ok, edge_ok) with
-    | Delay, None, None -> ()
-    | _ -> invalid_arg (caller ^ ": a live CSR serves unfiltered delay searches"));
-  let heap, stamp, ep, pooled, runbuf =
+  (match (live, metric) with
+  | None, _ -> ()
+  | Some lv, _ when lv.lg != g (* lint: allow physical-eq *) ->
+    invalid_arg (caller ^ ": live CSR of another graph")
+  | Some lv, Cost when lv.prunes ->
+    invalid_arg (caller ^ ": a live CSR serves unfiltered delay searches")
+  | Some _, (Delay | Cost) -> ());
+  let heap, pooled =
     match ws with
-    | None ->
-      (Scmp_util.Radix_heap.create (), Array.make n 0, 1, None,
-       Array.make 32 0)
+    | None -> (Scmp_util.Radix_heap.create (), None)
     | Some ws ->
       Scmp_util.Radix_heap.clear ws.heap;
-      if Array.length ws.stamp < n then begin
-        ws.stamp <- Array.make n 0;
-        ws.epoch <- 0
-      end;
-      ws.epoch <- ws.epoch + 1;
-      (ws.heap, ws.stamp, ws.epoch, take_pooled ws n, ws.runbuf)
+      (ws.heap, take_pooled ws n)
   in
   let dist, pred, pred_edge, other =
     match pooled with
@@ -217,88 +269,45 @@ let search ~caller ?ws ?live ?node_ok ?edge_ok g ~metric ~source ~reach ~cutoff
       (Array.make n infinity, Array.make n (-1), Array.make n (-1),
        Array.make n infinity)
   in
-  let off = Graph.csr_offsets g in
-  let nbr = Graph.csr_neighbors g in
-  let eid = Graph.csr_edge_ids g in
-  let wsel, woth =
-    match metric with
-    | Delay -> (Graph.csr_delays g, Graph.csr_costs g)
-    | Cost -> (Graph.csr_costs g, Graph.csr_delays g)
-  in
   dist.(source) <- 0.0;
   other.(source) <- 0.0;
   Scmp_util.Radix_heap.add heap ~key:0.0 source;
-  (* Both drain loops pop whole tie runs with [pop_run] — one
-     cross-module call per run of equal keys, popping in exactly the
-     per-entry order (link weights are strictly positive, so every add
-     made while a run is processed sorts after it). The key is read
-     back as [dist.(x)]: the first (non-stale) pop of x carries x's
-     smallest enqueued key, which is exactly the current dist.(x) — so
-     skipping the key return keeps the loop allocation-free without
-     changing a single extraction or tie. *)
-  let complete = ref true in
-  (match (node_ok, edge_ok) with
-  | None, None ->
-    (* Unfiltered fast path: the APSP / Routes steady state. The whole
-       drain runs inside {!Scmp_util.Radix_heap.drain_csr} — one
-       cross-module call per search, with heap state and relaxation
-       loop fused in a single compilation unit (the non-flambda
-       compiler never inlines across modules, so per-operation heap
-       calls would otherwise dominate this loop). *)
-    (match live with
+  let complete =
+    match live with
     | None ->
-      complete :=
-        Scmp_util.Radix_heap.drain_csr heap ~off ~ends:(Graph.csr_ends g) ~nbr
-          ~eid ~wsel ~woth ~dist ~pred ~pred_edge ~other ~reach ~cutoff
+      let wsel, woth =
+        match metric with
+        | Delay -> (Graph.csr_delays g, Graph.csr_costs g)
+        | Cost -> (Graph.csr_costs g, Graph.csr_delays g)
+      in
+      Scmp_util.Radix_heap.drain_csr heap ~off:(Graph.csr_offsets g)
+        ~ends:(Graph.csr_ends g) ~nbr:(Graph.csr_neighbors g)
+        ~eid:(Graph.csr_edge_ids g) ~wsel ~woth ~dist ~pred ~pred_edge ~other
+        ~reach ~cutoff
     | Some lv ->
-      complete :=
-        Scmp_util.Radix_heap.drain_csr heap ~off ~ends:lv.ends ~nbr:lv.nbr
-          ~eid:lv.eid ~wsel:lv.delay ~woth:lv.cost ~dist ~pred ~pred_edge
-          ~other ~reach ~cutoff;
-      prune lv source dist)
-  | _ ->
-    let node_ok = match node_ok with None -> fun _ -> true | Some f -> f in
-    let edge_ok = match edge_ok with None -> fun _ -> true | Some f -> f in
-    let k = ref (Scmp_util.Radix_heap.pop_run heap runbuf) in
-    while !k > 0 do
-      for i = 0 to !k - 1 do
-        let x = runbuf.(i) in
-        if stamp.(x) <> ep then begin
-          stamp.(x) <- ep;
-        (* Non-source nodes only reach the heap through a surviving
-           edge, so [node_ok x] can fail here only for the source. *)
-        if node_ok x then begin
-          let d = dist.(x) in
-          let ox = other.(x) in
-          for s = off.(x) to off.(x + 1) - 1 do
-            let y = nbr.(s) in
-            let e = eid.(s) in
-            if node_ok y && edge_ok e then begin
-              let nd = d +. wsel.(s) in
-              if nd < dist.(y) then begin
-                dist.(y) <- nd;
-                pred.(y) <- x;
-                pred_edge.(y) <- e;
-                other.(y) <- ox +. woth.(s);
-                Scmp_util.Radix_heap.add heap ~key:nd y
-              end
-            end
-          done
-        end
-      end
-      done;
-      k := Scmp_util.Radix_heap.pop_run heap runbuf
-    done);
+      let wsel, woth =
+        match metric with
+        | Delay -> (lv.delay, lv.cost)
+        | Cost -> (lv.cost, lv.delay)
+      in
+      let complete =
+        Scmp_util.Radix_heap.drain_csr heap ~off:lv.off ~ends:lv.ends
+          ~nbr:lv.nbr ~eid:lv.eid ~wsel ~woth ~dist ~pred ~pred_edge ~other
+          ~reach ~cutoff
+      in
+      if lv.prunes then prune lv source dist;
+      complete
+  in
   let r = { src = source; dist; pred; pred_edge; other } in
-  if not !complete then begin
+  if not complete then begin
     (match ws with Some ws -> recycle ws r | None -> ());
     raise_notrace Cut
   end;
   r
 
-let run ?ws ?live ?node_ok ?edge_ok g ~metric ~source =
-  search ~caller:"Dijkstra.run" ?ws ?live ?node_ok ?edge_ok g ~metric ~source
-    ~reach:0 ~cutoff:infinity
+let run ?ws ?live g ~metric ~source =
+  search ~caller:"Dijkstra.run" ?ws ?live g ~metric ~source ~reach:0
+    ~cutoff:infinity
 
 let run_bounded ~ws ?live g ~metric ~source ~reach ~cutoff =
   match

@@ -11,9 +11,11 @@
     ({!Scmp_util.Radix_heap}, the event engine's queue too) over int
     node ids; it pops equal keys in insertion order — the same tie
     rule as the general binary heap, so shortest-path trees (preds
-    included) are byte-identical to the pre-CSR engine. An unfiltered
-    delay search may read a {!live} delay CSR instead of the whole
-    graph: fewer slots, the same tree. *)
+    included) are byte-identical to the pre-CSR engine. A search may
+    read a {!live} CSR view instead of the whole graph: a fault overlay
+    (a {!masked} view) or a delay view that its own searches prune
+    ({!val-live}). Every search, over the graph or a view, is one
+    {!Scmp_util.Radix_heap.drain_csr}. *)
 
 type metric = Delay | Cost
 
@@ -26,10 +28,10 @@ type result
 
 type workspace
 (** Scratch arena recycled across SPT builds: the radix-heap frontier
-    (its bucket storage kept from one search to the next),
-    an epoch-stamped settled array, and a free pool of dead results
-    whose arrays are reused instead of reallocated. One workspace
-    serves one thread of computation (it is not domain-safe). *)
+    (its bucket storage kept from one search to the next) and a free
+    pool of dead results whose arrays are reused instead of
+    reallocated. One workspace serves one thread of computation (it is
+    not domain-safe). *)
 
 val create_workspace : unit -> workspace
 
@@ -40,25 +42,44 @@ val recycle : workspace -> result -> unit
     dropped SPT so steady-state recomputation allocates nothing. *)
 
 type live
-(** A {e live delay CSR}: a private, prunable copy of one graph's delay
-    slots. Each node's slot range keeps its live slots first, in their
-    original order, up to a per-node live end; a link behind the ends
-    lies on no shortest-delay path. A delay search run over it reads
-    only live slots, then retires every live link at its source whose
-    delay exceeds the far end's label by more than {!live_slack}, at
-    both ends, keeping the survivors' order. Its results are
-    byte-identical to full-graph runs (dist, pred, pred_edge and
-    other, ties included); only the work shrinks. Each {!Apsp} table
-    over an unfiltered graph owns one. Not domain-safe. *)
+(** A {e CSR view} of one graph: a private copy of its slots in which
+    each node's live slots come first, in their original order, up to
+    a per-node live end. A link is live at both ends or at neither. A
+    search over a view is byte-identical to a run over a copy of the
+    graph with only the live links, ties included. Not domain-safe.
+    A {e masked} view ({!masked}) is a fault overlay and serves both
+    metrics; a {e pruned} view ({!val-live}) serves the delay searches
+    of an unchanging graph, each of which retires the live links at
+    its source that it proves lie on no shortest-delay path (delay
+    above the far end's label plus {!live_slack}). Each unfiltered
+    {!Apsp} table owns a pruned view. *)
 
 val live : Graph.t -> live
-(** A fresh live delay CSR with every link live. O(m). *)
+(** A fresh pruned view with every link live. O(m). *)
+
+val masked : Graph.t -> (Graph.edge -> bool) -> live
+(** [masked g edge_ok] is a masked view whose live links are those
+    [edge_ok] accepts, read once, here. O(m), plus the degrees of each
+    rejected link's ends. *)
+
+val kill : live -> Graph.edge -> unit
+(** The link leaves a masked view at both ends; a no-op on a dead
+    link. O(degree of its ends).
+    @raise Invalid_argument on a pruned view. *)
+
+val revive : live -> Graph.edge -> unit
+(** The link rejoins a masked view at both ends, in its original slot
+    position; a no-op on a live link. O(degree of its ends).
+    @raise Invalid_argument on a pruned view. *)
+
+val dead_count : live -> int
+(** Links killed and not revived; always 0 on a pruned view. *)
 
 val live_slack : (* lint: allow unused-export: introspection, the live CSR's retire slack *)
   live -> float
-(** The absolute slack of the retire test: a few times the worst
-    rounding of any path sum, about [n * 2^-53] times the sum of all
-    link delays (at least [1e-9] times that sum). *)
+(** The absolute slack of a pruned view's retire test: a few times the
+    worst rounding of any path sum, about [n * 2^-53] times the sum of
+    all link delays (at least [1e-9] times that sum). *)
 
 val live_edges : (* lint: allow unused-export: introspection, a node's live links *)
   live -> Graph.node -> Graph.edge list
@@ -70,33 +91,21 @@ val live_edges : (* lint: allow unused-export: introspection, a node's live link
 val run :
   ?ws:workspace ->
   ?live:live ->
-  ?node_ok:(Graph.node -> bool) ->
-  ?edge_ok:(Graph.edge -> bool) ->
   Graph.t ->
   metric:metric ->
   source:Graph.node ->
   result
-(** [node_ok] / [edge_ok] filter the graph during the search: a node
-    (or a dense edge id) for which the filter returns [false] is
-    treated as absent, so the search runs over the base graph plus a
-    fault overlay without copying the surviving subgraph. Edge ids are
-    orientation-free, so edge liveness is symmetric by construction.
-    The source keeps distance 0 even when itself filtered out (it is
-    then isolated). Surviving edges are relaxed in insertion order, so
-    the result — including ties — is identical to an unfiltered run
-    over a materialized copy of the surviving subgraph; in particular,
-    filters that accept everything give a result byte-identical to a
-    run without them.
-
-    When [ws] is supplied, scratch state and (when the pool is
+(** When [ws] is supplied, scratch state and (when the pool is
     non-empty) the result arrays come from the workspace instead of
     fresh allocations.
 
-    When [live] is supplied the search reads its live slots instead of
-    the graph's and prunes it afterwards (see {!live}); the result is
-    the same.
-    @raise Invalid_argument if the source is out of range, or [live] is
-    given with the [Cost] metric, with a filter, or for another
+    When [live] is supplied the search reads the view's live slots
+    instead of the graph's (see {!live}), and prunes a pruned view
+    afterwards; the result is that of a run over the view's live
+    links. Over a masked view with every link live, or a pruned view,
+    that is the graph's own result.
+    @raise Invalid_argument if the source is out of range, or [live]
+    is a pruned view and the metric [Cost], or a view of another
     graph. *)
 
 val run_bounded :
@@ -108,7 +117,7 @@ val run_bounded :
   reach:int ->
   cutoff:float ->
   result option
-(** An unfiltered {!run} that gives up once the sum of the distances
+(** A {!run} that gives up once the sum of the distances
     from the source to the [reach] nodes it can reach (the size of its
     component minus one) provably exceeds [cutoff]: nodes settle in
     nondecreasing distance, so after [k] settles summing to [S], the
@@ -116,9 +125,9 @@ val run_bounded :
     [None] when the search was cut; its arrays then go back to [ws]'s
     pool and the workspace's frontier is empty with its storage kept.
     [Some r] otherwise, with [r] byte-identical to {!run}'s. With
-    [cutoff = infinity] it is never cut. A cut search prunes [live]
-    too: its labels are sums along real paths, which is all the retire
-    test needs. Raises like {!run}. *)
+    [cutoff = infinity] it is never cut. A cut search over a pruned
+    view prunes it too: its labels are sums along real paths, which is
+    all the retire test needs. Raises like {!run}. *)
 
 val frontier_usage : (* lint: allow unused-export: introspection counter, frontier entries and slots *)
   workspace -> int * int

@@ -29,7 +29,18 @@ type t = {
      one load instead of a CSR scan. Empty for large n, where the
      O(n^2) footprint would not pay for itself. *)
   eid_mat : int array;
+  stamp : int;  (* see [next_stamp] *)
 }
+
+(* A graph's identity as plain data, for memo keys that must not hold
+   the graph: the freezing domain's id in the high bits, a count of the
+   graphs that domain froze in the low 32. Unique without a lock. *)
+let frozen = Domain.DLS.new_key (fun () -> ref 0)
+
+let next_stamp () =
+  let count = Domain.DLS.get frozen in
+  incr count;
+  ((Domain.self () :> int) lsl 32) lor !count
 
 module Builder = struct
   type t = {
@@ -170,6 +181,7 @@ module Builder = struct
       edelay;
       ecost;
       eid_mat;
+      stamp = next_stamp ();
     }
 end
 
@@ -179,6 +191,7 @@ let of_links ~n links =
   Builder.freeze b
 
 let node_count t = t.n
+let stamp t = t.stamp
 let link_count t = t.m
 let edge_count t = t.m
 

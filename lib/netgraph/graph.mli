@@ -78,6 +78,10 @@ val of_links : n:int -> (node * node * float * float) list -> t
 (** [of_links ~n [(u, v, delay, cost); ...]] builds and freezes in one
     step — convenience for tests and small fixtures. *)
 
+val stamp : t -> int
+(** A number no other graph frozen in this program run has: a memo key
+    that names the graph without holding it. *)
+
 val node_count : t -> int
 val link_count : t -> int
 

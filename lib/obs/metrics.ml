@@ -62,7 +62,6 @@ let histogram ?(wallclock = false) t name =
       (Histogram h, h))
     (function Histogram h -> Some h | _ -> None)
 
-let incr c = c.c <- c.c + 1
 let add c n = c.c <- c.c + n
 let set_counter c v = c.c <- v
 let counter_value c = c.c

@@ -22,7 +22,6 @@ val create : unit -> t
 (** {2 Counters} — monotone event counts (packets, events, drops). *)
 
 val counter : ?wallclock:bool -> t -> string -> counter
-val incr : counter -> unit
 val add : counter -> int -> unit
 
 val set_counter : counter -> int -> unit

@@ -79,15 +79,11 @@ let pop t =
     else
       (* Popping the last entry: no live entry is left to alias the dead
          slot to, and we cannot fabricate a dummy ['a], so release the
-         whole backing array (as [clear] does). [ensure_room] re-allocates
+         whole backing array. [ensure_room] re-allocates
          at [capacity_hint] on the next [add]. *)
       t.data <- [||];
     Some (top.key, top.value)
   end
-
-let clear t =
-  t.size <- 0;
-  t.data <- [||]
 
 let iter t f =
   for i = 0 to t.size - 1 do

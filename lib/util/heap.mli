@@ -26,8 +26,5 @@ val pop : 'a t -> (float * 'a) option
 (** Remove and return the smallest binding. Among equal keys, the
     earliest-inserted is returned first. O(log n). *)
 
-val clear : 'a t -> unit
-(** Remove every element (the backing array is kept). *)
-
 val iter : 'a t -> (float -> 'a -> unit) -> unit
 (** Iterate over current contents in unspecified order. *)

@@ -33,7 +33,7 @@
    [pop_min] releases every bucket's storage when the queue drains to
    empty — the quiescent state of an event engine — exactly as
    {!Heap.pop} releases its array on the last entry. The int-only
-   drains ([pop_run], [drain_csr]) keep their storage instead: an int
+   drain ([drain_csr]) keeps its storage instead: an int
    holds nothing alive, and a reused Dijkstra workspace must not
    reallocate its buckets on every search. *)
 
@@ -306,66 +306,14 @@ let pop t =
     Some (key_of_image ik, v)
   end
 
-(* The maximal FIFO run of minimum-key entries, capped by the buffer.
-   Equal keys always compute the same bucket index at any floor, so a
-   run lives in a single bucket and is collected in one scan; a capped
-   run continues on the next call. One cross-module call then serves a
-   whole tie run, and the caller's adds while processing it all carry
-   strictly larger keys (Dijkstra: d + w with w > 0), so draining by
-   runs reproduces per-entry pop order exactly. Typed on [int t] so the
-   payload copies compile to int-array accesses. *)
-let pop_run (t : int t) buf =
-  if t.size = 0 then 0
-  else begin
-    let mk = min_image t in
-    let bi = take t in
-    let slot = t.mslot in
-    let cap = Array.length buf in
-    let b = Array.unsafe_get t.buckets bi in
-    let vals = b.vals in
-    if bi = 0 then begin
-      (* every key in bucket 0 equals the floor: the rest is one run *)
-      let k = min (b.len - slot) cap in
-      for i = 0 to k - 1 do
-        Array.unsafe_set buf i (Array.unsafe_get vals (slot + i))
-      done;
-      consume_b0 t b k;
-      k
-    end
-    else begin
-      (* Entries before [slot] are strictly above the minimum. Collect
-         the run in order from there; compact survivors in place, so a
-         capped run's tail stays at the front for the next call. *)
-      let keys = b.keys in
-      let k = ref 0 and w = ref slot in
-      for i = slot to b.len - 1 do
-        let ki = Array.unsafe_get keys i in
-        let vi = Array.unsafe_get vals i in
-        if ki = mk && !k < cap then begin
-          Array.unsafe_set buf !k vi;
-          incr k
-        end
-        else begin
-          Array.unsafe_set keys !w ki;
-          Array.unsafe_set vals !w vi;
-          incr w
-        end
-      done;
-      b.len <- !w;
-      t.size <- t.size - !k;
-      shrunk t b bi;
-      !k
-    end
-  end
-
-(* The unfiltered CSR Dijkstra drain, fused with the heap: pop the
-   minimum, relax the popped node's CSR slots, push improved distances
-   — until empty. This lives here, not in Netgraph.Dijkstra, because
+(* The CSR Dijkstra drain — every search's, filtered or not — fused
+   with the heap: pop the minimum, relax the popped node's CSR slots,
+   push improved distances — until empty. This lives here, not in Netgraph.Dijkstra, because
    the non-flambda compiler never inlines across compilation units: as
    separate calls, the per-operation overhead (call + heap field
    reloads) costs more than the heap work itself. The graph reaches us
    as bare arrays precisely so the hot loop can share the heap's unit;
-   Netgraph.Dijkstra remains the owning API (filters, workspaces,
+   Netgraph.Dijkstra remains the owning API (CSR views, workspaces,
    results) and documents the array contract.
 
    Caller contract (trusted, all accesses below are unsafe): node x's
@@ -374,7 +322,7 @@ let pop_run (t : int t) buf =
    arrays [nbr]/[eid]/[wsel]/[woth]; [dist]/[pred]/[pred_edge]/[other]
    have length n; every payload already in the heap and every [nbr]
    value in a range is in [0, n); weights are non-negative and finite.
-   A full graph passes [ends.(x) = off.(x + 1)]; a live delay CSR
+   A full graph passes [ends.(x) = off.(x + 1)]; a CSR view
    passes shorter ends, and the slots past them are never read. Keys
    pushed here are d + w >= d >= floor, so the monotonicity guard of
    [add] is unnecessary.

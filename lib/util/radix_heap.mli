@@ -63,16 +63,6 @@ val pop : 'a t -> (float * 'a) option
 (** [min_image]/[pop_min] packaged with the key recovered — the
     allocating convenience form for tests and oracles. *)
 
-val pop_run : int t -> int array -> int
-(** [pop_run t buf] pops the maximal run of minimum-key entries into
-    [buf] (earliest-inserted first), capped by [Array.length buf], and
-    returns the count — 0 iff the heap is empty. Every popped key in
-    one call is equal; a capped run continues on the next call. Batch
-    form of [pop_min] for drain loops whose later adds are all strictly
-    above the current minimum (Dijkstra with positive weights): the
-    concatenated runs are exactly the per-entry pop sequence. Keeps the
-    bucket storage when the heap drains (workspace reuse). *)
-
 val drain_csr :
   int t ->
   off:int array ->
@@ -88,8 +78,8 @@ val drain_csr :
   reach:int ->
   cutoff:float ->
   bool
-(** Run the unfiltered CSR Dijkstra drain to completion: repeatedly pop
-    the minimum node [x], relax its slots [off.(x) .. ends.(x) - 1]
+(** Run the CSR Dijkstra drain to completion: repeatedly pop the
+    minimum node [x], relax its slots [off.(x) .. ends.(x) - 1]
     ([nbr]/[eid] topology, [wsel] selected / [woth] companion weights),
     and push improved distances — fused with the heap so the hot loop
     pays no per-operation call overhead (the non-flambda compiler does
@@ -104,7 +94,7 @@ val drain_csr :
     lies inside the slot arrays, every [nbr] value in a range and every
     queued payload is a node below [Array.length dist], the four result
     arrays have one length, and weights are non-negative and finite. A
-    full graph passes {!Netgraph.Graph.csr_ends}; a live delay CSR
+    full graph passes {!Netgraph.Graph.csr_ends}; a CSR view
     ({!Netgraph.Dijkstra.live}) passes its own shorter ends, and slots
     past an end are never read. See {!Netgraph.Dijkstra.run}, the
     owning API. Keeps the bucket storage when the heap drains

@@ -583,7 +583,12 @@ let test_lint_quoted_strings () =
    codes the alias relies on: 1 on violation, 0 on clean, 2 on a
    missing root. *)
 
-let lint_exe = Filename.concat (Filename.concat ".." "bin") "scmp_lint.exe"
+(* Beside this test's own build directory, whatever the working
+   directory it runs from. *)
+let lint_exe =
+  List.fold_left Filename.concat
+    (Filename.dirname Sys.executable_name)
+    [ Filename.parent_dir_name; "bin"; "scmp_lint.exe" ]
 
 let write_file path contents =
   let oc = open_out path in

@@ -7,7 +7,7 @@
    distances, predecessors and companion metrics alike, ties included —
    across random Waxman topologies and quantized-weight graphs built to
    force ties. Plus builder-misuse checks and a radix-heap unit suite
-   (FIFO tie order, monotone floor, batch pops, image encoding). *)
+   (FIFO tie order, monotone floor, image encoding). *)
 
 module G = Netgraph.Graph
 module Dijkstra = Netgraph.Dijkstra
@@ -211,32 +211,55 @@ let prop_dijkstra_ties =
       check_dijkstra ~ws:shared_ws g ~metric:Dijkstra.Delay ~source
       && check_dijkstra g ~metric:Dijkstra.Cost ~source)
 
-(* The filtered drain loop (pop_run batches) is a separate code path
-   from the fused unfiltered one; with an always-true filter both must
-   produce the oracle's answer, ties included. *)
-let prop_dijkstra_filtered_noop =
+(* A masked view stands for the subgraph of its live links: after any
+   sequence of kills and revivals, a search over it (both metrics,
+   through the shared workspace) must answer like the oracle over a
+   freshly frozen copy of exactly the live links, ties included —
+   revived links relax in their original slot position. *)
+let prop_dijkstra_masked =
   QCheck.Test.make
-    ~name:"filtered drain with always-true filters = oracle" ~count:40
+    ~name:"masked view = oracle over the surviving subgraph" ~count:60
     QCheck.small_nat
     (fun seed ->
       let g = quantized_of_seed seed in
-      let source = seed mod G.node_count g in
-      check_dijkstra ~ws:shared_ws g ~metric:Dijkstra.Delay ~source
-      &&
-      let adj = adjacency g in
-      let dist_o, pred_o, _ = dijkstra_oracle adj ~metric:Dijkstra.Delay ~source in
-      let r =
-        Dijkstra.run ~ws:shared_ws ~node_ok:(fun _ -> true)
-          ~edge_ok:(fun _ -> true) g ~metric:Dijkstra.Delay ~source
+      let n = G.node_count g and m = G.edge_count g in
+      let rng = Prng.create ((seed * 69069) + 1) in
+      let dead = Array.init m (fun _ -> Prng.chance rng 0.3) in
+      let lv = Dijkstra.masked g (fun e -> not dead.(e)) in
+      let agrees () =
+        let b = G.Builder.create n in
+        G.iter_links g (fun l ->
+            match G.edge_id_opt g l.G.u l.G.v with
+            | Some e when not dead.(e) ->
+              G.Builder.add_link b l.G.u l.G.v ~delay:l.G.delay ~cost:l.G.cost
+            | Some _ | None -> ());
+        let adj = adjacency (G.Builder.freeze b) in
+        let source = Prng.int rng n in
+        List.for_all
+          (fun metric ->
+            let dist_o, pred_o, other_o = dijkstra_oracle adj ~metric ~source in
+            let r = Dijkstra.run ~ws:shared_ws ~live:lv g ~metric ~source in
+            let ok = ref (Dijkstra.dead_count lv = Array.fold_left (fun k d -> if d then k + 1 else k) 0 dead) in
+            for x = 0 to n - 1 do
+              if Dijkstra.dist r x <> dist_o.(x) then ok := false;
+              if Dijkstra.other_dist r x <> other_o.(x) then ok := false;
+              match Dijkstra.parent r x with
+              | Some p -> if p <> pred_o.(x) then ok := false
+              | None -> if x <> source && dist_o.(x) < infinity then ok := false
+            done;
+            Dijkstra.recycle shared_ws r;
+            !ok)
+          [ Dijkstra.Delay; Dijkstra.Cost ]
       in
-      let ok = ref true in
-      for x = 0 to G.node_count g - 1 do
-        if Dijkstra.dist r x <> dist_o.(x) then ok := false;
-        match Dijkstra.parent r x with
-        | Some p -> if p <> pred_o.(x) then ok := false
-        | None -> if x <> source && dist_o.(x) < infinity then ok := false
+      let ok = ref (agrees ()) in
+      for _ = 1 to 8 do
+        if m > 0 then begin
+          let e = Prng.int rng m in
+          if dead.(e) then Dijkstra.revive lv e else Dijkstra.kill lv e;
+          dead.(e) <- not dead.(e);
+          ok := !ok && agrees ()
+        end
       done;
-      Dijkstra.recycle shared_ws r;
       !ok)
 
 let prop_mst_weight =
@@ -455,6 +478,9 @@ let test_live_prunes () =
   Alcotest.check_raises "cost metric"
     (Invalid_argument "Dijkstra.run: a live CSR serves unfiltered delay searches")
     (fun () -> ignore (Dijkstra.run ~live:lv g ~metric:Dijkstra.Cost ~source:0));
+  Alcotest.check_raises "a pruned view takes no faults"
+    (Invalid_argument "Dijkstra.kill: a pruned view takes no faults")
+    (fun () -> Dijkstra.kill lv 0);
   Alcotest.check_raises "another graph"
     (Invalid_argument "Dijkstra.run: live CSR of another graph")
     (fun () ->
@@ -524,32 +550,14 @@ let test_radix_floor () =
   Radix.clear h;
   (* clear resets the floor to 0 *)
   Radix.add h ~key:0.0 9;
-  Alcotest.check Alcotest.int "reusable after clear" 9 (Radix.pop_min h);
-  Alcotest.check Alcotest.int "pop_run on empty" 0 (Radix.pop_run h [| 0 |])
-
-let test_radix_pop_run () =
-  let h = Radix.create () in
-  let buf = Array.make 2 0 in
-  Radix.add h ~key:1.0 1;
-  Radix.add h ~key:1.0 2;
-  Radix.add h ~key:1.0 3;
-  Radix.add h ~key:2.0 4;
-  (* capped run continues on the next call; runs never mix keys *)
-  Alcotest.check Alcotest.int "capped run" 2 (Radix.pop_run h buf);
-  Alcotest.(check (list int)) "first chunk" [ 1; 2 ] (Array.to_list buf);
-  Alcotest.check Alcotest.int "run tail" 1 (Radix.pop_run h buf);
-  Alcotest.check Alcotest.int "tail value" 3 buf.(0);
-  Alcotest.check Alcotest.int "next key alone" 1 (Radix.pop_run h buf);
-  Alcotest.check Alcotest.int "next value" 4 buf.(0);
-  Alcotest.check Alcotest.int "empty run" 0 (Radix.pop_run h buf)
+  Alcotest.check Alcotest.int "reusable after clear" 9 (Radix.pop_min h)
 
 (* Random monotone traces: the radix heap must pop exactly like the
    binary heap under any legal schedule (adds never below the last
    popped key), through every entry point — [add] and [add_image],
    [min_image] then [pop_min], a bare [min_image] peek whose memo the
-   next adds must invalidate, [pop], and [pop_run] into a 3-slot
-   buffer (capped runs included) — and across [clear] on a non-empty
-   heap, a drain to empty, and reuse after both. Keys are quantized so
+   next adds must invalidate, and [pop] — and across [clear] on a
+   non-empty heap, a drain to empty, and reuse after both. Keys are quantized so
    ties are common; bursts of 24 keys inside one unit interval far above
    the floor share a bucket larger than the 16-entry scan threshold, so
    the floor-advancing redistribution runs too. Payloads are insertion
@@ -562,7 +570,6 @@ let prop_radix_trace =
       let rh = Radix.create () in
       let bh = Heap.create () in
       let floor = ref 0.0 and seq = ref 0 and ok = ref true in
-      let buf = Array.make 3 0 in
       let add key =
         incr seq;
         if Prng.chance rng 0.5 then Radix.add rh ~key !seq
@@ -574,7 +581,7 @@ let prop_radix_trace =
         ok := !ok && Heap.pop bh = Some (k, v)
       in
       let pop_one () =
-        match Prng.int rng 4 with
+        match Prng.int rng 3 with
         | 0 -> (
           match Radix.pop rh with
           | Some kv -> expect kv
@@ -582,7 +589,7 @@ let prop_radix_trace =
         | 1 when not (Radix.is_empty rh) ->
           let k = Radix.key_of_image (Radix.min_image rh) in
           expect (k, Radix.pop_min rh)
-        | 2 ->
+        | _ ->
           (* peek only: the located minimum stays memoized across the
              adds that follow *)
           let want =
@@ -591,23 +598,6 @@ let prop_radix_trace =
             | None -> max_int
           in
           ok := !ok && Radix.min_image rh = want
-        | _ ->
-          let n = Radix.pop_run rh buf in
-          (* the oracle's run: the next entries sharing the minimum key,
-             as many as the buffer holds *)
-          let run_key = Option.map fst (Heap.peek bh) in
-          for i = 0 to n - 1 do
-            match Heap.pop bh with
-            | Some (k, v) ->
-              floor := k;
-              ok := !ok && Some k = run_key && v = buf.(i)
-            | None -> ok := false
-          done;
-          ok :=
-            !ok
-            && (n = Array.length buf
-               || Option.map fst (Heap.peek bh) <> run_key
-               || run_key = None)
       in
       let n_ops = 40 + Prng.int rng 160 in
       for _ = 1 to n_ops do
@@ -618,7 +608,9 @@ let prop_radix_trace =
           done
         | 1 ->
           Radix.clear rh;
-          Heap.clear bh;
+          while Heap.pop bh <> None do
+            ()
+          done;
           floor := 0.0
         | r when r < 11 || Heap.is_empty bh ->
           add (!floor +. (float_of_int (Prng.int rng 8) /. 2.0))
@@ -653,7 +645,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_csr_layout;
           QCheck_alcotest.to_alcotest prop_dijkstra_waxman;
           QCheck_alcotest.to_alcotest prop_dijkstra_ties;
-          QCheck_alcotest.to_alcotest prop_dijkstra_filtered_noop;
+          QCheck_alcotest.to_alcotest prop_dijkstra_masked;
           QCheck_alcotest.to_alcotest prop_mst_weight;
         ] );
       ( "live-csr",
@@ -667,7 +659,6 @@ let () =
         [
           Alcotest.test_case "fifo tie order" `Quick test_radix_fifo;
           Alcotest.test_case "monotone floor" `Quick test_radix_floor;
-          Alcotest.test_case "pop_run batches" `Quick test_radix_pop_run;
           QCheck_alcotest.to_alcotest prop_radix_trace;
           QCheck_alcotest.to_alcotest prop_image_order;
         ] );

@@ -16,8 +16,8 @@ let checkf msg = Alcotest.check (Alcotest.float 1e-9) msg
 (* ---------------- the engine's event queue ----------------
 
    The queue the engine schedules on, with boxed payloads as the
-   engine uses it. The int-payload trace (pop_run, add_image, clear
-   and reuse) lives with the other Radix_heap tests in test_csr.ml. *)
+   engine uses it. The int-payload trace (add_image, clear and reuse)
+   lives with the other Radix_heap tests in test_csr.ml. *)
 
 (* Random monotone schedule/pop traces, replayed against both
    structures. Key deltas are quantized to multiples of 0.5 (exactly

@@ -55,10 +55,13 @@ let test_pool_exception_propagation () =
       checkb "usable after failure" true (out = [ 2; 4; 6 ]))
 
 let test_pool_shutdown () =
-  let p = Pool.create ~jobs:2 () in
-  checki "jobs" 2 (Pool.jobs p);
-  ignore (Pool.map p [ 1; 2 ] ~f:(fun _ x -> x));
-  Pool.shutdown p;
+  (* the pool outlives [with_pool], which has shut it down *)
+  let p =
+    Pool.with_pool ~jobs:2 (fun p ->
+        checki "jobs" 2 (Pool.jobs p);
+        ignore (Pool.map p [ 1; 2 ] ~f:(fun _ x -> x));
+        p)
+  in
   Pool.shutdown p (* idempotent *);
   match Pool.map p [ 1 ] ~f:(fun _ x -> x) with
   | _ -> Alcotest.fail "map after shutdown must raise"

@@ -157,16 +157,6 @@ let test_tree_graft_errors () =
     (Invalid_argument "Tree.graft_path: path edge is not a graph link") (fun () ->
       Tree.graft_path t [ 0; 4 ])
 
-let test_tree_copy_independent () =
-  let g = fig5 () in
-  let t = Tree.create g ~root:0 in
-  Tree.attach t ~parent:0 1;
-  let c = Tree.copy t in
-  Tree.attach c ~parent:1 4;
-  checkb "copy grew" true (Tree.on_tree c 4);
-  checkb "original untouched" false (Tree.on_tree t 4);
-  assert_valid "copy" c
-
 let prop_tree_random_churn_valid =
   QCheck.Test.make ~name:"random graft/prune churn keeps the tree valid" ~count:30
     QCheck.small_int
@@ -699,7 +689,6 @@ let () =
             test_tree_graft_loop_elimination;
           Alcotest.test_case "graft ancestor case" `Quick test_tree_graft_ancestor_case;
           Alcotest.test_case "graft errors" `Quick test_tree_graft_errors;
-          Alcotest.test_case "copy" `Quick test_tree_copy_independent;
           qc prop_tree_random_churn_valid;
           Alcotest.test_case "change window nets out" `Quick test_window_nets_out;
           Alcotest.test_case "change window loop elimination" `Quick

@@ -110,11 +110,11 @@ let test_json_no_scientific_notation () =
 let test_metrics_registry () =
   let m = Metrics.create () in
   let c = Metrics.counter m "a/count" in
-  Metrics.incr c;
+  Metrics.add c 1;
   Metrics.add c 4;
   checki "counter" 5 (Metrics.counter_value c);
   (* same name returns the same underlying counter *)
-  Metrics.incr (Metrics.counter m "a/count");
+  Metrics.add (Metrics.counter m "a/count") 1;
   checki "idempotent handle" 6 (Metrics.counter_value c);
   let g = Metrics.gauge m "a/gauge" in
   Metrics.set g 2.5;

@@ -1,11 +1,12 @@
 (* Differential tests for the demand-driven routing caches.
 
    The lazy, incrementally-invalidated tables (Eventsim.Routes inside
-   Netsim; Netgraph.Apsp with liveness filters) must answer *exactly*
+   Netsim; Netgraph.Apsp over a fault overlay) must answer *exactly*
    like eager recomputation over a materialized copy of the surviving
    subgraph — paths, next hops and distances alike, ties included —
-   across random Waxman topologies and random fault schedules, with
-   partial query mixes issued between failure and restore. *)
+   across random Waxman topologies, quantized-weight graphs whose ties
+   are common, and random fault schedules, with partial query mixes
+   issued between failure and restore. *)
 
 module G = Netgraph.Graph
 module Apsp = Netgraph.Apsp
@@ -18,6 +19,27 @@ module Prng = Scmp_util.Prng
 let graph_of_seed seed =
   let n = 16 + (seed mod 16) in
   (Topology.Waxman.generate ~seed:(seed + 1) ~n ()).Topology.Spec.graph
+
+(* Weights from a tiny set make equal-length paths common, so the order
+   in which the masked views relax the surviving links decides
+   predecessors: a revived link out of its original slot position
+   shows up as a different tree. *)
+let quantized_of_seed seed =
+  let rng = Prng.create ((seed * 48271) + 7) in
+  let n = 8 + Prng.int rng 10 in
+  let b = G.Builder.create n in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      if Prng.chance rng 0.4 then
+        G.Builder.add_link b u v
+          ~delay:(float_of_int (1 + Prng.int rng 3))
+          ~cost:(float_of_int (1 + Prng.int rng 2))
+    done
+  done;
+  G.Builder.freeze b
+
+(* Every differential below runs on both kinds of graph. *)
+let graphs_of_seed seed = [ graph_of_seed seed; quantized_of_seed seed ]
 
 let base_links g =
   let acc = ref [] in
@@ -64,47 +86,49 @@ let prop_netsim_differential =
     ~count:30
     QCheck.(pair small_nat small_nat)
     (fun (tseed, fseed) ->
-      let g = graph_of_seed tseed in
-      let n = G.node_count g in
-      let engine = Engine.create () in
-      let net = Netsim.create engine g ~classify:(fun (_ : unit) -> `Data) in
-      let links = base_links g in
-      let rng = Prng.create ((fseed * 65537) + 1) in
-      let ok = ref true in
-      let partial_queries () =
-        (* populate part of the cache so invalidation always works on a
-           mixed cached/uncached table *)
-        for _ = 1 to 4 do
-          let src = Prng.int rng n and dst = Prng.int rng n in
-          ignore (Routes.distance (Netsim.routes net) ~src ~dst);
-          ignore (Routes.path (Netsim.routes net) ~src ~dst)
-        done
-      in
-      let check_full () =
-        if not (routes_agree (Netsim.routes net) (eager_routes net) n) then
-          ok := false
-      in
-      check_full ();
-      for _round = 1 to 12 do
-        partial_queries ();
-        (match Prng.int rng 4 with
-        | 0 ->
-          let a, b = links.(Prng.int rng (Array.length links)) in
-          Netsim.fail_link net a b
-        | 1 -> (
-          (* restore one currently-dead link, if any *)
-          match Netsim.dead_link_list net with
-          | [] -> ()
-          | dead ->
-            let a, b = List.nth dead (Prng.int rng (List.length dead)) in
-            Netsim.restore_link net a b)
-        | 2 -> Netsim.fail_node net (Prng.int rng n)
-        | _ -> Netsim.restore_node net (Prng.int rng n));
-        (* queries between the fault and any later restore *)
-        partial_queries ();
-        check_full ()
-      done;
-      !ok)
+      List.for_all
+        (fun g ->
+          let n = G.node_count g in
+          let engine = Engine.create () in
+          let net = Netsim.create engine g ~classify:(fun (_ : unit) -> `Data) in
+          let links = base_links g in
+          let rng = Prng.create ((fseed * 65537) + 1) in
+          let ok = ref true in
+          let partial_queries () =
+            (* populate part of the cache so invalidation always works on a
+               mixed cached/uncached table *)
+            for _ = 1 to 4 do
+              let src = Prng.int rng n and dst = Prng.int rng n in
+              ignore (Routes.distance (Netsim.routes net) ~src ~dst);
+              ignore (Routes.path (Netsim.routes net) ~src ~dst)
+            done
+          in
+          let check_full () =
+            if not (routes_agree (Netsim.routes net) (eager_routes net) n) then
+              ok := false
+          in
+          check_full ();
+          for _round = 1 to 12 do
+            partial_queries ();
+            (match Prng.int rng 4 with
+            | 0 ->
+              let a, b = links.(Prng.int rng (Array.length links)) in
+              Netsim.fail_link net a b
+            | 1 -> (
+              (* restore one currently-dead link, if any *)
+              match Netsim.dead_link_list net with
+              | [] -> ()
+              | dead ->
+                let a, b = List.nth dead (Prng.int rng (List.length dead)) in
+                Netsim.restore_link net a b)
+            | 2 -> Netsim.fail_node net (Prng.int rng n)
+            | _ -> Netsim.restore_node net (Prng.int rng n));
+            (* queries between the fault and any later restore *)
+            partial_queries ();
+            check_full ()
+          done;
+          !ok)
+        (graphs_of_seed tseed))
 
 let prop_apsp_differential =
   QCheck.Test.make
@@ -112,42 +136,46 @@ let prop_apsp_differential =
     ~count:30
     QCheck.(pair small_nat small_nat)
     (fun (tseed, fseed) ->
-      let g = graph_of_seed tseed in
-      let n = G.node_count g in
-      let rng = Prng.create ((fseed * 92821) + 5) in
-      (* random overlay: ~25% of links dead, up to two nodes down *)
-      let dead = Array.make (G.edge_count g) false in
-      for e = 0 to G.edge_count g - 1 do
-        if Prng.chance rng 0.25 then dead.(e) <- true
-      done;
-      let node_down = Array.make n false in
-      for _ = 1 to 2 do
-        if Prng.chance rng 0.5 then node_down.(Prng.int rng n) <- true
-      done;
-      let node_ok x = not node_down.(x) in
-      let edge_ok e = not dead.(e) in
-      let lazy_t = Apsp.compute ~node_ok ~edge_ok g in
-      let bld = G.Builder.create n in
-      for e = 0 to G.edge_count g - 1 do
-        let u = G.edge_u g e and v = G.edge_v g e in
-        if node_ok u && node_ok v && edge_ok e then
-          G.Builder.add_link bld u v ~delay:(G.edge_delay g e)
-            ~cost:(G.edge_cost g e)
-      done;
-      let eager_t = Apsp.compute (G.Builder.freeze bld) in
-      let ok = ref true in
-      (* interleaved query order so memoization is exercised per metric *)
-      for a = 0 to n - 1 do
-        for b = 0 to n - 1 do
-          if Apsp.delay lazy_t a b <> Apsp.delay eager_t a b then ok := false;
-          if not (same_path (Apsp.sl_path lazy_t a b) (Apsp.sl_path eager_t a b))
-          then ok := false;
-          if Apsp.cost lazy_t a b <> Apsp.cost eager_t a b then ok := false;
-          if not (same_path (Apsp.lc_path lazy_t a b) (Apsp.lc_path eager_t a b))
-          then ok := false
-        done
-      done;
-      !ok)
+      List.for_all
+        (fun g ->
+          let n = G.node_count g in
+          let rng = Prng.create ((fseed * 92821) + 5) in
+          (* random overlay: ~25% of links dead, up to two nodes down *)
+          let dead = Array.make (G.edge_count g) false in
+          for e = 0 to G.edge_count g - 1 do
+            if Prng.chance rng 0.25 then dead.(e) <- true
+          done;
+          let node_down = Array.make n false in
+          for _ = 1 to 2 do
+            if Prng.chance rng 0.5 then node_down.(Prng.int rng n) <- true
+          done;
+          (* a down node is the death of its incident links *)
+          let edge_ok e =
+            not (dead.(e) || node_down.(G.edge_u g e) || node_down.(G.edge_v g e))
+          in
+          let lazy_t = Apsp.compute ~edge_ok g in
+          let bld = G.Builder.create n in
+          for e = 0 to G.edge_count g - 1 do
+            let u = G.edge_u g e and v = G.edge_v g e in
+            if edge_ok e then
+              G.Builder.add_link bld u v ~delay:(G.edge_delay g e)
+                ~cost:(G.edge_cost g e)
+          done;
+          let eager_t = Apsp.compute (G.Builder.freeze bld) in
+          let ok = ref true in
+          (* interleaved query order so memoization is exercised per metric *)
+          for a = 0 to n - 1 do
+            for b = 0 to n - 1 do
+              if Apsp.delay lazy_t a b <> Apsp.delay eager_t a b then ok := false;
+              if not (same_path (Apsp.sl_path lazy_t a b) (Apsp.sl_path eager_t a b))
+              then ok := false;
+              if Apsp.cost lazy_t a b <> Apsp.cost eager_t a b then ok := false;
+              if not (same_path (Apsp.lc_path lazy_t a b) (Apsp.lc_path eager_t a b))
+              then ok := false
+            done
+          done;
+          !ok)
+        (graphs_of_seed tseed))
 
 (* [Routes.next_hop] walks the predecessor chain instead of building
    the path; it must still name the path's second node, on a clean

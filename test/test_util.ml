@@ -6,6 +6,7 @@ module Heap = Scmp_util.Heap
 module Stats = Scmp_util.Stats
 module Unionfind = Scmp_util.Unionfind
 module Texttab = Scmp_util.Texttab
+module Weak_memo = Scmp_util.Weak_memo
 
 let check = Alcotest.check
 let checkb = Alcotest.check Alcotest.bool
@@ -171,8 +172,10 @@ let test_heap_clear_and_iter () =
   let seen = ref 0 in
   Heap.iter h (fun _ _ -> incr seen);
   checki "iter visits all" 10 !seen;
-  Heap.clear h;
-  checki "clear empties" 0 (Heap.length h);
+  while Heap.pop h <> None do
+    ()
+  done;
+  checki "popping clears" 0 (Heap.length h);
   Heap.add h ~key:1.0 99;
   check Alcotest.(option (pair (float 0.0) int)) "usable after clear" (Some (1.0, 99))
     (Heap.pop h)
@@ -310,6 +313,50 @@ let test_texttab_csv () =
 
 let qc = QCheck_alcotest.to_alcotest
 
+(* ---------------- Weak_memo ---------------- *)
+
+(* Values are fresh blocks tagged with their key; [made] counts the
+   calls to [make], so a rebuild is seen even when it builds an equal
+   value. *)
+let memo_probe memo made k =
+  Weak_memo.find memo ~same:Int.equal k (fun () ->
+      incr made;
+      ref k)
+
+(* The two most recent values outlive every caller's reference and a
+   full collection; an older one is only weakly held, and a rebuilt
+   value is equal to the first. *)
+let test_weak_memo_hold () =
+  let memo = Weak_memo.create ~hold:2 () and made = ref 0 in
+  let first = memo_probe memo made 1 in
+  let first_id = !first in
+  ignore (Sys.opaque_identity (memo_probe memo made 2));
+  ignore (Sys.opaque_identity (memo_probe memo made 3));
+  checki "three built" 3 !made;
+  Gc.full_major ();
+  ignore (Sys.opaque_identity (memo_probe memo made 2));
+  ignore (Sys.opaque_identity (memo_probe memo made 3));
+  checki "the two held are shared" 3 !made;
+  checkb "a held value is returned as is" true
+    (memo_probe memo made 1 == first);
+  checki "the caller's value is shared too" 3 !made;
+  checki "equal value" first_id !(memo_probe memo made 1)
+
+let test_weak_memo_weak () =
+  let memo = Weak_memo.create () and made = ref 0 in
+  ignore (Sys.opaque_identity (memo_probe memo made 1));
+  Gc.full_major ();
+  ignore (Sys.opaque_identity (memo_probe memo made 1));
+  checki "dropped and collected, so rebuilt" 2 !made;
+  (* eight slots round-robin: a ninth key evicts the first slot *)
+  let held = List.init 9 (fun k -> memo_probe memo made (10 + k)) in
+  let made_before = !made in
+  ignore (memo_probe memo made 10);
+  checki "evicted key rebuilt" (made_before + 1) !made;
+  ignore (memo_probe memo made 18);
+  checki "resident key shared" (made_before + 1) !made;
+  ignore (Sys.opaque_identity held)
+
 let () =
   Alcotest.run "scmp_util"
     [
@@ -337,6 +384,12 @@ let () =
           Alcotest.test_case "pop releases last entry" `Quick
             test_heap_pop_releases_last_entry;
           qc prop_heap_sorts;
+        ] );
+      ( "weak-memo",
+        [
+          Alcotest.test_case "recent values held" `Quick test_weak_memo_hold;
+          Alcotest.test_case "older values weak, slots round-robin" `Quick
+            test_weak_memo_weak;
         ] );
       ( "stats",
         [
