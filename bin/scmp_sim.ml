@@ -261,7 +261,9 @@ let run_cmd =
       value
       & opt (some int) None
       & info [ "trace-limit" ] ~docv:"N"
-          ~doc:"Keep only the newest $(docv) trace lines (ring buffer).")
+          ~doc:
+            "Keep only the newest $(docv) trace lines (ring buffer); \
+             $(docv) >= 1.")
   in
   let report =
     Arg.(
@@ -277,7 +279,9 @@ let run_cmd =
       value
       & opt (some float) None
       & info [ "loss" ] ~docv:"RATE"
-          ~doc:"Random packet loss probability per link crossing (0..1).")
+          ~doc:
+            "Random packet loss probability per link crossing, in [0, 1) \
+             (the manifest's loss.rate).")
   in
   let loss_seed =
     Arg.(
@@ -310,14 +314,17 @@ let run_cmd =
       & info [ "fail-link" ] ~docv:"A-B@T[:restore@T']"
           ~doc:
             "Fail link A-B at sim time T, optionally restoring it at T'. \
+             A-B must be a link of the topology and T finite and >= 0. \
              Repeatable.")
   in
   let fail_nodes =
     Arg.(
       value & opt_all string []
       & info [ "fail-node" ] ~docv:"X@T[:restore@T']"
-          ~doc:"Fail node X at sim time T, optionally restoring it at T'. \
-                Repeatable.")
+          ~doc:
+            "Fail node X at sim time T, optionally restoring it at T'. X \
+             must be a node of the topology and T finite and >= 0. \
+             Repeatable.")
   in
   let fault_seed =
     Arg.(
@@ -332,7 +339,7 @@ let run_cmd =
     Arg.(
       value & opt int 1
       & info [ "fault-count" ] ~docv:"N"
-          ~doc:"How many random link failures --fault-seed injects.")
+          ~doc:"How many random link failures --fault-seed injects (>= 1).")
   in
   let partitions =
     Arg.(
@@ -341,7 +348,8 @@ let run_cmd =
           ~doc:
             "Partition the listed nodes from the rest at sim time T \
              (every link across the cut fails atomically), optionally \
-             healing the cut at T'. Repeatable.")
+             healing the cut at T'. The nodes must be in the topology and \
+             leave at least one node out; T finite and >= 0. Repeatable.")
   in
   let churn_rate =
     Arg.(
@@ -351,13 +359,17 @@ let run_cmd =
           ~doc:
             "Seeded Poisson membership churn: $(docv) join arrivals per \
              sim second drawn from the non-scripted routers, each \
-             staying for an exponential holding time (--churn-hold).")
+             staying for an exponential holding time (--churn-hold). \
+             1/$(docv) is the manifest's churn.interarrival and must be \
+             positive and finite.")
   in
   let churn_hold =
     Arg.(
       value & opt float 5.0
       & info [ "churn-hold" ] ~docv:"SECONDS"
-          ~doc:"Mean holding time of a churn member (sim seconds).")
+          ~doc:
+            "Mean holding time of a churn member (sim seconds, positive \
+             and finite).")
   in
   let churn_seed =
     Arg.(
@@ -381,8 +393,35 @@ let run_cmd =
     require "run" (group_size >= 1) "--group-size must be >= 1";
     require "run" (packets >= 1) "--packets must be >= 1";
     require "run"
-      (Option.fold ~none:true ~some:(fun r -> r > 0.0) churn_rate)
-      "--churn-rate must be positive";
+      (Option.fold ~none:true ~some:(fun l -> l >= 1) trace_limit)
+      "--trace-limit must be >= 1";
+    let perturbation =
+      {
+        Exec.Sweep.loss =
+          Option.map
+            (fun rate -> { Exec.Sweep.rate; seed = loss_seed; only = loss_class })
+            loss;
+        link_failures = fail_links;
+        node_failures = fail_nodes;
+        partitions;
+        random_link_failures =
+          Option.map
+            (fun rf_seed ->
+              { Exec.Sweep.rf_seed; rf_count = fault_count; rf_restore_after = None })
+            fault_seed;
+        churn =
+          Option.map
+            (fun rate ->
+              {
+                Exec.Sweep.cs_interarrival = 1.0 /. rate;
+                cs_holding = churn_hold;
+                cs_seed = churn_seed;
+              })
+            churn_rate;
+      }
+    in
+    Result.iter_error (usage_die "run")
+      (Exec.Sweep.validate_perturbation perturbation);
     let spec = or_die (make_topology topo seed load) in
     let n = Netgraph.Graph.node_count spec.Topology.Spec.graph in
     let { Scmp.Setup.scenario = base; _ } =
@@ -390,40 +429,10 @@ let run_cmd =
         (Scmp.Setup.draw ~rng:(Scmp_util.Prng.create (seed + 23)) ~group_size
            ~packets spec)
     in
-    let faults =
-      List.concat_map
-        (fun s -> or_die (Eventsim.Faults.parse_link_failure s))
-        fail_links
-      @ List.concat_map
-          (fun s -> or_die (Eventsim.Faults.parse_node_failure s))
-          fail_nodes
-      @ List.concat_map
-          (fun s -> or_die (Eventsim.Faults.parse_partition s))
-          partitions
-    in
     let sc =
-      Exec.Sweep.perturb
-        ?loss:(Option.map (fun rate -> (rate, loss_seed)) loss)
-        ?loss_class ~faults
-        ?random_link_failures:
-          (Option.map
-             (fun rf_seed ->
-               {
-                 Exec.Sweep.rf_seed;
-                 rf_count = fault_count;
-                 rf_restore_after = None;
-               })
-             fault_seed)
-        ?churn:
-          (Option.map
-             (fun rate ->
-               {
-                 Exec.Sweep.cs_interarrival = 1.0 /. rate;
-                 cs_holding = churn_hold;
-                 cs_seed = churn_seed;
-               })
-             churn_rate)
-        ~seed base
+      match Exec.Sweep.perturb perturbation ~seed base with
+      | Ok sc -> sc
+      | Error msg -> usage_die "run" msg
     in
     let sc = { sc with trace_path = trace; trace_limit } in
     let { Protocols.Runner.center; source; members; _ } = sc in
@@ -589,7 +598,7 @@ let sweep_cmd =
         | Ok m -> m
         | Error msg -> usage_die "sweep" msg)
     in
-    let spec = or_die (Scenario.Manifest.to_sweep m) in
+    let spec = Scenario.Manifest.to_sweep m in
     let check = check || m.check in
     let o = or_die (Exec.Sweep.run ~check ?jobs spec) in
     Printf.printf "%-32s %14s %16s %10s %10s %9s\n" "cell" "data overhead"

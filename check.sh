@@ -197,6 +197,40 @@ $SIM sweep --manifest examples/scenarios/clean_compare.json \
   --report /tmp/sweep_manifest.json > /dev/null
 cmp /tmp/sweep_flags.json /tmp/sweep_manifest.json
 
+# Malformed-input gate: a perturbation program that is out of range or
+# does not fit the topology is an error with a message (exit 1 or 2),
+# never an escaped exception, whether it comes from run's flags or from
+# a manifest's cells.
+echo "== malformed input is an error (run flags, manifest)"
+malformed() {
+  set +e
+  "$@" > /dev/null 2> /tmp/malformed.err
+  code=$?
+  set -e
+  if { [ "$code" -ne 1 ] && [ "$code" -ne 2 ]; } \
+    || grep -qE 'uncaught exception|Invalid_argument' /tmp/malformed.err; then
+    echo "check.sh: '$*' exited $code:" >&2
+    cat /tmp/malformed.err >&2
+    exit 1
+  fi
+}
+for flags in --loss=1.5 --fail-link=0-40@5 --fail-node=999@5 \
+  --fail-link=1-2@nan; do
+  malformed $SIM run --topo arpanet -p scmp --packets 5 "$flags"
+done
+cat > /tmp/malformed_manifest.json <<'EOF'
+{
+  "schema": "scmp-scenario/1",
+  "name": "malformed",
+  "drivers": ["scmp"],
+  "topologies": ["arpanet"],
+  "group_sizes": [8],
+  "packets": 5,
+  "link_failures": ["0-99@5.0"]
+}
+EOF
+malformed $SIM sweep --manifest /tmp/malformed_manifest.json --jobs 1
+
 # Split-brain smoke: partition the primary m-router away mid-session
 # on a scripted cut and heal it — invariants on (stale-epoch fencing
 # included), full delivery.

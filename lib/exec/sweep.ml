@@ -79,6 +79,12 @@ let generate_topo topo seed =
   Scmp_util.Weak_memo.find memo ~same:same_topo (topo, seed) (fun () ->
       generate topo seed)
 
+type loss = {
+  rate : float;
+  seed : int;
+  only : Eventsim.Netsim.pkt_class option;
+}
+
 type random_failures = {
   rf_seed : int;
   rf_count : int;
@@ -91,6 +97,157 @@ type churn_spec = {
   cs_seed : int option;
 }
 
+type perturbation = {
+  loss : loss option;
+  link_failures : string list;
+  node_failures : string list;
+  partitions : string list;
+  random_link_failures : random_failures option;
+  churn : churn_spec option;
+}
+
+let no_perturbation =
+  {
+    loss = None;
+    link_failures = [];
+    node_failures = [];
+    partitions = [];
+    random_link_failures = None;
+    churn = None;
+  }
+
+let ( let* ) = Result.bind
+
+let rec map_result f = function
+  | [] -> Ok []
+  | x :: rest ->
+    let* y = f x in
+    let* ys = map_result f rest in
+    Ok (y :: ys)
+
+let iter_result f xs = Result.map ignore (map_result f xs)
+
+let reject field fmt =
+  Printf.ksprintf (fun m -> Error (Printf.sprintf "field %S: %s" field m)) fmt
+
+let positive_finite x = Float.is_finite x && x > 0.0
+
+(* The first validation step: every rule that needs no topology. *)
+let check_ranges p =
+  let* () =
+    match p.loss with
+    | Some l when not (l.rate >= 0.0 && l.rate < 1.0) ->
+      reject "loss.rate" "%g is not in [0, 1)" l.rate
+    | _ -> Ok ()
+  in
+  let* () =
+    match p.random_link_failures with
+    | Some rf when rf.rf_count < 1 ->
+      reject "random_link_failures.count" "%d is not >= 1" rf.rf_count
+    | Some { rf_restore_after = Some d; _ } when not (positive_finite d) ->
+      reject "random_link_failures.restore_after"
+        "%g is not a positive finite number" d
+    | _ -> Ok ()
+  in
+  match p.churn with
+  | Some c when not (positive_finite c.cs_interarrival) ->
+    reject "churn.interarrival" "%g is not a positive finite number"
+      c.cs_interarrival
+  | Some c when not (positive_finite c.cs_holding) ->
+    reject "churn.holding" "%g is not a positive finite number" c.cs_holding
+  | _ -> Ok ()
+
+(* The one lowering of the fault syntax: every line parsed, in program
+   order (links, nodes, partitions), kept beside its field and text so
+   a later check can name it. *)
+let fault_lines p =
+  let parse field parse_line =
+    map_result (fun line ->
+        match parse_line line with
+        | Error e -> reject field "bad line %S: %s" line e
+        | Ok specs -> (
+          match
+            List.find_opt
+              (fun (s : Eventsim.Faults.spec) ->
+                not (Float.is_finite s.at && s.at >= 0.0))
+              specs
+          with
+          | Some s -> reject field "%S: time %g is not finite and >= 0" line s.at
+          | None -> Ok (field, line, specs)))
+  in
+  let* links =
+    parse "link_failures" Eventsim.Faults.parse_link_failure p.link_failures
+  in
+  let* nodes =
+    parse "node_failures" Eventsim.Faults.parse_node_failure p.node_failures
+  in
+  let* parts =
+    parse "partitions" Eventsim.Faults.parse_partition p.partitions
+  in
+  Ok (links @ nodes @ parts)
+
+let lower p =
+  let* () = check_ranges p in
+  fault_lines p
+
+let validate_perturbation p = Result.map ignore (lower p)
+
+(* The second validation step, against the cell's graph. *)
+let check_line graph (field, line, specs) =
+  let n = Netgraph.Graph.node_count graph in
+  let node x =
+    if x >= 0 && x < n then Ok ()
+    else reject field "%S: node %d is not in [0, %d)" line x n
+  in
+  iter_result
+    (fun (s : Eventsim.Faults.spec) ->
+      match s.event with
+      | Link_down (a, b) | Link_up (a, b) ->
+        let* () = node a in
+        let* () = node b in
+        if Netgraph.Graph.has_link graph a b then Ok ()
+        else reject field "%S: %d-%d is not a link" line a b
+      | Node_down x | Node_up x -> node x
+      | Partition side | Heal side ->
+        let* () = iter_result node side in
+        if List.length (List.sort_uniq Int.compare side) < n then Ok ()
+        else reject field "%S: the side holds all %d nodes" line n)
+    specs
+
+let perturb p ~seed (sc : Protocols.Runner.scenario) =
+  let graph = sc.spec.Topology.Spec.graph in
+  let* lines = lower p in
+  let* () = iter_result (check_line graph) lines in
+  (* The data window anchors the randomized perturbations, so their
+     instants track the membership schedule. *)
+  let t0 = sc.data_start and t1 = Protocols.Runner.data_end sc in
+  let random_faults =
+    match p.random_link_failures with
+    | None -> []
+    | Some rf ->
+      Eventsim.Faults.random_link_failures ~seed:rf.rf_seed ~count:rf.rf_count
+        ~t0 ~t1 ?restore_after:rf.rf_restore_after graph
+  in
+  let churn =
+    Option.map
+      (fun cs ->
+        {
+          Protocols.Runner.mean_interarrival = cs.cs_interarrival;
+          mean_holding = cs.cs_holding;
+          horizon = t1;
+          churn_seed = Option.value cs.cs_seed ~default:(seed + 31);
+        })
+      p.churn
+  in
+  Ok
+    {
+      sc with
+      loss = Option.map (fun l -> (l.rate, l.seed)) p.loss;
+      loss_class = Option.bind p.loss (fun l -> l.only);
+      faults = List.concat_map (fun (_, _, specs) -> specs) lines @ random_faults;
+      churn;
+    }
+
 type spec = {
   drivers : string list;
   topos : topo list;
@@ -98,28 +255,12 @@ type spec = {
   seeds : int list;
   packets : int;
   master_seed : int;
-  loss : (float * int) option;
-  loss_class : Eventsim.Netsim.pkt_class option;
-  faults : Eventsim.Faults.spec list;
-  random_link_failures : random_failures option;
-  churn : churn_spec option;
+  perturbation : perturbation;
 }
 
-let make ?(packets = 30) ?(master_seed = 1) ?loss ?loss_class ?(faults = [])
-    ?random_link_failures ?churn ~drivers ~topos ~group_sizes ~seeds () =
-  {
-    drivers;
-    topos;
-    group_sizes;
-    seeds;
-    packets;
-    master_seed;
-    loss;
-    loss_class;
-    faults;
-    random_link_failures;
-    churn;
-  }
+let make ?(packets = 30) ?(master_seed = 1) ?(perturbation = no_perturbation)
+    ~drivers ~topos ~group_sizes ~seeds () =
+  { drivers; topos; group_sizes; seeds; packets; master_seed; perturbation }
 
 type cell = {
   index : int;
@@ -196,66 +337,39 @@ let publish_cell_metrics report name (result : Protocols.Runner.result) =
     (Obs.Metrics.gauge m (pfx ^ "/delivery_ratio"))
     result.Protocols.Runner.delivery_ratio
 
-let perturb ?loss ?loss_class ?(faults = []) ?random_link_failures ?churn
-    ~seed (sc : Protocols.Runner.scenario) =
-  (* The data window anchors the randomized perturbations, so their
-     instants track the membership schedule. *)
-  let t0 = sc.data_start and t1 = Protocols.Runner.data_end sc in
-  let random_faults =
-    match random_link_failures with
-    | None -> []
-    | Some rf ->
-      Eventsim.Faults.random_link_failures ~seed:rf.rf_seed ~count:rf.rf_count
-        ~t0 ~t1 ?restore_after:rf.rf_restore_after sc.spec.Topology.Spec.graph
-  in
-  let churn =
-    Option.map
-      (fun cs ->
-        {
-          Protocols.Runner.mean_interarrival = cs.cs_interarrival;
-          mean_holding = cs.cs_holding;
-          horizon = t1;
-          churn_seed = Option.value cs.cs_seed ~default:(seed + 31);
-        })
-      churn
-  in
-  { sc with loss; loss_class; faults = faults @ random_faults; churn }
-
 (* One isolated task: the cell's topology (possibly shared with
    earlier cells of its (topo, seed) on this worker), members sampled from the
    cell's private stream, one run published into a fresh report. *)
 let run_cell ?(check = false) sweep driver cell rng =
   let spec = generate_topo cell.topo cell.seed in
-  let base =
-    match
-      Scmp.Setup.draw ~rng ~group_size:cell.group_size ~packets:sweep.packets
-        spec
-    with
-    | Ok s -> s.scenario
-    | Error msg ->
-      invalid_arg (Printf.sprintf "Sweep: cell %s: %s" (cell_name cell) msg)
+  let* { Scmp.Setup.scenario = base; _ } =
+    Scmp.Setup.draw ~rng ~group_size:cell.group_size ~packets:sweep.packets
+      spec
   in
   (* Random failures are seeded off the topology seed, not the cell
      index: every driver sharing a (topo, seed) cell faces the identical
      fault draw — the head-to-head comparison the manifests exist for. *)
-  let random_link_failures =
-    Option.map
-      (fun rf -> { rf with rf_seed = rf.rf_seed + cell.seed })
-      sweep.random_link_failures
-  in
-  let sc =
-    perturb ?loss:sweep.loss ?loss_class:sweep.loss_class ~faults:sweep.faults
-      ?random_link_failures ?churn:sweep.churn ~seed:cell.seed base
+  let p = sweep.perturbation in
+  let* sc =
+    perturb
+      {
+        p with
+        random_link_failures =
+          Option.map
+            (fun rf -> { rf with rf_seed = rf.rf_seed + cell.seed })
+            p.random_link_failures;
+      }
+      ~seed:cell.seed base
   in
   let report = Obs.Report.create ~name:(cell_name cell) () in
   let result, wall_s =
     Obs.Clock.time (fun () -> Protocols.Runner.run ~check ~report driver sc)
   in
   publish_cell_metrics report (cell_name cell) result;
-  { cell; result; report; wall_s }
+  Ok { cell; result; report; wall_s }
 
-let merged_report spec (results : cell_result list) ~jobs_used ~wall_s
-    ~seq_estimate_s =
+let merged_report spec ~scripted_faults (results : cell_result list)
+    ~jobs_used ~wall_s ~seq_estimate_s =
   let report = Obs.Report.create ~name:"sweep" () in
   Obs.Report.set_meta report "kind" (Obs.Json.String "sweep");
   Obs.Report.set_meta report "drivers"
@@ -271,19 +385,19 @@ let merged_report spec (results : cell_result list) ~jobs_used ~wall_s
   Obs.Report.set_meta report "master_seed" (Obs.Json.Int spec.master_seed);
   (* Perturbation facts appear only when configured, so unperturbed
      sweep reports keep their historical byte-exact shape. *)
-  (match spec.loss with
-  | Some (rate, seed) ->
-    Obs.Report.set_meta report "loss_rate" (Obs.Json.Float rate);
-    Obs.Report.set_meta report "loss_seed" (Obs.Json.Int seed)
+  let p = spec.perturbation in
+  (match p.loss with
+  | Some l ->
+    Obs.Report.set_meta report "loss_rate" (Obs.Json.Float l.rate);
+    Obs.Report.set_meta report "loss_seed" (Obs.Json.Int l.seed)
   | None -> ());
-  if spec.faults <> [] then
-    Obs.Report.set_meta report "scripted_faults"
-      (Obs.Json.Int (List.length spec.faults));
-  (match spec.random_link_failures with
+  if scripted_faults > 0 then
+    Obs.Report.set_meta report "scripted_faults" (Obs.Json.Int scripted_faults);
+  (match p.random_link_failures with
   | Some rf ->
     Obs.Report.set_meta report "random_link_failures" (Obs.Json.Int rf.rf_count)
   | None -> ());
-  (match spec.churn with
+  (match p.churn with
   | Some _ -> Obs.Report.set_meta report "churn" (Obs.Json.Bool true)
   | None -> ());
   (* Merge in cell-index order — results arrive already ordered from
@@ -314,62 +428,56 @@ let merged_report spec (results : cell_result list) ~jobs_used ~wall_s
 
 let run ?(check = false) ?jobs spec =
   let jobs_used = match jobs with Some j -> j | None -> Pool.default_jobs () in
-  if jobs_used < 1 then Error "Sweep.run: jobs must be >= 1"
-  else if spec.packets < 1 then Error "Sweep.run: packets must be >= 1"
-  else begin
-    let cell_list = cells spec in
-    if cell_list = [] then Error "Sweep.run: empty grid"
-    else begin
-      (* Resolve every driver before dispatch so worker domains never
-         touch the registry's mutable tables. *)
-      match Protocols.Driver.find_all spec.drivers with
-      | Error msg -> Error msg
-      | Ok driver_pairs ->
-        (* Per-cell streams, split off the master in index order before
-           anything runs: stream identity = cell index. *)
-        let master = Scmp_util.Prng.create spec.master_seed in
-        let streams =
-          Array.init (List.length cell_list) (fun _ ->
-              Scmp_util.Prng.split master)
-        in
-        let tasks =
-          List.map
-            (fun cell -> (cell, List.assoc cell.driver driver_pairs))
-            cell_list
-        in
-        let run_all () =
-          Pool.with_pool ~jobs:jobs_used (fun pool ->
-              Pool.map pool tasks ~f:(fun i (cell, driver) ->
-                  run_cell ~check spec driver cell streams.(i)))
-        in
-        (try
-           let results, wall_s = Obs.Clock.time run_all in
-           let seq_estimate_s =
-             List.fold_left
-               (fun acc (r : cell_result) -> acc +. r.wall_s)
-               0.0 results
-           in
-           let report =
-             merged_report spec results ~jobs_used ~wall_s ~seq_estimate_s
-           in
-           Ok
-             {
-               report;
-               cell_results = results;
-               wall_s;
-               seq_estimate_s;
-               jobs_used;
-             }
-         with
-        | Pool.Task_error (i, Check.Invariant.Violation msg) ->
-          Error
-            (Printf.sprintf "cell %s: invariant violation: %s"
-               (cell_name (List.nth cell_list i))
-               msg)
-        | Pool.Task_error (i, e) ->
-          Error
-            (Printf.sprintf "cell %s: %s"
-               (cell_name (List.nth cell_list i))
-               (Printexc.to_string e)))
-    end
-  end
+  let cell_list = cells spec in
+  let* () =
+    if jobs_used < 1 then Error "Sweep.run: jobs must be >= 1"
+    else if spec.packets < 1 then Error "Sweep.run: packets must be >= 1"
+    else if cell_list = [] then Error "Sweep.run: empty grid"
+    else Ok ()
+  in
+  let* lines = lower spec.perturbation in
+  (* Resolve every driver before dispatch so worker domains never touch
+     the registry's mutable tables. *)
+  let* driver_pairs = Protocols.Driver.find_all spec.drivers in
+  (* Per-cell streams, split off the master in index order before
+     anything runs: stream identity = cell index. *)
+  let master = Scmp_util.Prng.create spec.master_seed in
+  let streams =
+    Array.init (List.length cell_list) (fun _ -> Scmp_util.Prng.split master)
+  in
+  let tasks =
+    List.map (fun cell -> (cell, List.assoc cell.driver driver_pairs)) cell_list
+  in
+  let run_all () =
+    Pool.with_pool ~jobs:jobs_used (fun pool ->
+        Pool.map pool tasks ~f:(fun i (cell, driver) ->
+            try run_cell ~check spec driver cell streams.(i)
+            with Check.Invariant.Violation msg ->
+              Error ("invariant violation: " ^ msg)))
+  in
+  let cell_error i msg =
+    Error (Printf.sprintf "cell %s: %s" (cell_name (List.nth cell_list i)) msg)
+  in
+  match Obs.Clock.time run_all with
+  | exception Pool.Task_error (i, e) -> cell_error i (Printexc.to_string e)
+  | outcomes, wall_s -> (
+    (* The lowest-indexed failing cell wins. *)
+    match
+      List.find_mapi
+        (fun i r -> match r with Error msg -> Some (i, msg) | Ok _ -> None)
+        outcomes
+    with
+    | Some (i, msg) -> cell_error i msg
+    | None ->
+      let results = List.map Result.get_ok outcomes in
+      let seq_estimate_s =
+        List.fold_left (fun acc (r : cell_result) -> acc +. r.wall_s) 0.0 results
+      in
+      let scripted_faults =
+        List.fold_left (fun acc (_, _, specs) -> acc + List.length specs) 0 lines
+      in
+      let report =
+        merged_report spec ~scripted_faults results ~jobs_used ~wall_s
+          ~seq_estimate_s
+      in
+      Ok { report; cell_results = results; wall_s; seq_estimate_s; jobs_used })

@@ -50,6 +50,13 @@ val generate_topo : topo -> int -> Topology.Spec.t
     APSP tables and rule-1 centre already derived from it); once no
     caller holds it, it is regenerated, equal field for field. *)
 
+type loss = {
+  rate : float;  (** Bernoulli drop probability per link crossing, in [\[0, 1)]. *)
+  seed : int;
+  only : Eventsim.Netsim.pkt_class option;
+      (** Restrict loss to one class; [None] drops both. *)
+}
+
 type random_failures = {
   rf_seed : int;
       (** Combined with each cell's topology seed, so every driver
@@ -64,22 +71,47 @@ type churn_spec = {
   cs_seed : int option;  (** Default: per-cell, [cell.seed + 31]. *)
 }
 
+type perturbation = {
+  loss : loss option;
+  link_failures : string list;
+      (** Fault lines as written, in the CLI syntax
+          [A-B\@T\[:restore\@T'\]]. *)
+  node_failures : string list;  (** [N\@T\[:restore\@T'\]]. *)
+  partitions : string list;  (** [a,b,c\@T\[:heal\@T'\]]. *)
+  random_link_failures : random_failures option;
+  churn : churn_spec option;
+}
+(** One perturbation program — what [scmp_sim run]'s flags, a
+    manifest's perturbation fields and a sweep spec all carry. Error
+    messages name a part by its manifest field ([loss.rate],
+    [link_failures], ...). *)
+
+val no_perturbation : perturbation
+
+val validate_perturbation : perturbation -> (unit, string) result
+(** The checks that need no topology: [loss.rate] in [\[0, 1)] and not
+    NaN, [random_link_failures.count >= 1], a positive finite
+    [restore_after], positive finite churn means, and every fault line
+    parsed with finite, non-negative event times. The error names the
+    field and the offending value. *)
+
 val perturb :
-  ?loss:float * int ->
-  ?loss_class:Eventsim.Netsim.pkt_class ->
-  ?faults:Eventsim.Faults.spec list ->
-  ?random_link_failures:random_failures ->
-  ?churn:churn_spec ->
+  perturbation ->
   seed:int ->
   Protocols.Runner.scenario ->
-  Protocols.Runner.scenario
+  (Protocols.Runner.scenario, string) result
 (** Install a perturbation program on a built scenario — the one path
-    from sweep cells and [scmp_sim run] alike. [loss], [loss_class] and
-    [faults] are set as given; random link failures are drawn from
-    [rf_seed] as given (a sweep cell first adds its topology seed) over
-    the data window [data_start, {!Protocols.Runner.data_end}] and
-    appended to [faults]; churn runs until the window's end, seeded by
-    [cs_seed] or else [seed + 31], [seed] being the topology seed. *)
+    from sweep cells and [scmp_sim run] alike, and the one place fault
+    lines are lowered to {!Eventsim.Faults.spec}s. It runs
+    {!validate_perturbation}, then checks the fault lines against the
+    scenario's graph: node ids in range, link endpoints adjacent, and a
+    partition side that leaves at least one node out. Scripted faults
+    come in program order (links, nodes, partitions); random link
+    failures are drawn from [rf_seed] as given (a sweep cell first adds
+    its topology seed) over the data window
+    [\[data_start, {!Protocols.Runner.data_end}\]] and appended; churn
+    runs until the window's end, seeded by [cs_seed] or else
+    [seed + 31], [seed] being the topology seed. *)
 
 type spec = {
   drivers : string list;  (** Driver names, e.g. ["scmp"]. *)
@@ -88,33 +120,23 @@ type spec = {
   seeds : int list;  (** Topology seeds — one cell per seed. *)
   packets : int;  (** Data packets per cell. *)
   master_seed : int;  (** Root of the per-cell member-sampling streams. *)
-  loss : (float * int) option;  (** Seeded Bernoulli loss, every cell. *)
-  loss_class : Eventsim.Netsim.pkt_class option;
-  faults : Eventsim.Faults.spec list;
-      (** Scripted fault program, installed identically in every cell. *)
-  random_link_failures : random_failures option;
-      (** Per-cell randomized failures drawn over each cell's data
-          window. *)
-  churn : churn_spec option;
-      (** Background membership churn over each cell's data window. *)
+  perturbation : perturbation;
+      (** Installed in every cell; random link failures are drawn over
+          each cell's own data window. *)
 }
 
 val make :
   ?packets:int ->
   ?master_seed:int ->
-  ?loss:float * int ->
-  ?loss_class:Eventsim.Netsim.pkt_class ->
-  ?faults:Eventsim.Faults.spec list ->
-  ?random_link_failures:random_failures ->
-  ?churn:churn_spec ->
+  ?perturbation:perturbation ->
   drivers:string list ->
   topos:topo list ->
   group_sizes:int list ->
   seeds:int list ->
   unit ->
   spec
-(** Defaults: 30 packets (the paper's 30 s at 1/s), master seed 1, no
-    perturbations. *)
+(** Defaults: 30 packets (the paper's 30 s at 1/s), master seed 1,
+    {!no_perturbation}. *)
 
 type cell = {
   index : int;  (** Position in row-major grid order. *)
@@ -144,11 +166,12 @@ val run_cell :
   Protocols.Driver.t ->
   cell ->
   Scmp_util.Prng.t ->
-  cell_result
+  (cell_result, string) result
 (** One cell as {!run} executes it on a worker: the cell's topology
     ({!generate_topo}), a scenario drawn from the given stream,
-    the sweep's perturbations, one run into a fresh report that also
-    carries the cell's [cell/<name>/...] rows. *)
+    the sweep's perturbation, one run into a fresh report that also
+    carries the cell's [cell/<name>/...] rows. A draw with no member
+    left or a perturbation the cell's graph rejects is an [Error]. *)
 
 type outcome = {
   report : Obs.Report.t;  (** Merged sweep report. *)
@@ -164,5 +187,5 @@ val run : ?check:bool -> ?jobs:int -> spec -> (outcome, string) result
 (** Execute every cell on a fresh pool of [jobs] workers (default
     {!Pool.default_jobs}) and merge. [~check] runs the protocol
     invariant verifier inside each cell. Errors: unknown driver, bad
-    grid, or the lowest-indexed failing cell (by name) with its
-    exception. *)
+    grid, a perturbation {!validate_perturbation} rejects, or the
+    lowest-indexed failing cell (by name) with its error. *)

@@ -262,7 +262,7 @@ let depth t x =
   let rec up x acc = if x = t.root then acc else up t.parent.(x) (acc + 1) in
   up x 0
 
-let validate t =
+let well_formed t =
   let n = Netgraph.Graph.node_count t.graph in
   let problems = ref [] in
   let note fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in

@@ -8,7 +8,7 @@
 
     The structure is mutable: DCDM joins graft paths onto it, leaves
     prune dangling branches, and loop elimination re-parents nodes. All
-    mutators preserve the tree invariants (checked by {!validate}):
+    mutators preserve the tree invariants (checked by {!well_formed}):
     every tree edge is a graph link, the parent relation is acyclic and
     reaches the root, and children lists mirror the parent map. *)
 
@@ -127,7 +127,8 @@ val removed_since_mark : t -> node list
 val depth : t -> node -> int
 (** Hop count from the root. @raise Invalid_argument if off-tree. *)
 
-val validate : t -> (unit, string) result
+val well_formed : (* lint: allow unused-export: structural self-check oracle for tests *)
+  t -> (unit, string) result
 (** Structural self-check (meant for tests): edges exist in the graph,
     parent/children agree, no cycles, every on-tree node reaches the
     root, members are on-tree. *)

@@ -2,17 +2,12 @@
    a full comparison sweep — drivers, topologies, grid axes and the
    perturbation program — so an experiment is data reviewed in the
    repo, not a shell incantation. Parsing is strict (unknown keys are
-   errors, every fault program line is validated against the CLI
-   parsers at load) and printing is canonical, so parse -> print ->
-   parse is the identity on the typed form. *)
+   errors, and the perturbation program passes the same topology-free
+   validator as [scmp_sim run]'s flags at load) and printing is
+   canonical, so parse -> print -> parse is the identity on the typed
+   form. *)
 
 let schema = "scmp-scenario/1"
-
-type loss = {
-  rate : float;
-  seed : int;
-  only : Eventsim.Netsim.pkt_class option;
-}
 
 type t = {
   name : string;
@@ -22,12 +17,7 @@ type t = {
   seeds : int list;
   packets : int;
   master_seed : int;
-  loss : loss option;
-  link_failures : string list;
-  node_failures : string list;
-  partitions : string list;
-  random_link_failures : Exec.Sweep.random_failures option;
-  churn : Exec.Sweep.churn_spec option;
+  perturbation : Exec.Sweep.perturbation;
   check : bool;
 }
 
@@ -104,6 +94,8 @@ let pkt_class_of_string key = function
   | "all" -> Ok None
   | s -> field_error key (Printf.sprintf "data, control or all (got %S)" s)
 
+(* The perturbation sub-objects are read for shape only; their ranges
+   are Exec.Sweep.validate_perturbation's, shared with [scmp_sim run]. *)
 let loss_of_json key v =
   let* fields = get_obj key v in
   let* () = check_known_keys fields [ "rate"; "seed"; "class" ] in
@@ -116,9 +108,7 @@ let loss_of_json key v =
       let* s = get_string "class" v in
       pkt_class_of_string "class" s
   in
-  if rate < 0.0 || rate >= 1.0 then
-    Error "field \"loss.rate\": must satisfy 0 <= rate < 1"
-  else Ok { rate; seed; only }
+  Ok { Exec.Sweep.rate; seed; only }
 
 let random_failures_of_json key v =
   let* fields = get_obj key v in
@@ -126,8 +116,7 @@ let random_failures_of_json key v =
   let* rf_seed = req_field fields "seed" get_int in
   let* rf_count = req_field fields "count" get_int in
   let* rf_restore_after = opt_field fields "restore_after" get_float in
-  if rf_count < 1 then Error "field \"random_link_failures.count\": must be >= 1"
-  else Ok { Exec.Sweep.rf_seed; rf_count; rf_restore_after }
+  Ok { Exec.Sweep.rf_seed; rf_count; rf_restore_after }
 
 let churn_of_json key v =
   let* fields = get_obj key v in
@@ -135,9 +124,7 @@ let churn_of_json key v =
   let* cs_interarrival = req_field fields "interarrival" get_float in
   let* cs_holding = req_field fields "holding" get_float in
   let* cs_seed = opt_field fields "seed" get_int in
-  if cs_interarrival <= 0.0 || cs_holding <= 0.0 then
-    Error "field \"churn\": interarrival and holding must be positive"
-  else Ok { Exec.Sweep.cs_interarrival; cs_holding; cs_seed }
+  Ok { Exec.Sweep.cs_interarrival; cs_holding; cs_seed }
 
 let topo_of_json key v =
   let* s = get_string key v in
@@ -147,12 +134,6 @@ let driver_of_json key v =
   let* s = get_string key v in
   let* _ = Protocols.Driver.find s in
   Ok s
-
-let fault_line parse what key v =
-  let* s = get_string key v in
-  match parse s with
-  | Ok _ -> Ok s
-  | Error e -> Error (Printf.sprintf "field %S: bad %s %S: %s" key what s e)
 
 (* ---- the manifest itself ---- *)
 
@@ -170,7 +151,7 @@ let validate m =
     Error "field \"group_sizes\": must be a non-empty list of positive sizes"
   else if m.seeds = [] then Error "field \"seeds\": must be non-empty"
   else if m.packets < 1 then Error "field \"packets\": must be >= 1"
-  else Ok m
+  else Result.map (fun () -> m) (Exec.Sweep.validate_perturbation m.perturbation)
 
 let grid ~name ~drivers ~topos ~group_sizes ~seeds ~packets ~master_seed
     ~check =
@@ -182,12 +163,7 @@ let grid ~name ~drivers ~topos ~group_sizes ~seeds ~packets ~master_seed
     seeds;
     packets;
     master_seed;
-    loss = None;
-    link_failures = [];
-    node_failures = [];
-    partitions = [];
-    random_link_failures = None;
-    churn = None;
+    perturbation = Exec.Sweep.no_perturbation;
     check;
   }
 
@@ -208,18 +184,10 @@ let of_json j =
     let* packets = opt_field fields "packets" get_int in
     let* master_seed = opt_field fields "master_seed" get_int in
     let* loss = opt_field fields "loss" loss_of_json in
-    let* link_failures =
-      opt_field fields "link_failures" (fun k v ->
-          get_list k (fault_line Eventsim.Faults.parse_link_failure "link failure") v)
-    in
-    let* node_failures =
-      opt_field fields "node_failures" (fun k v ->
-          get_list k (fault_line Eventsim.Faults.parse_node_failure "node failure") v)
-    in
-    let* partitions =
-      opt_field fields "partitions" (fun k v ->
-          get_list k (fault_line Eventsim.Faults.parse_partition "partition") v)
-    in
+    let lines key = opt_field fields key (fun k v -> get_list k get_string v) in
+    let* link_failures = lines "link_failures" in
+    let* node_failures = lines "node_failures" in
+    let* partitions = lines "partitions" in
     let* random_link_failures =
       opt_field fields "random_link_failures" random_failures_of_json
     in
@@ -234,12 +202,15 @@ let of_json j =
         seeds = with_default [ 1 ] seeds;
         packets = with_default 30 packets;
         master_seed = with_default 1 master_seed;
-        loss;
-        link_failures = with_default [] link_failures;
-        node_failures = with_default [] node_failures;
-        partitions = with_default [] partitions;
-        random_link_failures;
-        churn;
+        perturbation =
+          {
+            loss;
+            link_failures = with_default [] link_failures;
+            node_failures = with_default [] node_failures;
+            partitions = with_default [] partitions;
+            random_link_failures;
+            churn;
+          };
         check = with_default false check;
       }
     in
@@ -274,16 +245,17 @@ let to_json m =
       ("master_seed", Obs.Json.Int m.master_seed);
     ]
   in
+  let p = m.perturbation in
   let optional =
     List.concat
       [
-        (match m.loss with
+        (match p.loss with
         | None -> []
         | Some l ->
           [
             ( "loss",
               Obs.Json.Obj
-                (( "rate", Obs.Json.Float l.rate )
+                (( "rate", Obs.Json.Float l.Exec.Sweep.rate )
                  :: ("seed", Obs.Json.Int l.seed)
                  :: (match l.only with
                     | None -> []
@@ -291,13 +263,13 @@ let to_json m =
                     | Some `Control -> [ ("class", Obs.Json.String "control") ]))
             );
           ]);
-        (if m.link_failures = [] then []
-         else [ ("link_failures", strings m.link_failures) ]);
-        (if m.node_failures = [] then []
-         else [ ("node_failures", strings m.node_failures) ]);
-        (if m.partitions = [] then []
-         else [ ("partitions", strings m.partitions) ]);
-        (match m.random_link_failures with
+        (if p.link_failures = [] then []
+         else [ ("link_failures", strings p.link_failures) ]);
+        (if p.node_failures = [] then []
+         else [ ("node_failures", strings p.node_failures) ]);
+        (if p.partitions = [] then []
+         else [ ("partitions", strings p.partitions) ]);
+        (match p.random_link_failures with
         | None -> []
         | Some rf ->
           [
@@ -309,7 +281,7 @@ let to_json m =
                     | None -> []
                     | Some d -> [ ("restore_after", Obs.Json.Float d) ])) );
           ]);
-        (match m.churn with
+        (match p.churn with
         | None -> []
         | Some c ->
           [
@@ -331,15 +303,6 @@ let to_string ?(pretty = true) m = Obs.Json.to_string ~pretty (to_json m)
 (* ---- lowering to an executable sweep ---- *)
 
 let to_sweep m =
-  let* link = collect Eventsim.Faults.parse_link_failure m.link_failures in
-  let* node = collect Eventsim.Faults.parse_node_failure m.node_failures in
-  let* part = collect Eventsim.Faults.parse_partition m.partitions in
-  let faults = List.concat (link @ node @ part) in
-  Ok
-    (Exec.Sweep.make ~packets:m.packets ~master_seed:m.master_seed
-       ?loss:(Option.map (fun l -> (l.rate, l.seed)) m.loss)
-       ?loss_class:(Option.join (Option.map (fun l -> l.only) m.loss))
-       ~faults
-       ?random_link_failures:m.random_link_failures ?churn:m.churn
-       ~drivers:m.drivers ~topos:m.topos ~group_sizes:m.group_sizes
-       ~seeds:m.seeds ())
+  Exec.Sweep.make ~packets:m.packets ~master_seed:m.master_seed
+    ~perturbation:m.perturbation ~drivers:m.drivers ~topos:m.topos
+    ~group_sizes:m.group_sizes ~seeds:m.seeds ()

@@ -6,21 +6,16 @@
     an experiment is reviewable data, not a shell incantation.
 
     Parsing is strict: unknown fields are errors, driver names are
-    validated against the {!Protocols.Driver} list, and every
-    fault program line is checked against the {!Eventsim.Faults}
-    CLI parsers at load time. Printing is canonical (fixed field
-    order, absent optionals omitted), so parse -> print -> parse is
-    the identity on the typed form. *)
+    validated against the {!Protocols.Driver} list, and the
+    perturbation program passes {!Exec.Sweep.validate_perturbation} —
+    the check [scmp_sim run]'s flags pass — at load time; what needs a
+    topology (node ids, links) is checked in each cell by
+    {!Exec.Sweep.perturb}. Printing is canonical (fixed field order,
+    absent optionals omitted), so parse -> print -> parse is the
+    identity on the typed form. *)
 
 val schema : string
 (** ["scmp-scenario/1"]. *)
-
-type loss = {
-  rate : float;  (** Bernoulli drop probability, [0 <= rate < 1]. *)
-  seed : int;
-  only : Eventsim.Netsim.pkt_class option;
-      (** Restrict loss to one class; [None] drops both. *)
-}
 
 type t = {
   name : string;
@@ -30,19 +25,17 @@ type t = {
   seeds : int list;
   packets : int;
   master_seed : int;
-  loss : loss option;
-  link_failures : string list;
-      (** CLI syntax [A-B\@T\[:restore\@T'\]], validated at load. *)
-  node_failures : string list;  (** [N\@T\[:restore\@T'\]]. *)
-  partitions : string list;  (** [a,b,c\@T\[:heal\@T'\]]. *)
-  random_link_failures : Exec.Sweep.random_failures option;
-  churn : Exec.Sweep.churn_spec option;
+  perturbation : Exec.Sweep.perturbation;
+      (** Its parts are the top-level fields [loss], [link_failures],
+          [node_failures], [partitions], [random_link_failures] and
+          [churn]. *)
   check : bool;  (** Run the protocol invariant verifier in each cell. *)
 }
 
 val validate : t -> (t, string) result
-(** The grid checks every manifest passes, parsed or built: non-empty
-    drivers, topologies and seeds, positive group sizes, [packets >= 1]. *)
+(** The checks every manifest passes, parsed or built: non-empty
+    drivers, topologies and seeds, positive group sizes, [packets >= 1],
+    and {!Exec.Sweep.validate_perturbation}. *)
 
 val grid :
   name:string ->
@@ -67,6 +60,6 @@ val to_string : ?pretty:bool -> t -> string
 (** Canonical form (default pretty): fixed field order, absent
     optional sections omitted. *)
 
-val to_sweep : t -> (Exec.Sweep.spec, string) result
-(** Lower to an executable sweep spec, parsing the stored fault
-    program lines. *)
+val to_sweep : t -> Exec.Sweep.spec
+(** The executable sweep spec: the grid and the perturbation as they
+    are. *)

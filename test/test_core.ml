@@ -329,7 +329,7 @@ let test_domain_join_send_leave () =
   | Some t ->
     checkb "tree spans members" true
       (List.for_all (Mtree.Tree.is_member t) members);
-    checkb "tree valid" true (Mtree.Tree.validate t = Ok ())
+    checkb "tree valid" true (Mtree.Tree.well_formed t = Ok ())
   | None -> Alcotest.fail "no tree");
   Domain.send d ~group:g ~src:3;
   Domain.run d;

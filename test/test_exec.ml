@@ -361,8 +361,11 @@ let test_perturb_matches_record_updates () =
     | Ok s -> s.scenario
     | Error msg -> Alcotest.fail msg
   in
+  (* 0-19 is a link of this topology: [perturb] rejects a line that
+     names none. *)
+  let line = "0-19@5.0:restore@9.0" in
   let faults =
-    match Eventsim.Faults.parse_link_failure "1-2@5.0:restore@9.0" with
+    match Eventsim.Faults.parse_link_failure line with
     | Ok f -> f
     | Error msg -> Alcotest.fail msg
   in
@@ -387,16 +390,20 @@ let test_perturb_matches_record_updates () =
           };
     }
   in
-  let got =
-    Sweep.perturb ~loss:(0.05, 42) ~loss_class:`Control ~faults
-      ~random_link_failures:
-        { Sweep.rf_seed = 5; rf_count = 3; rf_restore_after = None }
-      ~churn:{ Sweep.cs_interarrival = 2.0; cs_holding = 5.0; cs_seed = None }
-      ~seed:7 base
+  let p =
+    {
+      Sweep.no_perturbation with
+      loss = Some { Sweep.rate = 0.05; seed = 42; only = Some `Control };
+      link_failures = [ line ];
+      random_link_failures =
+        Some { Sweep.rf_seed = 5; rf_count = 3; rf_restore_after = None };
+      churn = Some { Sweep.cs_interarrival = 2.0; cs_holding = 5.0; cs_seed = None };
+    }
   in
-  checkb "perturb = record updates" true (got = expected);
+  checkb "perturb = record updates" true
+    (Sweep.perturb p ~seed:7 base = Ok expected);
   checkb "no perturbation leaves the scenario alone" true
-    (Sweep.perturb ~seed:7 base = base)
+    (Sweep.perturb Sweep.no_perturbation ~seed:7 base = Ok base)
 
 (* ---- per-topology memos ---- *)
 
@@ -484,8 +491,8 @@ let prop_shared_cells_match_fresh =
             cell
             (Prng.create (seed + cell.index))
         with
-        | r -> Obs.Report.to_string ~wallclock:false r.report
-        | exception Invalid_argument msg -> msg (* a draw of the m-router only *)
+        | Ok r -> Obs.Report.to_string ~wallclock:false r.report
+        | Error msg -> msg (* a draw of the m-router only *)
       in
       let shared =
         Domain.join

@@ -250,7 +250,7 @@ let test_domain_matches_mrouter_tree_invariants () =
   match Scmp.Domain.tree d ~group:g with
   | None -> checki "no members means no tree needed" 0 (List.length !members)
   | Some t ->
-    checkb "tree valid" true (Mtree.Tree.validate t = Ok ());
+    checkb "tree valid" true (Mtree.Tree.well_formed t = Ok ());
     Alcotest.check
       Alcotest.(list int)
       "tree members match domain membership"

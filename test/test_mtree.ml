@@ -17,7 +17,7 @@ let checki = Alcotest.check Alcotest.int
 let checkf msg = Alcotest.check (Alcotest.float 1e-9) msg
 
 let assert_valid name t =
-  match Tree.validate t with
+  match Tree.well_formed t with
   | Ok () -> ()
   | Error e -> Alcotest.failf "%s: invalid tree: %s" name e
 
@@ -178,7 +178,7 @@ let prop_tree_random_churn_valid =
           | None -> ());
           if Tree.on_tree t x then Tree.set_member t x
         end;
-        if Tree.validate t <> Ok () then ok := false
+        if Tree.well_formed t <> Ok () then ok := false
       done;
       !ok)
 
@@ -413,7 +413,7 @@ let prop_dcdm_respects_bound =
           let max_ul =
             List.fold_left (fun acc m -> Float.max acc (A.delay apsp 0 m)) 0.0 members
           in
-          Tree.validate t = Ok ()
+          Tree.well_formed t = Ok ()
           && Eval.tree_delay t
              <= Bound.limit bound ~max_unicast_delay:max_ul +. 1e-9)
         [ Bound.Tightest; Bound.Moderate; Bound.Factor 2.0 ])
@@ -444,7 +444,7 @@ let prop_dcdm_churn_valid =
       for _ = 1 to 150 do
         let x = 1 + Prng.int rng 59 in
         if Tree.is_member (Dcdm.tree d) x then Dcdm.leave d x else Dcdm.join d x;
-        if Tree.validate (Dcdm.tree d) <> Ok () then ok := false
+        if Tree.well_formed (Dcdm.tree d) <> Ok () then ok := false
       done;
       !ok)
 
@@ -468,7 +468,7 @@ let test_dcdm_candidate_ablation_variants () =
       let t =
         Dcdm.build ~candidates apsp ~root:0 ~bound:Bound.Moderate ~members
       in
-      checkb "variant builds a valid tree" true (Tree.validate t = Ok ());
+      checkb "variant builds a valid tree" true (Tree.well_formed t = Ok ());
       checkb "variant spans members" true
         (List.for_all (Tree.is_member t) members))
     [ Dcdm.Least_cost_only; Dcdm.Shortest_delay_only; Dcdm.Both ];
@@ -491,7 +491,7 @@ let test_dcdm_factor_bound () =
   in
   checkb "within 1.2x of max unicast delay" true
     (Eval.tree_delay t <= (1.2 *. max_ul) +. 1e-6);
-  checkb "valid" true (Tree.validate t = Ok ())
+  checkb "valid" true (Tree.well_formed t = Ok ())
 
 (* ---------------- KMB ---------------- *)
 
@@ -526,7 +526,7 @@ let prop_kmb_structure =
       let rng = Prng.create (seed * 151) in
       let members = random_members rng 60 k 0 in
       let t = Kmb.build apsp ~root:0 ~members in
-      Tree.validate t = Ok ()
+      Tree.well_formed t = Ok ()
       && List.for_all (fun m -> Tree.is_member t m) members
       && List.for_all
            (fun x ->
@@ -638,7 +638,7 @@ let prop_spt_member_delays_are_unicast =
       let rng = Prng.create (seed * 157) in
       let members = random_members rng 60 k 0 in
       let t = Spt.build apsp ~root:0 ~members in
-      Tree.validate t = Ok ()
+      Tree.well_formed t = Ok ()
       && List.for_all
            (fun (m, d) -> Float.abs (d -. A.delay apsp 0 m) < 1e-6)
            (Eval.member_delays t))

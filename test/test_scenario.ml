@@ -73,8 +73,13 @@ let test_manifest_defaults () =
   checki "master seed" 1 m.master_seed;
   checkb "no check" false m.check;
   checkb "no perturbations" true
-    (m.loss = None && m.link_failures = [] && m.random_link_failures = None
-   && m.churn = None)
+    (m.perturbation = Exec.Sweep.no_perturbation)
+
+let tiny_manifest extra =
+  Printf.sprintf
+    {|{"schema": "scmp-scenario/1", "name": "x",
+       "drivers": ["scmp"], "topologies": ["arpanet"]%s}|}
+    extra
 
 let test_manifest_strictness () =
   let err s =
@@ -82,12 +87,7 @@ let test_manifest_strictness () =
     | Ok _ -> Alcotest.failf "expected an error for %s" s
     | Error e -> e
   in
-  let base extra =
-    Printf.sprintf
-      {|{"schema": "scmp-scenario/1", "name": "x",
-         "drivers": ["scmp"], "topologies": ["arpanet"]%s}|}
-      extra
-  in
+  let base = tiny_manifest in
   checkb "unknown key named" true
     (contains ~needle:"topologeis" (err (base {|, "topologeis": []|})));
   checkb "unknown driver surfaces registry error" true
@@ -122,22 +122,31 @@ let test_flag_grid_matches_sweep_make () =
   let module Sweep = Exec.Sweep in
   List.iter
     (fun (drivers, topos, group_sizes, seeds, packets, master_seed) ->
-      let lowered =
+      let m =
         match
-          Result.bind
-            (Manifest.validate
-               (Manifest.grid ~name:"sweep" ~drivers ~topos ~group_sizes
-                  ~seeds ~packets ~master_seed ~check:false))
-            Manifest.to_sweep
+          Manifest.validate
+            (Manifest.grid ~name:"sweep" ~drivers ~topos ~group_sizes ~seeds
+               ~packets ~master_seed ~check:false)
         with
-        | Ok s -> s
-        | Error e -> Alcotest.failf "lowering: %s" e
+        | Ok m -> m
+        | Error e -> Alcotest.failf "validate: %s" e
       in
+      let lowered = Manifest.to_sweep m in
       let direct =
         Sweep.make ~packets ~master_seed ~drivers ~topos ~group_sizes ~seeds ()
       in
       checkb "same cells" true (Sweep.cells lowered = Sweep.cells direct);
-      checkb "same grid and perturbation fields" true (lowered = direct))
+      checkb "same grid and perturbation fields" true (lowered = direct);
+      (* a perturbation rides through the lowering as it is *)
+      let p =
+        match Manifest.of_string full_manifest with
+        | Ok full -> full.perturbation
+        | Error e -> Alcotest.failf "parse: %s" e
+      in
+      checkb "perturbation carried" true
+        (Manifest.to_sweep { m with perturbation = p }
+        = Sweep.make ~packets ~master_seed ~perturbation:p ~drivers ~topos
+            ~group_sizes ~seeds ()))
     [
       ([ "scmp" ], [ Sweep.Random3 50 ], [ 16 ], [ 1; 2 ], 30, 1);
       ( [ "scmp"; "cbt"; "dvmrp"; "mospf"; "pim-sm"; "hpim-dm" ],
@@ -282,11 +291,7 @@ let test_manifest_sweep_jobs_deterministic () =
     | Ok m -> m
     | Error e -> Alcotest.failf "parse: %s" e
   in
-  let spec =
-    match Manifest.to_sweep m with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "to_sweep: %s" e
-  in
+  let spec = Manifest.to_sweep m in
   let run jobs =
     match Exec.Sweep.run ~jobs spec with
     | Ok o -> Obs.Report.to_string ~wallclock:false o.Exec.Sweep.report
@@ -302,6 +307,241 @@ let test_manifest_sweep_jobs_deterministic () =
     && contains ~needle:"random_link_failures" r1
     && contains ~needle:"churn" r1)
 
+(* ---------------- malformed perturbations ---------------- *)
+
+(* Beside this test's own build directory, whatever the working
+   directory it runs from. *)
+let beside_test path =
+  List.fold_left Filename.concat
+    (Filename.dirname Sys.executable_name)
+    (Filename.parent_dir_name :: path)
+
+let sim_exe = beside_test [ "bin"; "scmp_sim.exe" ]
+
+(* [scmp_sim run]'s exit code and stderr on ARPANET, seed 1. *)
+let run_cli args =
+  let err = Filename.temp_file "scmp_run" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s run --topo arpanet -p scmp --packets 5 %s >/dev/null 2>%s"
+         (Filename.quote sim_exe) args (Filename.quote err))
+  in
+  let stderr = In_channel.with_open_text err In_channel.input_all in
+  Sys.remove err;
+  (code, stderr)
+
+let arpanet_base =
+  lazy
+    (match
+       Scmp.Setup.draw ~rng:(Scmp_util.Prng.create 24) ~group_size:16
+         ~packets:5
+         (Exec.Sweep.generate_topo Exec.Sweep.Arpanet 1)
+     with
+    | Ok s -> s.scenario
+    | Error e -> Alcotest.failf "draw: %s" e)
+
+(* Where a malformed program is rejected when it does not come from
+   the CLI: at load, or (for what needs the graph) by [Sweep.perturb]
+   on an ARPANET cell; a record for what JSON cannot write. *)
+type counterpart = Manifest of string | Record of Exec.Sweep.perturbation
+
+let counterpart_error c =
+  let perturb p =
+    match Exec.Sweep.perturb p ~seed:1 (Lazy.force arpanet_base) with
+    | Error e -> Some e
+    | Ok _ -> None
+  in
+  match c with
+  | Record p -> perturb p
+  | Manifest extra -> (
+    match Manifest.of_string (tiny_manifest (", " ^ extra)) with
+    | Error e -> Some e
+    | Ok m -> perturb m.perturbation)
+
+(* Each row: [run]'s flags, their manifest counterpart, and the field
+   and value the error must name. Every row raised (exit 125) or was
+   silently accepted before the one validator. *)
+let malformed =
+  let no_p = Exec.Sweep.no_perturbation in
+  let manifest extra = Some (Manifest extra) in
+  [
+    (Some "--loss=1.5", manifest {|"loss": {"rate": 1.5, "seed": 42}|},
+     "loss.rate", "1.5");
+    (Some "--loss=-0.1", manifest {|"loss": {"rate": -0.1, "seed": 42}|},
+     "loss.rate", "-0.1");
+    (Some "--loss=nan",
+     Some
+       (Record
+          { no_p with loss = Some { Exec.Sweep.rate = Float.nan; seed = 42; only = None } }),
+     "loss.rate", "nan");
+    (Some "--fault-seed=1 --fault-count=-1",
+     manifest {|"random_link_failures": {"seed": 1, "count": -1}|},
+     "random_link_failures.count", "-1");
+    (Some "--churn-rate=5 --churn-hold=0",
+     manifest {|"churn": {"interarrival": 0.2, "holding": 0}|},
+     "churn.holding", "0");
+    (Some "--fail-link=0-99@5", manifest {|"link_failures": ["0-99@5"]|},
+     "link_failures", {|"0-99@5"|});
+    (Some "--fail-link=0-40@5", manifest {|"link_failures": ["0-40@5"]|},
+     "link_failures", {|"0-40@5"|});
+    (Some "--fail-node=999@5", manifest {|"node_failures": ["999@5"]|},
+     "node_failures", {|"999@5"|});
+    (Some "--partition=0,999@5", manifest {|"partitions": ["0,999@5"]|},
+     "partitions", {|"0,999@5"|});
+    (Some "--fail-link=0-1@-5", manifest {|"link_failures": ["0-1@-5"]|},
+     "link_failures", {|"0-1@-5"|});
+    (Some "--fail-link=1-2@nan", manifest {|"link_failures": ["1-2@nan"]|},
+     "link_failures", {|"1-2@nan"|});
+    (Some "--trace-limit=-3 --trace=never-written.tr", None, "--trace-limit", "-3");
+    (None,
+     manifest {|"random_link_failures": {"seed": 1, "count": 1, "restore_after": -2}|},
+     "random_link_failures.restore_after", "-2");
+  ]
+
+let test_malformed_perturbations () =
+  checkb "scmp_sim built" true (Sys.file_exists sim_exe);
+  List.iter
+    (fun (args, counterpart, field, value) ->
+      Option.iter
+        (fun args ->
+          let code, stderr = run_cli args in
+          Alcotest.check Alcotest.int (args ^ ": usage error") 2 code;
+          checkb (args ^ ": stderr names " ^ field) true
+            (contains ~needle:field stderr))
+        args;
+      Option.iter
+        (fun c ->
+          match counterpart_error c with
+          | None -> Alcotest.failf "%s: the counterpart is accepted" field
+          | Some e ->
+            checkb
+              (Printf.sprintf "%S names %s and %s" e field value)
+              true
+              (contains ~needle:(Printf.sprintf "%S" field) e
+              && contains ~needle:value e))
+        counterpart)
+    malformed
+
+(* ---------------- parser fuzzing ---------------- *)
+
+(* Mutation fuzzing: byte flips, insertions, deletions and truncations
+   of valid inputs. A parser answers Ok or Error, never raises; and a
+   program that parses either lowers onto an ARPANET cell and runs its
+   faults to the end, or is an Error — never an exception. *)
+
+type mutation =
+  | Flip of int * int  (** XOR the byte at a position with a bit. *)
+  | Insert of int * char
+  | Delete of int
+  | Truncate of int
+
+let apply_mutation s m =
+  let n = String.length s in
+  match m with
+  | Flip (i, bit) when n > 0 ->
+    let i = i mod n in
+    String.mapi
+      (fun j c -> if j = i then Char.chr (Char.code c lxor (1 lsl bit)) else c)
+      s
+  | Insert (i, c) ->
+    let i = i mod (n + 1) in
+    String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+  | Delete i when n > 0 ->
+    let i = i mod n in
+    String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+  | Truncate i -> String.sub s 0 (i mod (n + 1))
+  | Flip _ | Delete _ -> s
+
+let gen_mutation =
+  let open QCheck.Gen in
+  (* Characters the grammars care about, so insertions often land
+     in a value rather than only breaking the syntax. *)
+  let char =
+    oneof [ oneofl (List.of_seq (String.to_seq "0123456789-+.,:@eE\"[]{} nainfrstohl")); char ]
+  in
+  oneof
+    [
+      map2 (fun i b -> Flip (i, b)) nat (int_bound 7);
+      map2 (fun i c -> Insert (i, c)) nat char;
+      map (fun i -> Delete i) nat;
+      map (fun i -> Truncate i) nat;
+    ]
+
+let arb_mutant seeds =
+  QCheck.make
+    ~print:(fun s -> Printf.sprintf "%S" s)
+    QCheck.Gen.(
+      map2 (List.fold_left apply_mutation)
+        (fun st -> oneofl (Lazy.force seeds) st)
+        (list_size (frequency [ (3, return 1); (1, int_range 2 4) ]) gen_mutation))
+
+(* Install what [perturb] returns on a network of the cell's graph and
+   run the engine through every fault; churn is started (which checks
+   its means) on an engine of its own that never runs. *)
+let lowers_and_runs p =
+  match Exec.Sweep.perturb p ~seed:1 (Lazy.force arpanet_base) with
+  | Error _ -> true
+  | Ok sc ->
+    let e = Eventsim.Engine.create () in
+    let net =
+      Eventsim.Netsim.create e (Topology.Spec.sim_graph sc.spec)
+        ~classify:(fun () -> `Data)
+    in
+    Option.iter
+      (fun (rate, seed) ->
+        Eventsim.Netsim.set_loss ?only:sc.loss_class net ~rate ~seed)
+      sc.loss;
+    ignore (Eventsim.Faults.install net sc.faults);
+    Eventsim.Engine.run e;
+    Option.iter
+      (fun (c : Protocols.Runner.churn) ->
+        ignore
+          (Protocols.Churn.start (Eventsim.Engine.create ())
+             ~rng:(Scmp_util.Prng.create c.churn_seed) ~candidates:[ 0 ]
+             ~join:ignore ~leave:ignore ~mean_interarrival:c.mean_interarrival
+             ~mean_holding:c.mean_holding ~horizon:c.horizon))
+      sc.churn;
+    true
+
+let checked_in_manifests =
+  lazy
+    (full_manifest
+    :: List.map
+       (fun f ->
+         In_channel.with_open_text
+           (beside_test [ "examples"; "scenarios"; f ])
+           In_channel.input_all)
+       [ "clean_compare.json"; "fault_compare.json" ])
+
+let prop_manifest_fuzz =
+  QCheck.Test.make ~count:3000 ~name:"Manifest.of_string: mutants are Ok or Error"
+    (arb_mutant checked_in_manifests) (fun s ->
+      match Manifest.of_string s with
+      | Error _ -> true
+      | Ok m -> lowers_and_runs m.perturbation)
+
+let fault_lines =
+  [
+    "23-24@15.0:restore@22.0"; "23-24@15.0"; "7@10.0"; "5@1.25:restore@9.5";
+    "3,5,9@5.0:heal@6.0"; "0,1,2@3.5"; "1-2@0"; "47@1e1:restore@2e1";
+  ]
+
+let prop_fault_line_fuzz =
+  QCheck.Test.make ~count:3000
+    ~name:"Faults.parse_*: mutants are Ok or Error"
+    (arb_mutant (Lazy.from_val fault_lines)) (fun line ->
+      let no_p = Exec.Sweep.no_perturbation in
+      List.for_all
+        (fun (parse, p) ->
+          match parse line with
+          | Error _ -> true
+          | Ok _ -> lowers_and_runs p)
+        [
+          (Eventsim.Faults.parse_link_failure, { no_p with link_failures = [ line ] });
+          (Eventsim.Faults.parse_node_failure, { no_p with node_failures = [ line ] });
+          (Eventsim.Faults.parse_partition, { no_p with partitions = [ line ] });
+        ])
+
 let () =
   Alcotest.run "scenario"
     [
@@ -312,6 +552,10 @@ let () =
           Alcotest.test_case "strictness" `Quick test_manifest_strictness;
           Alcotest.test_case "flag grid = Sweep.make" `Quick
             test_flag_grid_matches_sweep_make;
+          Alcotest.test_case "malformed perturbations are errors" `Quick
+            test_malformed_perturbations;
+          QCheck_alcotest.to_alcotest prop_manifest_fuzz;
+          QCheck_alcotest.to_alcotest prop_fault_line_fuzz;
         ] );
       ( "ab",
         [
