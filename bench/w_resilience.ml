@@ -13,7 +13,7 @@ let faults_bench () =
   let base =
     (draw ~rng:(Scmp_util.Prng.create 41) ~group_size:12 spec).scenario
   in
-  let run_case ?loss ?loss_class ~fail_count () =
+  let run_case ?loss ~fail_count () =
     let faults =
       if fail_count = 0 then []
       else
@@ -21,7 +21,7 @@ let faults_bench () =
           ~t0:base.Protocols.Runner.data_start
           ~t1:(Protocols.Runner.data_end base) spec.Topology.Spec.graph
     in
-    let sc = { base with Protocols.Runner.loss; loss_class; faults } in
+    let sc = { base with Protocols.Runner.loss; faults } in
     let report = Obs.Report.create ~name:"bench-faults" () in
     let r =
       Protocols.Runner.run ~report (Protocols.Driver.find_exn "scmp") sc
@@ -30,6 +30,7 @@ let faults_bench () =
     let c name = Obs.Metrics.counter_value (Obs.Metrics.counter m name) in
     (r, c "scmp/retransmissions", c "scmp/giveups", c "scmp/repair/count")
   in
+  let control_loss = { Eventsim.Netsim.rate = 0.05; seed = 42; only = Some `Control } in
   let tab =
     T.create
       [
@@ -43,8 +44,8 @@ let faults_bench () =
       ]
   in
   List.iter
-    (fun (name, loss, loss_class, fail_count) ->
-      let r, retx, giveups, repairs = run_case ?loss ?loss_class ~fail_count () in
+    (fun (name, loss, fail_count) ->
+      let r, retx, giveups, repairs = run_case ?loss ~fail_count () in
       T.add_row tab
         [
           name;
@@ -56,10 +57,10 @@ let faults_bench () =
           Printf.sprintf "%.0f" r.protocol_overhead;
         ])
     [
-      ("no faults", None, None, 0);
-      ("5% control loss", Some (0.05, 42), Some `Control, 0);
-      ("2 random link failures", None, None, 2);
-      ("loss + 2 failures", Some (0.05, 42), Some `Control, 2);
+      ("no faults", None, 0);
+      ("5% control loss", Some control_loss, 0);
+      ("2 random link failures", None, 2);
+      ("loss + 2 failures", Some control_loss, 2);
     ];
   print_table
     ~title:

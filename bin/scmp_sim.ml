@@ -399,7 +399,7 @@ let run_cmd =
       {
         Exec.Sweep.loss =
           Option.map
-            (fun rate -> { Exec.Sweep.rate; seed = loss_seed; only = loss_class })
+            (fun rate -> { Eventsim.Netsim.rate; seed = loss_seed; only = loss_class })
             loss;
         link_failures = fail_links;
         node_failures = fail_nodes;

@@ -230,6 +230,9 @@ cat > /tmp/malformed_manifest.json <<'EOF'
 }
 EOF
 malformed $SIM sweep --manifest /tmp/malformed_manifest.json --jobs 1
+# A churn too dense to simulate is refused up front, not run for ever.
+malformed timeout 10 $SIM run --topo arpanet -p scmp --packets 5 \
+  --churn-rate=1e300
 
 # Split-brain smoke: partition the primary m-router away mid-session
 # on a scripted cut and heal it — invariants on (stale-epoch fencing
@@ -244,13 +247,17 @@ $SIM metric /tmp/partition_smoke.json 'delivery/ratio' --ge 0.95 > /dev/null
 
 # Chaos smoke: a fixed-seed 20-trial campaign (randomized link flaps,
 # crashes, partitions, m-router kills, loss) must trip zero invariants,
-# and the campaign report must be byte-identical for jobs=1 and jobs=4.
-echo "== chaos smoke (seeded campaign, 0 violations, jobs determinism)"
+# the campaign report must be byte-identical for jobs=1 and jobs=4, and
+# it must match the committed baseline byte for byte: the plan's draw
+# order (background loss included) and every trial's outcome are pinned
+# across commits.
+echo "== chaos smoke (seeded campaign, 0 violations, jobs determinism, baseline)"
 $SIM chaos --trials 20 --seed 1 --topo waxman:40 \
   --drivers scmp --jobs 1 --report /tmp/chaos_j1.json > /dev/null
 $SIM chaos --trials 20 --seed 1 --topo waxman:40 \
   --drivers scmp --jobs 4 --report /tmp/chaos_j4.json > /dev/null
 cmp /tmp/chaos_j1.json /tmp/chaos_j4.json
+cmp examples/scenarios/chaos_smoke.baseline.json /tmp/chaos_j1.json
 $SIM metric /tmp/chaos_j1.json 'chaos/trials' --eq 20 > /dev/null
 $SIM metric /tmp/chaos_j1.json 'chaos/violations' --eq 0 > /dev/null
 

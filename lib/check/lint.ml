@@ -30,20 +30,18 @@ let compare_violations a b =
 
 let lines s = String.split_on_char '\n' s
 
-let path_contains path needle =
-  let n = String.length path and m = String.length needle in
+let contains s needle =
+  let n = String.length s and m = String.length needle in
   let rec scan i =
-    if i + m > n then false else String.sub path i m = needle || scan (i + 1)
+    if i + m > n then false else String.sub s i m = needle || scan (i + 1)
   in
   scan 0
 
-let in_protocols path = path_contains path "protocols"
-let in_eventsim path = path_contains path "eventsim"
-let in_exec path = path_contains path "exec"
-let in_obs path = path_contains path "obs"
-let in_topology path = path_contains path "topology"
-let in_netgraph path = path_contains path "netgraph"
-let in_lib path = path_contains path "lib"
+(* Rules are scoped by directory: [in_dir "obs" p] holds when [obs] is
+   one of [p]'s directory components, so lib/obs/clock.ml is in obs and
+   lib/core/observer.ml is not. *)
+let in_dir dir path =
+  List.mem dir (String.split_on_char '/' (Filename.dirname path))
 
 (* ---- rule ids ---- *)
 
@@ -189,7 +187,7 @@ let ast_domain_safety (ctx : Rule.ctx) structure =
                  pre))
           hit
       | _ -> ());
-  if in_lib ctx.source.path then
+  if in_dir "lib" ctx.source.path then
     List.iter
       (fun (name, line) ->
         ctx.emit ~line
@@ -508,22 +506,22 @@ let registry : Rule.t list =
       ~scope:Rule.everywhere ~ast:ast_hashtbl_find;
     Rule.make ~id:rule_failwith ~severity:Error
       ~doc:"no failwith inside lib/protocols (event-loop hot path)"
-      ~scope:in_protocols ~ast:ast_failwith;
+      ~scope:(in_dir "protocols") ~ast:ast_failwith;
     Rule.make ~id:rule_raw_transmit ~severity:Error
       ~doc:"no raw Netsim.transmit outside the protocol layer"
-      ~scope:(fun p -> not (in_protocols p || in_eventsim p))
+      ~scope:(fun p -> not (in_dir "protocols" p || in_dir "eventsim" p))
       ~ast:ast_raw_transmit;
     Rule.make ~id:rule_raw_fault ~severity:Error
       ~doc:
         "no raw Netsim fault/restore primitives outside lib/eventsim; \
          script failures through Eventsim.Faults"
-      ~scope:(fun p -> not (in_eventsim p))
+      ~scope:(fun p -> not (in_dir "eventsim" p))
       ~ast:ast_raw_fault;
     Rule.make ~id:rule_domain_safety ~severity:Error
       ~doc:
         "concurrency primitives stay in lib/exec; no shared top-level \
          mutable state in library modules"
-      ~scope:(fun p -> not (in_exec p))
+      ~scope:(fun p -> not (in_dir "exec" p))
       ~ast:ast_domain_safety;
     Rule.make ~id:rule_hashtbl_iter_order ~severity:Warn
       ~doc:
@@ -532,7 +530,7 @@ let registry : Rule.t list =
       ~scope:Rule.everywhere ~ast:ast_hashtbl_iter_order;
     Rule.make ~id:rule_wallclock ~severity:Error
       ~doc:"wallclock reads go through Obs.Clock only"
-      ~scope:(fun p -> not (in_obs p))
+      ~scope:(fun p -> not (in_dir "obs" p))
       ~ast:ast_wallclock;
     Rule.make ~id:rule_unseeded_random ~severity:Error
       ~doc:"no Stdlib.Random; stochastic inputs come from seeded Prng streams"
@@ -551,14 +549,14 @@ let registry : Rule.t list =
         "Graph.Builder stays inside topology construction \
          (lib/topology, lib/netgraph); every other layer consumes the \
          frozen Graph.t"
-      ~scope:(fun p -> not (in_topology p || in_netgraph p))
+      ~scope:(fun p -> not (in_dir "topology" p || in_dir "netgraph" p))
       ~ast:ast_graph_freeze;
     Rule.make ~id:rule_raw_engine_queue ~severity:Error
       ~doc:
         "the engine owns the event queue: no direct Heap or \
          Radix_heap frontier inside lib/eventsim outside engine.ml"
       ~scope:(fun p ->
-        in_eventsim p && not (has_prefix (Filename.basename p) "engine."))
+        in_dir "eventsim" p && not (has_prefix (Filename.basename p) "engine."))
       ~ast:ast_raw_engine_queue;
   ]
 
@@ -718,7 +716,7 @@ let scan_dune ~path src =
     match String.index_opt l ';' with Some i -> String.sub l 0 i | None -> l
   in
   let has_warn_error =
-    List.exists (fun l -> path_contains (code l) "-warn-error") (lines src)
+    List.exists (fun l -> contains (code l) "-warn-error") (lines src)
   in
   if has_warn_error then []
   else
@@ -754,12 +752,6 @@ let read_file p =
 let has_suffix s suf =
   let n = String.length s and m = String.length suf in
   n >= m && String.sub s (n - m) m = suf
-
-let under_lib path =
-  path = "lib"
-  || has_suffix (Filename.dirname path) "lib"
-  || (String.length path >= 4 && String.sub path 0 4 = "lib/")
-  || path_contains path "/lib/"
 
 (* ---- unused-export ---- *)
 
@@ -868,7 +860,7 @@ let scan ?rules ?max_severity roots =
           | Some markers ->
           (* mli-coverage: every library module carries an interface *)
           let mli_missing =
-            under_lib p
+            in_dir "lib" p
             && (not (Sys.file_exists (p ^ "i")))
             && selected ?rules ?max_severity rule_mli
           in
@@ -891,7 +883,7 @@ let scan ?rules ?max_severity roots =
           if audit then push (unused_markers ~path:p markers)
         end
         else if
-          Filename.basename p = "dune" && under_lib p
+          Filename.basename p = "dune" && in_dir "lib" p
           && selected ?rules ?max_severity rule_dune_flags
         then begin
           incr scanned;

@@ -10,11 +10,7 @@ let drop_reason_label = function
   | Link_down -> "link_down"
   | Node_down -> "node_down"
 
-type loss_model = {
-  rate : float;
-  only : pkt_class option;
-  rng : Scmp_util.Prng.t;
-}
+type loss = { rate : float; seed : int; only : pkt_class option }
 
 (* Dense-edge-id bitset over [Bytes]. *)
 let bitset_make m = Bytes.make ((m + 7) / 8) '\000'
@@ -125,7 +121,7 @@ type 'm t = {
   mutable control_bytes : int;
   per_link : int array;  (* crossings by edge id *)
   hooks : (src:node -> dst:node -> 'm -> unit) hookset;
-  mutable loss : loss_model option;
+  mutable loss : (loss * Scmp_util.Prng.t) option;
   mutable dropped : int;
   mutable dropped_loss : int;
   mutable dropped_no_route : int;
@@ -175,12 +171,11 @@ let set_node_processing t x station ~service_time =
     invalid_arg "Netsim.set_node_processing: negative service time";
   t.processing.(x) <- Some (station, service_time)
 
-let set_loss ?only t ~rate ~seed =
-  if rate < 0.0 || rate >= 1.0 then
+let set_loss t l =
+  if not (l.rate >= 0.0 && l.rate < 1.0) then
     invalid_arg "Netsim.set_loss: rate must be in [0, 1)";
   t.loss <-
-    (if rate = 0.0 then None
-     else Some { rate; only; rng = Scmp_util.Prng.create seed })
+    (if l.rate = 0.0 then None else Some (l, Scmp_util.Prng.create l.seed))
 
 let dropped t = t.dropped
 
@@ -250,34 +245,15 @@ let edge_of t a b msg =
   | -1 -> invalid_arg msg
   | e -> e
 
-let fail_link t a b =
-  let e = edge_of t a b "Netsim.fail_link: no such link" in
-  if not (bit_get t.dead_edge e) then begin
-    bit_set t.dead_edge e;
-    t.link_fails.(e) <- t.link_fails.(e) + 1;
-    Routes.note_edge_down t.routes e;
-    reconverge t
-  end
-
-let restore_link t a b =
-  let e = edge_of t a b "Netsim.restore_link: no such link" in
-  if bit_get t.dead_edge e then begin
-    bit_clear t.dead_edge e;
-    (* Only an effective revival invalidates: the link may still be
-       severed by a dead endpoint, in which case nothing changed. *)
-    if edge_alive t e then Routes.note_edge_up t.routes e;
-    reconverge t
-  end
-
-(* Batch link faults: used by partition events, where the whole cut-set
-   must flip in one atomic step — route invalidation runs per edge, but
-   the epoch bump and the topology-change hooks fire once for the whole
-   batch, so protocol agents see one reconvergence per cut instead of
-   one per severed link. *)
-let fail_links t pairs =
-  let edges =
-    List.map (fun (a, b) -> edge_of t a b "Netsim.fail_links: no such link") pairs
-  in
+(* One path per direction for link faults; a single link is a
+   one-element batch. A batch is atomic — a partition flips its whole
+   cut-set in one step: route invalidation runs per edge, but the epoch
+   bump and the topology-change hooks fire once for the batch, so
+   protocol agents see one reconvergence per cut instead of one per
+   severed link. The batch is validated before anything changes; [msg]
+   names the entry point in the error. *)
+let kill_links ~msg t pairs =
+  let edges = List.map (fun (a, b) -> edge_of t a b msg) pairs in
   let effective = ref false in
   List.iter
     (fun e ->
@@ -290,21 +266,27 @@ let fail_links t pairs =
     edges;
   if !effective then reconverge t
 
-let restore_links t pairs =
-  let edges =
-    List.map (fun (a, b) -> edge_of t a b "Netsim.restore_links: no such link")
-      pairs
-  in
+let revive_links ~msg t pairs =
+  let edges = List.map (fun (a, b) -> edge_of t a b msg) pairs in
   let effective = ref false in
   List.iter
     (fun e ->
       if bit_get t.dead_edge e then begin
         bit_clear t.dead_edge e;
+        (* Only an effective revival invalidates: the link may still be
+           severed by a dead endpoint, in which case nothing changed. *)
         if edge_alive t e then Routes.note_edge_up t.routes e;
         effective := true
       end)
     edges;
   if !effective then reconverge t
+
+let fail_links t = kill_links ~msg:"Netsim.fail_links: no such link" t
+let restore_links t = revive_links ~msg:"Netsim.restore_links: no such link" t
+let fail_link t a b = kill_links ~msg:"Netsim.fail_link: no such link" t [ (a, b) ]
+
+let restore_link t a b =
+  revive_links ~msg:"Netsim.restore_link: no such link" t [ (a, b) ]
 
 (* A node fault is, for routing purposes, the fault of its incident
    edges: cached SPTs reach (or leave) x only across those, so applying
@@ -344,7 +326,7 @@ let edge_stamp t e = t.link_fails.(e) + t.node_fails.(t.eu.(e)) + t.node_fails.(
 let lost t ~src ~dst msg =
   match t.loss with
   | None -> false
-  | Some { rate; only; rng } ->
+  | Some ({ rate; only; _ }, rng) ->
     let eligible =
       match (only, t.classify msg) with
       | None, _ -> true

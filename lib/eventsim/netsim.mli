@@ -124,11 +124,19 @@ val set_node_processing : 'm t -> node -> Server.t -> service_time:float -> unit
 
 (** {2 Failure injection} *)
 
-val set_loss : ?only:pkt_class -> 'm t -> rate:float -> seed:int -> unit
+type loss = {
+  rate : float;  (** Drop probability per link crossing, in [\[0, 1)]. *)
+  seed : int;  (** Seed of the loss coin's private stream. *)
+  only : pkt_class option;  (** Restrict loss to one class; [None] drops both. *)
+}
+(** One packet-loss program — the one shape loss has from a manifest's
+    [loss] field and [scmp_sim run]'s flags down to the network. *)
+
+val set_loss : 'm t -> loss -> unit
 (** Bernoulli packet loss per link crossing: each crossing is charged
     (the bits were sent) and then killed with probability [rate]. A
     multi-hop unicast dies at the first lost hop, charging only the
-    hops it travelled. With [~only] the coin is tossed only for packets
+    hops it travelled. With [only] the coin is tossed only for packets
     of that class (e.g. [`Control] for a lossy control plane over a
     reliable data plane); other packets are never lost and never
     consume randomness. [rate = 0.] disables loss.

@@ -1,5 +1,5 @@
 (* Seeded chaos campaigns: randomized fault programs over the protocol
-   runner, executed on a Pool with the invariant verifier on.
+   runner, executed by Batch with the invariant verifier on.
 
    Everything a trial does is decided at planning time, before any
    worker runs: the topology seed, the member sample and the fault
@@ -12,8 +12,8 @@
    Isolation follows the Sweep contract: workers get the topology
    from the descriptor's seed inside their task (through
    [Sweep.generate_topo]'s per-domain memo, so a shrink's replays
-   can share one spec), drivers are resolved before dispatch, and
-   per-trial reports merge in trial-index order, so the campaign
+   can share one spec), and Batch resolves drivers before dispatch and
+   merges per-trial reports in trial-index order, so the campaign
    report serialized with [~wallclock:false] is byte-identical for
    every jobs count. *)
 
@@ -44,7 +44,7 @@ type trial = {
   source : int;
   members : int list;
   program : fault_unit list;
-  loss : (float * int) option;
+  loss : Eventsim.Netsim.loss option;
 }
 
 let trial_name t =
@@ -129,8 +129,12 @@ let draw_program rng g ~center ~source ~t0 ~t1 =
         }
         :: !units
     | _ ->
-      (* Background packet loss for the whole run; last draw wins. *)
-      loss := Some (0.01 +. Prng.float rng 0.04, big ())
+      (* Background packet loss for the whole run; last draw wins. The
+         seed is drawn before the rate: the order of the two draws is
+         part of every plan. *)
+      let seed = big () in
+      let rate = 0.01 +. Prng.float rng 0.04 in
+      loss := Some { Eventsim.Netsim.rate; seed; only = None }
   done;
   (List.rev !units, !loss)
 
@@ -199,8 +203,13 @@ let run_trial ~packets driver (t : trial) =
   let tspec = Sweep.generate_topo t.topo t.tseed in
   let faults = List.concat_map (fun u -> u.events) t.program in
   let sc =
-    Protocols.Runner.make ~data_count:packets ~spec:tspec ~center:t.center
-      ~source:t.source ~members:t.members ~faults ?loss:t.loss ()
+    {
+      (Protocols.Runner.make ~data_count:packets ~spec:tspec ~center:t.center
+         ~source:t.source ~members:t.members ())
+      with
+      loss = t.loss;
+      faults;
+    }
   in
   let report = Obs.Report.create ~name:(trial_name t) () in
   let status, wall_s =
@@ -247,126 +256,89 @@ type outcome = {
 
 let quantiles = [ (50, "p50"); (95, "p95"); (100, "max") ]
 
-let merged_report spec (results : trial_result list) ~violations ~blackouts
-    ~ratios ~jobs_used ~wall_s =
-  let report = Obs.Report.create ~name:"chaos" () in
-  Obs.Report.set_meta report "kind" (Obs.Json.String "chaos");
-  Obs.Report.set_meta report "drivers"
-    (Obs.Json.List (List.map (fun d -> Obs.Json.String d) spec.drivers));
-  Obs.Report.set_meta report "topologies"
-    (Obs.Json.List
-       (List.map
-          (fun t -> Obs.Json.String (Sweep.topo_to_string t))
-          spec.topos));
-  Obs.Report.set_meta report "trials" (Obs.Json.Int spec.trials);
-  Obs.Report.set_meta report "packets" (Obs.Json.Int spec.packets);
-  Obs.Report.set_meta report "group_size" (Obs.Json.Int spec.group_size);
-  Obs.Report.set_meta report "seed" (Obs.Json.Int spec.seed);
-  List.iter
-    (fun (r : trial_result) -> Obs.Report.merge report r.report)
-    results;
-  let m = Obs.Report.metrics report in
-  Obs.Metrics.set_counter
-    (Obs.Metrics.counter m "chaos/trials")
-    (List.length results);
-  Obs.Metrics.set_counter
-    (Obs.Metrics.counter m "chaos/violations")
-    (List.length violations);
-  let fault_events =
-    List.fold_left
-      (fun acc (r : trial_result) ->
-        acc
-        + List.fold_left
-            (fun a u -> a + List.length u.events)
-            0 r.trial.program)
-      0 results
-  in
-  Obs.Metrics.set_counter (Obs.Metrics.counter m "chaos/fault_events")
-    fault_events;
-  if blackouts <> [] then
-    List.iter
-      (fun (q, name) ->
-        Obs.Metrics.set
-          (Obs.Metrics.gauge m (Printf.sprintf "chaos/blackout_%s_s" name))
-          (Scmp_util.Stats.percentile_l (float_of_int q) blackouts))
-      quantiles;
-  if ratios <> [] then begin
-    Obs.Metrics.set
-      (Obs.Metrics.gauge m "chaos/delivery_ratio_min")
-      (List.fold_left min 1.0 ratios);
-    Obs.Metrics.set
-      (Obs.Metrics.gauge m "chaos/delivery_ratio_p50")
-      (Scmp_util.Stats.percentile_l 50.0 ratios)
-  end;
-  Obs.Metrics.set (Obs.Metrics.gauge ~wallclock:true m "chaos/jobs")
-    (float_of_int jobs_used);
-  Obs.Metrics.set (Obs.Metrics.gauge ~wallclock:true m "chaos/wall_s") wall_s;
-  report
-
 let run ?jobs spec =
-  let jobs_used = match jobs with Some j -> j | None -> Pool.default_jobs () in
-  if jobs_used < 1 then Error "Chaos.run: jobs must be >= 1"
-  else if spec.trials < 1 then Error "Chaos.run: trials must be >= 1"
+  if spec.trials < 1 then Error "Chaos.run: trials must be >= 1"
   else if spec.packets < 1 then Error "Chaos.run: packets must be >= 1"
-  else begin
-    match Protocols.Driver.find_all spec.drivers with
-    | Error msg -> Error msg
-    | Ok driver_pairs -> (
-      match plan spec with
-      | exception Invalid_argument msg -> Error msg
-      | [] -> Error "Chaos.run: empty campaign"
-      | trials -> (
-        let tasks =
-          List.map (fun t -> (t, List.assoc t.driver driver_pairs)) trials
-        in
-        let run_all () =
-          Pool.with_pool ~jobs:jobs_used (fun pool ->
-              Pool.map pool tasks ~f:(fun _ (t, driver) ->
-                  run_trial ~packets:spec.packets driver t))
-        in
-        try
-          let results, wall_s = Obs.Clock.time run_all in
-          (* Shrink every tripped trial sequentially, in trial order —
-             deterministic and off the pool. *)
-          let violations =
-            List.filter_map
-              (fun (r : trial_result) ->
-                match r.status with
-                | Passed _ -> None
-                | Tripped msg ->
-                  let driver = List.assoc r.trial.driver driver_pairs in
-                  let minimal, minimal_message =
-                    shrink ~packets:spec.packets driver r.trial msg
-                  in
-                  Some
-                    { v_trial = r.trial; message = msg; minimal;
-                      minimal_message })
-              results
-          in
-          let blackouts =
-            List.concat_map
-              (fun (r : trial_result) ->
-                match r.status with
-                | Passed res -> res.Protocols.Runner.blackouts
-                | Tripped _ -> [])
-              results
-          in
-          let ratios =
-            List.filter_map
-              (fun (r : trial_result) ->
-                match r.status with
-                | Passed res -> Some res.Protocols.Runner.delivery_ratio
-                | Tripped _ -> None)
-              results
-          in
-          let report =
-            merged_report spec results ~violations ~blackouts ~ratios
-              ~jobs_used ~wall_s
-          in
-          Ok { report; results; violations; blackouts; wall_s; jobs_used }
-        with Pool.Task_error (i, e) ->
-          Error
-            (Printf.sprintf "trial %s: %s"
-               (trial_name (List.nth trials i))
-               (Printexc.to_string e))))
-  end
+  else
+    match plan spec with
+    | exception Invalid_argument msg -> Error msg
+    | [] -> Error "Chaos.run: empty campaign"
+    | trials ->
+      let ( let* ) = Result.bind in
+      let* b =
+        Batch.run ?jobs ~kind:"chaos" ~item:"trial" ~name:trial_name
+          ~driver:(fun t -> t.driver)
+          ~drivers:spec.drivers
+          ~topologies:(List.map Sweep.topo_to_string spec.topos)
+          ~meta:
+            [
+              ("trials", Obs.Json.Int spec.trials);
+              ("packets", Obs.Json.Int spec.packets);
+              ("group_size", Obs.Json.Int spec.group_size);
+              ("seed", Obs.Json.Int spec.seed);
+            ]
+          ~report:(fun (r : trial_result) -> r.report)
+          (fun t driver -> Ok (run_trial ~packets:spec.packets driver t))
+          trials
+      in
+      let results = b.results in
+      (* Shrink every tripped trial sequentially, in trial order —
+         deterministic and off the pool. *)
+      let violations =
+        List.filter_map
+          (fun (r : trial_result) ->
+            match r.status with
+            | Passed _ -> None
+            | Tripped msg ->
+              let driver = List.assoc r.trial.driver b.drivers in
+              let minimal, minimal_message =
+                shrink ~packets:spec.packets driver r.trial msg
+              in
+              Some
+                { v_trial = r.trial; message = msg; minimal; minimal_message })
+          results
+      in
+      let passed =
+        List.filter_map
+          (fun (r : trial_result) ->
+            match r.status with Passed res -> Some res | Tripped _ -> None)
+          results
+      in
+      let blackouts =
+        List.concat_map (fun (r : Protocols.Runner.result) -> r.blackouts) passed
+      in
+      let ratios =
+        List.map (fun (r : Protocols.Runner.result) -> r.delivery_ratio) passed
+      in
+      let m = Obs.Report.metrics b.report in
+      let count name v = Obs.Metrics.set_counter (Obs.Metrics.counter m name) v in
+      let gauge name v = Obs.Metrics.set (Obs.Metrics.gauge m name) v in
+      count "chaos/violations" (List.length violations);
+      count "chaos/fault_events"
+        (List.fold_left
+           (fun acc (r : trial_result) ->
+             List.fold_left
+               (fun a u -> a + List.length u.events)
+               acc r.trial.program)
+           0 results);
+      if blackouts <> [] then
+        List.iter
+          (fun (q, name) ->
+            gauge
+              (Printf.sprintf "chaos/blackout_%s_s" name)
+              (Scmp_util.Stats.percentile_l (float_of_int q) blackouts))
+          quantiles;
+      if ratios <> [] then begin
+        gauge "chaos/delivery_ratio_min" (List.fold_left min 1.0 ratios);
+        gauge "chaos/delivery_ratio_p50"
+          (Scmp_util.Stats.percentile_l 50.0 ratios)
+      end;
+      Ok
+        {
+          report = b.report;
+          results;
+          violations;
+          blackouts;
+          wall_s = b.wall_s;
+          jobs_used = b.jobs_used;
+        }

@@ -50,7 +50,7 @@ type trial = {
   source : int;
   members : int list;
   program : fault_unit list;
-  loss : (float * int) option;  (** Background loss (rate, seed). *)
+  loss : Eventsim.Netsim.loss option;  (** Background loss, both classes. *)
 }
 
 val trial_name : trial -> string
@@ -100,7 +100,6 @@ type outcome = {
 }
 
 val run : ?jobs:int -> spec -> (outcome, string) result
-(** Execute the campaign on a fresh pool of [jobs] workers (default
-    {!Pool.default_jobs}). Errors: unknown driver, bad spec, or an
-    unexpected (non-invariant) exception from the lowest-indexed
-    failing trial. *)
+(** Execute the campaign with {!Batch.run} on [jobs] workers, then
+    shrink the tripped trials. Errors: bad spec, or {!Batch.run}'s — an
+    unexpected (non-invariant) exception is [trial <name>: ...]. *)

@@ -1,12 +1,12 @@
-(* Declarative scenario sweeps over the protocol runner, executed on a
-   Pool with a deterministic merge.
+(* Declarative scenario sweeps over the protocol runner, executed by
+   Batch with a deterministic merge.
 
    Isolation contract: every cell builds its own scenario and report
    inside its task — nothing mutable crosses the pool boundary. Cells
    that share a (topo, seed) pair on one worker may share the topology
    and what derives from it (see [generate_topo]): pure functions of the
    pair, memoized per domain, so a cell's result does not depend on
-   which cells its worker ran before it. Drivers are resolved to
+   which cells its worker ran before it. Batch resolves drivers to
    first-class modules before dispatch (the registry's tables are
    touched only by the submitting domain), and each cell's member
    sampling uses a PRNG stream derived by [Prng.split] from the master
@@ -79,12 +79,6 @@ let generate_topo topo seed =
   Scmp_util.Weak_memo.find memo ~same:same_topo (topo, seed) (fun () ->
       generate topo seed)
 
-type loss = {
-  rate : float;
-  seed : int;
-  only : Eventsim.Netsim.pkt_class option;
-}
-
 type random_failures = {
   rf_seed : int;
   rf_count : int;
@@ -98,7 +92,7 @@ type churn_spec = {
 }
 
 type perturbation = {
-  loss : loss option;
+  loss : Eventsim.Netsim.loss option;
   link_failures : string list;
   node_failures : string list;
   partitions : string list;
@@ -136,8 +130,8 @@ let positive_finite x = Float.is_finite x && x > 0.0
 let check_ranges p =
   let* () =
     match p.loss with
-    | Some l when not (l.rate >= 0.0 && l.rate < 1.0) ->
-      reject "loss.rate" "%g is not in [0, 1)" l.rate
+    | Some { rate; _ } when not (rate >= 0.0 && rate < 1.0) ->
+      reject "loss.rate" "%g is not in [0, 1)" rate
     | _ -> Ok ()
   in
   let* () =
@@ -214,6 +208,10 @@ let check_line graph (field, line, specs) =
         else reject field "%S: the side holds all %d nodes" line n)
     specs
 
+(* Run time grows with the churn's arrival count, which nothing else
+   bounds: a million arrivals take about a second. *)
+let max_churn_arrivals = 1e6
+
 let perturb p ~seed (sc : Protocols.Runner.scenario) =
   let graph = sc.spec.Topology.Spec.graph in
   let* lines = lower p in
@@ -221,6 +219,14 @@ let perturb p ~seed (sc : Protocols.Runner.scenario) =
   (* The data window anchors the randomized perturbations, so their
      instants track the membership schedule. *)
   let t0 = sc.data_start and t1 = Protocols.Runner.data_end sc in
+  let* () =
+    match p.churn with
+    | Some c when t1 /. c.cs_interarrival > max_churn_arrivals ->
+      reject "churn.interarrival"
+        "%g expects %g arrivals over the %g s horizon, more than %g"
+        c.cs_interarrival (t1 /. c.cs_interarrival) t1 max_churn_arrivals
+    | _ -> Ok ()
+  in
   let random_faults =
     match p.random_link_failures with
     | None -> []
@@ -242,8 +248,7 @@ let perturb p ~seed (sc : Protocols.Runner.scenario) =
   Ok
     {
       sc with
-      loss = Option.map (fun l -> (l.rate, l.seed)) p.loss;
-      loss_class = Option.bind p.loss (fun l -> l.only);
+      loss = p.loss;
       faults = List.concat_map (fun (_, _, specs) -> specs) lines @ random_faults;
       churn;
     }
@@ -278,24 +283,15 @@ let cells spec =
   (* Row-major over drivers x topos x group sizes x seeds: the cell
      order — and with it the merge order and each cell's PRNG stream —
      is a pure function of the spec. *)
-  let acc = ref [] in
-  let index = ref 0 in
-  List.iter
-    (fun driver ->
-      List.iter
-        (fun topo ->
-          List.iter
-            (fun group_size ->
-              List.iter
-                (fun seed ->
-                  acc := { index = !index; driver; topo; group_size; seed }
-                          :: !acc;
-                  incr index)
-                spec.seeds)
-            spec.group_sizes)
-        spec.topos)
-    spec.drivers;
-  List.rev !acc
+  let each xs f = List.concat_map f xs in
+  each spec.drivers (fun driver ->
+      each spec.topos (fun topo ->
+          each spec.group_sizes (fun group_size ->
+              List.map
+                (fun seed -> (driver, topo, group_size, seed))
+                spec.seeds)))
+  |> List.mapi (fun index (driver, topo, group_size, seed) ->
+         { index; driver; topo; group_size; seed })
 
 type cell_result = {
   cell : cell;
@@ -315,27 +311,17 @@ type outcome = {
 (* Per-cell rows in the merged report: every cell publishes its headline
    results under its own unique [cell/<name>/...] keys, so a merged
    sweep report can be diffed cell-by-cell (the A/B gate's input). *)
-let publish_cell_metrics report name (result : Protocols.Runner.result) =
+let publish_cell_metrics report name (r : Protocols.Runner.result) =
   let m = Obs.Report.metrics report in
-  let pfx = "cell/" ^ name in
-  Obs.Metrics.set_counter
-    (Obs.Metrics.counter m (pfx ^ "/deliveries"))
-    result.Protocols.Runner.deliveries;
-  Obs.Metrics.set_counter
-    (Obs.Metrics.counter m (pfx ^ "/dropped"))
-    result.Protocols.Runner.dropped;
-  Obs.Metrics.set
-    (Obs.Metrics.gauge m (pfx ^ "/data_overhead"))
-    result.Protocols.Runner.data_overhead;
-  Obs.Metrics.set
-    (Obs.Metrics.gauge m (pfx ^ "/protocol_overhead"))
-    result.Protocols.Runner.protocol_overhead;
-  Obs.Metrics.set
-    (Obs.Metrics.gauge m (pfx ^ "/max_delay"))
-    result.Protocols.Runner.max_delay;
-  Obs.Metrics.set
-    (Obs.Metrics.gauge m (pfx ^ "/delivery_ratio"))
-    result.Protocols.Runner.delivery_ratio
+  let key k = Printf.sprintf "cell/%s/%s" name k in
+  let count k v = Obs.Metrics.set_counter (Obs.Metrics.counter m (key k)) v in
+  let gauge k v = Obs.Metrics.set (Obs.Metrics.gauge m (key k)) v in
+  count "deliveries" r.deliveries;
+  count "dropped" r.dropped;
+  gauge "data_overhead" r.data_overhead;
+  gauge "protocol_overhead" r.protocol_overhead;
+  gauge "max_delay" r.max_delay;
+  gauge "delivery_ratio" r.delivery_ratio
 
 (* One isolated task: the cell's topology (possibly shared with
    earlier cells of its (topo, seed) on this worker), members sampled from the
@@ -368,116 +354,78 @@ let run_cell ?(check = false) sweep driver cell rng =
   publish_cell_metrics report (cell_name cell) result;
   Ok { cell; result; report; wall_s }
 
-let merged_report spec ~scripted_faults (results : cell_result list)
-    ~jobs_used ~wall_s ~seq_estimate_s =
-  let report = Obs.Report.create ~name:"sweep" () in
-  Obs.Report.set_meta report "kind" (Obs.Json.String "sweep");
-  Obs.Report.set_meta report "drivers"
-    (Obs.Json.List (List.map (fun d -> Obs.Json.String d) spec.drivers));
-  Obs.Report.set_meta report "topologies"
-    (Obs.Json.List
-       (List.map (fun t -> Obs.Json.String (topo_to_string t)) spec.topos));
-  Obs.Report.set_meta report "group_sizes"
-    (Obs.Json.List (List.map (fun k -> Obs.Json.Int k) spec.group_sizes));
-  Obs.Report.set_meta report "seeds"
-    (Obs.Json.List (List.map (fun s -> Obs.Json.Int s) spec.seeds));
-  Obs.Report.set_meta report "packets" (Obs.Json.Int spec.packets);
-  Obs.Report.set_meta report "master_seed" (Obs.Json.Int spec.master_seed);
-  (* Perturbation facts appear only when configured, so unperturbed
-     sweep reports keep their historical byte-exact shape. *)
+(* What a sweep adds to the batch report: its grid, and the
+   perturbation facts only when configured, so unperturbed sweep
+   reports keep their historical byte-exact shape. *)
+let grid_meta spec ~scripted_faults =
+  let open Obs.Json in
+  let ints xs = List (List.map (fun x -> Int x) xs) in
   let p = spec.perturbation in
-  (match p.loss with
-  | Some l ->
-    Obs.Report.set_meta report "loss_rate" (Obs.Json.Float l.rate);
-    Obs.Report.set_meta report "loss_seed" (Obs.Json.Int l.seed)
-  | None -> ());
-  if scripted_faults > 0 then
-    Obs.Report.set_meta report "scripted_faults" (Obs.Json.Int scripted_faults);
-  (match p.random_link_failures with
-  | Some rf ->
-    Obs.Report.set_meta report "random_link_failures" (Obs.Json.Int rf.rf_count)
-  | None -> ());
-  (match p.churn with
-  | Some _ -> Obs.Report.set_meta report "churn" (Obs.Json.Bool true)
-  | None -> ());
-  (* Merge in cell-index order — results arrive already ordered from
-     Pool.map, so the fold is scheduling-independent. *)
-  List.iter (fun (r : cell_result) -> Obs.Report.merge report r.report) results;
-  let m = Obs.Report.metrics report in
-  Obs.Metrics.set_counter
-    (Obs.Metrics.counter m "sweep/cells")
-    (List.length results);
-  (* Wall-clock facts about this particular execution: flagged so the
-     deterministic serialization excludes them. *)
-  Obs.Metrics.set (Obs.Metrics.gauge ~wallclock:true m "sweep/jobs")
-    (float_of_int jobs_used);
-  Obs.Metrics.set (Obs.Metrics.gauge ~wallclock:true m "sweep/wall_s") wall_s;
-  Obs.Metrics.set
-    (Obs.Metrics.gauge ~wallclock:true m "sweep/cells_per_s")
-    (if wall_s > 0.0 then float_of_int (List.length results) /. wall_s else 0.0);
-  Obs.Metrics.set
-    (Obs.Metrics.gauge ~wallclock:true m "sweep/speedup")
-    (if wall_s > 0.0 then seq_estimate_s /. wall_s else 0.0);
-  let cell_wall =
-    Obs.Metrics.histogram ~wallclock:true m "sweep/cell_wall_s"
-  in
-  List.iter
-    (fun (r : cell_result) -> Obs.Metrics.observe cell_wall r.wall_s)
-    results;
-  report
+  let given o f = Option.fold ~none:[] ~some:f o in
+  List.concat
+    [
+      [ ("group_sizes", ints spec.group_sizes); ("seeds", ints spec.seeds) ];
+      [ ("packets", Int spec.packets); ("master_seed", Int spec.master_seed) ];
+      given p.loss (fun l ->
+          [ ("loss_rate", Float l.rate); ("loss_seed", Int l.seed) ]);
+      (if scripted_faults > 0 then [ ("scripted_faults", Int scripted_faults) ]
+       else []);
+      given p.random_link_failures (fun rf ->
+          [ ("random_link_failures", Int rf.rf_count) ]);
+      given p.churn (fun _ -> [ ("churn", Bool true) ]);
+    ]
 
 let run ?(check = false) ?jobs spec =
-  let jobs_used = match jobs with Some j -> j | None -> Pool.default_jobs () in
   let cell_list = cells spec in
   let* () =
-    if jobs_used < 1 then Error "Sweep.run: jobs must be >= 1"
-    else if spec.packets < 1 then Error "Sweep.run: packets must be >= 1"
+    if spec.packets < 1 then Error "Sweep.run: packets must be >= 1"
     else if cell_list = [] then Error "Sweep.run: empty grid"
     else Ok ()
   in
   let* lines = lower spec.perturbation in
-  (* Resolve every driver before dispatch so worker domains never touch
-     the registry's mutable tables. *)
-  let* driver_pairs = Protocols.Driver.find_all spec.drivers in
+  let scripted_faults =
+    List.fold_left (fun acc (_, _, specs) -> acc + List.length specs) 0 lines
+  in
   (* Per-cell streams, split off the master in index order before
      anything runs: stream identity = cell index. *)
   let master = Scmp_util.Prng.create spec.master_seed in
   let streams =
     Array.init (List.length cell_list) (fun _ -> Scmp_util.Prng.split master)
   in
-  let tasks =
-    List.map (fun cell -> (cell, List.assoc cell.driver driver_pairs)) cell_list
+  let* b =
+    Batch.run ?jobs ~kind:"sweep" ~item:"cell" ~name:cell_name
+      ~driver:(fun c -> c.driver)
+      ~drivers:spec.drivers
+      ~topologies:(List.map topo_to_string spec.topos)
+      ~meta:(grid_meta spec ~scripted_faults)
+      ~report:(fun (r : cell_result) -> r.report)
+      (fun cell driver ->
+        try run_cell ~check spec driver cell streams.(cell.index)
+        with Check.Invariant.Violation msg ->
+          Error ("invariant violation: " ^ msg))
+      cell_list
   in
-  let run_all () =
-    Pool.with_pool ~jobs:jobs_used (fun pool ->
-        Pool.map pool tasks ~f:(fun i (cell, driver) ->
-            try run_cell ~check spec driver cell streams.(i)
-            with Check.Invariant.Violation msg ->
-              Error ("invariant violation: " ^ msg)))
+  let wall_s = b.wall_s in
+  let seq_estimate_s =
+    List.fold_left (fun acc (r : cell_result) -> acc +. r.wall_s) 0.0 b.results
   in
-  let cell_error i msg =
-    Error (Printf.sprintf "cell %s: %s" (cell_name (List.nth cell_list i)) msg)
+  let m = Obs.Report.metrics b.report in
+  let per_wall name x =
+    Obs.Metrics.set
+      (Obs.Metrics.gauge ~wallclock:true m name)
+      (if wall_s > 0.0 then x /. wall_s else 0.0)
   in
-  match Obs.Clock.time run_all with
-  | exception Pool.Task_error (i, e) -> cell_error i (Printexc.to_string e)
-  | outcomes, wall_s -> (
-    (* The lowest-indexed failing cell wins. *)
-    match
-      List.find_mapi
-        (fun i r -> match r with Error msg -> Some (i, msg) | Ok _ -> None)
-        outcomes
-    with
-    | Some (i, msg) -> cell_error i msg
-    | None ->
-      let results = List.map Result.get_ok outcomes in
-      let seq_estimate_s =
-        List.fold_left (fun acc (r : cell_result) -> acc +. r.wall_s) 0.0 results
-      in
-      let scripted_faults =
-        List.fold_left (fun acc (_, _, specs) -> acc + List.length specs) 0 lines
-      in
-      let report =
-        merged_report spec ~scripted_faults results ~jobs_used ~wall_s
-          ~seq_estimate_s
-      in
-      Ok { report; cell_results = results; wall_s; seq_estimate_s; jobs_used })
+  per_wall "sweep/cells_per_s" (float_of_int (List.length b.results));
+  per_wall "sweep/speedup" seq_estimate_s;
+  let cell_wall = Obs.Metrics.histogram ~wallclock:true m "sweep/cell_wall_s" in
+  List.iter
+    (fun (r : cell_result) -> Obs.Metrics.observe cell_wall r.wall_s)
+    b.results;
+  Ok
+    {
+      report = b.report;
+      cell_results = b.results;
+      wall_s;
+      seq_estimate_s;
+      jobs_used = b.jobs_used;
+    }

@@ -50,13 +50,6 @@ val generate_topo : topo -> int -> Topology.Spec.t
     APSP tables and rule-1 centre already derived from it); once no
     caller holds it, it is regenerated, equal field for field. *)
 
-type loss = {
-  rate : float;  (** Bernoulli drop probability per link crossing, in [\[0, 1)]. *)
-  seed : int;
-  only : Eventsim.Netsim.pkt_class option;
-      (** Restrict loss to one class; [None] drops both. *)
-}
-
 type random_failures = {
   rf_seed : int;
       (** Combined with each cell's topology seed, so every driver
@@ -72,7 +65,7 @@ type churn_spec = {
 }
 
 type perturbation = {
-  loss : loss option;
+  loss : Eventsim.Netsim.loss option;
   link_failures : string list;
       (** Fault lines as written, in the CLI syntax
           [A-B\@T\[:restore\@T'\]]. *)
@@ -104,8 +97,11 @@ val perturb :
     from sweep cells and [scmp_sim run] alike, and the one place fault
     lines are lowered to {!Eventsim.Faults.spec}s. It runs
     {!validate_perturbation}, then checks the fault lines against the
-    scenario's graph: node ids in range, link endpoints adjacent, and a
-    partition side that leaves at least one node out. Scripted faults
+    scenario's graph: node ids in range, link endpoints adjacent, a
+    partition side that leaves at least one node out, and a churn
+    whose expected arrival count — the horizon over
+    [churn.interarrival] — is at most 10{^6} (the run time grows with
+    it; a million arrivals take about a second). Scripted faults
     come in program order (links, nodes, partitions); random link
     failures are drawn from [rf_seed] as given (a sweep cell first adds
     its topology seed) over the data window
@@ -184,8 +180,7 @@ type outcome = {
 }
 
 val run : ?check:bool -> ?jobs:int -> spec -> (outcome, string) result
-(** Execute every cell on a fresh pool of [jobs] workers (default
-    {!Pool.default_jobs}) and merge. [~check] runs the protocol
-    invariant verifier inside each cell. Errors: unknown driver, bad
-    grid, a perturbation {!validate_perturbation} rejects, or the
-    lowest-indexed failing cell (by name) with its error. *)
+(** Execute every cell with {!Batch.run} on [jobs] workers and merge.
+    [~check] runs the protocol invariant verifier inside each cell.
+    Errors: bad grid, a perturbation {!validate_perturbation} rejects,
+    or {!Batch.run}'s ([cell <name>: ...]). *)

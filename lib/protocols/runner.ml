@@ -16,8 +16,7 @@ type scenario = {
   leavers : (float * Message.node) list;
   trace_path : string option;
   trace_limit : int option;
-  loss : (float * int) option;
-  loss_class : Eventsim.Netsim.pkt_class option;
+  loss : Eventsim.Netsim.loss option;
   faults : Eventsim.Faults.spec list;
   churn : churn option;
 }
@@ -28,8 +27,8 @@ let join_start = 0.1
 let join_spacing = 0.5
 let join_at i = join_start +. (join_spacing *. float_of_int i)
 
-let make ?(data_interval = 1.0) ?(data_count = 30) ?loss ?(faults = []) ~spec
-    ~center ~source ~members () =
+let make ?(data_interval = 1.0) ?(data_count = 30) ~spec ~center ~source
+    ~members () =
   {
     spec;
     center;
@@ -41,9 +40,8 @@ let make ?(data_interval = 1.0) ?(data_count = 30) ?loss ?(faults = []) ~spec
     leavers = [];
     trace_path = None;
     trace_limit = None;
-    loss;
-    loss_class = None;
-    faults;
+    loss = None;
+    faults = [];
     churn = None;
   }
 
@@ -127,10 +125,7 @@ let run ?(check = false) ?report driver s =
   let g = Topology.Spec.sim_graph s.spec in
   let engine = Eventsim.Engine.create () in
   let net = Message.network engine g in
-  (match s.loss with
-  | None -> ()
-  | Some (rate, seed) ->
-    Eventsim.Netsim.set_loss ?only:s.loss_class net ~rate ~seed);
+  Option.iter (Eventsim.Netsim.set_loss net) s.loss;
   let faults =
     match s.faults with
     | [] -> None

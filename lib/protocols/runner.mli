@@ -45,13 +45,11 @@ type scenario = {
   trace_limit : int option;
       (** Ring-buffer bound for the trace (newest lines kept); the
           report records how many lines were evicted. *)
-  loss : (float * int) option;
-      (** [(rate, seed)] — seeded random packet loss installed on the
-          network before the run ({!Eventsim.Netsim.set_loss}). *)
-  loss_class : Eventsim.Netsim.pkt_class option;
-      (** Restrict loss to one packet class ([`Control] exercises the
-          reliable control plane while data delivery stays exact);
-          [None] drops everything. *)
+  loss : Eventsim.Netsim.loss option;
+      (** Seeded random packet loss installed on the network before the
+          run ({!Eventsim.Netsim.set_loss}); its [only] class
+          ([`Control] exercises the reliable control plane while data
+          delivery stays exact). *)
   faults : Eventsim.Faults.spec list;
       (** Scheduled link/node failures and restores, installed before
           the run ({!Eventsim.Faults.install}). *)
@@ -63,8 +61,6 @@ type scenario = {
 val make :
   ?data_interval:float ->
   ?data_count:int ->
-  ?loss:float * int ->
-  ?faults:Eventsim.Faults.spec list ->
   spec:Topology.Spec.t ->
   center:Message.node ->
   source:Message.node ->
@@ -76,9 +72,8 @@ val make :
     1 s) from 3 s after the last join; delays from
     {!Topology.Spec.sim_graph}, which is built once per spec, so every
     scenario and run on one spec simulates one graph and shares its
-    m-router APSP table. By default no loss and no faults; leavers,
-    trace, loss class and churn start unset, and callers set them with
-    a record update. Protocol variants are driver values ({!Driver}),
+    m-router APSP table. Leavers, trace, loss, faults and churn start
+    unset, and callers set them with a record update. Protocol variants are driver values ({!Driver}),
     not scenario fields. *)
 
 val data_end : scenario -> float

@@ -108,7 +108,7 @@ let loss_of_json key v =
       let* s = get_string "class" v in
       pkt_class_of_string "class" s
   in
-  Ok { Exec.Sweep.rate; seed; only }
+  Ok { Eventsim.Netsim.rate; seed; only }
 
 let random_failures_of_json key v =
   let* fields = get_obj key v in
@@ -255,7 +255,7 @@ let to_json m =
           [
             ( "loss",
               Obs.Json.Obj
-                (( "rate", Obs.Json.Float l.Exec.Sweep.rate )
+                (( "rate", Obs.Json.Float l.Eventsim.Netsim.rate )
                  :: ("seed", Obs.Json.Int l.seed)
                  :: (match l.only with
                     | None -> []

@@ -461,6 +461,17 @@ let test_lint_wallclock () =
     (fires "wallclock-outside-obs" "lib/obs/clock.ml" src);
   checkb "severity is Error" true (L.severity_of_rule "wallclock-outside-obs" = L.Error)
 
+(* A rule's scope is a directory, not a substring of the path: a file
+   whose name merely contains "obs" or "exec" is outside those layers. *)
+let test_lint_scope_is_a_directory () =
+  checkb "lib/core/observer.ml is not in lib/obs" true
+    (fires "wallclock-outside-obs" "lib/core/observer.ml"
+       "let now () = Unix.gettimeofday ()\n");
+  checkb "lib/core/executor.ml is not in lib/exec" true
+    (fires "domain-safety" "lib/core/executor.ml" "let d = Domain.spawn f\n");
+  checkb "a library module under an absolute root is in lib" true
+    (fires "domain-safety" "/src/scmp/lib/core/x.ml" "let state = ref 0\n")
+
 let test_lint_unseeded_random () =
   checkb "Random.self_init fires" true
     (fires "unseeded-random" "lib/core/x.ml"
@@ -826,7 +837,7 @@ let coherence_differential seed =
   let g = Topology.Spec.sim_graph spec in
   let e = Eventsim.Engine.create () in
   let net = Protocols.Message.network e g in
-  Eventsim.Netsim.set_loss ~only:`Control net ~rate:0.03 ~seed;
+  Eventsim.Netsim.set_loss net { rate = 0.03; seed; only = Some `Control };
   let rto = 0.25 (* SCMP's base retransmission timeout *) in
   let p =
     P.create ~standby:1 ~heartbeat_interval:0.5 ~takeover_after:1.5 net
@@ -975,6 +986,8 @@ let () =
           Alcotest.test_case "D1 hashtbl-iter-order" `Quick
             test_lint_hashtbl_iter_order;
           Alcotest.test_case "D2 wallclock-outside-obs" `Quick test_lint_wallclock;
+          Alcotest.test_case "rule scopes are directories" `Quick
+            test_lint_scope_is_a_directory;
           Alcotest.test_case "D3 unseeded-random" `Quick test_lint_unseeded_random;
           Alcotest.test_case "D4 catchall-exn" `Quick test_lint_catchall;
           Alcotest.test_case "D5 physical-eq" `Quick test_lint_physical_eq;

@@ -257,11 +257,11 @@ let test_netsim_loss_injection () =
   let net = Netsim.create e g ~classify in
   Alcotest.check_raises "bad rate"
     (Invalid_argument "Netsim.set_loss: rate must be in [0, 1)") (fun () ->
-      Netsim.set_loss net ~rate:1.0 ~seed:1);
+      Netsim.set_loss net { rate = 1.0; seed = 1; only = None });
   let got = ref 0 in
   Netsim.set_handler net 1 (fun _ ~from:_ _ -> incr got);
   (* rate 0 = lossless *)
-  Netsim.set_loss net ~rate:0.0 ~seed:1;
+  Netsim.set_loss net { rate = 0.0; seed = 1; only = None };
   for _ = 1 to 20 do
     Netsim.transmit net ~src:0 ~dst:1 (Ping 0)
   done;
@@ -269,7 +269,7 @@ let test_netsim_loss_injection () =
   checki "lossless delivers all" 20 !got;
   checki "nothing dropped" 0 (Netsim.dropped net);
   (* heavy loss kills a large fraction, every crossing still charged *)
-  Netsim.set_loss net ~rate:0.5 ~seed:42;
+  Netsim.set_loss net { rate = 0.5; seed = 42; only = None };
   let before = Netsim.control_transmissions net in
   got := 0;
   for _ = 1 to 200 do
@@ -286,7 +286,7 @@ let test_netsim_unicast_loss_partial_charge () =
   let net = Netsim.create e g ~classify in
   (* certain-ish loss: the multi-hop unicast dies early and cannot be
      charged for links it never reached *)
-  Netsim.set_loss net ~rate:0.9 ~seed:7;
+  Netsim.set_loss net { rate = 0.9; seed = 7; only = None };
   let got = ref 0 in
   Netsim.set_handler net 3 (fun _ ~from:_ _ -> incr got);
   for _ = 1 to 50 do

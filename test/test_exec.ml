@@ -374,8 +374,8 @@ let test_perturb_matches_record_updates () =
   let expected =
     {
       base with
-      Protocols.Runner.loss = Some (0.05, 42);
-      loss_class = Some `Control;
+      Protocols.Runner.loss =
+        Some { Eventsim.Netsim.rate = 0.05; seed = 42; only = Some `Control };
       faults =
         faults
         @ Eventsim.Faults.random_link_failures ~seed:5 ~count:3 ~t0 ~t1
@@ -393,7 +393,7 @@ let test_perturb_matches_record_updates () =
   let p =
     {
       Sweep.no_perturbation with
-      loss = Some { Sweep.rate = 0.05; seed = 42; only = Some `Control };
+      loss = Some { Eventsim.Netsim.rate = 0.05; seed = 42; only = Some `Control };
       link_failures = [ line ];
       random_link_failures =
         Some { Sweep.rf_seed = 5; rf_count = 3; rf_restore_after = None };
@@ -404,6 +404,41 @@ let test_perturb_matches_record_updates () =
     (Sweep.perturb p ~seed:7 base = Ok expected);
   checkb "no perturbation leaves the scenario alone" true
     (Sweep.perturb Sweep.no_perturbation ~seed:7 base = Ok base)
+
+(* A churn whose expected arrival count exceeds the bound is rejected by
+   [perturb] itself, before any simulation: these rates on [scmp_sim
+   run --topo arpanet -p scmp --packets 5]'s scenario ran for seconds
+   (1e5, 1e6) or never finished (1e15, 1e300). *)
+let test_perturb_bounds_churn () =
+  let spec = Sweep.generate_topo Sweep.Arpanet 1 in
+  let base =
+    match
+      Scmp.Setup.draw ~rng:(Prng.create (1 + 23)) ~group_size:16 ~packets:5
+        spec
+    with
+    | Ok s -> s.scenario
+    | Error msg -> Alcotest.fail msg
+  in
+  let churn rate =
+    {
+      Sweep.no_perturbation with
+      churn =
+        Some
+          { Sweep.cs_interarrival = 1.0 /. rate; cs_holding = 5.0; cs_seed = None };
+    }
+  in
+  List.iter
+    (fun rate ->
+      match Sweep.perturb (churn rate) ~seed:1 base with
+      | Ok _ -> Alcotest.failf "churn rate %g must be rejected" rate
+      | Error msg ->
+        checkb
+          (Printf.sprintf "rate %g: the error names churn.interarrival" rate)
+          true
+          (String.starts_with ~prefix:"field \"churn.interarrival\": " msg))
+    [ 1e5; 1e6; 1e15; 1e300 ];
+  checkb "a modest churn is accepted" true
+    (Result.is_ok (Sweep.perturb (churn 0.5) ~seed:1 base))
 
 (* ---- per-topology memos ---- *)
 
@@ -545,6 +580,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_builder_matches_inline_chain;
           Alcotest.test_case "empty groups are errors" `Quick
             test_builder_errors;
+          Alcotest.test_case "churn arrivals are bounded" `Quick
+            test_perturb_bounds_churn;
           Alcotest.test_case "perturb = record updates" `Quick
             test_perturb_matches_record_updates;
         ] );

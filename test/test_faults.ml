@@ -123,7 +123,7 @@ let test_loss_class_filter () =
   let data = ref 0 and ctl = ref 0 in
   Netsim.set_handler net 1 (fun _ ~from:_ m ->
       if m = "ctl" then incr ctl else incr data);
-  Netsim.set_loss ~only:`Control net ~rate:0.4 ~seed:7;
+  Netsim.set_loss net { rate = 0.4; seed = 7; only = Some `Control };
   for _ = 1 to 50 do
     Netsim.transmit net ~src:0 ~dst:1 "data";
     Netsim.transmit net ~src:0 ~dst:1 "ctl"
@@ -365,12 +365,10 @@ let acceptance_scenario () =
   let rng = Prng.create (1 + 23) in
   let members = Prng.sample rng 16 48 |> List.filter (fun x -> x <> center) in
   {
-    (Runner.make ~spec ~center ~source:(List.hd members) ~members
-       ~loss:(0.05, 42)
-       ~faults:[ { Faults.at = 15.0; event = Faults.Link_down (23, 24) } ]
-       ())
+    (Runner.make ~spec ~center ~source:(List.hd members) ~members ())
     with
-    Runner.loss_class = Some `Control;
+    Runner.loss = Some { Netsim.rate = 0.05; seed = 42; only = Some `Control };
+    faults = [ { Faults.at = 15.0; event = Faults.Link_down (23, 24) } ];
   }
 
 let run_acceptance () =

@@ -833,7 +833,7 @@ let test_hpim_reliable_sync_under_control_loss () =
      retransmissions must be visible in the observed metrics. *)
   let g = fig5 () in
   let e, net, delivery = make_net g in
-  Netsim.set_loss ~only:`Control net ~rate:0.3 ~seed:11;
+  Netsim.set_loss net { rate = 0.3; seed = 11; only = Some `Control };
   let p = Hpim_dm.create ~delivery net () in
   Hpim_dm.host_join p ~group:1 5;
   Hpim_dm.host_join p ~group:1 3;
@@ -858,7 +858,7 @@ let test_scmp_under_packet_loss () =
   let run rate =
     let spec = Topology.Waxman.generate ~seed:3 ~n:30 () in
     let e, net, delivery = make_net spec.Topology.Spec.graph in
-    Netsim.set_loss net ~rate ~seed:5;
+    Netsim.set_loss net { rate; seed = 5; only = None };
     let p = Scmp_proto.create ~delivery net ~mrouter:0 () in
     List.iter
       (fun r ->

@@ -372,7 +372,7 @@ let malformed =
     (Some "--loss=nan",
      Some
        (Record
-          { no_p with loss = Some { Exec.Sweep.rate = Float.nan; seed = 42; only = None } }),
+          { no_p with loss = Some { Eventsim.Netsim.rate = Float.nan; seed = 42; only = None } }),
      "loss.rate", "nan");
     (Some "--fault-seed=1 --fault-count=-1",
      manifest {|"random_link_failures": {"seed": 1, "count": -1}|},
@@ -487,10 +487,7 @@ let lowers_and_runs p =
       Eventsim.Netsim.create e (Topology.Spec.sim_graph sc.spec)
         ~classify:(fun () -> `Data)
     in
-    Option.iter
-      (fun (rate, seed) ->
-        Eventsim.Netsim.set_loss ?only:sc.loss_class net ~rate ~seed)
-      sc.loss;
+    Option.iter (Eventsim.Netsim.set_loss net) sc.loss;
     ignore (Eventsim.Faults.install net sc.faults);
     Eventsim.Engine.run e;
     Option.iter
