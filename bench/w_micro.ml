@@ -293,6 +293,24 @@ let micro ?json ~full ~jobs () =
   pr "%-34s %14.0f events/s\n" "engine throughput"
     (float_of_int events /. e2e_wall);
   pr "%-34s %14d delivered\n" "deliveries" r.Protocols.Runner.deliveries;
+  (* Allocation per driver: the minor words of one run of the same
+     fault-free scenario, after a warming run. Exact for a given binary,
+     so the bench profile gates them with a tight band: an allocation
+     creeping back onto a driver's data path fails check.sh on any
+     host. *)
+  let run_words =
+    List.map
+      (fun d ->
+        ignore (Protocols.Runner.run d sc);
+        let w0 = Gc.minor_words () in
+        ignore (Protocols.Runner.run d sc);
+        (Protocols.Driver.name d, int_of_float (Gc.minor_words () -. w0)))
+      (Protocols.Driver.all ())
+  in
+  List.iter
+    (fun (name, words) ->
+      pr "%-34s %14d words/run\n" ("run-" ^ name ^ " minor words") words)
+    run_words;
   pr "\nm-router request path (DCDM churn, Waxman-1000, warmed APSP):\n";
   (* The body lives in Dcdm_churn: defined in this file it lowered the
      dijkstra-100 paired ratio above by about 8% over interleaved runs
@@ -346,6 +364,12 @@ let micro ?json ~full ~jobs () =
     Obs.Metrics.set_counter
       (Obs.Metrics.counter m "micro/dcdm-churn-1000/minor_words")
       dcdm_churn_words;
+    List.iter
+      (fun (name, words) ->
+        Obs.Metrics.set_counter
+          (Obs.Metrics.counter m (Printf.sprintf "micro/run-%s/minor_words" name))
+          words)
+      run_words;
     (match Obs.Report.write ~pretty:true rep ~path with
     | Ok () -> pr "\nbench report written to %s\n" path
     | Error msg -> pr "\n!! could not write %s: %s\n" path msg)

@@ -95,10 +95,11 @@ let pimsm () =
           send ~seq)
     done;
     Eventsim.Engine.run e;
-    let delays = Protocols.Delivery.delays delivery in
-    let dmax = List.fold_left Float.max 0.0 delays in
-    let dmin = List.fold_left Float.min infinity delays in
-    (name, dmax, dmin,
+    let dmax = ref 0.0 and dmin = ref infinity in
+    Protocols.Delivery.iter_delays delivery (fun d ->
+        dmax := Float.max !dmax d;
+        dmin := Float.min !dmin d);
+    (name, !dmax, !dmin,
      Eventsim.Netsim.data_overhead net /. 20.0,
      Protocols.Delivery.missed delivery + Protocols.Delivery.duplicates delivery)
   in

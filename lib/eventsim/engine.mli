@@ -7,13 +7,21 @@
     behaviour deterministic — a property the reproduction relies on for
     seed-stable experiment output.
 
+    Events live in a struct-of-arrays slab — a flag byte, a thunk, a
+    dispatch, five ints and a tick's two floats per slot — and the
+    radix heap queues their int handles. A handle returns to a free
+    list when its event is popped, before the event runs, so a
+    self-rescheduling event reuses its own slot.
+
     Events come in three shapes: a general thunk ({!schedule} /
-    {!schedule_at}), a periodic task ({!every}) whose single record is
+    {!schedule_at}), a periodic task ({!every}) whose single handle is
     re-enqueued after each firing, and a closure-free fast path
     ({!schedule_fast}) that carries five immediate ints to a
     {!dispatch} handler registered once per event family — the shape
-    the packet-delivery hot path uses to avoid allocating a thunk per
-    simulated packet. *)
+    the packet-delivery hot path uses. A fast event allocates nothing
+    in the engine: what a caller pays per event is the boxed [~time]
+    argument, and the run loop boxes the clock once each time it
+    moves. *)
 
 type t
 
@@ -37,8 +45,8 @@ val every :
 (** Recurring event starting one [interval] from now, stopping after
     [until] (absolute, inclusive) if given. The window gates every
     firing including the first: if [now t +. interval > until] the
-    task never fires. The whole recurrence is one event record,
-    re-enqueued after each firing — N firings keep O(1) live records.
+    task never fires. The whole recurrence is one event handle,
+    re-enqueued after each firing — N firings keep O(1) live events.
     [background] events (e.g. periodic IGMP queries) do not keep
     {!run} alive — see {!run}.
     @raise Invalid_argument on non-positive interval. *)
@@ -63,8 +71,10 @@ val schedule_fast :
   unit
 (** [schedule_fast t ~time d a b c x y] enqueues an event that runs
     as [d a b c x y] — same ordering and background semantics as
-    {!schedule_at}, but the event is a flat record of immediates: no
-    closure is allocated per event.
+    {!schedule_at}, but the event is a slab slot of immediates: no
+    closure and no record is allocated per event. Pass [?background]
+    through as received: re-wrapping a defaulted bool allocates a
+    [Some] per call.
     @raise Invalid_argument if [time < now t]. *)
 
 val pending : (* lint: allow unused-export: introspection counter, events queued now *)

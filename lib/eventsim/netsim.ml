@@ -110,11 +110,17 @@ type 'm t = {
   ev : int array;
   routes : Routes.t;
   mutable routes_epoch : int;
+  (* Per-edge cost and delay, read straight from the graph's arrays:
+     an array read is an unboxed float, a call into {!Netgraph.Graph}
+     returns a boxed one. *)
+  ecost : float array;
+  edelay : float array;
   classify : 'm -> pkt_class;
   sizeof : ('m -> int) option;
   handlers : ('m t -> from:node -> 'm -> unit) option array;
-  mutable data_overhead : float;
-  mutable control_overhead : float;
+  (* The per-class overhead sums, [data; control]: a float array holds
+     them unboxed, where a mutable float field would box every sum. *)
+  overhead : float array;
   mutable data_tx : int;
   mutable control_tx : int;
   mutable data_bytes : int;
@@ -400,13 +406,13 @@ let run_hop t slot packed dstamp pslot _ =
     | None -> finish t ~from dst msg
   end
 
-(* Schedule a 0/1-edge delivery: one slab store + one flat event record,
-   no closure, no via list. Stamps are captured here — the send
+(* Schedule a 0/1-edge delivery: one slab store and one fast event, no
+   closure, no via list. Stamps are captured here — the send
    instant. *)
-let send_edge1 t ~background ~at ~from dst e msg =
+let send_edge1 t ?background ~at ~from dst e msg =
   let slot = slab_alloc t.msgs msg in
   let estamp = if e >= 0 then edge_stamp t e else 0 in
-  Engine.schedule_fast t.engine ~background ~time:at t.d_edge1 slot
+  Engine.schedule_fast t.engine ?background ~time:at t.d_edge1 slot
     ((dst lsl 31) lor from)
     e estamp t.node_fails.(dst)
 
@@ -414,15 +420,15 @@ let send_edge1 t ~background ~at ~from dst e msg =
    and per-class accounting are direction-agnostic; the edge id keys
    the crossing counter). *)
 let charge t e ~src ~dst msg =
-  let cost = Netgraph.Graph.edge_cost t.graph e in
+  let cost = Array.unsafe_get t.ecost e in
   let bytes = match t.sizeof with Some f -> f msg | None -> 0 in
   (match t.classify msg with
   | `Data ->
-    t.data_overhead <- t.data_overhead +. cost;
+    t.overhead.(0) <- t.overhead.(0) +. cost;
     t.data_tx <- t.data_tx + 1;
     t.data_bytes <- t.data_bytes + bytes
   | `Control ->
-    t.control_overhead <- t.control_overhead +. cost;
+    t.overhead.(1) <- t.overhead.(1) +. cost;
     t.control_tx <- t.control_tx + 1;
     t.control_bytes <- t.control_bytes + bytes);
   t.per_link.(e) <- t.per_link.(e) + 1;
@@ -431,7 +437,9 @@ let charge t e ~src ~dst msg =
     (Array.unsafe_get hs i) ~src ~dst msg
   done
 
-let transmit t ?(background = false) ~src ~dst msg =
+(* [?background] travels down to the engine as received: re-wrapping a
+   defaulted bool would allocate a [Some] per packet. *)
+let transmit t ?background ~src ~dst msg =
   let e = edge_of t src dst "Netsim.transmit: nodes are not adjacent" in
   if not (edge_alive t e) then
     let reason =
@@ -441,18 +449,18 @@ let transmit t ?(background = false) ~src ~dst msg =
   else begin
     charge t e ~src ~dst msg;
     if not (lost t ~src ~dst msg) then begin
-      let delay = Netgraph.Graph.edge_delay t.graph e in
-      send_edge1 t ~background
+      let delay = Array.unsafe_get t.edelay e in
+      send_edge1 t ?background
         ~at:(Engine.now t.engine +. delay)
         ~from:src dst e msg
     end
   end
 
-let unicast t ?(background = false) ~src ~dst msg =
+let unicast t ?background ~src ~dst msg =
   if not (node_alive t src && node_alive t dst) then
     note_drop t Node_down ~src ~dst msg
   else if src = dst then
-    send_edge1 t ~background ~at:(Engine.now t.engine) ~from:src dst (-1) msg
+    send_edge1 t ?background ~at:(Engine.now t.engine) ~from:src dst (-1) msg
   else begin
     let r = Routes.spt t.routes ~src in
     if not (Netgraph.Dijkstra.reachable r dst) then
@@ -496,7 +504,7 @@ let unicast t ?(background = false) ~src ~dst msg =
         let at = Engine.now t.engine +. delay in
         let nhops = last - start in
         if nhops = 1 then
-          send_edge1 t ~background ~at ~from:src dst
+          send_edge1 t ?background ~at ~from:src dst
             (Array.unsafe_get se start)
             msg
         else begin
@@ -508,7 +516,7 @@ let unicast t ?(background = false) ~src ~dst msg =
           done;
           let slot = slab_alloc t.msgs msg in
           let pslot = slab_alloc t.paths stamped in
-          Engine.schedule_fast t.engine ~background ~time:at t.d_hop slot
+          Engine.schedule_fast t.engine ?background ~time:at t.d_hop slot
             ((dst lsl 31) lor src)
             t.node_fails.(dst) pslot 0
         end
@@ -530,11 +538,12 @@ let create ?sizeof engine graph ~classify =
       ev;
       routes = Routes.compute graph;
       routes_epoch = 0;
+      ecost = Netgraph.Graph.edge_costs graph;
+      edelay = Netgraph.Graph.edge_delays graph;
       classify;
       sizeof;
       handlers = Array.make n None;
-      data_overhead = 0.0;
-      control_overhead = 0.0;
+      overhead = [| 0.0; 0.0 |];
       data_tx = 0;
       control_tx = 0;
       data_bytes = 0;
@@ -567,8 +576,8 @@ let create ?sizeof engine graph ~classify =
   t.d_hop <- Engine.dispatch (run_hop t);
   t
 
-let data_overhead t = t.data_overhead
-let control_overhead t = t.control_overhead
+let data_overhead t = t.overhead.(0)
+let control_overhead t = t.overhead.(1)
 let data_transmissions t = t.data_tx
 let control_transmissions t = t.control_tx
 
@@ -593,8 +602,8 @@ let observe t m =
   set_c "routes/spt_computed" (Routes.computed t.routes);
   set_c "routes/spt_shared" (Routes.shared t.routes);
   set_c "routes/invalidated" (Routes.invalidated t.routes);
-  set_g "net/data/cost" t.data_overhead;
-  set_g "net/control/cost" t.control_overhead;
+  set_g "net/data/cost" (data_overhead t);
+  set_g "net/control/cost" (control_overhead t);
   set_c "net/links_used"
     (Array.fold_left (fun acc n -> if n > 0 then acc + 1 else acc) 0 t.per_link);
   set_c "net/max_link_crossings" (Array.fold_left max 0 t.per_link)

@@ -208,10 +208,6 @@ let check_line graph (field, line, specs) =
         else reject field "%S: the side holds all %d nodes" line n)
     specs
 
-(* Run time grows with the churn's arrival count, which nothing else
-   bounds: a million arrivals take about a second. *)
-let max_churn_arrivals = 1e6
-
 let perturb p ~seed (sc : Protocols.Runner.scenario) =
   let graph = sc.spec.Topology.Spec.graph in
   let* lines = lower p in
@@ -219,13 +215,18 @@ let perturb p ~seed (sc : Protocols.Runner.scenario) =
   (* The data window anchors the randomized perturbations, so their
      instants track the membership schedule. *)
   let t0 = sc.data_start and t1 = Protocols.Runner.data_end sc in
+  (* The churn starts at time 0, so its span is the horizon itself. *)
   let* () =
     match p.churn with
-    | Some c when t1 /. c.cs_interarrival > max_churn_arrivals ->
-      reject "churn.interarrival"
-        "%g expects %g arrivals over the %g s horizon, more than %g"
-        c.cs_interarrival (t1 /. c.cs_interarrival) t1 max_churn_arrivals
-    | _ -> Ok ()
+    | None -> Ok ()
+    | Some c -> (
+      let mean = c.cs_interarrival in
+      match Protocols.Churn.too_dense ~mean_interarrival:mean ~span:t1 with
+      | None -> Ok ()
+      | Some n ->
+        reject "churn.interarrival"
+          "%g expects %g arrivals over the %g s horizon, more than %g" mean n
+          t1 Protocols.Churn.max_arrivals)
   in
   let random_faults =
     match p.random_link_failures with

@@ -30,7 +30,7 @@ type result = {
    are reused instead of reallocated. Results handed back via [recycle]
    must be dead — the next [run] overwrites their arrays in place. *)
 type workspace = {
-  heap : int Scmp_util.Radix_heap.t;
+  heap : Scmp_util.Radix_heap.t;
   mutable pool : result list;
 }
 

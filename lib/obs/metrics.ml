@@ -5,7 +5,9 @@ type histogram = {
   bounds : float array;  (* upper bucket bounds, strictly increasing *)
   counts : int array;    (* length bounds + 1; last = overflow *)
   mutable h_count : int;
-  mutable h_sum : float;
+  h_sum : float array;
+      (* one cell: a float array stores the running sum unboxed, where
+         a mutable float field would box every observation *)
 }
 
 type entry = Counter of counter | Gauge of gauge | Histogram of histogram
@@ -56,7 +58,7 @@ let histogram ?(wallclock = false) t name =
           bounds = Array.copy buckets;
           counts = Array.make (Array.length buckets + 1) 0;
           h_count = 0;
-          h_sum = 0.0;
+          h_sum = [| 0.0 |];
         }
       in
       (Histogram h, h))
@@ -73,15 +75,21 @@ let set g v =
 let set_max g v = if (not g.g_set) || v > g.g then set g v
 let gauge_value g = g.g
 
+(* First bucket whose bound is >= v, else the overflow bucket. A
+   top-level loop rather than a local closure over [h] and [v], which
+   would be allocated per observation. *)
+let rec slot (bounds : float array) (v : float) i =
+  if i >= Array.length bounds || v <= Array.unsafe_get bounds i then i
+  else slot bounds v (i + 1)
+
 let observe h v =
-  let n = Array.length h.bounds in
-  let rec slot i = if i >= n || v <= h.bounds.(i) then i else slot (i + 1) in
-  h.counts.(slot 0) <- h.counts.(slot 0) + 1;
+  let i = slot h.bounds v 0 in
+  h.counts.(i) <- h.counts.(i) + 1;
   h.h_count <- h.h_count + 1;
-  h.h_sum <- h.h_sum +. v
+  h.h_sum.(0) <- h.h_sum.(0) +. v
 
 let histogram_count h = h.h_count
-let histogram_sum h = h.h_sum
+let histogram_sum h = h.h_sum.(0)
 
 let names t = List.sort String.compare (List.rev t.order)
 
@@ -99,7 +107,7 @@ let copy_entry = function
         bounds = Array.copy h.bounds;
         counts = Array.copy h.counts;
         h_count = h.h_count;
-        h_sum = h.h_sum;
+        h_sum = Array.copy h.h_sum;
       }
 
 let merge_entry name dst src =
@@ -112,7 +120,7 @@ let merge_entry name dst src =
         (Printf.sprintf "Metrics.merge: %S histogram bounds differ" name);
     Array.iteri (fun i n -> d.counts.(i) <- d.counts.(i) + n) s.counts;
     d.h_count <- d.h_count + s.h_count;
-    d.h_sum <- d.h_sum +. s.h_sum
+    d.h_sum.(0) <- d.h_sum.(0) +. s.h_sum.(0)
   | _ ->
     invalid_arg
       (Printf.sprintf "Metrics.merge: %S registered with another kind" name)
@@ -145,7 +153,7 @@ let entry_json = function
     Json.Obj
       [
         ("count", Json.Int h.h_count);
-        ("sum", Json.Float h.h_sum);
+        ("sum", Json.Float h.h_sum.(0));
         ("buckets", Json.List buckets);
       ]
 

@@ -2,29 +2,34 @@ module N = Eventsim.Netsim
 
 type node = Message.node
 
-type entry = {
+(* CBT's entries are the shared-tree entries of {!Forwarding}, keyed
+   by [Forwarding.pk router group]; the epoch field stays 0. *)
+type entry = Forwarding.entry = {
   mutable upstream : node option;
   mutable downstream : node list;
   mutable member : bool;
+  mutable ep : int;
 }
 
 type t = {
   net : Message.t N.t;
   core : node;
-  entries : (node * Message.group, entry) Hashtbl.t;
-  pending_join : (node * Message.group, unit) Hashtbl.t;
-      (** Joins forwarded and awaiting ACK (duplicate suppression). *)
+  entries : Forwarding.table;
+  pending_join : (int, unit) Hashtbl.t;
+      (** Joins forwarded and awaiting ACK (duplicate suppression),
+          keyed like [entries]. *)
   delivery : Delivery.t option;
 }
 
-let entry_opt t x group = Hashtbl.find_opt t.entries (x, group)
+let pk = Forwarding.pk
+let entry_opt t x group = Forwarding.find_opt t.entries (pk x group)
 
 let get_or_create_entry t x group =
   match entry_opt t x group with
   | Some e -> e
   | None ->
-    let e = { upstream = None; downstream = []; member = false } in
-    Hashtbl.replace t.entries (x, group) e;
+    let e = Forwarding.fresh_entry ~member:false ~ep:0 in
+    Forwarding.replace t.entries (pk x group) e;
     e
 
 let record_delivery t x seq =
@@ -32,18 +37,9 @@ let record_delivery t x seq =
   | Some d -> Delivery.record d ~seq ~at_router:x
   | None -> ()
 
-let forward_set e =
-  (match e.upstream with Some u -> [ u ] | None -> []) @ e.downstream
-
 let handle_data t x ~from msg seq group =
-  match entry_opt t x group with
-  | None -> ()
-  | Some e ->
-    let f = forward_set e in
-    if List.mem from f then begin
-      List.iter (fun y -> if y <> from then N.transmit t.net ~src:x ~dst:y msg) f;
-      if e.member then record_delivery t x seq
-    end
+  if Forwarding.step t.net t.entries ~x ~group ~from msg then
+    record_delivery t x seq
 
 (* A JOIN arriving at router [x]: graft if [x] is on the tree (or is
    the core), otherwise forward one hop closer to the core, extending
@@ -70,8 +66,8 @@ let handle_join t x group joiner path =
   end
   else begin
     (* Forward toward the core, remembering the reverse hop. *)
-    if not (Hashtbl.mem t.pending_join (x, group)) then begin
-      Hashtbl.replace t.pending_join (x, group) ();
+    if not (Hashtbl.mem t.pending_join (pk x group)) then begin
+      Hashtbl.replace t.pending_join (pk x group) ();
       match N.(Eventsim.Routes.next_hop (routes t.net) ~src:x ~dst:t.core) with
       | None -> () (* core unreachable: drop *)
       | Some next ->
@@ -85,7 +81,7 @@ let handle_join t x group joiner path =
 let handle_join_ack t x ~from group path =
   match path with
   | head :: rest when head = x ->
-    Hashtbl.remove t.pending_join (x, group);
+    Hashtbl.remove t.pending_join (pk x group);
     let e = get_or_create_entry t x group in
     e.upstream <- Some from;
     (match rest with
@@ -103,9 +99,9 @@ let handle_quit t x group ~from =
     if e.downstream = [] && (not e.member) && x <> t.core then begin
       match e.upstream with
       | Some up ->
-        Hashtbl.remove t.entries (x, group);
+        Forwarding.remove t.entries (pk x group);
         N.transmit t.net ~src:x ~dst:up (Message.Cbt_quit { group; from = x })
-      | None -> Hashtbl.remove t.entries (x, group)
+      | None -> Forwarding.remove t.entries (pk x group)
     end
 
 let handle_encap t x group src seq =
@@ -113,8 +109,8 @@ let handle_encap t x group src seq =
     match entry_opt t t.core group with
     | None -> ()
     | Some e ->
-      let msg = Message.Data { group; src; seq } in
-      List.iter (fun y -> N.transmit t.net ~src:t.core ~dst:y msg) e.downstream;
+      Forwarding.send_downstream t.net e ~src:t.core
+        (Message.Data { group; src; seq });
       if e.member then record_delivery t t.core seq
   end
 
@@ -142,7 +138,7 @@ let create ?delivery net ~core () =
     {
       net;
       core;
-      entries = Hashtbl.create 64;
+      entries = Forwarding.create ();
       pending_join = Hashtbl.create 16;
       delivery;
     }
@@ -175,16 +171,15 @@ let host_leave t ~group x =
     if e.downstream = [] && x <> t.core then begin
       match e.upstream with
       | Some up ->
-        Hashtbl.remove t.entries (x, group);
+        Forwarding.remove t.entries (pk x group);
         N.transmit t.net ~src:x ~dst:up (Message.Cbt_quit { group; from = x })
-      | None -> Hashtbl.remove t.entries (x, group)
+      | None -> Forwarding.remove t.entries (pk x group)
     end
 
 let send_data t ~group ~src ~seq =
   match entry_opt t src group with
   | Some e when e.upstream <> None || src = t.core ->
-    let msg = Message.Data { group; src; seq } in
-    List.iter (fun y -> N.transmit t.net ~src ~dst:y msg) (forward_set e)
+    Forwarding.originate t.net e ~src (Message.Data { group; src; seq })
   | Some _ | None ->
     N.unicast t.net ~src ~dst:t.core (Message.Encap { group; src; seq })
 
@@ -192,7 +187,8 @@ let router_state t x ~group =
   Option.map (fun e -> (e.upstream, e.downstream, e.member)) (entry_opt t x group)
 
 let on_tree t ~group =
-  Hashtbl.fold
-    (fun (x, g) _ acc -> if g = group then x :: acc else acc)
+  Forwarding.fold
+    (fun k _ acc ->
+      if Forwarding.pk_lo k = group then Forwarding.pk_hi k :: acc else acc)
     t.entries []
   |> List.sort Int.compare

@@ -50,11 +50,29 @@ let rec schedule_arrivals t =
         arrival t ();
         schedule_arrivals t)
 
+(* Run time grows with the arrival count, which nothing else bounds: a
+   million arrivals take about a second. A mean far below the clock's
+   resolution would not even advance time. *)
+let max_arrivals = 1e6
+
+let too_dense ~mean_interarrival ~span =
+  let n = span /. mean_interarrival in
+  if n > max_arrivals then Some n else None
+
 let start engine ~rng ~candidates ~join ~leave ~mean_interarrival ~mean_holding
     ~horizon =
   if mean_interarrival <= 0.0 || mean_holding <= 0.0 then
     invalid_arg "Churn.start: means must be positive";
   if candidates = [] then invalid_arg "Churn.start: empty candidate pool";
+  let span = horizon -. Eventsim.Engine.now engine in
+  Option.iter
+    (fun n ->
+      invalid_arg
+        (Printf.sprintf
+           "Churn.start: a mean inter-arrival of %g s expects %g arrivals \
+            over %g s, more than %g"
+           mean_interarrival n span max_arrivals))
+    (too_dense ~mean_interarrival ~span);
   let t =
     {
       engine;

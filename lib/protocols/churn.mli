@@ -25,7 +25,17 @@ val start :
     still fire. Each arrival joins a uniformly random candidate not
     currently a member (skipped silently if everyone is in). Departures
     only target current members.
-    @raise Invalid_argument on non-positive means or an empty pool. *)
+    @raise Invalid_argument on non-positive means, an empty pool, or a
+    churn {!too_dense} over the span from now to [horizon]. *)
+
+val max_arrivals : float
+(** The most arrivals a churn may expect: 10{^6}. The run time grows
+    with the arrival count (a million arrivals take about a second). *)
+
+val too_dense : mean_interarrival:float -> span:float -> float option
+(** [Some n] when a churn with this mean inter-arrival time expects [n]
+    arrivals over [span] seconds, more than {!max_arrivals}; [None]
+    otherwise. *)
 
 val joins : t -> int
 (** Joins performed so far. *)

@@ -3,7 +3,9 @@
    router ids (0 = non-member, 1 = member awaiting delivery,
    2 = delivered). [record] runs on the data fast path — once per
    delivery event — so it is a couple of array reads instead of three
-   hashtable probes on a heap-allocated key. *)
+   hashtable probes on a heap-allocated key, and it allocates nothing:
+   the delay goes into a growable float array and the running mean and
+   maximum sit in another, where floats are stored unboxed. *)
 
 type packet = {
   sent_at : float;
@@ -19,8 +21,8 @@ type t = {
   mutable duplicates : int;
   mutable spurious : int;
   mutable expected : int; (* lifetime (seq, member) pairs declared *)
-  stats : Scmp_util.Stats.t;
-  mutable all_delays : float list;
+  mutable delays : float array; (* the first [deliveries] slots, in order *)
+  running : float array; (* [| mean; max |] over those delays *)
 }
 
 let create engine =
@@ -31,8 +33,8 @@ let create engine =
     duplicates = 0;
     spurious = 0;
     expected = 0;
-    stats = Scmp_util.Stats.create ();
-    all_delays = [];
+    delays = Array.make 64 0.0;
+    running = [| 0.0; neg_infinity |];
   }
 
 let ensure t seq =
@@ -81,10 +83,19 @@ let record t ~seq ~at_router =
       | '\002' -> t.duplicates <- t.duplicates + 1
       | _ ->
         Bytes.unsafe_set p.state at_router '\002';
-        t.deliveries <- t.deliveries + 1;
         let delay = Eventsim.Engine.now t.engine -. p.sent_at in
-        Scmp_util.Stats.add t.stats delay;
-        t.all_delays <- delay :: t.all_delays
+        let n = t.deliveries in
+        if n = Array.length t.delays then begin
+          let fresh = Array.make (2 * n) 0.0 in
+          Array.blit t.delays 0 fresh 0 n;
+          t.delays <- fresh
+        end;
+        Array.unsafe_set t.delays n delay;
+        t.deliveries <- n + 1;
+        (* the incremental mean of {!Scmp_util.Stats.add}, term for term *)
+        let r = t.running in
+        r.(0) <- r.(0) +. ((delay -. r.(0)) /. float_of_int (n + 1));
+        if delay > r.(1) then r.(1) <- delay
     end
 
 let deliveries t = t.deliveries
@@ -95,7 +106,10 @@ let spurious t = t.spurious
    count is a subtraction, not a fold over all packets. *)
 let missed t = t.expected - t.deliveries
 
-let max_delay t = if Scmp_util.Stats.count t.stats = 0 then 0.0 else Scmp_util.Stats.max t.stats
-let mean_delay t = Scmp_util.Stats.mean t.stats
+let max_delay t = if t.deliveries = 0 then 0.0 else t.running.(1)
+let mean_delay t = if t.deliveries = 0 then 0.0 else t.running.(0)
 
-let delays t = t.all_delays
+let iter_delays t f =
+  for i = t.deliveries - 1 downto 0 do
+    f (Array.unsafe_get t.delays i)
+  done

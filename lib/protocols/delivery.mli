@@ -33,5 +33,6 @@ val max_delay : t -> float
 
 val mean_delay : t -> float
 
-val delays : t -> float list
-(** All per-delivery delays, unordered. *)
+val iter_delays : t -> (float -> unit) -> unit
+(** [iter_delays t f] applies [f] to every per-delivery delay, newest
+    first. *)

@@ -112,7 +112,7 @@ let report_finish r s ~engine ~net ~delivery ~trace ~(inst : Driver.instance)
   gauge "delivery/max_delay_s" (Delivery.max_delay delivery);
   gauge "delivery/mean_delay_s" (Delivery.mean_delay delivery);
   let h = Obs.Metrics.histogram m "delivery/delay_s" in
-  List.iter (Obs.Metrics.observe h) (Delivery.delays delivery);
+  Delivery.iter_delays delivery (Obs.Metrics.observe h);
   match trace with
   | None -> ()
   | Some tr ->

@@ -3,21 +3,12 @@ module N = Eventsim.Netsim
 type node = Message.node
 
 (* The hot per-router tables key on one immediate int instead of a
-   boxed pair: hashing is a single int mix and equality a word compare,
-   with no tuple allocation per probe. [pk x g] packs a node id (well
-   below 2^30) above a group id (a 32-bit multicast address — see
-   Service.allocate_group); the node always rides in the high field so
-   the group's full 32 bits fit below it. *)
-let pk x g = (x lsl 32) lor g
-let pk_hi k = k lsr 32
-let pk_lo k = k land 0xFFFF_FFFF
-
-(* Int-specialized membership: [List.mem] pays a polymorphic-compare
-   call per element, and the forwarding sets it scans sit on the
-   per-packet data path. *)
-let rec mem_int (x : int) = function
-  | [] -> false
-  | y :: rest -> y = x || mem_int x rest
+   boxed pair ({!Forwarding.pk}): hashing is a single int mix and
+   equality a word compare, with no tuple allocation per probe. *)
+let pk = Forwarding.pk
+let pk_hi = Forwarding.pk_hi
+let pk_lo = Forwarding.pk_lo
+let mem_int = Forwarding.mem_int
 
 (* Int-keyed hashtable for the packed-key tables: the polymorphic
    [Hashtbl] pays a C call for hashing and another per probe for
@@ -40,7 +31,7 @@ module Rel = Reliable.Make (Int_key)
 
 type distribution = Incremental | Always_full_tree
 
-type entry = {
+type entry = Forwarding.entry = {
   mutable upstream : node option;
   mutable downstream : node list;
   mutable member : bool;
@@ -110,7 +101,7 @@ type t = {
   node_epoch : int array;
   view : node array;
   epoch_owner : (int, node) Hashtbl.t;
-  entries : entry IT.t;  (* key = [pk router group] *)
+  entries : Forwarding.table;  (* key = [pk router group] *)
   pending_iface : unit IT.t;  (* key = [pk router group] *)
   (* Reliable control transport. *)
   mutable ctl_seq : int;  (* request sequence numbers, network-wide *)
@@ -258,7 +249,7 @@ let active_authorities t =
 
 (* ---- routing entries ---- *)
 
-let entry_opt t x group = IT.find_opt t.entries (pk x group)
+let entry_opt t x group = Forwarding.find_opt t.entries (pk x group)
 
 let get_or_create_entry t x group ~ep =
   match entry_opt t x group with
@@ -266,8 +257,8 @@ let get_or_create_entry t x group ~ep =
   | None ->
     let member = IT.mem t.pending_iface (pk x group) in
     IT.remove t.pending_iface (pk x group);
-    let e = { upstream = None; downstream = []; member; ep } in
-    IT.replace t.entries (pk x group) e;
+    let e = Forwarding.fresh_entry ~member ~ep in
+    Forwarding.replace t.entries (pk x group) e;
     e
 
 (* First frame of a newer regime at a router: the old regime's
@@ -285,7 +276,7 @@ let entry_for_epoch t x group epoch =
 
 let authority_entry t a group = entry_for_epoch t a.an group a.a_epoch
 
-let drop_entry t x group = IT.remove t.entries (pk x group)
+let drop_entry t x group = Forwarding.remove t.entries (pk x group)
 
 (* ---- blackout bookkeeping ---- *)
 
@@ -426,32 +417,14 @@ let view_up t x =
 (* ---- data plane (§III.F) ---- *)
 
 let handle_data t x ~from msg group seq =
-  match entry_opt t x group with
-  | None -> ()
-  | Some e ->
-    (* [forward_set], inline and allocation-free: membership and the
-       forwarding sweep read upstream/downstream directly, in the same
-       order the materialized list would ([upstream] first). *)
-    let from_upstream = match e.upstream with Some u -> u = from | None -> false in
-    if from_upstream || mem_int from e.downstream then begin
-      (match e.upstream with
-      | Some u when u <> from -> N.transmit t.net ~src:x ~dst:u msg
-      | Some _ | None -> ());
-      List.iter
-        (fun y -> if y <> from then N.transmit t.net ~src:x ~dst:y msg)
-        e.downstream;
-      if e.member then record_delivery t group x seq
-    end
-(* else: not from the F set — drop (§III.F). *)
+  if Forwarding.step t.net t.entries ~x ~group ~from msg then
+    record_delivery t group x seq
 
 let originate_data t group ~src ~seq =
   let msg = Message.Data { group; src; seq } in
   match entry_opt t src group with
   | Some e when e.upstream <> None || e.downstream <> [] || is_active_root t src ->
-    (match e.upstream with
-    | Some u -> N.transmit t.net ~src ~dst:u msg
-    | None -> ());
-    List.iter (fun y -> N.transmit t.net ~src ~dst:y msg) e.downstream
+    Forwarding.originate t.net e ~src msg
     (* The origin's own subnet receives the packet locally; the runner
        never counts the source among expected receivers. *)
   | Some _ | None ->
@@ -462,8 +435,7 @@ let handle_encap t a group src seq =
   match entry_opt t a.an group with
   | None -> ()
   | Some e ->
-    let msg = Message.Data { group; src; seq } in
-    List.iter (fun y -> N.transmit t.net ~src:a.an ~dst:y msg) e.downstream;
+    Forwarding.send_downstream t.net e ~src:a.an (Message.Data { group; src; seq });
     if e.member then record_delivery t group a.an seq
 
 (* ---- tree distribution (§III.E) ---- *)
@@ -945,7 +917,7 @@ let request_rtt net view key _msg =
 let request_completed entries key msg =
   match msg with
   | Message.Scmp_graft _ -> (
-    match IT.find_opt entries key with
+    match Forwarding.find_opt entries key with
     | Some e -> e.upstream <> None
     | None -> true (* invalidated meanwhile: nothing left to repair *))
   | _ -> false
@@ -989,7 +961,7 @@ let groups t =
 
 let snapshot t ~group =
   let entries =
-    IT.fold
+    Forwarding.fold
       (fun k e acc ->
         (* Dead routers, a failed m-router's leftovers and partitioned
            routers hold state the live network cannot observe; the
@@ -1096,7 +1068,7 @@ let on_topology_change t =
   let crashed =
     (* keyed removal/re-mark only: each element touches its own key,
        so processing order is immaterial *)
-    IT.fold
+    Forwarding.fold
       (fun key e acc ->
         if N.node_alive t.net (pk_hi key) then acc
         else (key, e.member) :: acc)
@@ -1104,7 +1076,7 @@ let on_topology_change t =
   in
   List.iter
     (fun (key, was_member) ->
-      IT.remove t.entries key;
+      Forwarding.remove t.entries key;
       if was_member then IT.replace t.pending_iface key ())
     crashed;
   let now = Eventsim.Engine.now (N.engine t.net) in
@@ -1127,7 +1099,7 @@ let on_topology_change t =
                    adjacencies while it was dark. The membership
                    database survives the reboot; rebuild from it and
                    redistribute so the whole network re-installs. *)
-                || not (IT.mem t.entries (pk a.an group))
+                || not (Forwarding.mem t.entries (pk a.an group))
               then group :: acc
               else acc)
             a.a_dcdm []
@@ -1141,7 +1113,7 @@ let on_topology_change t =
   let grafts = ref [] in
   (* the collected grafts are sorted (router, group) before dispatch
      below, so collection order never escapes *)
-  IT.iter
+  Forwarding.iter
     (fun k e ->
       let x = pk_hi k and group = pk_lo k in
       if N.node_alive t.net x then begin
@@ -1181,7 +1153,7 @@ let on_topology_change t =
            | Some d -> Mtree.Tree.on_tree (Mtree.Dcdm.tree d) x
            | None -> false
          in
-         if (not on_tree) && IT.mem t.entries (pk x group) then
+         if (not on_tree) && Forwarding.mem t.entries (pk x group) then
            send_invalidate t a group x)
        (List.sort_uniq
           (fun (g1, x1) (g2, x2) ->
@@ -1373,7 +1345,7 @@ let create ?delivery ?(distribution = Incremental) ?standby ?(heartbeat_interval
   let engine = N.engine net in
   let n = Netgraph.Graph.node_count g in
   let view = Array.make n mrouter in
-  let entries = IT.create 64 in
+  let entries = Forwarding.create () in
   let dead_letters = ref [] in
   let requests =
     Rel.create engine ~rto ~max_attempts ~rtt:(request_rtt net view)

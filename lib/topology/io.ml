@@ -76,16 +76,20 @@ let of_string text =
     | _, None -> Error "missing node count"
     | Some name, Some n -> (
       try
-        let coords = Array.make n (0, 0) in
-        let seen = Array.make n false in
+        (* Nothing of size [n] is allocated before the file has shown
+           one coord line per node: a huge declared count is an error,
+           not an allocation failure. *)
+        let seen = Hashtbl.create 64 in
         List.iter
-          (fun (i, x, y) ->
+          (fun (i, _, _) ->
             if i < 0 || i >= n then failwith (Printf.sprintf "coord node %d out of range" i);
-            if seen.(i) then failwith (Printf.sprintf "duplicate coord for node %d" i);
-            seen.(i) <- true;
-            coords.(i) <- (x, y))
+            if Hashtbl.mem seen i then
+              failwith (Printf.sprintf "duplicate coord for node %d" i);
+            Hashtbl.replace seen i ())
           state.coords;
-        if not (Array.for_all Fun.id seen) then failwith "missing coord lines";
+        if Hashtbl.length seen < n then failwith "missing coord lines";
+        let coords = Array.make n (0, 0) in
+        List.iter (fun (i, x, y) -> coords.(i) <- (x, y)) state.coords;
         let g = Netgraph.Graph.of_links ~n (List.rev state.links) in
         Ok (Spec.make ~name ~graph:g ~coords)
       with

@@ -1,6 +1,6 @@
-(* Monotone bucket ("radix") heap over non-negative float keys — the
-   Dijkstra frontier (int payloads) and the event engine's scheduler
-   (boxed payloads).
+(* Monotone bucket ("radix") heap over non-negative float keys with int
+   payloads — the Dijkstra frontier (node ids) and the event engine's
+   scheduler (event handles).
 
    Exploits monotone extraction: every key added is >= the last
    extracted minimum (Dijkstra pushes d + w >= d; a simulation clock
@@ -28,18 +28,15 @@
    occupancy is a single int bitmask, so the lowest non-empty bucket is
    found with bit tricks instead of a linear scan.
 
-   A payload array keeps a reference to a popped value until a later
-   add overwrites its slot (there is no dummy ['a] to blank with). So
-   [pop_min] releases every bucket's storage when the queue drains to
-   empty — the quiescent state of an event engine — exactly as
-   {!Heap.pop} releases its array on the last entry. The int-only
-   drain ([drain_csr]) keeps its storage instead: an int
-   holds nothing alive, and a reused Dijkstra workspace must not
-   reallocate its buckets on every search. *)
+   Payloads are ints, so a popped slot holds nothing alive and the
+   buckets keep their storage when the queue drains: an event queue
+   that empties and refills, or a reused Dijkstra workspace, does not
+   reallocate its buckets, and a payload store is a plain write with no
+   write barrier. *)
 
-type 'a bucket = {
+type bucket = {
   mutable keys : int array;  (* shifted IEEE-754 images *)
-  mutable vals : 'a array;
+  mutable vals : int array;
   mutable len : int;
 }
 
@@ -49,9 +46,9 @@ type 'a bucket = {
    1 lsl 62 is the last representable bit). *)
 let nbuckets = 64
 
-type 'a t = {
+type t = {
   mutable ifloor : int;  (* image of the last extracted minimum *)
-  buckets : 'a bucket array;
+  buckets : bucket array;
   mutable occ : int;  (* bit i set <=> bucket i+1 non-empty *)
   mutable lowbi : int;
       (* index of the lowest non-empty bucket above 0 whenever
@@ -137,13 +134,10 @@ let is_empty t = t.size = 0
 let capacity t =
   Array.fold_left (fun acc b -> acc + Array.length b.keys) 0 t.buckets
 
-(* Grow using [fill] (a value about to be stored) as the payload
-   filler, so no dummy ['a] is ever fabricated — {!Heap.ensure_room}'s
-   trick. *)
-let grow b fill =
+let grow b =
   let cap = Array.length b.keys in
   let ncap = if cap = 0 then 8 else 2 * cap in
-  let keys = Array.make ncap 0 and vals = Array.make ncap fill in
+  let keys = Array.make ncap 0 and vals = Array.make ncap 0 in
   Array.blit b.keys 0 keys 0 b.len;
   Array.blit b.vals 0 vals 0 b.len;
   b.keys <- keys;
@@ -154,7 +148,7 @@ let add_image t ik v =
     invalid_arg "Radix_heap.add: key below the extracted minimum (or NaN)";
   let bi = bucket_of t.ifloor ik in
   let b = Array.unsafe_get t.buckets bi in
-  if b.len = Array.length b.keys then grow b v;
+  if b.len = Array.length b.keys then grow b;
   Array.unsafe_set b.keys b.len ik;
   Array.unsafe_set b.vals b.len v;
   b.len <- b.len + 1;
@@ -198,7 +192,7 @@ let redistribute t b low =
     let bi = bucket_of ifloor ik in
     let v = Array.unsafe_get vals k in
     let dst = Array.unsafe_get buckets bi in
-    if dst.len = Array.length dst.keys then grow dst v;
+    if dst.len = Array.length dst.keys then grow dst;
     Array.unsafe_set dst.keys dst.len ik;
     Array.unsafe_set dst.vals dst.len v;
     dst.len <- dst.len + 1;
@@ -250,17 +244,6 @@ let take t =
   end
   else bi
 
-(* Bucket arrays are rebuilt lazily by the next add. *)
-let release_storage t =
-  for i = 0 to nbuckets - 1 do
-    let b = Array.unsafe_get t.buckets i in
-    if Array.length b.keys > 0 then begin
-      b.keys <- [||];
-      b.vals <- [||];
-      b.len <- 0
-    end
-  done
-
 (* Advance bucket 0's read cursor past [k] popped entries. *)
 let consume_b0 t b0 k =
   t.head <- t.head + k;
@@ -295,7 +278,6 @@ let pop_min t =
     t.size <- t.size - 1;
     shrunk t b bi
   end;
-  if t.size = 0 then release_storage t;
   v
 
 let pop t =
@@ -344,7 +326,7 @@ let pop t =
    [sum + (reach + 1 - k) * d]. When that bound exceeds [cutoff] the
    drain stops before relaxing. With [cutoff = infinity] the test never
    fires and the drain is the uncut one. *)
-let drain_csr (t : int t) ~off ~ends ~nbr ~eid ~wsel ~woth ~dist ~pred
+let drain_csr t ~off ~ends ~nbr ~eid ~wsel ~woth ~dist ~pred
     ~pred_edge ~other ~reach ~cutoff =
   let buckets = t.buckets in
   let b0 = Array.unsafe_get buckets 0 in
@@ -382,11 +364,10 @@ let drain_csr (t : int t) ~off ~ends ~nbr ~eid ~wsel ~woth ~dist ~pred
         let b = Array.unsafe_get buckets !bi in
         if b.len > scan_threshold then begin
           (* Floor advance: [redistribute] without the occupancy
-             upkeep, on int payloads. The shared ['a] version moves
-             each payload with a generic store (a [caml_modify] call),
-             which costs the fused drain about 15% on a 100-node
-             graph. Afterwards the minimum heads bucket 0; the next
-             non-b0 pop re-finds the lowest bucket by the scan above. *)
+             upkeep, on the drain's local floor — the fused loop keeps
+             floor, size and lowest bucket in locals, not in [t].
+             Afterwards the minimum heads bucket 0; the next non-b0
+             pop re-finds the lowest bucket by the scan above. *)
           let keys = b.keys and vals = b.vals in
           let len = b.len in
           ifloor := Array.unsafe_get keys (min_slot keys len);
@@ -396,7 +377,7 @@ let drain_csr (t : int t) ~off ~ends ~nbr ~eid ~wsel ~woth ~dist ~pred
             let ik = Array.unsafe_get keys k in
             let bj = bucket_of fl ik in
             let b' = Array.unsafe_get buckets bj in
-            if b'.len = Array.length b'.keys then grow b' 0;
+            if b'.len = Array.length b'.keys then grow b';
             Array.unsafe_set b'.keys b'.len ik;
             Array.unsafe_set b'.vals b'.len (Array.unsafe_get vals k);
             b'.len <- b'.len + 1
@@ -447,7 +428,7 @@ let drain_csr (t : int t) ~off ~ends ~nbr ~eid ~wsel ~woth ~dist ~pred
             let ik = image nd in
             let bi = bucket_of !ifloor ik in
             let b = Array.unsafe_get buckets bi in
-            if b.len = Array.length b.keys then grow b y;
+            if b.len = Array.length b.keys then grow b;
             Array.unsafe_set b.keys b.len ik;
             Array.unsafe_set b.vals b.len y;
             b.len <- b.len + 1;
@@ -475,12 +456,11 @@ let drain_csr (t : int t) ~off ~ends ~nbr ~eid ~wsel ~woth ~dist ~pred
   not !cut
 
 (* An empty queue needs no bucket reset: every bucket is already at
-   len 0 (and a boxed queue drained by [pop_min] has released its
-   storage), so clearing a drained Dijkstra workspace is O(1) and keeps
-   its buckets. A non-empty queue drops its storage, so no cleared
-   payload stays reachable. *)
+   len 0, so clearing a drained Dijkstra workspace is O(1). A non-empty
+   queue drops its entries by length alone and keeps its storage. *)
 let clear t =
-  if t.size > 0 then release_storage t;
+  if t.size > 0 then
+    Array.iter (fun b -> b.len <- 0) t.buckets;
   t.occ <- 0;
   t.size <- 0;
   t.head <- 0;

@@ -1,8 +1,8 @@
-(** Monotone bucket ("radix") heap: non-negative float keys, any
-    payload.
+(** Monotone bucket ("radix") heap: non-negative float keys, int
+    payloads.
 
-    The Dijkstra frontier (int payloads) and the event engine's
-    scheduler (boxed payloads). Compared to the general {!Heap}: O(1)
+    The Dijkstra frontier (node ids) and the event engine's scheduler
+    (event handles). Compared to the general {!Heap}: O(1)
     amortized add and near-O(1) pop, but keys must be {e monotone} —
     every key added must be >= the minimum most recently popped
     (Dijkstra guarantees this: a relaxation pushes [d + w >= d]; an
@@ -12,12 +12,12 @@
     {!Heap}'s sequence-number rule — shortest-path tie-breaking and
     whole-run simulation determinism rest on it. *)
 
-type 'a t
+type t
 
-val create : unit -> 'a t
+val create : unit -> t
 (** An empty heap with floor 0.0 — every key must be >= 0. *)
 
-val add : 'a t -> key:float -> 'a -> unit
+val add : t -> key:float -> int -> unit
 (** @raise Invalid_argument if [key] is NaN, negative, or below the
     monotonicity floor — a lower bound that trails the extracted
     minimum (0.0 initially, advanced lazily as buckets are
@@ -36,14 +36,14 @@ val key_of_image : int -> float
 (** Inverse of {!image} on its range. *)
 
 val add_image : (* lint: allow unused-export: reference oracle, the pre-imaged entry point against add *)
-  'a t -> int -> 'a -> unit
+  t -> int -> int -> unit
 (** [add_image t (image key) v] = [add t ~key v] for non-negative,
     non-NaN keys — the allocation-free hot-loop form. NaN images sort
     above every finite image rather than being rejected, so callers
     must not feed NaNs.
     @raise Invalid_argument if the image is below the floor's. *)
 
-val min_image : 'a t -> int
+val min_image : t -> int
 (** Image of the current minimum key; [max_int] when empty (strictly
     above the image of every float key, +infinity included). Locates
     the minimum and memoizes its position, so the following {!pop_min}
@@ -51,20 +51,19 @@ val min_image : 'a t -> int
     peek leaves the monotonicity floor where it was: a key between the
     last popped one and this minimum may still be added. *)
 
-val pop_min : 'a t -> 'a
+val pop_min : t -> int
 (** Pop the minimum-key entry — among equal keys, the earliest
     inserted. Uses the position memoized by {!min_image} when the heap
     was not touched in between; locates it itself otherwise. Draining
-    the heap to empty releases its bucket storage, so no popped payload
-    stays reachable from it.
+    the heap to empty keeps its bucket storage for the next adds.
     @raise Invalid_argument if the heap is empty. *)
 
-val pop : 'a t -> (float * 'a) option
+val pop : t -> (float * int) option
 (** [min_image]/[pop_min] packaged with the key recovered — the
     allocating convenience form for tests and oracles. *)
 
 val drain_csr :
-  int t ->
+  t ->
   off:int array ->
   ends:int array ->
   nbr:int array ->
@@ -110,15 +109,14 @@ val drain_csr :
     search. [cutoff = infinity] never stops it: the drain is the uncut
     one, result and pop order alike, and returns [true]. *)
 
-val length : 'a t -> int
-val is_empty : 'a t -> bool
+val length : t -> int
+val is_empty : t -> bool
 
-val capacity : 'a t -> int
+val capacity : t -> int
 (** Entry slots the buckets hold, queued or free: what a workspace
     keeps from one search to the next. *)
 
-val clear : 'a t -> unit
-(** Empty the heap and reset the floor to 0.0. O(1) on an empty heap,
-    which keeps whatever bucket storage it has (the Dijkstra
-    workspace-reuse entry point); a non-empty heap releases its
-    storage along with the payloads in it. *)
+val clear : t -> unit
+(** Empty the heap and reset the floor to 0.0, keeping its bucket
+    storage (the Dijkstra workspace-reuse entry point). O(1) on an
+    empty heap. *)

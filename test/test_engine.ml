@@ -45,8 +45,8 @@ let prop_calendar_matches_heap =
                extracted minimum *)
             let key = !floor +. (0.5 *. float_of_int delta) in
             incr seq;
-            Q.add q ~key (Some !seq);
-            Heap.add h ~key (Some !seq)
+            Q.add q ~key !seq;
+            Heap.add h ~key !seq
           end
           else pop_both ())
         ops;
@@ -209,6 +209,36 @@ let test_every_reenqueues_after_body () =
   checkb "probe pops before the tied second tick" true
     (List.rev !log = [ `Tick 1; `Probe; `Tick 2 ])
 
+(* ---------------- the fast path allocates only floats ------------- *)
+
+let test_fast_path_allocation () =
+  (* 10^5 self-rescheduling fast events from 100 sources, so the queue
+     never drains. The slab and the handle queue store an event in
+     arrays, so what is left per event is two boxed floats: the time
+     handed to [schedule_fast] and the clock when it moves. An event
+     record per event would add 8 words. *)
+  let e = Engine.create () in
+  let sources = 100 and depth = 1000 in
+  let d = ref (Engine.dispatch (fun _ _ _ _ _ -> ())) in
+  d :=
+    Engine.dispatch (fun i rem _ _ _ ->
+        if rem > 0 then
+          Engine.schedule_fast e
+            ~time:(Engine.now e +. (0.001 *. float_of_int (1 + ((i * 7) mod 13))))
+            !d i (rem - 1) 0 0 0);
+  let w0 = Gc.minor_words () in
+  for i = 0 to sources - 1 do
+    Engine.schedule_fast e ~time:0.0 !d i (depth - 1) 0 0 0
+  done;
+  Engine.run e;
+  let words = Gc.minor_words () -. w0 in
+  let events = Engine.events_executed e in
+  checki "every event ran" (sources * depth) events;
+  let per_event = words /. float_of_int events in
+  checkb
+    (Printf.sprintf "%.2f minor words per event, at most 5" per_event)
+    true (per_event <= 5.0)
+
 (* ---------------- transmit hooks fire in registration order ------- *)
 
 let test_on_transmit_hook_order () =
@@ -259,5 +289,7 @@ let () =
             test_every_reenqueues_after_body;
           Alcotest.test_case "on_transmit hook order" `Quick
             test_on_transmit_hook_order;
+          Alcotest.test_case "fast path allocates at most 5 words per event"
+            `Quick test_fast_path_allocation;
         ] );
     ]

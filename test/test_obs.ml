@@ -105,6 +105,37 @@ let test_json_no_scientific_notation () =
       | Error e -> Alcotest.failf "%s failed to parse: %s" s e)
     cases
 
+(* Mutation fuzzing ({!Fuzz}) of the parser itself, called directly:
+   whatever the text, [of_string] answers Ok or Error and never raises. *)
+let json_seeds =
+  lazy
+    [
+      Json.to_string ~pretty:true
+        (Json.Obj
+           [
+             ("schema", Json.String "scmp-report/1");
+             ("count", Json.Int 42);
+             ("ratio", Json.Float 0.25);
+             ("neg", Json.Float (-1.5));
+             ( "items",
+               Json.List
+                 [
+                   Json.Null;
+                   Json.Bool true;
+                   Json.Bool false;
+                   Json.String "a\"b\\c\n\t\001";
+                 ] );
+             ("empty", Json.Obj []);
+           ]);
+      "{\"a\": [1, -2, 3.5e-3, 1E2, 0], \"b\": \"\\u0041\\/\\r\\b\\f\"}";
+      "[[], {}, [[1]], \"\", -0.0]";
+    ]
+
+let prop_json_fuzz =
+  QCheck.Test.make ~count:3000 ~name:"Json.of_string: mutants are Ok or Error"
+    (Fuzz.arb_mutant json_seeds) (fun s ->
+      match Json.of_string s with Ok _ | Error _ -> true)
+
 (* ---------------- Metrics ---------------- *)
 
 let test_metrics_registry () =
@@ -276,6 +307,7 @@ let () =
           Alcotest.test_case "parser round-trip" `Quick test_json_parser;
           Alcotest.test_case "no scientific notation" `Quick
             test_json_no_scientific_notation;
+          QCheck_alcotest.to_alcotest prop_json_fuzz;
         ] );
       ( "metrics",
         [

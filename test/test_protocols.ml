@@ -145,7 +145,10 @@ let test_delivery_recorder () =
   checki "missed (member 3)" 1 (Delivery.missed d);
   checkf "max delay" 5.0 (Delivery.max_delay d);
   checkf "mean delay" 3.5 (Delivery.mean_delay d);
-  checki "raw delays kept" 2 (List.length (Delivery.delays d))
+  let kept = ref [] in
+  Delivery.iter_delays d (fun x -> kept := x :: !kept);
+  Alcotest.(check (list (float 1e-12)))
+    "raw delays kept, iterated newest first" [ 2.0; 5.0 ] !kept
 
 let test_delivery_empty () =
   let e = Engine.create () in
@@ -225,6 +228,78 @@ let expect_and_send e delivery ~seq ~members ~send =
   Delivery.expect delivery ~seq ~members ~sent_at:(Engine.now e);
   send ();
   Engine.run e
+
+(* ---------------- Forwarding ---------------- *)
+
+module Fwd = Protocols.Forwarding
+
+(* The open-addressing entry table against a [Hashtbl] model. Routers
+   0..99 and four groups over a table that starts at 64 slots force
+   probe runs that wrap, deletions that shift entries back, and growth
+   mid-sequence. *)
+let prop_forwarding_table_model =
+  QCheck.Test.make ~name:"entry table = Hashtbl model" ~count:300
+    QCheck.(list (triple (int_bound 2) (int_bound 99) (int_bound 3)))
+    (fun ops ->
+      let tbl = Fwd.create () and model = Hashtbl.create 16 in
+      let agree = ref true in
+      List.iteri
+        (fun i (op, x, g) ->
+          let k = Fwd.pk x g in
+          match op with
+          | 0 ->
+            let e = Fwd.fresh_entry ~member:false ~ep:i in
+            Fwd.replace tbl k e;
+            Hashtbl.replace model k i
+          | 1 ->
+            Fwd.remove tbl k;
+            Hashtbl.remove model k
+          | _ ->
+            let got = Option.map (fun e -> e.Fwd.ep) (Fwd.find_opt tbl k) in
+            if got <> Hashtbl.find_opt model k || Fwd.mem tbl k <> (got <> None)
+            then agree := false)
+        ops;
+      let listed =
+        Fwd.fold (fun k e acc -> (k, e.Fwd.ep) :: acc) tbl []
+        |> List.sort compare
+      in
+      let expected =
+        Hashtbl.fold (fun k v acc -> (k, v) :: acc) model [] |> List.sort compare
+      in
+      !agree && listed = expected
+      && List.for_all (fun (k, _) -> Fwd.pk (Fwd.pk_hi k) (Fwd.pk_lo k) = k) listed)
+
+(* One step on a star around router 0: from upstream 1 it goes to the
+   downstream list in order, never back to the sender; from a
+   downstream router it goes upstream first; from outside the F set it
+   is dropped; the result is the member flag. *)
+let test_forwarding_step () =
+  let bld = G.Builder.create 5 in
+  List.iter (fun y -> G.Builder.add_link bld 0 y ~delay:1.0 ~cost:1.0) [ 1; 2; 3; 4 ];
+  let e, net, _ = make_net (G.Builder.freeze bld) in
+  let sent = ref [] in
+  Netsim.on_transmit net (fun ~src ~dst _ -> sent := (src, dst) :: !sent);
+  let tbl = Fwd.create () in
+  let entry = Fwd.fresh_entry ~member:true ~ep:0 in
+  entry.Fwd.upstream <- Some 1;
+  entry.Fwd.downstream <- [ 3; 2 ];
+  Fwd.replace tbl (Fwd.pk 0 7) entry;
+  let msg = Message.Data { group = 7; src = 9; seq = 0 } in
+  let step ~from =
+    sent := [];
+    let deliver = Fwd.step net tbl ~x:0 ~group:7 ~from msg in
+    Engine.run e;
+    (deliver, List.rev !sent)
+  in
+  let path = Alcotest.(pair bool (list (pair int int))) in
+  Alcotest.check path "from upstream" (true, [ (0, 3); (0, 2) ]) (step ~from:1);
+  Alcotest.check path "from downstream" (true, [ (0, 1); (0, 3) ]) (step ~from:2);
+  Alcotest.check path "outside the F set" (false, []) (step ~from:4);
+  Alcotest.check path "no entry for the group" (false, [])
+    (sent := [];
+     (Fwd.step net tbl ~x:0 ~group:8 ~from:1 msg, !sent));
+  entry.Fwd.member <- false;
+  Alcotest.check path "relay only" (false, [ (0, 3); (0, 2) ]) (step ~from:1)
 
 (* ---------------- SCMP ---------------- *)
 
@@ -588,6 +663,12 @@ let test_pim_rpt_join_and_register () =
   checki "delivered via RP" 1 (Delivery.deliveries delivery);
   checki "clean" 0 (Delivery.duplicates delivery + Delivery.missed delivery)
 
+let newest_delay delivery =
+  let newest = ref None in
+  Delivery.iter_delays delivery (fun x ->
+      if !newest = None then newest := Some x);
+  Option.get !newest
+
 let test_pim_spt_switchover () =
   let g = fig5 () in
   let e, net, delivery = make_net g in
@@ -599,14 +680,13 @@ let test_pim_spt_switchover () =
       Pim.send_data p ~group:1 ~src:5 ~seq:0);
   checkb "switched" true (Pim.switched_over p ~group:1 ~src:5 4);
   checkb "spt state exists" true (List.length (Pim.on_spt p ~group:1 ~src:5) >= 2);
-  let d = Delivery.delays delivery in
-  let first_delay = List.hd d in
+  let first_delay = newest_delay delivery in
   (* later packets ride the SPT: shorter path, still exactly once *)
   expect_and_send e delivery ~seq:1 ~members:[ 4 ] ~send:(fun () ->
       Pim.send_data p ~group:1 ~src:5 ~seq:1);
   checki "delivered exactly once" 2 (Delivery.deliveries delivery);
   checki "no dups through the transition" 0 (Delivery.duplicates delivery);
-  let steady_delay = List.hd (Delivery.delays delivery) in
+  let steady_delay = newest_delay delivery in
   (* RPT: 5~>0 (11) + 0->1->4 (12) = 23; SPT: 5->2->1->4 = 21 *)
   checkf "first packet via RP" 23.0 first_delay;
   checkf "steady state via SPT" 21.0 steady_delay
@@ -1058,6 +1138,37 @@ let runner_scenario seed =
   let members = Prng.sample rng 10 30 |> List.filter (fun x -> x <> center) in
   Runner.make ~spec ~center ~source:(List.hd members) ~members ()
 
+(* [Churn.start] bounds the arrival count itself, so a library caller
+   that builds its own [Runner.churn] gets an error instead of a run that
+   never returns: a mean of 1e-300 s no longer advances the clock, and
+   arrivals used to be scheduled at one instant without end. *)
+let test_churn_arrivals_bounded () =
+  let base = runner_scenario 11 in
+  let churn mean =
+    {
+      base with
+      Runner.churn =
+        Some
+          {
+            Runner.mean_interarrival = mean;
+            mean_holding = 5.0;
+            horizon = Runner.data_end base;
+            churn_seed = 1;
+          };
+    }
+  in
+  (match Runner.run (Protocols.Driver.find_exn "scmp") (churn 1e-300) with
+  | _ -> Alcotest.fail "a churn expecting 1e301 arrivals must be refused"
+  | exception Invalid_argument msg ->
+    checkb "Churn.start names itself" true
+      (String.starts_with ~prefix:"Churn.start: " msg));
+  checkb "over the bound" true
+    (Churn.too_dense ~mean_interarrival:0.25 ~span:250_001.0 = Some 1_000_004.0);
+  checkb "at the bound" true
+    (Churn.too_dense ~mean_interarrival:0.25 ~span:250_000.0 = None);
+  let r = Runner.run (Protocols.Driver.find_exn "scmp") (churn 0.5) in
+  checkb "a modest churn runs" true (r.Runner.deliveries > 0)
+
 let test_runner_exactly_once_all_protocols () =
   let sc = runner_scenario 11 in
   let n_members = List.length sc.Runner.members in
@@ -1200,6 +1311,11 @@ let () =
           Alcotest.test_case "recorder" `Quick test_delivery_recorder;
           Alcotest.test_case "empty" `Quick test_delivery_empty;
         ] );
+      ( "forwarding",
+        [
+          QCheck_alcotest.to_alcotest prop_forwarding_table_model;
+          Alcotest.test_case "one step" `Quick test_forwarding_step;
+        ] );
       ( "igmp",
         [
           Alcotest.test_case "callbacks" `Quick test_igmp_callbacks;
@@ -1271,6 +1387,8 @@ let () =
           Alcotest.test_case "distinct members" `Quick test_churn_members_distinct;
           Alcotest.test_case "drives SCMP consistently" `Quick
             test_churn_drives_scmp_consistently;
+          Alcotest.test_case "arrival count is bounded" `Quick
+            test_churn_arrivals_bounded;
         ] );
       ( "multi",
         [

@@ -424,56 +424,10 @@ let test_malformed_perturbations () =
 
 (* ---------------- parser fuzzing ---------------- *)
 
-(* Mutation fuzzing: byte flips, insertions, deletions and truncations
-   of valid inputs. A parser answers Ok or Error, never raises; and a
-   program that parses either lowers onto an ARPANET cell and runs its
-   faults to the end, or is an Error — never an exception. *)
-
-type mutation =
-  | Flip of int * int  (** XOR the byte at a position with a bit. *)
-  | Insert of int * char
-  | Delete of int
-  | Truncate of int
-
-let apply_mutation s m =
-  let n = String.length s in
-  match m with
-  | Flip (i, bit) when n > 0 ->
-    let i = i mod n in
-    String.mapi
-      (fun j c -> if j = i then Char.chr (Char.code c lxor (1 lsl bit)) else c)
-      s
-  | Insert (i, c) ->
-    let i = i mod (n + 1) in
-    String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
-  | Delete i when n > 0 ->
-    let i = i mod n in
-    String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
-  | Truncate i -> String.sub s 0 (i mod (n + 1))
-  | Flip _ | Delete _ -> s
-
-let gen_mutation =
-  let open QCheck.Gen in
-  (* Characters the grammars care about, so insertions often land
-     in a value rather than only breaking the syntax. *)
-  let char =
-    oneof [ oneofl (List.of_seq (String.to_seq "0123456789-+.,:@eE\"[]{} nainfrstohl")); char ]
-  in
-  oneof
-    [
-      map2 (fun i b -> Flip (i, b)) nat (int_bound 7);
-      map2 (fun i c -> Insert (i, c)) nat char;
-      map (fun i -> Delete i) nat;
-      map (fun i -> Truncate i) nat;
-    ]
-
-let arb_mutant seeds =
-  QCheck.make
-    ~print:(fun s -> Printf.sprintf "%S" s)
-    QCheck.Gen.(
-      map2 (List.fold_left apply_mutation)
-        (fun st -> oneofl (Lazy.force seeds) st)
-        (list_size (frequency [ (3, return 1); (1, int_range 2 4) ]) gen_mutation))
+(* Mutation fuzzing ({!Fuzz}): a parser answers Ok or Error, never
+   raises; and a program that parses either lowers onto an ARPANET cell
+   and runs its faults to the end, or is an Error — never an
+   exception. *)
 
 (* Install what [perturb] returns on a network of the cell's graph and
    run the engine through every fault; churn is started (which checks
@@ -512,7 +466,7 @@ let checked_in_manifests =
 
 let prop_manifest_fuzz =
   QCheck.Test.make ~count:3000 ~name:"Manifest.of_string: mutants are Ok or Error"
-    (arb_mutant checked_in_manifests) (fun s ->
+    (Fuzz.arb_mutant checked_in_manifests) (fun s ->
       match Manifest.of_string s with
       | Error _ -> true
       | Ok m -> lowers_and_runs m.perturbation)
@@ -526,7 +480,7 @@ let fault_lines =
 let prop_fault_line_fuzz =
   QCheck.Test.make ~count:3000
     ~name:"Faults.parse_*: mutants are Ok or Error"
-    (arb_mutant (Lazy.from_val fault_lines)) (fun line ->
+    (Fuzz.arb_mutant (Lazy.from_val fault_lines)) (fun line ->
       let no_p = Exec.Sweep.no_perturbation in
       List.for_all
         (fun (parse, p) ->

@@ -186,10 +186,38 @@ let test_io_error_messages () =
     (Result.is_ok
        (Topology.Io.of_string "scmp-topology 1\nname one\nnodes 1\ncoord 0 1 1\n"))
 
+(* A declared node count far beyond the file's coord lines is an error,
+   not an attempt to allocate arrays of that size (which raised
+   Out_of_memory here). *)
+let test_io_huge_node_count () =
+  Alcotest.check
+    Alcotest.(result reject string)
+    "missing coords, nothing allocated" (Error "missing coord lines")
+    (Result.map ignore
+       (Topology.Io.of_string
+          "scmp-topology 1\nname big\nnodes 1000000000000000\ncoord 0 1 1\n"))
+
 let test_io_ignores_comments () =
   let spec = Topology.Waxman.generate ~seed:4 ~n:10 () in
   let text = "# a comment\n\n" ^ Topology.Io.to_string spec ^ "\n# trailing\n" in
   checkb "comments and blanks ok" true (Result.is_ok (Topology.Io.of_string text))
+
+(* Mutation fuzzing ({!Fuzz}): whatever the text, [of_string] answers
+   Ok or Error and never raises. *)
+let topology_seeds =
+  lazy
+    [
+      Topology.Io.to_string (Topology.Waxman.generate ~seed:3 ~n:6 ());
+      "# hand-written\n"
+      ^ Topology.Io.to_string
+          (Topology.Flat_random.generate ~seed:5 ~n:5 ~avg_degree:2.0);
+      "scmp-topology 1\nname pair\nnodes 2\ncoord 0 0 0\ncoord 1 3 4\nlink 0 1 0.5 2\n";
+    ]
+
+let prop_io_fuzz =
+  QCheck.Test.make ~count:3000 ~name:"Io.of_string: mutants are Ok or Error"
+    (Fuzz.arb_mutant topology_seeds) (fun s ->
+      match Topology.Io.of_string s with Ok _ | Error _ -> true)
 
 let qc = QCheck_alcotest.to_alcotest
 
@@ -226,5 +254,7 @@ let () =
           Alcotest.test_case "rejects garbage" `Quick test_io_rejects_garbage;
           Alcotest.test_case "error messages" `Quick test_io_error_messages;
           Alcotest.test_case "comments" `Quick test_io_ignores_comments;
+          Alcotest.test_case "huge node count" `Quick test_io_huge_node_count;
+          qc prop_io_fuzz;
         ] );
     ]

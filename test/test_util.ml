@@ -181,10 +181,10 @@ let test_heap_clear_and_iter () =
     (Heap.pop h)
 
 (* Regression: popping the entry that empties a queue used to leave a
-   slot aliasing it, keeping the value reachable forever. Run on both
-   boxed-payload queues — the binary heap and the radix heap the event
-   engine schedules on: the weak pointer must go dead once the queue
-   (still live) let go, and the queue stays usable afterwards. *)
+   slot aliasing it, keeping the value reachable forever. The binary
+   heap is the boxed-payload queue (the radix heap holds ints only):
+   the weak pointer must go dead once the queue (still live) let go,
+   and the queue stays usable afterwards. *)
 let check_pop_releases_last_entry name ~add ~pop ~length =
   let w = Weak.create 1 in
   (let value = ref 12345 in
@@ -208,12 +208,7 @@ let test_heap_pop_releases_last_entry () =
   let h = Heap.create ~capacity:4 () in
   check_pop_releases_last_entry "heap" ~add:(Heap.add h)
     ~pop:(fun () -> Heap.pop h)
-    ~length:(fun () -> Heap.length h);
-  let q = Scmp_util.Radix_heap.create () in
-  check_pop_releases_last_entry "radix heap"
-    ~add:(Scmp_util.Radix_heap.add q)
-    ~pop:(fun () -> Scmp_util.Radix_heap.pop q)
-    ~length:(fun () -> Scmp_util.Radix_heap.length q)
+    ~length:(fun () -> Heap.length h)
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap drains in sorted order" ~count:200
