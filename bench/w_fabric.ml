@@ -186,7 +186,7 @@ let multi () =
       List.map (fun grp -> (grp, sample_members rng ~regional grp mrouters)) groups
     in
     let m =
-      Protocols.Multi.create
+      Protocols.Multi.create ~delivery:(Protocols.Delivery.create e)
         ~assign:(nearest_assign mrouters grp_members)
         net ~mrouters ()
     in
@@ -246,7 +246,8 @@ let capacity () =
           let net = Protocols.Message.network e (Topology.Spec.sim_graph spec) in
           let station = Eventsim.Server.create e ~servers:k in
           let p =
-            Protocols.Scmp_proto.create ~cpu:(station, service) net ~mrouter:0 ()
+            Protocols.Scmp_proto.create ~delivery:(Protocols.Delivery.create e)
+              ~cpu:(station, service) net ~mrouter:0 ()
           in
           let rng = Scmp_util.Prng.create (k * 1000 + rate) in
           (* Poisson joins over 10 s: random router, one of 8 groups. *)

@@ -109,6 +109,15 @@ if grep -rn 'Radix_heap\.pop' lib/netgraph/ \
   exit 1
 fi
 
+# One fan-out: every driver's data plane sends through
+# lib/protocols/forwarding.ml; no driver may walk a router's neighbours
+# with a loop of its own again.
+if grep -rn 'Graph\.neighbors\|Graph\.iter_incident' lib/protocols/ \
+  | grep -v '^lib/protocols/forwarding\.ml:'; then
+  echo "check.sh: a neighbour fan-out outside Protocols.Forwarding" >&2
+  exit 1
+fi
+
 # One network builder: the grid-unit-to-seconds delay conversion is
 # written once, in Topology.Spec.sim_graph.
 if [ "$(grep -rl '3e-6' lib bin bench examples test | wc -l)" -ne 1 ]; then

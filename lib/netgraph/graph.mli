@@ -126,7 +126,8 @@ val link_cost_opt : t -> node -> node -> float option
 
 (** {1 Neighborhood} *)
 
-val neighbors : t -> node -> node list
+val neighbors : (* lint: allow unused-export: adjacency in CSR slot order, the order Forwarding.fan_out sends in *)
+  t -> node -> node list
 (** Adjacent nodes, in insertion order. *)
 
 val degree : t -> node -> int

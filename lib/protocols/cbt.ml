@@ -18,7 +18,7 @@ type t = {
   pending_join : (int, unit) Hashtbl.t;
       (** Joins forwarded and awaiting ACK (duplicate suppression),
           keyed like [entries]. *)
-  delivery : Delivery.t option;
+  delivery : Delivery.t;
 }
 
 let pk = Forwarding.pk
@@ -32,14 +32,9 @@ let get_or_create_entry t x group =
     Forwarding.replace t.entries (pk x group) e;
     e
 
-let record_delivery t x seq =
-  match t.delivery with
-  | Some d -> Delivery.record d ~seq ~at_router:x
-  | None -> ()
-
 let handle_data t x ~from msg seq group =
   if Forwarding.step t.net t.entries ~x ~group ~from msg then
-    record_delivery t x seq
+    Delivery.record t.delivery ~seq ~at_router:x
 
 (* A JOIN arriving at router [x]: graft if [x] is on the tree (or is
    the core), otherwise forward one hop closer to the core, extending
@@ -111,7 +106,7 @@ let handle_encap t x group src seq =
     | Some e ->
       Forwarding.send_downstream t.net e ~src:t.core
         (Message.Data { group; src; seq });
-      if e.member then record_delivery t t.core seq
+      if e.member then Delivery.record t.delivery ~seq ~at_router:t.core
   end
 
 let handle_message t x ~from msg =
@@ -132,7 +127,7 @@ let handle_message t x ~from msg =
   | Message.Hpim_sync _ | Message.Hpim_ack _ ->
     ()
 
-let create ?delivery net ~core () =
+let create ~delivery net ~core () =
   let g = N.graph net in
   let t =
     {

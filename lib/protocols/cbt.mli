@@ -18,7 +18,7 @@ type node = Message.node
 type t
 
 val create :
-  ?delivery:Delivery.t -> Message.t Eventsim.Netsim.t -> core:node -> unit -> t
+  delivery:Delivery.t -> Message.t Eventsim.Netsim.t -> core:node -> unit -> t
 
 val host_join : t -> group:Message.group -> node -> unit
 val host_leave : t -> group:Message.group -> node -> unit

@@ -16,15 +16,10 @@ type t = {
   sent_prune : (node * node * Message.group, unit) Hashtbl.t;
       (** (router, source, group): this router has pruned itself from
           the delivery tree (told its RPF upstream to stop). *)
-  delivery : Delivery.t option;
+  delivery : Delivery.t;
 }
 
 let is_member t ~group x = Hashtbl.mem t.member (x, group)
-
-let record_delivery t x seq =
-  match t.delivery with
-  | Some d -> Delivery.record d ~seq ~at_router:x
-  | None -> ()
 
 let rpf_upstream t x src =
   Eventsim.Routes.next_hop (N.routes t.net) ~src:x ~dst:src
@@ -51,23 +46,22 @@ let send_prune_upstream t x src group =
       N.transmit t.net ~src:x ~dst:up (Message.Dvmrp_prune { group; src; from = x })
   end
 
+let unpruned (t, src, group) x y = not (Hashtbl.mem t.pruned (x, y, src, group))
+
 (* Reverse-path flooding: send on every link except the arrival one and
    the pruned ones. This is the bandwidth-hungry behaviour the paper
    attributes to DVMRP ("floods the packets frequently"): during a
    flood round, data crosses essentially every link of the domain. *)
 let forward_flood t x ~from src group msg =
-  let out =
-    Netgraph.Graph.neighbors (N.graph t.net) x
-    |> List.filter (fun y ->
-           Some y <> from && not (Hashtbl.mem t.pruned (x, y, src, group)))
-  in
-  List.iter (fun y -> N.transmit t.net ~src:x ~dst:y msg) out;
-  if out = [] && not (is_member t ~group x) then send_prune_upstream t x src group
+  if
+    Forwarding.fan_out t.net ~x ~from ~keep:unpruned (t, src, group) msg = 0
+    && not (is_member t ~group x)
+  then send_prune_upstream t x src group
 
 let handle_data t x ~from group src seq msg =
   if rpf_upstream t x src = Some from then begin
-    if is_member t ~group x then record_delivery t x seq;
-    forward_flood t x ~from:(Some from) src group msg
+    if is_member t ~group x then Delivery.record t.delivery ~seq ~at_router:x;
+    forward_flood t x ~from src group msg
   end
   else
     (* Arrived on a non-RPF interface: drop and prune that link so the
@@ -78,11 +72,9 @@ let handle_prune t x group src ~from =
   mark_pruned t x from src group;
   (* If every non-upstream link is now pruned and no local members,
      withdraw from the tree as well. *)
-  let up = rpf_upstream t x src in
+  let up = Option.value (rpf_upstream t x src) ~default:(-1) in
   let any_live =
-    Netgraph.Graph.neighbors (N.graph t.net) x
-    |> List.exists (fun y ->
-           Some y <> up && not (Hashtbl.mem t.pruned (x, y, src, group)))
+    Forwarding.any_neighbour (N.graph t.net) ~x ~from:up ~keep:unpruned (t, src, group)
   in
   if (not any_live) && not (is_member t ~group x) then send_prune_upstream t x src group
 
@@ -113,7 +105,7 @@ let handle_message t x ~from msg =
   | Message.Hpim_ack _ ->
     ()
 
-let create ?delivery net () =
+let create ~delivery net () =
   let g = N.graph net in
   let t =
     {
@@ -132,25 +124,20 @@ let create ?delivery net () =
 let host_join t ~group x =
   Hashtbl.replace t.member (x, group) ();
   (* Graft this router back into every source tree it had pruned. *)
-  let pruned_sources =
-    Hashtbl.fold
-      (fun (r, src, g) () acc -> if r = x && g = group then src :: acc else acc)
-      t.sent_prune []
-    |> List.sort Int.compare
-  in
-  List.iter
-    (fun src ->
-      Hashtbl.remove t.sent_prune (x, src, group);
-      match rpf_upstream t x src with
-      | Some up ->
-        N.transmit t.net ~src:x ~dst:up (Message.Dvmrp_graft { group; src; from = x })
-      | None -> ())
-    (List.sort_uniq Int.compare pruned_sources)
+  Hashtbl.fold
+    (fun (r, src, g) () acc -> if r = x && g = group then src :: acc else acc)
+    t.sent_prune []
+  |> List.sort_uniq Int.compare
+  |> List.iter (fun src ->
+         Hashtbl.remove t.sent_prune (x, src, group);
+         match rpf_upstream t x src with
+         | Some up ->
+           N.transmit t.net ~src:x ~dst:up (Message.Dvmrp_graft { group; src; from = x })
+         | None -> ())
 
 let host_leave t ~group x = Hashtbl.remove t.member (x, group)
 
 let send_data t ~group ~src ~seq =
-  let msg = Message.Data { group; src; seq } in
-  forward_flood t src ~from:None src group msg
+  forward_flood t src ~from:(-1) src group (Message.Data { group; src; seq })
 
 let pruned_links t = Hashtbl.length t.pruned

@@ -22,11 +22,7 @@ type node = Message.node
 
 type t
 
-val create :
-  ?delivery:Delivery.t ->
-  Message.t Eventsim.Netsim.t ->
-  unit ->
-  t
+val create : delivery:Delivery.t -> Message.t Eventsim.Netsim.t -> unit -> t
 (** Prunes live for 10 simulated seconds. No core/root parameter:
     DVMRP trees are rooted at each source. *)
 

@@ -163,3 +163,42 @@ let step net tbl ~x ~group ~from msg =
 
 let originate net e ~src msg = send_f net e ~src ~except:(-1) msg
 let send_downstream net e ~src msg = send_list net ~src ~except:(-1) msg e.downstream
+
+(* ---------------- The downward step (PIM-SM) ---------------- *)
+
+let rec send_down net ~src ~except ~pruned ~source msg = function
+  | [] -> ()
+  | y :: rest ->
+    if y <> except && not (mem_int (pk y source) pruned) then
+      N.transmit net ~src ~dst:y msg;
+    send_down net ~src ~except ~pruned ~source msg rest
+
+(* ---------------- The neighbour fan-out ---------------- *)
+
+(* Router [x]'s neighbours are CSR slots [off.(x) .. off.(x+1) - 1], in
+   the order the links were added. *)
+let rec fan_slots net nbr ~x ~from keep st msg i stop sent =
+  if i = stop then sent
+  else
+    let y = Array.unsafe_get nbr i in
+    if y <> from && keep st x y then begin
+      N.transmit net ~src:x ~dst:y msg;
+      fan_slots net nbr ~x ~from keep st msg (i + 1) stop (sent + 1)
+    end
+    else fan_slots net nbr ~x ~from keep st msg (i + 1) stop sent
+
+let fan_out net ~x ~from ~keep st msg =
+  let g = N.graph net in
+  let off = Netgraph.Graph.csr_offsets g in
+  fan_slots net (Netgraph.Graph.csr_neighbors g) ~x ~from keep st msg off.(x)
+    off.(x + 1) 0
+
+let rec any_slot nbr ~x ~from keep st i stop =
+  i < stop
+  &&
+  let y = Array.unsafe_get nbr i in
+  (y <> from && keep st x y) || any_slot nbr ~x ~from keep st (i + 1) stop
+
+let any_neighbour g ~x ~from ~keep st =
+  let off = Netgraph.Graph.csr_offsets g in
+  any_slot (Netgraph.Graph.csr_neighbors g) ~x ~from keep st off.(x) off.(x + 1)

@@ -1,14 +1,20 @@
-(** Shared-tree forwarding state and the per-hop forwarding step
-    (§III.F), used by both bidirectional shared-tree protocols: SCMP
-    and CBT.
+(** The data plane of every driver: shared-tree forwarding state, the
+    per-hop forwarding step (§III.F), and the neighbour fan-out.
 
-    A router's entry for a group holds its F set — the upstream
-    neighbour and the downstream list. A data packet arriving from a
-    member of the F set is sent to every other member of it, upstream
-    first and then downstream in list order; a packet from outside it
-    is dropped. The step reads the entry through a table keyed by one
-    packed int and allocates nothing: no key tuple, no option, no
-    closure per packet. *)
+    - SCMP and CBT forward on bidirectional shared trees: a router's
+      entry for a group holds its F set — the upstream neighbour and
+      the downstream list. A data packet arriving from a member of the
+      F set is sent to every other member of it, upstream first and
+      then downstream in list order ({!step}); a packet from outside it
+      is dropped.
+    - PIM-SM's RP tree holds the same entries, but data flows down
+      only and skips the children that pruned its source
+      ({!send_down}).
+    - DVMRP, HPIM-DM and MOSPF send to a router's neighbours, less the
+      arrival one and the ones the caller excludes ({!fan_out}).
+
+    The entry table is keyed by one packed int, and no loop here
+    allocates: no key tuple, no option, no closure per packet. *)
 
 type node = Message.node
 
@@ -77,3 +83,30 @@ val originate : 'm Eventsim.Netsim.t -> entry -> src:node -> 'm -> unit
 val send_downstream : 'm Eventsim.Netsim.t -> entry -> src:node -> 'm -> unit
 (** Send a packet to [src]'s downstream list only, in order: the root
     of the tree handing a decapsulated packet to the tree. *)
+
+val send_down :
+  'm Eventsim.Netsim.t -> src:node -> except:node -> pruned:int list ->
+  source:node -> 'm -> node list -> unit
+(** [send_down net ~src ~except ~pruned ~source msg children] sends a
+    packet of [source] from router [src] down a unidirectional tree:
+    to each child in order but [except] (-1 skips none) and the
+    children [d] whose [pk d source] is in [pruned] — the (S,G,rpt)
+    prunes, packed child above source. *)
+
+(** {2 Neighbour fan-out} *)
+
+val fan_out :
+  'm Eventsim.Netsim.t -> x:node -> from:node ->
+  keep:('s -> node -> node -> bool) -> 's -> 'm -> int
+(** [fan_out net ~x ~from ~keep st msg] transmits [msg] from router [x]
+    to each neighbour [y] other than [from] (-1 skips none) with
+    [keep st x y], in CSR slot order (the order the links were added),
+    and returns how many it sent. With [keep] a top-level function the
+    loop allocates nothing beyond what {!Eventsim.Netsim.transmit}
+    does. *)
+
+val any_neighbour :
+  Netgraph.Graph.t -> x:node -> from:node ->
+  keep:('s -> node -> node -> bool) -> 's -> bool
+(** Would {!fan_out} send to anyone? Stops at the first such
+    neighbour. *)

@@ -35,17 +35,12 @@ type t = {
       (** Unacked interest updates: (sequence number, interest). *)
   applied : (node * node * node * Message.group, int) Hashtbl.t;
       (** Receiver side: highest sequence number applied per peer. *)
-  delivery : Delivery.t option;
+  delivery : Delivery.t;
   mutable syncs : int;
   mutable acks : int;
 }
 
 let is_member t ~group x = Hashtbl.mem t.member (x, group)
-
-let record_delivery t x seq =
-  match t.delivery with
-  | Some d -> Delivery.record d ~seq ~at_router:x
-  | None -> ()
 
 let rpf_upstream t x src =
   Eventsim.Routes.next_hop (N.routes t.net) ~src:x ~dst:src
@@ -61,16 +56,19 @@ let ensure_seen t x src group =
     Hashtbl.replace t.upstream (x, src, group) (rpf_upstream t x src)
   end
 
+let wants (t, src, group) x y = not (Hashtbl.mem t.no_interest (x, y, src, group))
+
 (* A router is interested in (src, group) data when it has a member
    host or any non-upstream neighbour that has not synced no-interest
    (dense-mode default: a silent neighbour is assumed interested). *)
 let interested t x src group =
   is_member t ~group x
   ||
-  let up = recorded_upstream t x src group in
-  Netgraph.Graph.neighbors (N.graph t.net) x
-  |> List.exists (fun y ->
-         Some y <> up && not (Hashtbl.mem t.no_interest (x, y, src, group)))
+  let up = Option.value (recorded_upstream t x src group) ~default:(-1) in
+  Forwarding.any_neighbour (N.graph t.net) ~x ~from:up ~keep:wants (t, src, group)
+
+let forward t x ~from src group msg =
+  ignore (Forwarding.fan_out t.net ~x ~from ~keep:wants (t, src, group) msg)
 
 let send_sync t x ~to_:y ~src ~group ~interested =
   ensure_seen t x src group;
@@ -106,17 +104,11 @@ let sync_upstream t x src group =
     in
     if told <> want then send_sync t x ~to_:up ~src ~group ~interested:want
 
-let forward t x ~exclude src group msg =
-  Netgraph.Graph.neighbors (N.graph t.net) x
-  |> List.iter (fun y ->
-         if Some y <> exclude && not (Hashtbl.mem t.no_interest (x, y, src, group))
-         then N.transmit t.net ~src:x ~dst:y msg)
-
 let handle_data t x ~from group src seq msg =
   ensure_seen t x src group;
   if recorded_upstream t x src group = Some from then begin
-    if is_member t ~group x then record_delivery t x seq;
-    forward t x ~exclude:(Some from) src group msg;
+    if is_member t ~group x then Delivery.record t.delivery ~seq ~at_router:x;
+    forward t x ~from src group msg;
     (* A router with nothing downstream and no members withdraws — once;
        the hard no-interest state never expires upstream. *)
     sync_upstream t x src group
@@ -189,7 +181,7 @@ let handle_topology_change t =
 (* A lost sync must be able to wake the engine back up, so its timers
    run in the foreground; the attempt bound keeps a permanently
    partitioned peer from holding the run alive forever. *)
-let create ?delivery net () =
+let create ~delivery net () =
   (* base timeout in simulated seconds, doubling per attempt, and the
      sends one sync may take *)
   let rto = 0.6 and max_attempts = 8 in
@@ -245,7 +237,7 @@ let host_leave t ~group x =
 let send_data t ~group ~src ~seq =
   Hashtbl.replace t.sources (src, group) ();
   ensure_seen t src src group;
-  forward t src ~exclude:None src group (Message.Data { group; src; seq })
+  forward t src ~from:(-1) src group (Message.Data { group; src; seq })
 
 let no_interest_links t = Hashtbl.length t.no_interest
 

@@ -23,11 +23,7 @@ type node = Message.node
 
 type t
 
-val create :
-  ?delivery:Delivery.t ->
-  Message.t Eventsim.Netsim.t ->
-  unit ->
-  t
+val create : delivery:Delivery.t -> Message.t Eventsim.Netsim.t -> unit -> t
 (** Interest syncs retransmit after 0.6 simulated seconds, doubling
     per attempt, and are given up after 8 sends. No core/root
     parameter: trees are rooted at each source. *)

@@ -12,13 +12,8 @@ type t = {
   seen : (node * node, int) Hashtbl.t;
   mutable next_seq : int;
   mutable originated : int;
-  delivery : Delivery.t option;
+  delivery : Delivery.t;
 }
-
-let record_delivery t x seq =
-  match t.delivery with
-  | Some d -> Delivery.record d ~seq ~at_router:x
-  | None -> ()
 
 let knows_member t ~at ~group r = Hashtbl.mem t.db (at, r, group)
 
@@ -26,9 +21,8 @@ let apply_lsa t ~at ~group ~router ~joined =
   if joined then Hashtbl.replace t.db (at, router, group) ()
   else Hashtbl.remove t.db (at, router, group)
 
-let flood t x ~except msg =
-  Netgraph.Graph.neighbors (N.graph t.net) x
-  |> List.iter (fun y -> if Some y <> except then N.transmit t.net ~src:x ~dst:y msg)
+let every () _ _ = true
+let flood t x ~from msg = ignore (Forwarding.fan_out t.net ~x ~from ~keep:every () msg)
 
 let handle_lsa t x ~from group router joined seq =
   let fresh =
@@ -39,37 +33,27 @@ let handle_lsa t x ~from group router joined seq =
   if fresh then begin
     Hashtbl.replace t.seen (x, router) seq;
     apply_lsa t ~at:x ~group ~router ~joined;
-    flood t x ~except:(Some from) (Message.Mospf_lsa { group; router; joined; seq })
+    flood t x ~from (Message.Mospf_lsa { group; router; joined; seq })
   end
 
-(* Does the SPT(src) subtree rooted at [x] contain a member, according
-   to [at]'s database? Children of [x] are its neighbours whose SPT
-   parent is [x]. *)
-let subtree_has_member t ~at ~src ~group x =
-  let spt = Eventsim.Routes.spt (N.routes t.net) ~src in
-  let g = N.graph t.net in
-  let rec probe x =
-    knows_member t ~at ~group x
-    || List.exists
-         (fun y -> Netgraph.Dijkstra.parent spt y = Some x && probe y)
-         (Netgraph.Graph.neighbors g x)
-  in
-  probe x
+(* Is [y] a child of [x] in the SPT whose subtree contains a member,
+   according to [at]'s database? Children of [x] are its neighbours
+   whose SPT parent is [x]. *)
+let rec member_below ((t, spt, at, group) as st) x y =
+  Netgraph.Dijkstra.parent_ix spt y = x
+  && (knows_member t ~at ~group y
+     || Forwarding.any_neighbour (N.graph t.net) ~x:y ~from:(-1) ~keep:member_below st)
 
+(* Down the SPT of [src], into the subtrees [x] knows hold members. *)
 let forward_spt t x ~group ~src msg =
   let spt = Eventsim.Routes.spt (N.routes t.net) ~src in
-  let g = N.graph t.net in
-  Netgraph.Graph.neighbors g x
-  |> List.iter (fun y ->
-         if
-           Netgraph.Dijkstra.parent spt y = Some x
-           && subtree_has_member t ~at:x ~src ~group y
-         then N.transmit t.net ~src:x ~dst:y msg)
+  ignore
+    (Forwarding.fan_out t.net ~x ~from:(-1) ~keep:member_below (t, spt, x, group) msg)
 
 let handle_data t x ~from group src seq msg =
   let spt = Eventsim.Routes.spt (N.routes t.net) ~src in
-  if Netgraph.Dijkstra.parent spt x = Some from then begin
-    if knows_member t ~at:x ~group x then record_delivery t x seq;
+  if Netgraph.Dijkstra.parent_ix spt x = from then begin
+    if knows_member t ~at:x ~group x then Delivery.record t.delivery ~seq ~at_router:x;
     forward_spt t x ~group ~src msg
   end
 
@@ -88,7 +72,7 @@ let handle_message t x ~from msg =
   | Message.Hpim_sync _ | Message.Hpim_ack _ ->
     ()
 
-let create ?delivery net () =
+let create ~delivery net () =
   let g = N.graph net in
   let t =
     {
@@ -111,7 +95,7 @@ let originate t x ~group ~joined =
   t.originated <- t.originated + 1;
   apply_lsa t ~at:x ~group ~router:x ~joined;
   Hashtbl.replace t.seen (x, x) seq;
-  flood t x ~except:None (Message.Mospf_lsa { group; router = x; joined; seq })
+  flood t x ~from:(-1) (Message.Mospf_lsa { group; router = x; joined; seq })
 
 let host_join t ~group x = originate t x ~group ~joined:true
 let host_leave t ~group x = originate t x ~group ~joined:false

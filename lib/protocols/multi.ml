@@ -22,7 +22,7 @@ let agent t m =
 
 let owner t group = agent t (home t ~group)
 
-let create ?delivery ?assign net ~mrouters () =
+let create ~delivery ?assign net ~mrouters () =
   (match mrouters with
   | [] -> invalid_arg "Multi.create: need at least one m-router"
   | ms ->
@@ -37,7 +37,7 @@ let create ?delivery ?assign net ~mrouters () =
   List.iter
     (fun m ->
       Hashtbl.replace agents m
-        (Scmp_proto.create ?delivery ~install_handlers:false net
+        (Scmp_proto.create ~delivery ~install_handlers:false net
            ~mrouter:m ()))
     mrouters;
   let t = { mrouters; agents; assign } in

@@ -19,7 +19,7 @@ type node = Message.node
 type t
 
 val create :
-  ?delivery:Delivery.t ->
+  delivery:Delivery.t ->
   ?assign:(Message.group -> node) ->
   Message.t Eventsim.Netsim.t ->
   mrouters:node list ->

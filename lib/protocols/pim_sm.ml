@@ -2,45 +2,48 @@ module N = Eventsim.Netsim
 
 type node = Message.node
 
-(* star-G state: the unidirectional RP tree. [pruned] records which
-   (child, source) pairs asked for (S,G,rpt) pruning. *)
-type rpt_entry = {
-  mutable upstream : node option;  (* toward the RP; None at the RP *)
-  mutable downstream : node list;
-  mutable member : bool;
-  pruned : (node * node, unit) Hashtbl.t;  (* (child, source) *)
-}
-
-(* (S,G) state: the post-switchover source tree. *)
-type spt_entry = {
-  mutable s_upstream : node option;  (* toward the source; None at its DR *)
-  mutable s_downstream : node list;
-}
+let pk = Forwarding.pk
 
 type t = {
   net : Message.t N.t;
   rp : node;
   spt_switchover : bool;
-  rpt : (node * Message.group, rpt_entry) Hashtbl.t;
-  spt : (node * Message.group * node, spt_entry) Hashtbl.t;
+  rpt : Forwarding.table;
+      (* star-G state, the unidirectional RP tree: upstream toward the
+         RP (None at the RP), keyed by [pk router group]; [ep] stays 0 *)
+  rpt_pruned : (int, int list) Hashtbl.t;
+      (* under the same key: the (S,G,rpt) prunes the router's children
+         sent, each [pk child source] *)
+  spt : (node * Message.group * node, Forwarding.entry) Hashtbl.t;
+      (* (S,G) state, the post-switchover source tree: upstream toward
+         the source (None at its DR) *)
   switched : (node * Message.group * node, unit) Hashtbl.t;
   (* exactly-once hand-off to the subnet across the RPT->SPT
      transition window *)
   delivered : (node * Message.group * int, unit) Hashtbl.t;
-  delivery : Delivery.t option;
+  delivery : Delivery.t;
 }
 
-let rpt_opt t x group = Hashtbl.find_opt t.rpt (x, group)
+let rpt_opt t x group = Forwarding.find_opt t.rpt (pk x group)
 
-let rpt_entry t x group =
+let star_g t x group =
   match rpt_opt t x group with
   | Some e -> e
   | None ->
-    let e =
-      { upstream = None; downstream = []; member = false; pruned = Hashtbl.create 4 }
-    in
-    Hashtbl.replace t.rpt (x, group) e;
+    let e = Forwarding.fresh_entry ~member:false ~ep:0 in
+    Forwarding.replace t.rpt (pk x group) e;
     e
+
+(* Is [x] on the RP tree already, so a join stops here? *)
+let on_rpt t x group =
+  x = t.rp || match rpt_opt t x group with Some e -> e.upstream <> None | None -> false
+
+let prunes t x group =
+  Option.value (Hashtbl.find_opt t.rpt_pruned (pk x group)) ~default:[]
+
+let remove_rpt t x group =
+  Forwarding.remove t.rpt (pk x group);
+  Hashtbl.remove t.rpt_pruned (pk x group)
 
 let spt_opt t x group src = Hashtbl.find_opt t.spt (x, group, src)
 
@@ -48,9 +51,18 @@ let spt_entry t x group src =
   match spt_opt t x group src with
   | Some e -> e
   | None ->
-    let e = { s_upstream = None; s_downstream = [] } in
+    let e = Forwarding.fresh_entry ~member:false ~ep:0 in
     Hashtbl.replace t.spt (x, group, src) e;
     e
+
+(* Tell [x]'s upstream on a tree that [x] leaves it: the star-G tree
+   ([src = None]), or [src]'s packets on the RP tree ([rpt]) or on the
+   source tree. *)
+let prune_up t x (e : Forwarding.entry) ~group ~src ~rpt =
+  match e.upstream with
+  | Some up ->
+    N.transmit t.net ~src:x ~dst:up (Message.Pim_prune { group; src; rpt; from = x })
+  | None -> ()
 
 let next_hop t x dst = Eventsim.Routes.next_hop (N.routes t.net) ~src:x ~dst
 
@@ -60,36 +72,28 @@ let next_hop t x dst = Eventsim.Routes.next_hop (N.routes t.net) ~src:x ~dst
 let deliver_local t x group src seq =
   if x <> src && not (Hashtbl.mem t.delivered (x, group, seq)) then begin
     Hashtbl.replace t.delivered (x, group, seq) ();
-    match t.delivery with
-    | Some d -> Delivery.record d ~seq ~at_router:x
-    | None -> ()
+    Delivery.record t.delivery ~seq ~at_router:x
   end
 
 (* ---- star-G join: hop-by-hop toward the RP, installing state ---- *)
 
-let rec send_rpt_join t x group =
+let send_rpt_join t x group =
   (* called at a router that needs star-G state and has none *)
   if x <> t.rp then begin
     match next_hop t x t.rp with
     | None -> ()
     | Some up ->
-      let e = rpt_entry t x group in
-      e.upstream <- Some up;
+      (star_g t x group).upstream <- Some up;
       N.transmit t.net ~src:x ~dst:up (Message.Pim_join { group; src = None; from = x })
   end
 
-and handle_rpt_join t x group ~from =
-  let existed =
-    match rpt_opt t x group with
-    | Some e -> e.upstream <> None || x = t.rp
-    | None -> x = t.rp
-  in
-  let e = rpt_entry t x group in
+let handle_rpt_join t x group ~from =
+  let existed = on_rpt t x group in
+  let e = star_g t x group in
   if not (List.mem from e.downstream) then e.downstream <- e.downstream @ [ from ];
   (* a refreshed branch cancels any (S,G,rpt) prunes it had *)
-  Hashtbl.iter
-    (fun (d, s) () -> if d = from then Hashtbl.remove e.pruned (d, s))
-    (Hashtbl.copy e.pruned);
+  Hashtbl.replace t.rpt_pruned (pk x group)
+    (List.filter (fun p -> Forwarding.pk_hi p <> from) (prunes t x group));
   if not existed then send_rpt_join t x group
 
 (* ---- SPT switchover machinery ---- *)
@@ -99,21 +103,17 @@ let send_spt_join t x group src =
     match next_hop t x src with
     | None -> ()
     | Some up ->
-      let e = spt_entry t x group src in
-      e.s_upstream <- Some up;
+      (spt_entry t x group src).upstream <- Some up;
       N.transmit t.net ~src:x ~dst:up
         (Message.Pim_join { group; src = Some src; from = x })
   end
 
 let handle_spt_join t x group src ~from =
   let existed =
-    match spt_opt t x group src with
-    | Some e -> e.s_upstream <> None || x = src
-    | None -> x = src
+    x = src || match spt_opt t x group src with Some e -> e.upstream <> None | None -> false
   in
   let e = spt_entry t x group src in
-  if not (List.mem from e.s_downstream) then
-    e.s_downstream <- e.s_downstream @ [ from ];
+  if not (List.mem from e.downstream) then e.downstream <- e.downstream @ [ from ];
   if not existed then send_spt_join t x group src
 
 let switchover t x group src =
@@ -125,12 +125,7 @@ let switchover t x group src =
     send_spt_join t x group src;
     (* and shed the source's packets from the RP-tree leg *)
     match rpt_opt t x group with
-    | Some e -> (
-      match e.upstream with
-      | Some up ->
-        N.transmit t.net ~src:x ~dst:up
-          (Message.Pim_prune { group; src = Some src; rpt = true; from = x })
-      | None -> ())
+    | Some e -> prune_up t x e ~group ~src:(Some src) ~rpt:true
     | None -> ()
   end
 
@@ -140,68 +135,64 @@ let handle_rpt_prune t x group src ~from =
   match rpt_opt t x group with
   | None -> ()
   | Some e ->
-    Hashtbl.replace e.pruned (from, src) ();
+    let pruned = prunes t x group in
+    let pruned =
+      if Forwarding.mem_int (pk from src) pruned then pruned else pk from src :: pruned
+    in
+    Hashtbl.replace t.rpt_pruned (pk x group) pruned;
     let any_live =
-      List.exists (fun d -> not (Hashtbl.mem e.pruned (d, src))) e.downstream
+      List.exists (fun d -> not (Forwarding.mem_int (pk d src) pruned)) e.downstream
     in
     let wants_locally =
       e.member && not (Hashtbl.mem t.switched (x, group, src))
     in
-    if (not any_live) && not wants_locally then begin
-      match e.upstream with
-      | Some up ->
-        N.transmit t.net ~src:x ~dst:up
-          (Message.Pim_prune { group; src = Some src; rpt = true; from = x })
-      | None -> ()
-    end
+    if (not any_live) && not wants_locally then
+      prune_up t x e ~group ~src:(Some src) ~rpt:true
 
 (* ---- leaving ---- *)
+
+(* A router with no member and no child leaves the RP tree; one with
+   no child leaves a source tree it does not root. *)
+let leave_if_idle t x group (e : Forwarding.entry) =
+  if e.downstream = [] && (not e.member) && x <> t.rp then begin
+    prune_up t x e ~group ~src:None ~rpt:false;
+    remove_rpt t x group
+  end
+
+let leave_spt_if_idle t x group src (e : Forwarding.entry) =
+  if e.downstream = [] && x <> src then begin
+    prune_up t x e ~group ~src:(Some src) ~rpt:false;
+    Hashtbl.remove t.spt (x, group, src)
+  end
 
 let handle_star_prune t x group ~from =
   match rpt_opt t x group with
   | None -> ()
   | Some e ->
     e.downstream <- List.filter (fun d -> d <> from) e.downstream;
-    if e.downstream = [] && (not e.member) && x <> t.rp then begin
-      (match e.upstream with
-      | Some up ->
-        N.transmit t.net ~src:x ~dst:up
-          (Message.Pim_prune { group; src = None; rpt = false; from = x })
-      | None -> ());
-      Hashtbl.remove t.rpt (x, group)
-    end
+    leave_if_idle t x group e
 
 let handle_spt_prune t x group src ~from =
   match spt_opt t x group src with
   | None -> ()
   | Some e ->
-    e.s_downstream <- List.filter (fun d -> d <> from) e.s_downstream;
-    if e.s_downstream = [] && x <> src then begin
-      (match e.s_upstream with
-      | Some up ->
-        N.transmit t.net ~src:x ~dst:up
-          (Message.Pim_prune { group; src = Some src; rpt = false; from = x })
-      | None -> ());
-      Hashtbl.remove t.spt (x, group, src)
-    end
+    e.downstream <- List.filter (fun d -> d <> from) e.downstream;
+    leave_spt_if_idle t x group src e
 
 (* ---- data plane ---- *)
 
-let forward_rpt t x src msg e ~except =
-  List.iter
-    (fun d ->
-      if d <> except && not (Hashtbl.mem e.pruned (d, src)) then
-        N.transmit t.net ~src:x ~dst:d msg)
+let forward_rpt t x group src msg (e : Forwarding.entry) ~except =
+  Forwarding.send_down t.net ~src:x ~except ~pruned:(prunes t x group) ~source:src msg
     e.downstream
 
 let handle_data t x ~from group src seq msg =
   (* SPT leg takes precedence: packets from the source tree upstream *)
   match spt_opt t x group src with
-  | Some e when e.s_upstream = Some from ->
+  | Some e when e.upstream = Some from ->
     (match rpt_opt t x group with
     | Some r when r.member -> deliver_local t x group src seq
     | _ -> ());
-    List.iter (fun d -> N.transmit t.net ~src:x ~dst:d msg) e.s_downstream
+    Forwarding.send_down t.net ~src:x ~except:(-1) ~pruned:[] ~source:src msg e.downstream
   | _ -> (
     (* RP-tree leg: unidirectional, packets flow down from the RP *)
     match rpt_opt t x group with
@@ -210,7 +201,7 @@ let handle_data t x ~from group src seq msg =
         deliver_local t x group src seq;
         switchover t x group src
       end;
-      forward_rpt t x src msg e ~except:from
+      forward_rpt t x group src msg e ~except:from
     | Some _ | None -> ())
 
 let handle_register t x group src seq =
@@ -223,7 +214,7 @@ let handle_register t x group src seq =
         switchover t t.rp group src
       end;
       let msg = Message.Data { group; src; seq } in
-      forward_rpt t t.rp src msg e ~except:(-1)
+      forward_rpt t t.rp group src msg e ~except:(-1)
   end
 
 let handle_message t x ~from msg =
@@ -250,14 +241,15 @@ let handle_message t x ~from msg =
   | Message.Mospf_lsa _ | Message.Hpim_sync _ | Message.Hpim_ack _ ->
     ()
 
-let create ?delivery ?(spt_switchover = true) net ~rp () =
+let create ~delivery ?(spt_switchover = true) net ~rp () =
   let g = N.graph net in
   let t =
     {
       net;
       rp;
       spt_switchover;
-      rpt = Hashtbl.create 32;
+      rpt = Forwarding.create ();
+      rpt_pruned = Hashtbl.create 32;
       spt = Hashtbl.create 32;
       switched = Hashtbl.create 32;
       delivered = Hashtbl.create 256;
@@ -270,13 +262,8 @@ let create ?delivery ?(spt_switchover = true) net ~rp () =
   t
 
 let host_join t ~group x =
-  let existed =
-    match rpt_opt t x group with
-    | Some e -> e.upstream <> None || x = t.rp
-    | None -> x = t.rp
-  in
-  let e = rpt_entry t x group in
-  e.member <- true;
+  let existed = on_rpt t x group in
+  (star_g t x group).member <- true;
   if not existed then send_rpt_join t x group
 
 let host_leave t ~group x =
@@ -284,33 +271,16 @@ let host_leave t ~group x =
   | None -> ()
   | Some e ->
     e.member <- false;
-    if e.downstream = [] && x <> t.rp then begin
-      (match e.upstream with
-      | Some up ->
-        N.transmit t.net ~src:x ~dst:up
-          (Message.Pim_prune { group; src = None; rpt = false; from = x })
-      | None -> ());
-      Hashtbl.remove t.rpt (x, group)
-    end);
+    leave_if_idle t x group e);
   (* withdraw from every source tree we switched onto *)
   Hashtbl.iter
     (fun (y, g, s) () ->
-      if y = x && g = group then begin
-        match spt_opt t x group s with
-        | Some e when e.s_downstream = [] ->
-          (match e.s_upstream with
-          | Some up ->
-            N.transmit t.net ~src:x ~dst:up
-              (Message.Pim_prune { group; src = Some s; rpt = false; from = x })
-          | None -> ());
-          Hashtbl.remove t.spt (x, group, s)
-        | Some _ | None -> ()
-      end)
-    (Hashtbl.copy t.switched);
-  Hashtbl.iter
-    (fun (y, g, s) () ->
-      if y = x && g = group then Hashtbl.remove t.switched (y, g, s))
-    (Hashtbl.copy t.switched)
+      if y = x && g = group then
+        Option.iter (leave_spt_if_idle t x group s) (spt_opt t x group s))
+    t.switched;
+  Hashtbl.filter_map_inplace
+    (fun (y, g, _) () -> if y = x && g = group then None else Some ())
+    t.switched
 
 (* The source's DR registers every packet to the RP; once receivers
    have switched over, it also forwards natively down its (S,G) tree.
@@ -318,17 +288,17 @@ let host_leave t ~group x =
    RP is fully pruned; keeping it is conservative for PIM's overhead.) *)
 let send_data t ~group ~src ~seq =
   (match spt_opt t src group src with
-  | Some e when e.s_downstream <> [] ->
-    let msg = Message.Data { group; src; seq } in
-    List.iter (fun d -> N.transmit t.net ~src ~dst:d msg) e.s_downstream
+  | Some e when e.downstream <> [] ->
+    Forwarding.send_down t.net ~src ~except:(-1) ~pruned:[] ~source:src
+      (Message.Data { group; src; seq }) e.downstream
   | Some _ | None -> ());
   N.unicast t.net ~src ~dst:t.rp (Message.Encap { group; src; seq })
 (* the source's own subnet gets the packet locally; experiment
    expectations never include the source *)
 
 let on_rp_tree t ~group =
-  Hashtbl.fold
-    (fun (x, g) _ acc -> if g = group then x :: acc else acc)
+  Forwarding.fold
+    (fun k _ acc -> if Forwarding.pk_lo k = group then Forwarding.pk_hi k :: acc else acc)
     t.rpt []
   |> List.sort Int.compare
 

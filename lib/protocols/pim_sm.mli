@@ -25,7 +25,7 @@ type node = Message.node
 type t
 
 val create :
-  ?delivery:Delivery.t ->
+  delivery:Delivery.t ->
   ?spt_switchover:bool ->
   Message.t Eventsim.Netsim.t ->
   rp:node ->

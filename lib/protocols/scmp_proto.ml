@@ -115,7 +115,7 @@ type t = {
       (* invalidations abandoned while their target was unreachable;
          retried by the active authority once connectivity returns, so
          a long partition cannot strand a stale entry past its heal *)
-  delivery : Delivery.t option;
+  delivery : Delivery.t;
   (* Blackout tracking: groups dark since a fault, cleared by the first
      delivery that reaches a member again. *)
   dark : (Message.group, float) Hashtbl.t;
@@ -290,9 +290,7 @@ let record_delivery t group x seq =
     t.blackouts <-
       (Eventsim.Engine.now (N.engine t.net) -. fault_at) :: t.blackouts
   | None -> ());
-  match t.delivery with
-  | Some d -> Delivery.record d ~seq ~at_router:x
-  | None -> ()
+  Delivery.record t.delivery ~seq ~at_router:x
 
 (* Membership roster bookkeeping, shared by the active m-router and the
    standby's mirror: join order preserved, duplicates collapsed. *)
@@ -1336,7 +1334,7 @@ let make_authority node ~active ~epoch =
     a_seen = IT.create 16;
   }
 
-let create ?delivery ?(distribution = Incremental) ?standby ?(heartbeat_interval = 1.0)
+let create ~delivery ?(distribution = Incremental) ?standby ?(heartbeat_interval = 1.0)
     ?(takeover_after = 3.0) ?(install_handlers = true) ?cpu net ~mrouter () =
   (* the reliable transport's base timeout and the sends one request
      or frame may take *)

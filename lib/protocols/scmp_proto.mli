@@ -81,7 +81,7 @@ type distribution =
 type t
 
 val create :
-  ?delivery:Delivery.t ->
+  delivery:Delivery.t ->
   ?distribution:distribution ->
   ?standby:node ->
   ?heartbeat_interval:float ->

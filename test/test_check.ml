@@ -840,8 +840,8 @@ let coherence_differential seed =
   Eventsim.Netsim.set_loss net { rate = 0.03; seed; only = Some `Control };
   let rto = 0.25 (* SCMP's base retransmission timeout *) in
   let p =
-    P.create ~standby:1 ~heartbeat_interval:0.5 ~takeover_after:1.5 net
-      ~mrouter:0 ()
+    P.create ~delivery:(Protocols.Delivery.create e) ~standby:1
+      ~heartbeat_interval:0.5 ~takeover_after:1.5 net ~mrouter:0 ()
   in
   let members = Prng.sample rng 8 (n - 2) |> List.map (fun x -> x + 2) in
   List.iteri

@@ -229,7 +229,7 @@ let path_net () =
 
 let test_lost_join_retransmitted () =
   let e, net = path_net () in
-  let p = Scmp_proto.create net ~mrouter:0 () in
+  let p = Scmp_proto.create ~delivery:(Delivery.create e) net ~mrouter:0 () in
   (* Sever the member before it asks to join; heal the cut at t=0.2 so
      the first retransmission (rto = 0.25) is the one that lands. *)
   Netsim.fail_link net 1 2;
@@ -248,7 +248,7 @@ let test_lost_join_retransmitted () =
 
 let test_giveup_after_max_attempts () =
   let e, net = path_net () in
-  let p = Scmp_proto.create net ~mrouter:0 () in
+  let p = Scmp_proto.create ~delivery:(Delivery.create e) net ~mrouter:0 () in
   Netsim.fail_link net 1 2;
   Scmp_proto.host_join p ~group:1 2;
   (* The engine returning at all proves the retry chain is bounded —
@@ -275,7 +275,7 @@ let hpim_counter p name =
    in flight — every retransmission then dies too. *)
 let test_hpim_giveup_after_max_attempts () =
   let e, net = path_net () in
-  let p = Hpim_dm.create net () in
+  let p = Hpim_dm.create ~delivery:(Delivery.create e) net () in
   Hpim_dm.send_data p ~group:1 ~src:0 ~seq:0;
   Engine.run ~until:0.0025 e;
   Netsim.fail_link net 1 2;
@@ -290,7 +290,7 @@ let test_hpim_giveup_after_max_attempts () =
 
 let test_hpim_no_giveup_metric_when_clean () =
   let e, net = path_net () in
-  let p = Hpim_dm.create net () in
+  let p = Hpim_dm.create ~delivery:(Delivery.create e) net () in
   Hpim_dm.send_data p ~group:1 ~src:0 ~seq:0;
   Engine.run e;
   (* 2 withdraws, then 1 (now without interest) withdraws toward 0. *)

@@ -221,7 +221,7 @@ let test_tree_differential () =
     let g = fig5 () in
     let e = Engine.create () in
     let net = Netsim.create e g ~classify:Message.classify in
-    let p = P.create net ~mrouter:0 () in
+    let p = P.create ~delivery:(Delivery.create e) net ~mrouter:0 () in
     join_all e p [ 4; 5; 3 ];
     if faulted then begin
       let t0 = Engine.now e +. 10.0 in

@@ -301,6 +301,35 @@ let test_forwarding_step () =
   entry.Fwd.member <- false;
   Alcotest.check path "relay only" (false, [ (0, 3); (0, 2) ]) (step ~from:1)
 
+(* The neighbour fan-out walks a router's links in the order they were
+   added (the order of [G.neighbors]), skipping the arrival neighbour
+   and whatever [keep] rejects; [any_neighbour] agrees with it. *)
+let test_forwarding_fan_out () =
+  let bld = G.Builder.create 5 in
+  List.iter (fun y -> G.Builder.add_link bld 0 y ~delay:1.0 ~cost:1.0) [ 3; 1; 4; 2 ];
+  let g = G.Builder.freeze bld in
+  let e, net, _ = make_net g in
+  let sent = ref [] in
+  Netsim.on_transmit net (fun ~src ~dst _ -> sent := (src, dst) :: !sent);
+  let msg = Message.Data { group = 7; src = 9; seq = 0 } in
+  let outside excluded _x y = not (List.mem y excluded) in
+  let fan ~from excluded =
+    sent := [];
+    let n = Fwd.fan_out net ~x:0 ~from ~keep:outside excluded msg in
+    Engine.run e;
+    (n, List.rev !sent)
+  in
+  let path = Alcotest.(pair int (list (pair int int))) in
+  Alcotest.check path "all, in link order"
+    (4, List.map (fun y -> (0, y)) (G.neighbors g 0))
+    (fan ~from:(-1) []);
+  Alcotest.check path "less the arrival and the excluded" (2, [ (0, 3); (0, 2) ])
+    (fan ~from:4 [ 1 ]);
+  Alcotest.check path "nobody left" (0, []) (fan ~from:2 [ 1; 3; 4 ]);
+  checkb "any: one left" true (Fwd.any_neighbour g ~x:0 ~from:4 ~keep:outside [ 1; 3 ]);
+  checkb "any: none left" false
+    (Fwd.any_neighbour g ~x:0 ~from:2 ~keep:outside [ 1; 3; 4 ])
+
 (* ---------------- SCMP ---------------- *)
 
 let test_scmp_join_builds_consistent_tree () =
@@ -387,8 +416,8 @@ let prop_scmp_churn_consistent =
   QCheck.Test.make ~name:"SCMP network state mirrors m-router tree under churn"
     ~count:10 QCheck.small_int (fun seed ->
       let spec = Topology.Waxman.generate ~seed:(seed + 1) ~n:40 () in
-      let e, net, _delivery = make_net spec.Topology.Spec.graph in
-      let p = Scmp_proto.create net ~mrouter:0 () in
+      let e, net, delivery = make_net spec.Topology.Spec.graph in
+      let p = Scmp_proto.create ~delivery net ~mrouter:0 () in
       let rng = Prng.create (seed * 17 + 3) in
       let present = Hashtbl.create 16 in
       let ok = ref true in
@@ -413,8 +442,8 @@ let test_scmp_full_tree_distribution_equivalent () =
      control cost. *)
   let converge distribution =
     let g = fig5 () in
-    let e, net, _delivery = make_net g in
-    let p = Scmp_proto.create ~distribution net ~mrouter:0 () in
+    let e, net, delivery = make_net g in
+    let p = Scmp_proto.create ~delivery ~distribution net ~mrouter:0 () in
     List.iter
       (fun r ->
         Scmp_proto.host_join p ~group:1 r;
@@ -740,6 +769,51 @@ let test_pim_leave () =
   checki "nobody served after leave" 1 (Delivery.deliveries delivery);
   checki "no spurious" 0 (Delivery.spurious delivery)
 
+(* (S,G,rpt) prune at a relay: RP 0, relay 1 with members 2 and 3 below
+   it, source 4 beside the RP. The members' prunes are put on the wire
+   by hand (switchover off), so one member can leave the RP tree for
+   the source while the other stays on it. *)
+let test_pim_rpt_prune_at_relay () =
+  let g =
+    G.of_links ~n:5
+      [ (0, 1, 1.0, 1.0); (1, 2, 1.0, 1.0); (1, 3, 1.0, 1.0); (0, 4, 1.0, 1.0) ]
+  in
+  let e, net, delivery = make_net g in
+  let p = Pim.create ~delivery ~spt_switchover:false net ~rp:0 () in
+  List.iter
+    (fun r ->
+      Pim.host_join p ~group:1 r;
+      Engine.run e)
+    [ 2; 3 ];
+  let sent = ref [] in
+  Netsim.on_transmit net (fun ~src ~dst msg ->
+      match msg with
+      | Message.Pim_prune _ | Message.Pim_join _ | Message.Data _ ->
+        sent := (src, dst) :: !sent
+      | _ -> ());
+  let inject ~src ~dst msg =
+    sent := [];
+    Netsim.transmit net ~src ~dst msg;
+    Engine.run e;
+    List.rev !sent
+  in
+  let prune m =
+    inject ~src:m ~dst:1
+      (Message.Pim_prune { group = 1; src = Some 4; rpt = true; from = m })
+  in
+  let data () = inject ~src:0 ~dst:1 (Message.Data { group = 1; src = 4; seq = 0 }) in
+  let hops = Alcotest.(list (pair int int)) in
+  Alcotest.check hops "member 3 still wants it: no prune upstream" [ (2, 1) ]
+    (prune 2);
+  Alcotest.check hops "the relay serves member 3 only" [ (0, 1); (1, 3) ] (data ());
+  Alcotest.check hops "neither wants it: the relay prunes upstream"
+    [ (3, 1); (1, 0) ] (prune 3);
+  Alcotest.check hops "a refreshed star-G join stays local" [ (2, 1) ]
+    (inject ~src:2 ~dst:1 (Message.Pim_join { group = 1; src = None; from = 2 }));
+  Alcotest.check hops "it cancels member 2's prune" [ (0, 1); (1, 2) ] (data ());
+  Alcotest.check hops "member 2 wants it again: no prune upstream" [ (3, 1) ]
+    (prune 3)
+
 let prop_pim_exactly_once =
   QCheck.Test.make ~name:"PIM-SM exactly-once on random topologies (both modes)"
     ~count:15 QCheck.small_int (fun seed ->
@@ -774,8 +848,8 @@ let prop_pim_exactly_once =
 
 let test_mospf_lsa_convergence () =
   let g = fig5 () in
-  let e, net, _delivery = make_net g in
-  let p = Mospf.create net () in
+  let e, net, delivery = make_net g in
+  let p = Mospf.create ~delivery net () in
   Mospf.host_join p ~group:1 4;
   Engine.run e;
   for x = 0 to 5 do
@@ -1008,8 +1082,8 @@ let test_churn_drives_scmp_consistently () =
      transitions complete before the next one starts — and transient
      overlap is exactly what the protocol must survive. *)
   let spec = Topology.Waxman.generate ~seed:13 ~n:40 () in
-  let e, net, _delivery = make_net (Topology.Spec.sim_graph spec) in
-  let p = Scmp_proto.create net ~mrouter:0 () in
+  let e, net, delivery = make_net (Topology.Spec.sim_graph spec) in
+  let p = Scmp_proto.create ~delivery net ~mrouter:0 () in
   let c =
     Churn.start e
       ~rng:(Prng.create 17)
@@ -1078,9 +1152,9 @@ let test_multi_delivery_per_home () =
 
 let test_multi_custom_assignment () =
   let g = fig5 () in
-  let e, net, _delivery = make_net g in
+  let e, net, delivery = make_net g in
   let m =
-    Multi.create net ~mrouters:[ 0; 2 ]
+    Multi.create ~delivery net ~mrouters:[ 0; 2 ]
       ~assign:(fun group -> if group < 100 then 2 else 0)
       ()
   in
@@ -1091,25 +1165,25 @@ let test_multi_custom_assignment () =
   | Some t -> checki "rooted per assignment" 2 (Mtree.Tree.root t)
   | None -> Alcotest.fail "no tree");
   (* a broken assignment function is rejected loudly *)
-  let bad = Multi.create net ~mrouters:[ 0 ] ~assign:(fun _ -> 5) () in
+  let bad = Multi.create ~delivery net ~mrouters:[ 0 ] ~assign:(fun _ -> 5) () in
   Alcotest.check_raises "assign outside set"
     (Invalid_argument "Multi: assign returned 5, not one of the m-routers")
     (fun () -> ignore (Multi.home bad ~group:1))
 
 let test_multi_create_errors () =
   let g = fig5 () in
-  let e, net, _delivery = make_net g in
+  let e, net, delivery = make_net g in
   ignore e;
   Alcotest.check_raises "empty" (Invalid_argument "Multi.create: need at least one m-router")
-    (fun () -> ignore (Multi.create net ~mrouters:[] ()));
+    (fun () -> ignore (Multi.create ~delivery net ~mrouters:[] ()));
   Alcotest.check_raises "duplicate" (Invalid_argument "Multi.create: duplicate m-router")
-    (fun () -> ignore (Multi.create net ~mrouters:[ 1; 1 ] ()))
+    (fun () -> ignore (Multi.create ~delivery net ~mrouters:[ 1; 1 ] ()))
 
 let test_multi_load_spreads () =
   (* with two homes, join-processing control work lands on both *)
   let spec = Topology.Waxman.generate ~seed:6 ~n:40 () in
-  let e, net, _delivery = make_net spec.Topology.Spec.graph in
-  let m = Multi.create net ~mrouters:[ 0; 20 ] () in
+  let e, net, delivery = make_net spec.Topology.Spec.graph in
+  let m = Multi.create ~delivery net ~mrouters:[ 0; 20 ] () in
   for grp = 1 to 6 do
     List.iter
       (fun r -> Multi.host_join m ~group:grp r)
@@ -1315,6 +1389,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_forwarding_table_model;
           Alcotest.test_case "one step" `Quick test_forwarding_step;
+          Alcotest.test_case "neighbour fan-out" `Quick test_forwarding_fan_out;
         ] );
       ( "igmp",
         [
@@ -1360,6 +1435,8 @@ let () =
           Alcotest.test_case "multi-member exactly once" `Quick
             test_pim_multiple_members_exactly_once;
           Alcotest.test_case "leave" `Quick test_pim_leave;
+          Alcotest.test_case "(S,G,rpt) prune at a relay" `Quick
+            test_pim_rpt_prune_at_relay;
           qc prop_pim_exactly_once;
         ] );
       ( "hpim-dm",
