@@ -117,6 +117,16 @@ if grep -rn 'Graph\.neighbors\|Graph\.iter_incident' lib/protocols/ \
   echo "check.sh: a neighbour fan-out outside Protocols.Forwarding" >&2
   exit 1
 fi
+# Packed per-packet state: DVMRP, MOSPF, PIM-SM and HPIM-DM key their
+# state by packed ints (Forwarding maps, CSR slots, router ids); no
+# polymorphic Hashtbl or tuple-keyed table may come back to their data
+# plane.
+if grep -nE 'Hashtbl|\((node|int) \* (node|int|Message\.group)' \
+  lib/protocols/dvmrp.ml lib/protocols/mospf.ml lib/protocols/pim_sm.ml \
+  lib/protocols/hpim_dm.ml; then
+  echo "check.sh: tuple-keyed or polymorphic table in a driver's per-packet state" >&2
+  exit 1
+fi
 
 # One network builder: the grid-unit-to-seconds delay conversion is
 # written once, in Topology.Spec.sim_graph.

@@ -134,11 +134,13 @@ let rec hop_below r src y =
   let p = D.parent_ix r y in
   if p = src then y else hop_below r src p
 
-let next_hop t ~src ~dst =
-  if src = dst then None
+let next_hop_ix t ~src ~dst =
+  if src = dst then -1
   else
     let r = force t src in
-    if D.reachable r dst then Some (hop_below r src dst) else None
+    if D.reachable r dst then hop_below r src dst else -1
+
+let next_hop t ~src ~dst = match next_hop_ix t ~src ~dst with -1 -> None | h -> Some h
 
 let distance t ~src ~dst = D.dist (force t src) dst
 let spt t ~src = force t src

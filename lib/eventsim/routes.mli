@@ -57,6 +57,10 @@ val next_hop : t -> src:Netgraph.Graph.node -> dst:Netgraph.Graph.node -> Netgra
     [dst] instead of building the path: the only allocation is the
     option. *)
 
+val next_hop_ix : t -> src:Netgraph.Graph.node -> dst:Netgraph.Graph.node -> int
+(** {!next_hop} without the option: the neighbour, or -1 where
+    {!next_hop} gives [None]. Allocates nothing. *)
+
 val distance : t -> src:Netgraph.Graph.node -> dst:Netgraph.Graph.node -> float
 (** Converged shortest-delay distance ([infinity] if unreachable). *)
 

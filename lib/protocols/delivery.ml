@@ -1,7 +1,8 @@
 (* Allocation-lean recorder: packets live in a dense array indexed by
    sequence number, and each packet's member set is a byte map over
    router ids (0 = non-member, 1 = member awaiting delivery,
-   2 = delivered). [record] runs on the data fast path — once per
+   2 = delivered, 3 = non-member counted by [record_once]).
+   [record] runs on the data fast path — once per
    delivery event — so it is a couple of array reads instead of three
    hashtable probes on a heap-allocated key, and it allocates nothing:
    the delay goes into a growable float array and the running mean and
@@ -9,9 +10,10 @@
 
 type packet = {
   sent_at : float;
-  (* index = router id (up to the largest member); anything beyond the
-     map is a non-member. *)
-  state : Bytes.t;
+  (* index = router id (up to the largest member, or the largest
+     router [record_once] counted); anything beyond the map is a
+     non-member. *)
+  mutable state : Bytes.t;
 }
 
 type t = {
@@ -79,7 +81,7 @@ let record t ~seq ~at_router =
       t.spurious <- t.spurious + 1
     else begin
       match Bytes.unsafe_get p.state at_router with
-      | '\000' -> t.spurious <- t.spurious + 1
+      | '\000' | '\003' -> t.spurious <- t.spurious + 1
       | '\002' -> t.duplicates <- t.duplicates + 1
       | _ ->
         Bytes.unsafe_set p.state at_router '\002';
@@ -97,6 +99,30 @@ let record t ~seq ~at_router =
         r.(0) <- r.(0) +. ((delay -. r.(0)) /. float_of_int (n + 1));
         if delay > r.(1) then r.(1) <- delay
     end
+
+(* A non-member counted once is marked 3, widening the map when it lies
+   beyond it, so its next arrival is recognised. [record] stays the
+   fast path every other caller takes, unchanged. *)
+let record_once t ~seq ~at_router =
+  let p =
+    if seq >= 0 && seq < Array.length t.packets then t.packets.(seq)
+    else None
+  in
+  match p with
+  | Some p when at_router >= 0 -> (
+    let len = Bytes.length p.state in
+    match if at_router < len then Bytes.get p.state at_router else '\000' with
+    | '\000' ->
+      record t ~seq ~at_router;
+      if at_router >= len then begin
+        let state = Bytes.make (at_router + 1) '\000' in
+        Bytes.blit p.state 0 state 0 len;
+        p.state <- state
+      end;
+      Bytes.set p.state at_router '\003'
+    | '\001' -> record t ~seq ~at_router
+    | _ -> ())
+  | Some _ | None -> record t ~seq ~at_router
 
 let deliveries t = t.deliveries
 let duplicates t = t.duplicates

@@ -18,6 +18,12 @@ val record : t -> seq:int -> at_router:Message.node -> unit
 (** A member router delivered packet [seq] to its subnet now. Unknown
     sequence numbers and non-member routers are counted as spurious. *)
 
+val record_once : t -> seq:int -> at_router:Message.node -> unit
+(** {!record}, for a caller that can receive one packet more than once:
+    a repeat by a router already delivered or already counted as
+    spurious is ignored. Unknown sequence numbers are counted every
+    time, as by {!record}. *)
+
 val deliveries : t -> int
 val duplicates : t -> int
 (** Redundant deliveries of a (seq, member) pair beyond the first. *)

@@ -19,26 +19,27 @@ type entry = {
 
 let fresh_entry ~member ~ep = { upstream = None; downstream = []; member; ep }
 
-(* ---------------- The entry table ---------------- *)
+(* ---------------- Packed-key maps ---------------- *)
 
 (* Open addressing with linear probing over a power-of-two slot array,
-   kept at most half full. A key is a [pk router group], never
-   negative, so -1 marks a vacant slot. Deletion shifts later members
-   of the probe run back (no tombstones), so a lookup stops at the
-   first vacant slot. A lookup returns a slot index, not an option:
-   the data plane reads an entry without allocating. *)
-type table = {
+   kept at most half full. A key is a packed int ([pk router group] or
+   the like), never negative, so -1 marks a vacant slot. Deletion
+   shifts later members of the probe run back (no tombstones), so a
+   lookup stops at the first vacant slot. A lookup returns a slot
+   index, not an option: the data plane reads a value without
+   allocating. *)
+type 'v map = {
   mutable keys : int array;
-  mutable vals : entry array;
+  mutable vals : 'v array;
   mutable size : int;
-  filler : entry;  (* what a vacant [vals] slot holds; never returned *)
+  filler : 'v;  (* what a vacant [vals] slot holds; never returned *)
 }
 
-let vacant = -1
+type table = entry map
 
-let create () =
-  let filler = fresh_entry ~member:false ~ep:0 in
-  { keys = Array.make 64 vacant; vals = Array.make 64 filler; size = 0; filler }
+let vacant = -1
+let map filler = { keys = Array.make 64 vacant; vals = Array.make 64 filler; size = 0; filler }
+let create () = map (fresh_entry ~member:false ~ep:0)
 
 (* Folding the router field (bits 32+) onto the group field before the
    odd multiply makes the low bits the mask keeps a bijection of the
@@ -78,6 +79,9 @@ let grow tbl =
 let find_opt tbl k =
   match slot tbl k with -1 -> None | i -> Some (Array.unsafe_get tbl.vals i)
 
+let find_slot = slot
+let value tbl i = tbl.vals.(i)
+let find_or tbl k ~default = match slot tbl k with -1 -> default | i -> tbl.vals.(i)
 let mem tbl k = slot tbl k >= 0
 
 let replace tbl k e =
@@ -181,7 +185,7 @@ let rec fan_slots net nbr ~x ~from keep st msg i stop sent =
   if i = stop then sent
   else
     let y = Array.unsafe_get nbr i in
-    if y <> from && keep st x y then begin
+    if y <> from && keep st i y then begin
       N.transmit net ~src:x ~dst:y msg;
       fan_slots net nbr ~x ~from keep st msg (i + 1) stop (sent + 1)
     end
@@ -193,12 +197,19 @@ let fan_out net ~x ~from ~keep st msg =
   fan_slots net (Netgraph.Graph.csr_neighbors g) ~x ~from keep st msg off.(x)
     off.(x + 1) 0
 
-let rec any_slot nbr ~x ~from keep st i stop =
+let rec any_slot nbr ~from keep st i stop =
   i < stop
   &&
   let y = Array.unsafe_get nbr i in
-  (y <> from && keep st x y) || any_slot nbr ~x ~from keep st (i + 1) stop
+  (y <> from && keep st i y) || any_slot nbr ~from keep st (i + 1) stop
 
 let any_neighbour g ~x ~from ~keep st =
   let off = Netgraph.Graph.csr_offsets g in
-  any_slot (Netgraph.Graph.csr_neighbors g) ~x ~from keep st off.(x) off.(x + 1)
+  any_slot (Netgraph.Graph.csr_neighbors g) ~from keep st off.(x) off.(x + 1)
+
+let rec slot_of nbr y i stop =
+  if i = stop then -1 else if Array.unsafe_get nbr i = y then i else slot_of nbr y (i + 1) stop
+
+let link_slot g x y =
+  let off = Netgraph.Graph.csr_offsets g in
+  slot_of (Netgraph.Graph.csr_neighbors g) y off.(x) off.(x + 1)

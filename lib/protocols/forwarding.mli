@@ -13,8 +13,9 @@
     - DVMRP, HPIM-DM and MOSPF send to a router's neighbours, less the
       arrival one and the ones the caller excludes ({!fan_out}).
 
-    The entry table is keyed by one packed int, and no loop here
-    allocates: no key tuple, no option, no closure per packet. *)
+    The entry table is keyed by one packed int, and so is every other
+    driver's per-packet state ({!map}); no loop here allocates: no key
+    tuple, no option, no closure per packet. *)
 
 type node = Message.node
 
@@ -44,23 +45,42 @@ type entry = {
 val fresh_entry : member:bool -> ep:int -> entry
 (** An entry with no upstream and no downstream. *)
 
-(** {2 The entry table} *)
+(** {2 Packed-key maps} *)
 
-type table
-(** Entries keyed by [pk router group]: open addressing over one int
-    array of keys. *)
+type 'v map
+(** Values keyed by a packed key — a non-negative int such as
+    [pk router group]: open addressing over one int array of keys. *)
+
+val map : 'v -> 'v map
+(** [map filler]: an empty map. [filler] only fills vacant value slots
+    and is never returned. *)
+
+type table = entry map
+(** The entry table, keyed by [pk router group]. *)
 
 val create : unit -> table
-val find_opt : table -> int -> entry option
-val mem : table -> int -> bool
-val replace : table -> int -> entry -> unit
-val remove : table -> int -> unit
+val find_opt : 'v map -> int -> 'v option
 
-val fold : (int -> entry -> 'a -> 'a) -> table -> 'a -> 'a
-(** Visits every entry once, in slot order — an order callers must not
-    let escape. [f] must not add or remove entries. *)
+val find_slot : 'v map -> int -> int
+(** The slot holding the key, or -1: with {!value}, a lookup that
+    allocates nothing. A slot is valid until the next {!replace} or
+    {!remove}. *)
 
-val iter : (int -> entry -> unit) -> table -> unit
+val value : 'v map -> int -> 'v
+(** The value in a slot {!find_slot} returned. *)
+
+val find_or : 'v map -> int -> default:'v -> 'v
+(** The key's value, or [default]; allocates nothing. *)
+
+val mem : 'v map -> int -> bool
+val replace : 'v map -> int -> 'v -> unit
+val remove : 'v map -> int -> unit
+
+val fold : (int -> 'v -> 'a -> 'a) -> 'v map -> 'a -> 'a
+(** Visits every binding once, in slot order — an order callers must
+    not let escape. [f] must not add or remove bindings. *)
+
+val iter : (int -> 'v -> unit) -> 'v map -> unit
 (** {!fold} without an accumulator; the same rules hold. *)
 
 (** {2 Forwarding} *)
@@ -97,16 +117,21 @@ val send_down :
 
 val fan_out :
   'm Eventsim.Netsim.t -> x:node -> from:node ->
-  keep:('s -> node -> node -> bool) -> 's -> 'm -> int
+  keep:('s -> int -> node -> bool) -> 's -> 'm -> int
 (** [fan_out net ~x ~from ~keep st msg] transmits [msg] from router [x]
     to each neighbour [y] other than [from] (-1 skips none) with
-    [keep st x y], in CSR slot order (the order the links were added),
-    and returns how many it sent. With [keep] a top-level function the
-    loop allocates nothing beyond what {!Eventsim.Netsim.transmit}
-    does. *)
+    [keep st i y], where [i] is the CSR slot of [x]'s link to [y] — a
+    dense id of the directed link, which per-link state can index. It
+    goes in CSR slot order (the order the links were added) and returns
+    how many it sent. With [keep] a top-level function the loop
+    allocates nothing beyond what {!Eventsim.Netsim.transmit} does. *)
 
 val any_neighbour :
   Netgraph.Graph.t -> x:node -> from:node ->
-  keep:('s -> node -> node -> bool) -> 's -> bool
+  keep:('s -> int -> node -> bool) -> 's -> bool
 (** Would {!fan_out} send to anyone? Stops at the first such
     neighbour. *)
+
+val link_slot : Netgraph.Graph.t -> node -> node -> int
+(** [link_slot g x y]: the CSR slot of [x]'s link to [y] (what {!fan_out}
+    passes [keep]), or -1 if they are not linked. Scans [x]'s links. *)

@@ -1,58 +1,121 @@
 module N = Eventsim.Netsim
+module D = Netgraph.Dijkstra
 
 type node = Message.node
 
+(* One group's membership databases, one row per router [r] that has
+   originated an LSA for the group: byte [at] of [known.(r)] is set iff
+   router [at] believes [r] has member hosts. *)
+type group_db = {
+  known : Bytes.t array;  (** [Bytes.empty] for a router never heard of *)
+  mutable origins : node list;  (** the routers with a row *)
+}
+
 type t = {
   net : Message.t N.t;
-  (* Per-router membership database: (at, router, group) present iff
-     [at] believes [router] has member hosts for [group]. *)
-  db : (node * node * Message.group, unit) Hashtbl.t;
-  (* Flooding duplicate suppression: highest LSA seq seen, per
-     (at, originating router). *)
-  seen : (node * node, int) Hashtbl.t;
+  n : int;
+  dbs : group_db Forwarding.map;  (** keyed by group *)
+  (* Flooding duplicate suppression: per originating router, the
+     highest LSA seq each router has seen from it ([||] until its
+     first LSA; LSA seqs start at 1). *)
+  seen : int array array;
   mutable next_seq : int;
   mutable originated : int;
+  (* Working state of one forwarding decision, valid where [visit] holds the
+     current [stamp]: [via.(z)] is the child of the forwarding router
+     whose subtree holds [z] (-1 if none), and [below.(c) = stamp]
+     marks the children to forward to. *)
+  visit : int array;
+  via : int array;
+  below : int array;
+  mutable stamp : int;
   delivery : Delivery.t;
 }
 
-let knows_member t ~at ~group r = Hashtbl.mem t.db (at, r, group)
+let no_db = { known = [||]; origins = [] }
+
+let db t group =
+  match Forwarding.find_slot t.dbs group with
+  | -1 ->
+    let d = { known = Array.make t.n Bytes.empty; origins = [] } in
+    Forwarding.replace t.dbs group d;
+    d
+  | i -> Forwarding.value t.dbs i
+
+let knows_member t ~at ~group r =
+  match Forwarding.find_slot t.dbs group with
+  | -1 -> false
+  | i ->
+    let row = (Forwarding.value t.dbs i).known.(r) in
+    Bytes.length row > 0 && Bytes.get row at = '\001'
 
 let apply_lsa t ~at ~group ~router ~joined =
-  if joined then Hashtbl.replace t.db (at, router, group) ()
-  else Hashtbl.remove t.db (at, router, group)
+  let d = db t group in
+  if Bytes.length d.known.(router) = 0 then begin
+    d.known.(router) <- Bytes.make t.n '\000';
+    d.origins <- router :: d.origins
+  end;
+  Bytes.set d.known.(router) at (if joined then '\001' else '\000')
+
+let seen_row t router =
+  if Array.length t.seen.(router) = 0 then t.seen.(router) <- Array.make t.n 0;
+  t.seen.(router)
 
 let every () _ _ = true
 let flood t x ~from msg = ignore (Forwarding.fan_out t.net ~x ~from ~keep:every () msg)
 
-let handle_lsa t x ~from group router joined seq =
-  let fresh =
-    match Hashtbl.find_opt t.seen (x, router) with
-    | Some s -> seq > s
-    | None -> true
-  in
-  if fresh then begin
-    Hashtbl.replace t.seen (x, router) seq;
+(* The received LSA goes on unchanged: the re-flooded copy is the same
+   value. *)
+let handle_lsa t x ~from msg group router joined seq =
+  let seen = seen_row t router in
+  if seq > seen.(x) then begin
+    seen.(x) <- seq;
     apply_lsa t ~at:x ~group ~router ~joined;
-    flood t x ~from (Message.Mospf_lsa { group; router; joined; seq })
+    flood t x ~from msg
   end
 
-(* Is [y] a child of [x] in the SPT whose subtree contains a member,
-   according to [at]'s database? Children of [x] are its neighbours
-   whose SPT parent is [x]. *)
-let rec member_below ((t, spt, at, group) as st) x y =
-  Netgraph.Dijkstra.parent_ix spt y = x
-  && (knows_member t ~at ~group y
-     || Forwarding.any_neighbour (N.graph t.net) ~x:y ~from:(-1) ~keep:member_below st)
+(* The child of [x] whose SPT subtree holds [z], or -1 when [z] is not
+   below [x]: climb [z]'s parent chain until it reaches [x] (or the
+   root), memoised per forwarding decision so each router is climbed
+   through once. *)
+let rec via t spt x z =
+  if z < 0 || z = x then -1
+  else if t.visit.(z) = t.stamp then t.via.(z)
+  else begin
+    let p = D.parent_ix spt z in
+    let c = if p = x then z else via t spt x p in
+    t.visit.(z) <- t.stamp;
+    t.via.(z) <- c;
+    c
+  end
 
-(* Down the SPT of [src], into the subtrees [x] knows hold members. *)
+let rec mark_children t spt x d = function
+  | [] -> ()
+  | r :: rest ->
+    if Bytes.unsafe_get d.known.(r) x = '\001' then begin
+      let c = via t spt x r in
+      if c >= 0 then t.below.(c) <- t.stamp
+    end;
+    mark_children t spt x d rest
+
+let below t _ y = t.below.(y) = t.stamp
+
+(* Down the SPT of [src], into the subtrees [x]'s database says hold
+   members: a child of [x] is marked when the parent chain of some
+   router [x] lists as a member passes through it. *)
 let forward_spt t x ~group ~src msg =
   let spt = Eventsim.Routes.spt (N.routes t.net) ~src in
-  ignore
-    (Forwarding.fan_out t.net ~x ~from:(-1) ~keep:member_below (t, spt, x, group) msg)
+  match Forwarding.find_slot t.dbs group with
+  | -1 -> ()
+  | i ->
+    t.stamp <- t.stamp + 1;
+    let d = Forwarding.value t.dbs i in
+    mark_children t spt x d d.origins;
+    ignore (Forwarding.fan_out t.net ~x ~from:(-1) ~keep:below t msg)
 
 let handle_data t x ~from group src seq msg =
   let spt = Eventsim.Routes.spt (N.routes t.net) ~src in
-  if Netgraph.Dijkstra.parent_ix spt x = from then begin
+  if D.parent_ix spt x = from then begin
     if knows_member t ~at:x ~group x then Delivery.record t.delivery ~seq ~at_router:x;
     forward_spt t x ~group ~src msg
   end
@@ -61,7 +124,7 @@ let handle_message t x ~from msg =
   match msg with
   | Message.Data { group; src; seq } -> handle_data t x ~from group src seq msg
   | Message.Mospf_lsa { group; router; joined; seq } ->
-    handle_lsa t x ~from group router joined seq
+    handle_lsa t x ~from msg group router joined seq
   | Message.Encap _ | Message.Scmp_join _ | Message.Scmp_leave _
   | Message.Scmp_graft _ | Message.Scmp_req_ack _ | Message.Scmp_reliable _
   | Message.Scmp_ack _ | Message.Scmp_tree _ | Message.Scmp_branch _ | Message.Scmp_prune _
@@ -73,18 +136,23 @@ let handle_message t x ~from msg =
     ()
 
 let create ~delivery net () =
-  let g = N.graph net in
+  let n = Netgraph.Graph.node_count (N.graph net) in
   let t =
     {
       net;
-      db = Hashtbl.create 64;
-      seen = Hashtbl.create 64;
+      n;
+      dbs = Forwarding.map no_db;
+      seen = Array.make n [||];
       next_seq = 1;
       originated = 0;
+      visit = Array.make n 0;
+      via = Array.make n (-1);
+      below = Array.make n 0;
+      stamp = 0;
       delivery;
     }
   in
-  for x = 0 to Netgraph.Graph.node_count g - 1 do
+  for x = 0 to n - 1 do
     N.set_handler net x (fun _net ~from msg -> handle_message t x ~from msg)
   done;
   t
@@ -94,7 +162,7 @@ let originate t x ~group ~joined =
   t.next_seq <- seq + 1;
   t.originated <- t.originated + 1;
   apply_lsa t ~at:x ~group ~router:x ~joined;
-  Hashtbl.replace t.seen (x, x) seq;
+  (seen_row t x).(x) <- seq;
   flood t x ~from:(-1) (Message.Mospf_lsa { group; router = x; joined; seq })
 
 let host_join t ~group x = originate t x ~group ~joined:true

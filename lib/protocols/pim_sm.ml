@@ -11,20 +11,27 @@ type t = {
   rpt : Forwarding.table;
       (* star-G state, the unidirectional RP tree: upstream toward the
          RP (None at the RP), keyed by [pk router group]; [ep] stays 0 *)
-  rpt_pruned : (int, int list) Hashtbl.t;
+  rpt_pruned : int list Forwarding.map;
       (* under the same key: the (S,G,rpt) prunes the router's children
          sent, each [pk child source] *)
-  spt : (node * Message.group * node, Forwarding.entry) Hashtbl.t;
-      (* (S,G) state, the post-switchover source tree: upstream toward
-         the source (None at its DR) *)
-  switched : (node * Message.group * node, unit) Hashtbl.t;
-  (* exactly-once hand-off to the subnet across the RPT->SPT
-     transition window *)
-  delivered : (node * Message.group * int, unit) Hashtbl.t;
+  trees : tree Forwarding.map;  (* (S,G) state, keyed by [pk source group] *)
   delivery : Delivery.t;
 }
 
+(* One source's tree for a group: per router, its (S,G) entry on the
+   post-switchover source tree (upstream toward the source, None at its
+   DR) and whether its DR has switched over to it. *)
+and tree = {
+  src : node;
+  spt : Forwarding.entry option array;
+  switched : Bytes.t;
+}
+
 let rpt_opt t x group = Forwarding.find_opt t.rpt (pk x group)
+
+(* [e]'s upstream is [from]; compares without building [Some from]. *)
+let from_upstream (e : Forwarding.entry) from =
+  match e.upstream with Some u -> u = from | None -> false
 
 let star_g t x group =
   match rpt_opt t x group with
@@ -38,22 +45,42 @@ let star_g t x group =
 let on_rpt t x group =
   x = t.rp || match rpt_opt t x group with Some e -> e.upstream <> None | None -> false
 
-let prunes t x group =
-  Option.value (Hashtbl.find_opt t.rpt_pruned (pk x group)) ~default:[]
+let prunes t x group = Forwarding.find_or t.rpt_pruned (pk x group) ~default:[]
 
 let remove_rpt t x group =
   Forwarding.remove t.rpt (pk x group);
-  Hashtbl.remove t.rpt_pruned (pk x group)
+  Forwarding.remove t.rpt_pruned (pk x group)
 
-let spt_opt t x group src = Hashtbl.find_opt t.spt (x, group, src)
+let no_tree = { src = -1; spt = [||]; switched = Bytes.empty }
+
+let tree t group src =
+  let k = pk src group in
+  match Forwarding.find_slot t.trees k with
+  | -1 ->
+    let n = Netgraph.Graph.node_count (N.graph t.net) in
+    let tr = { src; spt = Array.make n None; switched = Bytes.make n '\000' } in
+    Forwarding.replace t.trees k tr;
+    tr
+  | i -> Forwarding.value t.trees i
+
+let spt_opt t x group src =
+  match Forwarding.find_slot t.trees (pk src group) with
+  | -1 -> None
+  | i -> (Forwarding.value t.trees i).spt.(x)
 
 let spt_entry t x group src =
-  match spt_opt t x group src with
+  let tr = tree t group src in
+  match tr.spt.(x) with
   | Some e -> e
   | None ->
     let e = Forwarding.fresh_entry ~member:false ~ep:0 in
-    Hashtbl.replace t.spt (x, group, src) e;
+    tr.spt.(x) <- Some e;
     e
+
+let switched t x group src =
+  match Forwarding.find_slot t.trees (pk src group) with
+  | -1 -> false
+  | i -> Bytes.get (Forwarding.value t.trees i).switched x = '\001'
 
 (* Tell [x]'s upstream on a tree that [x] leaves it: the star-G tree
    ([src = None]), or [src]'s packets on the RP tree ([rpt]) or on the
@@ -67,13 +94,10 @@ let prune_up t x (e : Forwarding.entry) ~group ~src ~rpt =
 let next_hop t x dst = Eventsim.Routes.next_hop (N.routes t.net) ~src:x ~dst
 
 (* A source's own subnet never counts its packet as a network delivery
-   (it has it locally); the seq table makes the RPT->SPT transition
+   (it has it locally); [record_once] makes the RPT->SPT transition
    exactly-once. *)
-let deliver_local t x group src seq =
-  if x <> src && not (Hashtbl.mem t.delivered (x, group, seq)) then begin
-    Hashtbl.replace t.delivered (x, group, seq) ();
-    Delivery.record t.delivery ~seq ~at_router:x
-  end
+let deliver_local t x src seq =
+  if x <> src then Delivery.record_once t.delivery ~seq ~at_router:x
 
 (* ---- star-G join: hop-by-hop toward the RP, installing state ---- *)
 
@@ -92,7 +116,7 @@ let handle_rpt_join t x group ~from =
   let e = star_g t x group in
   if not (List.mem from e.downstream) then e.downstream <- e.downstream @ [ from ];
   (* a refreshed branch cancels any (S,G,rpt) prunes it had *)
-  Hashtbl.replace t.rpt_pruned (pk x group)
+  Forwarding.replace t.rpt_pruned (pk x group)
     (List.filter (fun p -> Forwarding.pk_hi p <> from) (prunes t x group));
   if not existed then send_rpt_join t x group
 
@@ -117,11 +141,8 @@ let handle_spt_join t x group src ~from =
   if not existed then send_spt_join t x group src
 
 let switchover t x group src =
-  if
-    t.spt_switchover && x <> src
-    && not (Hashtbl.mem t.switched (x, group, src))
-  then begin
-    Hashtbl.replace t.switched (x, group, src) ();
+  if t.spt_switchover && x <> src && not (switched t x group src) then begin
+    Bytes.set (tree t group src).switched x '\001';
     send_spt_join t x group src;
     (* and shed the source's packets from the RP-tree leg *)
     match rpt_opt t x group with
@@ -139,13 +160,11 @@ let handle_rpt_prune t x group src ~from =
     let pruned =
       if Forwarding.mem_int (pk from src) pruned then pruned else pk from src :: pruned
     in
-    Hashtbl.replace t.rpt_pruned (pk x group) pruned;
+    Forwarding.replace t.rpt_pruned (pk x group) pruned;
     let any_live =
       List.exists (fun d -> not (Forwarding.mem_int (pk d src) pruned)) e.downstream
     in
-    let wants_locally =
-      e.member && not (Hashtbl.mem t.switched (x, group, src))
-    in
+    let wants_locally = e.member && not (switched t x group src) in
     if (not any_live) && not wants_locally then
       prune_up t x e ~group ~src:(Some src) ~rpt:true
 
@@ -162,7 +181,7 @@ let leave_if_idle t x group (e : Forwarding.entry) =
 let leave_spt_if_idle t x group src (e : Forwarding.entry) =
   if e.downstream = [] && x <> src then begin
     prune_up t x e ~group ~src:(Some src) ~rpt:false;
-    Hashtbl.remove t.spt (x, group, src)
+    (tree t group src).spt.(x) <- None
   end
 
 let handle_star_prune t x group ~from =
@@ -185,36 +204,40 @@ let forward_rpt t x group src msg (e : Forwarding.entry) ~except =
   Forwarding.send_down t.net ~src:x ~except ~pruned:(prunes t x group) ~source:src msg
     e.downstream
 
+(* The star-G entry, read in place: [no_rpt] (no upstream, no member)
+   stands for a router without one. Never written. *)
+let no_rpt = Forwarding.fresh_entry ~member:false ~ep:0
+let rpt_or_none t x group = Forwarding.find_or t.rpt (pk x group) ~default:no_rpt
+
 let handle_data t x ~from group src seq msg =
   (* SPT leg takes precedence: packets from the source tree upstream *)
   match spt_opt t x group src with
-  | Some e when e.upstream = Some from ->
-    (match rpt_opt t x group with
-    | Some r when r.member -> deliver_local t x group src seq
-    | _ -> ());
+  | Some e when from_upstream e from ->
+    if (rpt_or_none t x group).member then deliver_local t x src seq;
     Forwarding.send_down t.net ~src:x ~except:(-1) ~pruned:[] ~source:src msg e.downstream
-  | _ -> (
+  | Some _ | None ->
     (* RP-tree leg: unidirectional, packets flow down from the RP *)
-    match rpt_opt t x group with
-    | Some e when e.upstream = Some from ->
+    let e = rpt_or_none t x group in
+    if from_upstream e from then begin
       if e.member then begin
-        deliver_local t x group src seq;
+        deliver_local t x src seq;
         switchover t x group src
       end;
       forward_rpt t x group src msg e ~except:from
-    | Some _ | None -> ())
+    end
 
 let handle_register t x group src seq =
   if x = t.rp then begin
-    match rpt_opt t t.rp group with
-    | None -> ()
-    | Some e ->
+    match Forwarding.find_slot t.rpt (pk x group) with
+    | -1 -> ()
+    | i ->
+      let e = Forwarding.value t.rpt i in
       if e.member then begin
-        deliver_local t t.rp group src seq;
-        switchover t t.rp group src
+        deliver_local t x src seq;
+        switchover t x group src
       end;
       let msg = Message.Data { group; src; seq } in
-      forward_rpt t t.rp group src msg e ~except:(-1)
+      forward_rpt t x group src msg e ~except:(-1)
   end
 
 let handle_message t x ~from msg =
@@ -249,10 +272,8 @@ let create ~delivery ?(spt_switchover = true) net ~rp () =
       rp;
       spt_switchover;
       rpt = Forwarding.create ();
-      rpt_pruned = Hashtbl.create 32;
-      spt = Hashtbl.create 32;
-      switched = Hashtbl.create 32;
-      delivered = Hashtbl.create 256;
+      rpt_pruned = Forwarding.map [];
+      trees = Forwarding.map no_tree;
       delivery;
     }
   in
@@ -272,15 +293,16 @@ let host_leave t ~group x =
   | Some e ->
     e.member <- false;
     leave_if_idle t x group e);
-  (* withdraw from every source tree we switched onto *)
-  Hashtbl.iter
-    (fun (y, g, s) () ->
-      if y = x && g = group then
-        Option.iter (leave_spt_if_idle t x group s) (spt_opt t x group s))
-    t.switched;
-  Hashtbl.filter_map_inplace
-    (fun (y, g, _) () -> if y = x && g = group then None else Some ())
-    t.switched
+  (* withdraw from every source tree we switched onto, in source order *)
+  Forwarding.fold
+    (fun k tr acc ->
+      if Forwarding.pk_lo k = group && Bytes.get tr.switched x = '\001' then tr :: acc
+      else acc)
+    t.trees []
+  |> List.sort (fun a b -> Int.compare a.src b.src)
+  |> List.iter (fun tr ->
+         Bytes.set tr.switched x '\000';
+         Option.iter (leave_spt_if_idle t x group tr.src) tr.spt.(x))
 
 (* The source's DR registers every packet to the RP; once receivers
    have switched over, it also forwards natively down its (S,G) tree.
@@ -303,9 +325,10 @@ let on_rp_tree t ~group =
   |> List.sort Int.compare
 
 let on_spt t ~group ~src =
-  Hashtbl.fold
-    (fun (x, g, s) _ acc -> if g = group && s = src then x :: acc else acc)
-    t.spt []
-  |> List.sort Int.compare
+  let spt = (Forwarding.find_or t.trees (pk src group) ~default:no_tree).spt in
+  let rec collect x acc =
+    if x < 0 then acc else collect (x - 1) (if Option.is_some spt.(x) then x :: acc else acc)
+  in
+  collect (Array.length spt - 1) []
 
-let switched_over t ~group ~src x = Hashtbl.mem t.switched (x, group, src)
+let switched_over t ~group ~src x = switched t x group src

@@ -150,6 +150,36 @@ let test_delivery_recorder () =
   Alcotest.(check (list (float 1e-12)))
     "raw delays kept, iterated newest first" [ 2.0; 5.0 ] !kept
 
+(* [record_once] ignores a router's repeat, member or not, where
+   [record] counts every one. *)
+let test_delivery_record_once () =
+  let e = Engine.create () in
+  let d = Delivery.create e in
+  Delivery.expect d ~seq:0 ~members:[ 1; 2 ] ~sent_at:0.0;
+  let counts () = (Delivery.deliveries d, Delivery.duplicates d, Delivery.spurious d) in
+  let check msg expected = Alcotest.(check (triple int int int)) msg expected (counts ()) in
+  let twice r =
+    Delivery.record_once d ~seq:0 ~at_router:r;
+    Delivery.record_once d ~seq:0 ~at_router:r
+  in
+  twice 1;
+  check "member delivered once" (1, 0, 0);
+  twice 9;
+  check "non-member beyond the map counted once" (1, 0, 1);
+  twice 0;
+  check "non-member inside the map counted once" (1, 0, 2);
+  Delivery.record d ~seq:0 ~at_router:1;
+  Delivery.record d ~seq:0 ~at_router:9;
+  check "record still counts every repeat" (1, 1, 3);
+  twice 2;
+  check "second member delivered once" (2, 1, 3);
+  Delivery.record_once d ~seq:3 ~at_router:1;
+  Delivery.record_once d ~seq:3 ~at_router:1;
+  check "an undeclared seq counts every time" (2, 1, 5);
+  Delivery.expect d ~seq:0 ~members:[ 2 ] ~sent_at:0.0;
+  twice 9;
+  check "re-declaring forgets the marks" (2, 1, 6)
+
 let test_delivery_empty () =
   let e = Engine.create () in
   let d = Delivery.create e in
@@ -312,7 +342,7 @@ let test_forwarding_fan_out () =
   let sent = ref [] in
   Netsim.on_transmit net (fun ~src ~dst _ -> sent := (src, dst) :: !sent);
   let msg = Message.Data { group = 7; src = 9; seq = 0 } in
-  let outside excluded _x y = not (List.mem y excluded) in
+  let outside excluded _slot y = not (List.mem y excluded) in
   let fan ~from excluded =
     sent := [];
     let n = Fwd.fan_out net ~x:0 ~from ~keep:outside excluded msg in
@@ -768,6 +798,29 @@ let test_pim_leave () =
       Pim.send_data p ~group:1 ~src:5 ~seq:1);
   checki "nobody served after leave" 1 (Delivery.deliveries delivery);
   checki "no spurious" 0 (Delivery.spurious delivery)
+
+(* One packet over both trees: router 4 gets seq 0 over the RP tree,
+   switches over, and then the same packet over its new source tree
+   (the SPT upstream 1 re-sends it by hand). The router hands the
+   packet to its subnet once — counted spurious once where it is not
+   in the packet's member set, delivered once where it is. *)
+let test_pim_once_over_both_trees () =
+  let over_both ~members =
+    let g = fig5 () in
+    let e, net, delivery = make_net g in
+    let p = Pim.create ~delivery net ~rp:0 () in
+    Pim.host_join p ~group:1 4;
+    Engine.run e;
+    expect_and_send e delivery ~seq:0 ~members ~send:(fun () ->
+        Pim.send_data p ~group:1 ~src:5 ~seq:0);
+    checkb "switched" true (Pim.switched_over p ~group:1 ~src:5 4);
+    Netsim.transmit net ~src:1 ~dst:4 (Message.Data { group = 1; src = 5; seq = 0 });
+    Engine.run e;
+    (Delivery.deliveries delivery, Delivery.duplicates delivery, Delivery.spurious delivery)
+  in
+  let counts = Alcotest.(triple int int int) in
+  Alcotest.check counts "non-member: spurious once" (0, 0, 1) (over_both ~members:[]);
+  Alcotest.check counts "member: delivered once" (1, 0, 0) (over_both ~members:[ 4 ])
 
 (* (S,G,rpt) prune at a relay: RP 0, relay 1 with members 2 and 3 below
    it, source 4 beside the RP. The members' prunes are put on the wire
@@ -1336,6 +1389,64 @@ let test_driver_always_full_tree () =
     (List.mem name (Protocols.Driver.names ()));
   checkb "not found by name" true (Result.is_error (Protocols.Driver.find name))
 
+(* Words per data transmission, pinned per driver the way the engine's
+   fast path is: one Waxman-60 scenario (seed 1, 20 members, a packet
+   every 10 ms), the minor words a run of 500 packets allocates beyond
+   a run of 50, over the data transmissions it adds. Both runs build
+   their own spec, so fixed costs cancel. No control packet may cross
+   between the two (the figure is the data path alone); DVMRP's prune
+   timers first fire 10 s into the data, so its control plane is
+   measured apart, over a run of 2,500 packets (25 s, two re-flood
+   rounds), net of its data-path rate. *)
+let words_scenario count =
+  let spec = Topology.Waxman.generate ~seed:1 ~n:60 () in
+  let apsp = Netgraph.Apsp.compute spec.Topology.Spec.graph in
+  let center = Scmp.Placement.pick apsp Scmp.Placement.Min_avg_delay in
+  let members =
+    Prng.sample (Prng.create 6) 20 60 |> List.filter (fun x -> x <> center)
+  in
+  Runner.make ~data_interval:0.01 ~data_count:count ~spec ~center
+    ~source:(List.hd members) ~members ()
+
+let words_of_run d count =
+  let sc = words_scenario count in
+  let w0 = Gc.minor_words () in
+  let r = Runner.run d sc in
+  (Gc.minor_words () -. w0, r)
+
+let test_runner_words_per_transmission () =
+  let bound = function "scmp" -> 6.1 | "cbt" -> 5.9 | _ -> 8.0 in
+  List.iter
+    (fun d ->
+      let name = Protocols.Driver.name d in
+      let w_short, short = words_of_run d 50 in
+      let w_long, long = words_of_run d 500 in
+      let data = long.Runner.data_transmissions - short.Runner.data_transmissions in
+      checki (name ^ ": no control traffic between the runs") 0
+        (long.Runner.control_transmissions - short.Runner.control_transmissions);
+      let per_tx = (w_long -. w_short) /. float_of_int data in
+      checkb
+        (Printf.sprintf "%s: %.2f minor words per data transmission, at most %.1f"
+           name per_tx (bound name))
+        true
+        (per_tx <= bound name);
+      if name = "dvmrp" then begin
+        let w_prunes, prunes = words_of_run d 2500 in
+        let control =
+          prunes.Runner.control_transmissions - long.Runner.control_transmissions
+        in
+        let data = prunes.Runner.data_transmissions - long.Runner.data_transmissions in
+        checkb "dvmrp re-prunes" true (control > 0);
+        let per_control =
+          (w_prunes -. w_long -. (per_tx *. float_of_int data)) /. float_of_int control
+        in
+        checkb
+          (Printf.sprintf "dvmrp: %.2f minor words per control transmission, at most 3"
+             per_control)
+          true (per_control <= 3.0)
+      end)
+    (Protocols.Driver.all ())
+
 (* A checked run that trips still finishes its trace and its report
    before the violation escapes: SCMP whose quiescent self-check always
    fails stands in for a real defect. *)
@@ -1384,6 +1495,7 @@ let () =
         [
           Alcotest.test_case "recorder" `Quick test_delivery_recorder;
           Alcotest.test_case "empty" `Quick test_delivery_empty;
+          Alcotest.test_case "record once" `Quick test_delivery_record_once;
         ] );
       ( "forwarding",
         [
@@ -1435,6 +1547,7 @@ let () =
           Alcotest.test_case "multi-member exactly once" `Quick
             test_pim_multiple_members_exactly_once;
           Alcotest.test_case "leave" `Quick test_pim_leave;
+          Alcotest.test_case "once over both trees" `Quick test_pim_once_over_both_trees;
           Alcotest.test_case "(S,G,rpt) prune at a relay" `Quick
             test_pim_rpt_prune_at_relay;
           qc prop_pim_exactly_once;
@@ -1485,6 +1598,8 @@ let () =
             test_runner_expected_pinned;
           Alcotest.test_case "always-TREE driver" `Quick
             test_driver_always_full_tree;
+          Alcotest.test_case "words per data transmission, all drivers" `Quick
+            test_runner_words_per_transmission;
           Alcotest.test_case "tripped check keeps trace and report" `Quick
             test_runner_trip_keeps_evidence;
         ] );
