@@ -27,9 +27,12 @@ module Apsp = Netgraph.Apsp
    Node faults reduce to their incident edges (see Netsim). The
    edge→sources map is a plain array indexed by dense edge id —
    per tree edge, which cached sources used it when built; an edge
-   death touches only candidate dependents. Dropped SPTs are recycled
-   into a Dijkstra workspace, so steady-state recomputation under
-   churn reuses the same scratch arrays instead of reallocating.
+   death touches only candidate dependents. Only [note_edge_down]
+   reads the map, so a fault-free run never builds it: the first
+   [note_edge_down] builds it from the SPTs cached then, and every fill
+   after that registers its tree edges as it is made. Dropped SPTs are
+   recycled into a Dijkstra workspace, so steady-state recomputation
+   under churn reuses the same scratch arrays instead of reallocating.
 
    The notices also keep the cache's own fault view, a masked CSR view
    made at the first [note_edge_down]: every fill the cache builds runs
@@ -53,14 +56,15 @@ type t = {
   mutable table : Apsp.t option;
   (* The fault view; [None] until the first [note_edge_down]. *)
   mutable view : D.live option;
-  (* edge id -> sources whose cached SPT used the edge when built.
-     Entries may be stale (source since dropped or rebuilt without the
-     edge); [note_edge_down] re-checks before dropping. *)
-  edge_users : int list array;
+  (* edge id -> sources whose cached SPT used the edge when built;
+     [None] until the first [note_edge_down]. Entries may be stale
+     (source since dropped or rebuilt without the edge);
+     [note_edge_down] re-checks before dropping. *)
+  mutable edge_users : int list array option;
   (* '\001' once a source has registered tree edges at least once: a
-     first build (the no-fault steady state) cannot already appear in
-     any [edge_users] list, so registration skips the membership scan
-     entirely; only a rebuild after invalidation pays it. *)
+     first registration cannot already appear in any [edge_users] list,
+     so it skips the membership scan entirely; only a rebuild after
+     invalidation pays it. *)
   registered : Bytes.t;
   mutable computed : int;
   mutable shared_fills : int;
@@ -75,7 +79,7 @@ let compute g =
     borrowed = Bytes.make (G.node_count g) '\000';
     table = None;
     view = None;
-    edge_users = Array.make (G.edge_count g) [];
+    edge_users = None;
     registered = Bytes.make (G.node_count g) '\000';
     computed = 0;
     shared_fills = 0;
@@ -94,13 +98,13 @@ let rec mem_int (x : int) = function
   | [] -> false
   | y :: rest -> y = x || mem_int x rest
 
-let register_tree_edges t s r =
+let register_tree_edges t users s r =
   let fresh = Bytes.get t.registered s = '\000' in
   Bytes.set t.registered s '\001';
   for y = 0 to G.node_count t.g - 1 do
     let e = D.parent_edge_ix r y in
-    if e >= 0 && (fresh || not (mem_int s t.edge_users.(e))) then
-      t.edge_users.(e) <- s :: t.edge_users.(e)
+    if e >= 0 && (fresh || not (mem_int s users.(e))) then
+      users.(e) <- s :: users.(e)
   done
 
 let force t s =
@@ -122,7 +126,9 @@ let force t s =
     in
     t.results.(s) <- Some r;
     t.computed <- t.computed + 1;
-    register_tree_edges t s r;
+    (match t.edge_users with
+    | Some users -> register_tree_edges t users s r
+    | None -> ());
     r
 
 let path t ~src ~dst = D.path (force t src) dst
@@ -165,12 +171,25 @@ let view t =
     t.view <- Some v;
     v
 
+(* The edge→sources map, built on first use from the SPTs cached now. *)
+let edge_map t =
+  match t.edge_users with
+  | Some users -> users
+  | None ->
+    let users = Array.make (G.edge_count t.g) [] in
+    Array.iteri
+      (fun s entry -> Option.iter (register_tree_edges t users s) entry)
+      t.results;
+    t.edge_users <- Some users;
+    users
+
 let note_edge_down t e =
   D.kill (view t) e;
-  match t.edge_users.(e) with
+  let map = edge_map t in
+  match map.(e) with
   | [] -> ()
   | users ->
-    t.edge_users.(e) <- [];
+    map.(e) <- [];
     List.iter
       (fun s ->
         match t.results.(s) with

@@ -78,8 +78,10 @@ val spt : t -> src:Netgraph.Graph.node -> Netgraph.Dijkstra.result
 val note_edge_down : t -> Netgraph.Graph.edge -> unit
 (** The edge just died (its link or an end): later fills route
     around it, and exactly the cached SPTs whose tree uses it are
-    dropped (tracked per edge id at build time, so untouched sources
-    pay nothing). Entries kept are provably identical to a recompute.
+    dropped (tracked per edge id, so untouched sources pay nothing; the
+    first notice builds that map from the SPTs cached then, and later
+    fills register as they are made). Entries kept are provably
+    identical to a recompute.
     Noticing an edge already down again is harmless. *)
 
 val note_edge_up : t -> Netgraph.Graph.edge -> unit

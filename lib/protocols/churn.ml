@@ -25,15 +25,27 @@ let depart t x () =
     t.leave x
   end
 
-let arrival t () =
-  let outside =
-    Array.to_list t.candidates
-    |> List.filter (fun x -> not (Intset.mem x t.members))
+(* Counts the [k] candidates outside, draws [Prng.int rng k] (the draw
+   [Prng.pick] makes) and walks to that outside candidate: the member
+   [Prng.pick] would draw from the outside candidates listed in order,
+   found without listing them. *)
+let pick_outside rng candidates ~inside =
+  let k =
+    Array.fold_left (fun k x -> if inside x then k else k + 1) 0 candidates
   in
-  match outside with
-  | [] -> () (* pool exhausted: skip this arrival *)
-  | pool ->
-    let x = Scmp_util.Prng.pick t.rng (Array.of_list pool) in
+  if k = 0 then None
+  else begin
+    let rec nth i j =
+      let x = candidates.(j) in
+      if inside x then nth i (j + 1) else if i = 0 then x else nth (i - 1) (j + 1)
+    in
+    Some (nth (Scmp_util.Prng.int rng k) 0)
+  end
+
+let arrival t () =
+  match pick_outside t.rng t.candidates ~inside:(fun x -> Intset.mem x t.members) with
+  | None -> () (* pool exhausted: skip this arrival *)
+  | Some x ->
     t.members <- Intset.add x t.members;
     t.joins <- t.joins + 1;
     t.join x;

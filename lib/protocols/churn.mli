@@ -28,6 +28,14 @@ val start :
     @raise Invalid_argument on non-positive means, an empty pool, or a
     churn {!too_dense} over the span from now to [horizon]. *)
 
+val pick_outside : (* lint: allow unused-export: differential test against Prng.pick over the listed outside candidates *)
+  Scmp_util.Prng.t -> Message.node array -> inside:(Message.node -> bool) -> Message.node option
+(** The candidate an arrival joins: [Prng.pick rng] over the candidates
+    for which [inside] is false, in array order, or [None] (drawing
+    nothing) when there is none. Makes the same single draw and gives
+    the same candidate without building that array, so it allocates
+    the same few words whatever the pool size. *)
+
 val max_arrivals : float
 (** The most arrivals a churn may expect: 10{^6}. The run time grows
     with the arrival count (a million arrivals take about a second). *)

@@ -153,16 +153,40 @@ let run ?(check = false) ?report driver s =
   let join_wall = ref 0.0 in
   (* Membership: staggered joins, optional departures, optional seeded
      churn. [live] mirrors every join/leave as it happens, the source
-     excluded (its subnet gets the packet locally): it is the expected
-     set of a packet sent now. *)
-  let live = ref [] in
+     excluded (its subnet gets the packet locally): the routers with a
+     non-zero count are the expected set of a packet sent now. A join
+     adds one and a leave clears the router's count, so [live_total]
+     counts a router joined twice without a leave twice, as the
+     expected total always has. The list a send declares is rebuilt
+     only after a change, so a static group builds it once. *)
+  let live = Array.make (Netgraph.Graph.node_count g) 0 in
+  let live_total = ref 0 in
+  let live_list = ref (Some []) in
   let do_join m =
-    if m <> s.source then live := m :: !live;
+    if m <> s.source then begin
+      live.(m) <- live.(m) + 1;
+      incr live_total;
+      live_list := None
+    end;
     inst.Driver.join ~group m
   in
   let do_leave m =
-    live := List.filter (fun x -> x <> m) !live;
+    live_total := !live_total - live.(m);
+    live.(m) <- 0;
+    live_list := None;
     inst.Driver.leave ~group m
+  in
+  let live_members () =
+    match !live_list with
+    | Some l -> l
+    | None ->
+      let rec collect x acc =
+        if x < 0 then acc
+        else collect (x - 1) (if live.(x) > 0 then x :: acc else acc)
+      in
+      let l = collect (Array.length live - 1) [] in
+      live_list := Some l;
+      l
   in
   List.iteri
     (fun i m ->
@@ -201,12 +225,15 @@ let run ?(check = false) ?report driver s =
     Eventsim.Engine.schedule_at engine ~time:s.data_start (fun () ->
         Check.Invariant.verify_all_exn ~where:"runner pre-data"
           (inst.Driver.snapshots ()));
+  let send_at seq = s.data_start +. (s.data_interval *. float_of_int seq) in
+  (* One closure per packet holding only [send] and [seq]. *)
+  let send seq () =
+    expected_acc := !expected_acc + !live_total;
+    Delivery.expect delivery ~seq ~members:(live_members ()) ~sent_at:(send_at seq);
+    inst.Driver.send ~group ~src:s.source ~seq
+  in
   for seq = 0 to s.data_count - 1 do
-    let at = s.data_start +. (s.data_interval *. float_of_int seq) in
-    Eventsim.Engine.schedule_at engine ~time:at (fun () ->
-        expected_acc := !expected_acc + List.length !live;
-        Delivery.expect delivery ~seq ~members:!live ~sent_at:at;
-        inst.Driver.send ~group ~src:s.source ~seq)
+    Eventsim.Engine.schedule_at engine ~time:(send_at seq) (send seq)
   done;
   (* Sim-time series for the report, sampled at the data cadence.
      Scheduled after the data events so a sample at instant [t] sees the

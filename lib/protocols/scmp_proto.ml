@@ -49,7 +49,7 @@ type authority = {
   mutable a_epoch : int;
   mutable a_failed : bool;  (* protocol-level crash: deaf and excised *)
   a_dcdm : (Message.group, Mtree.Dcdm.t) Hashtbl.t;
-  a_members : (Message.group, node list ref) Hashtbl.t;
+  a_members : (Message.group, Roster.t) Hashtbl.t;
   a_seen : int IT.t;  (* key = [pk dr group] *)
       (* duplicate suppression: highest request seq per (group, dr) *)
 }
@@ -63,7 +63,7 @@ type standby = {
   heartbeat_interval : float;
   takeover_after : float;  (* silence that triggers takeover *)
   (* Mirrored membership, in original join order per group. *)
-  mirror : (Message.group, node list ref) Hashtbl.t;
+  mirror : (Message.group, Roster.t) Hashtbl.t;
   mutable last_ack : float;
   mutable hb_seq : int;
 }
@@ -293,23 +293,24 @@ let record_delivery t group x seq =
   Delivery.record t.delivery ~seq ~at_router:x
 
 (* Membership roster bookkeeping, shared by the active m-router and the
-   standby's mirror: join order preserved, duplicates collapsed. *)
-let roster_apply table group dr joined =
+   standby's mirror: join order preserved, duplicates collapsed. A
+   group's roster exists from its first request on, a leave included. *)
+let roster_apply t table group dr joined =
   let members =
     match Hashtbl.find_opt table group with
     | Some r -> r
     | None ->
-      let r = ref [] in
+      let r = Roster.create (Netgraph.Graph.node_count (N.graph t.net)) in
       Hashtbl.replace table group r;
       r
   in
-  if joined then begin
-    if not (List.mem dr !members) then members := !members @ [ dr ]
-  end
-  else members := List.filter (fun m -> m <> dr) !members
+  if joined then Roster.add members dr else Roster.remove members dr
 
 let roster table group =
-  match Hashtbl.find_opt table group with Some r -> !r | None -> []
+  match Hashtbl.find_opt table group with Some r -> Roster.to_list r | None -> []
+
+let on_roster table group dr =
+  match Hashtbl.find_opt table group with Some r -> Roster.mem r dr | None -> false
 
 (* ---- reliable frame transport ---- *)
 
@@ -374,7 +375,7 @@ let step_down (t : t) a ~epoch =
           |> List.sort (fun (d1, _) (d2, _) -> Int.compare d1 d2)
         in
         let left =
-          List.filter (fun (dr, _) -> not (List.mem dr members)) seen
+          List.filter (fun (dr, _) -> not (on_roster a.a_members group dr)) seen
           |> List.map fst
         in
         let relays =
@@ -513,7 +514,7 @@ let replicate t a group dr joined =
       N.unicast t.net ~src:a.an ~dst:sb.sb_node
         (Message.Scmp_replicate { group; dr; joined; epoch = a.a_epoch })
 
-let mirror_apply sb group dr joined = roster_apply sb.mirror group dr joined
+let mirror_apply t sb group dr joined = roster_apply t sb.mirror group dr joined
 
 (* A fresh APSP table over the topology the m-routers can actually
    build trees over: live links only, minus the links of any authority
@@ -615,7 +616,7 @@ let takeover t sb =
     List.iter
       (fun group ->
         let members = roster sb.mirror group in
-        List.iter (fun dr -> roster_apply a.a_members group dr true) members;
+        List.iter (fun dr -> roster_apply t a.a_members group dr true) members;
         (* The group has been dark since the primary last answered. *)
         darken t group ~at:sb.last_ack;
         rebuild_group t a ~prior:t.primary_auth group members)
@@ -731,7 +732,7 @@ let reprocess_duplicate t a kind group dr =
   | Message.Join | Message.Graft ->
     (* Only re-distribute for a current member: a stale duplicate that
        straggles in after the member left must not resurrect state. *)
-    if List.mem dr (roster a.a_members group) then reattach t a group dr
+    if on_roster a.a_members group dr then reattach t a group dr
 
 let request_ack t a kind group dr seq =
   N.unicast t.net ~src:a.an ~dst:dr
@@ -748,10 +749,10 @@ let handle_request t a kind group dr seq =
     IT.replace a.a_seen (pk dr group) seq;
     match kind with
     | Message.Join ->
-      roster_apply a.a_members group dr true;
+      roster_apply t a.a_members group dr true;
       handle_join_at_mrouter t a group dr
     | Message.Leave ->
-      roster_apply a.a_members group dr false;
+      roster_apply t a.a_members group dr false;
       handle_leave_at_mrouter t a group dr
     | Message.Graft -> reattach t a group dr
   end;
@@ -777,8 +778,8 @@ let handle_resync t a group ~members ~left ~seen ~relays =
       let s = theirs dr in
       if s > mine dr then begin
         IT.replace a.a_seen (pk dr group) s;
-        if not (List.mem dr (roster a.a_members group)) then begin
-          roster_apply a.a_members group dr true;
+        if not (on_roster a.a_members group dr) then begin
+          roster_apply t a.a_members group dr true;
           if Mtree.Dcdm.reaches d dr then
             timed_compute t (fun () -> Mtree.Dcdm.join d dr)
         end
@@ -789,8 +790,8 @@ let handle_resync t a group ~members ~left ~seen ~relays =
       let s = theirs dr in
       if s > mine dr then begin
         IT.replace a.a_seen (pk dr group) s;
-        if List.mem dr (roster a.a_members group) then begin
-          roster_apply a.a_members group dr false;
+        if on_roster a.a_members group dr then begin
+          roster_apply t a.a_members group dr false;
           timed_compute t (fun () -> Mtree.Dcdm.leave d dr)
         end
       end)
@@ -1283,7 +1284,7 @@ let rec handle_message t x ~from msg =
       | Some sb when x = sb.sb_node ->
         (* A standby that took over fences the deposed primary's
            replication stream instead of mirroring it. *)
-        if not (fence t x epoch) then mirror_apply sb group dr joined
+        if not (fence t x epoch) then mirror_apply t sb group dr joined
       | Some _ | None -> ())
     | Message.Scmp_heartbeat { from = probe; seq; epoch } ->
       if x = t.primary then begin

@@ -24,40 +24,39 @@ let rec encode t =
          addr :: List.length body :: body)
        t.children
 
-let size t = List.length (encode t)
+let rec size t =
+  List.fold_left (fun acc (_, sub) -> acc + 2 + size sub) 1 t.children
 
+(* One pass over the words: [parse ws avail] consumes one packet from
+   the first [avail] words of [ws] and returns it, the words after it
+   and how many of the [avail] it left. A sub-packet is parsed in place
+   with its declared length as its bound, so no body is ever copied or
+   measured. *)
 let decode words =
-  (* [parse ws] consumes one packet from the front, returning it and the
-     leftover words. *)
-  let rec parse = function
-    | [] -> Error "truncated packet: missing child count"
-    | count :: rest ->
+  let rec parse ws avail =
+    match ws with
+    | count :: rest when avail > 0 ->
       if count < 0 then Error "negative child count"
-      else begin
-        let rec children k ws acc =
-          if k = 0 then Ok (List.rev acc, ws)
-          else
-            match ws with
-            | addr :: len :: tail ->
-              if len < 0 then Error "negative sub-packet length"
-              else if List.length tail < len then Error "truncated sub-packet"
-              else begin
-                let body = List.filteri (fun i _ -> i < len) tail in
-                let remainder = List.filteri (fun i _ -> i >= len) tail in
-                match parse body with
-                | Error _ as e -> e
-                | Ok (sub, leftover) ->
-                  if leftover <> [] then Error "sub-packet length overshoots its body"
-                  else children (k - 1) remainder ((addr, sub) :: acc)
-              end
-            | _ -> Error "truncated packet: missing child header"
-        in
-        match children count rest [] with
-        | Error _ as e -> e
-        | Ok (children, leftover) -> Ok ({ children }, leftover)
-      end
+      else children count rest (avail - 1) []
+    | _ -> Error "truncated packet: missing child count"
+  and children k ws avail acc =
+    if k = 0 then Ok ({ children = List.rev acc }, ws, avail)
+    else
+      match ws with
+      | addr :: len :: tail when avail >= 2 ->
+        let avail = avail - 2 in
+        if len < 0 then Error "negative sub-packet length"
+        else if avail < len then Error "truncated sub-packet"
+        else begin
+          match parse tail len with
+          | Error _ as e -> e
+          | Ok (_, _, left) when left > 0 ->
+            Error "sub-packet length overshoots its body"
+          | Ok (sub, rest, _) -> children (k - 1) rest (avail - len) ((addr, sub) :: acc)
+        end
+      | _ -> Error "truncated packet: missing child header"
   in
-  match parse words with
+  match parse words (List.length words) with
   | Error _ as e -> e
-  | Ok (t, []) -> Ok t
-  | Ok (_, _ :: _) -> Error "trailing words after packet"
+  | Ok (t, _, 0) -> Ok t
+  | Ok _ -> Error "trailing words after packet"

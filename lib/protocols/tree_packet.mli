@@ -27,10 +27,11 @@ val nodes : t -> at:int -> int list
 (** All routers the subtree rooted at [at] spans (including [at]). *)
 
 val size : t -> int
-(** Encoded length in words — the paper's variable packet length. *)
+(** Encoded length in words — the paper's variable packet length:
+    [List.length (encode t)], counted without encoding. *)
 
 val encode : t -> int list
 
 val decode : int list -> (t, string) result
 (** Inverse of {!encode}; rejects trailing garbage, truncation and
-    negative counts. *)
+    negative counts. One pass, linear in the number of words. *)

@@ -126,6 +126,73 @@ let prop_tree_packet_roundtrip =
     (QCheck.make gen_packet)
     (fun t -> TP.decode (TP.encode t) = Ok t)
 
+let prop_tree_packet_size =
+  QCheck.Test.make ~name:"size = length of the encoding" ~count:200
+    (QCheck.make gen_packet)
+    (fun t -> TP.size t = List.length (TP.encode t))
+
+(* The quadratic decoder [decode] replaced, kept as its oracle: each
+   child measured its tail and split off its body with two filters. *)
+let reference_decode words =
+  let rec parse = function
+    | [] -> Error "truncated packet: missing child count"
+    | count :: rest ->
+      if count < 0 then Error "negative child count"
+      else begin
+        let rec children k ws acc =
+          if k = 0 then Ok (List.rev acc, ws)
+          else
+            match ws with
+            | addr :: len :: tail ->
+              if len < 0 then Error "negative sub-packet length"
+              else if List.length tail < len then Error "truncated sub-packet"
+              else begin
+                let body = List.filteri (fun i _ -> i < len) tail in
+                let remainder = List.filteri (fun i _ -> i >= len) tail in
+                match parse body with
+                | Error _ as e -> e
+                | Ok (sub, leftover) ->
+                  if leftover <> [] then Error "sub-packet length overshoots its body"
+                  else children (k - 1) remainder ((addr, sub) :: acc)
+              end
+            | _ -> Error "truncated packet: missing child header"
+        in
+        match children count rest [] with
+        | Error _ as e -> e
+        | Ok (children, leftover) -> Ok ({ TP.children }, leftover)
+      end
+  in
+  match parse words with
+  | Error _ as e -> e
+  | Ok (t, []) -> Ok t
+  | Ok (_, _ :: _) -> Error "trailing words after packet"
+
+(* An encoding cut short, with one word changed, one inserted or one
+   deleted: counts and lengths that lie about what follows. *)
+let gen_damaged_words =
+  QCheck.Gen.map
+    (fun (t, seed) ->
+      let words = Array.of_list (TP.encode t) in
+      let n = Array.length words in
+      let rng = Prng.create seed in
+      let at = Prng.int rng (n + 1) in
+      let word () = Prng.int rng 24 - 4 in
+      let sub a i k = Array.to_list (Array.sub a i k) in
+      match Prng.int rng 4 with
+      | 0 -> sub words 0 at
+      | 1 when at < n ->
+        words.(at) <- word ();
+        Array.to_list words
+      | 1 | 2 -> sub words 0 at @ (word () :: sub words at (n - at))
+      | _ -> if at < n then sub words 0 at @ sub words (at + 1) (n - at - 1) else [])
+    QCheck.Gen.(pair gen_packet small_int)
+
+let prop_tree_packet_decode_damaged =
+  QCheck.Test.make ~name:"decode of a damaged encoding never raises, agrees with the oracle"
+    ~count:1000
+    (QCheck.make ~print:QCheck.Print.(list int) gen_damaged_words)
+    (fun words -> TP.decode words = reference_decode words)
+
 (* ---------------- Delivery recorder ---------------- *)
 
 let test_delivery_recorder () =
@@ -441,6 +508,31 @@ let test_scmp_mrouter_member () =
   expect_and_send e delivery ~seq:0 ~members:[ 0 ] ~send:(fun () ->
       Scmp_proto.send_data p ~group:1 ~src:4 ~seq:0);
   checki "m-router's subnet delivered" 1 (Delivery.deliveries delivery)
+
+(* The m-router's roster against the list it replaced: a join appends
+   a router not yet present, a leave filters it out. Order and
+   membership agree after every step. *)
+let prop_roster_model =
+  QCheck.Test.make ~name:"roster = join-ordered list model" ~count:300
+    QCheck.(list (pair (int_bound 11) bool))
+    (fun ops ->
+      let r = Protocols.Roster.create 12 in
+      let model = ref [] in
+      List.for_all
+        (fun (dr, joined) ->
+          if joined then begin
+            Protocols.Roster.add r dr;
+            if not (List.mem dr !model) then model := !model @ [ dr ]
+          end
+          else begin
+            Protocols.Roster.remove r dr;
+            model := List.filter (fun m -> m <> dr) !model
+          end;
+          Protocols.Roster.to_list r = !model
+          && List.for_all
+               (fun x -> Protocols.Roster.mem r x = List.mem x !model)
+               (List.init 14 (fun i -> i - 1)))
+        ops)
 
 let prop_scmp_churn_consistent =
   QCheck.Test.make ~name:"SCMP network state mirrors m-router tree under churn"
@@ -1128,6 +1220,56 @@ let test_churn_members_distinct () =
   checki "distinct" (List.length !members_now)
     (List.length (List.sort_uniq compare !members_now))
 
+(* [pick_outside] against the list-building arrival it replaced:
+   [Prng.pick] over the outside candidates, listed in pool order. Pools
+   may repeat a router; the next draw shows both consumed the stream
+   alike (an exhausted pool draws nothing). *)
+let prop_churn_pick_outside =
+  QCheck.Test.make ~name:"pick_outside = Prng.pick over the outside candidates"
+    ~count:500
+    QCheck.(triple small_nat small_nat small_nat)
+    (fun (pool_seed, member_seed, seed) ->
+      let prng = Prng.create pool_seed in
+      let pool = Array.init (Prng.int prng 40) (fun _ -> Prng.int prng 50) in
+      let mrng = Prng.create member_seed in
+      let density = Prng.float mrng 1.0 in
+      let inside_of = Array.init 50 (fun _ -> Prng.chance mrng density) in
+      let inside x = inside_of.(x) in
+      let a = Prng.create seed and b = Prng.create seed in
+      let got = Churn.pick_outside a pool ~inside in
+      let want =
+        match Array.to_list pool |> List.filter (fun x -> not (inside x)) with
+        | [] -> None
+        | outside -> Some (Prng.pick b (Array.of_list outside))
+      in
+      got = want && Prng.int a 1_000_000 = Prng.int b 1_000_000)
+
+(* An arrival costs the same few words whatever the candidate pool: the
+   same churn over pools of 50 and 5,000 candidates, minor words per
+   join over the run (the pool's array is built before it). *)
+let test_churn_arrival_words_flat () =
+  let words_per_join pool =
+    let e = Engine.create () in
+    let c =
+      Churn.start e
+        ~rng:(Prng.create 3)
+        ~candidates:(List.init pool Fun.id)
+        ~join:(fun _ -> ()) ~leave:(fun _ -> ())
+        ~mean_interarrival:0.5 ~mean_holding:10.0 ~horizon:200.0
+    in
+    let w0 = Gc.minor_words () in
+    Engine.run e;
+    let w = Gc.minor_words () -. w0 in
+    checkb "plenty of joins" true (Churn.joins c > 300);
+    w /. float_of_int (Churn.joins c)
+  in
+  let small = words_per_join 50 and large = words_per_join 5000 in
+  checkb
+    (Printf.sprintf "%.1f words per join over 5,000 candidates, %.1f over 50"
+       large small)
+    true
+    (large <= small +. 8.0)
+
 let test_churn_drives_scmp_consistently () =
   (* Poisson churn against the full SCMP machinery: after the dust
      settles the network must still mirror the m-router's tree. Churn
@@ -1368,7 +1510,19 @@ let test_runner_expected_pinned () =
           };
     }
   in
-  checki "churn run" 702 (delivery_expected scmp churn)
+  checki "churn run" 702 (delivery_expected scmp churn);
+  (* A router that joins twice counts twice until its one leave clears
+     it: each of the 13 packets before the leave counts the 9 members
+     other than the source with that one twice (10), each of the 17
+     after it the 8 left. *)
+  let sc0 = runner_scenario 23 in
+  let twice = List.nth sc0.Runner.members 2 in
+  let sc =
+    Runner.make ~spec:sc0.Runner.spec ~center:sc0.Runner.center
+      ~source:sc0.Runner.source ~members:(sc0.Runner.members @ [ twice ]) ()
+  in
+  let sc = { sc with Runner.leavers = [ (sc.Runner.data_start +. 12.5, twice) ] } in
+  checki "joined twice, left once" 266 (delivery_expected scmp sc)
 
 let test_driver_always_full_tree () =
   (* The BRANCH-vs-TREE ablation is a driver outside the list: same
@@ -1447,6 +1601,55 @@ let test_runner_words_per_transmission () =
       end)
     (Protocols.Driver.all ())
 
+(* Words per event on the membership and control path, pinned like
+   the data path above: SCMP on Waxman-200 (seed 1) with 40 members and
+   a Poisson churn of 5 joins/s held 20 s on average, invariants on. A
+   run of 80 packets against one of 20 (the churn runs until the data
+   ends), both after a warm-up run, so fixed and first-use costs
+   cancel: the figure is the steady state of churn, JOIN/LEAVE at the
+   m-router, TREE/BRANCH/PRUNE and data together. *)
+let churn_words_scenario count =
+  let spec = Topology.Waxman.generate ~seed:1 ~n:200 () in
+  let apsp = Netgraph.Apsp.compute spec.Topology.Spec.graph in
+  let center = Scmp.Placement.pick apsp Scmp.Placement.Min_avg_delay in
+  let members =
+    Prng.sample (Prng.create 6) 40 200 |> List.filter (fun x -> x <> center)
+  in
+  let base =
+    Runner.make ~data_count:count ~spec ~center ~source:(List.hd members) ~members ()
+  in
+  {
+    base with
+    Runner.churn =
+      Some
+        {
+          Runner.mean_interarrival = 0.2;
+          mean_holding = 20.0;
+          horizon = Runner.data_end base;
+          churn_seed = 5;
+        };
+  }
+
+let test_runner_churn_words_per_event () =
+  let scmp = Protocols.Driver.find_exn "scmp" in
+  let words_and_events count =
+    let sc = churn_words_scenario count in
+    let r = Obs.Report.create ~name:"churn-words" () in
+    let w0 = Gc.minor_words () in
+    ignore (Runner.run ~check:true ~report:r scmp sc);
+    let w = Gc.minor_words () -. w0 in
+    ( w,
+      Obs.Metrics.counter_value
+        (Obs.Metrics.counter (Obs.Report.metrics r) "engine/events_executed") )
+  in
+  ignore (words_and_events 20);
+  let w_short, e_short = words_and_events 20 in
+  let w_long, e_long = words_and_events 80 in
+  let per_event = (w_long -. w_short) /. float_of_int (e_long - e_short) in
+  checkb
+    (Printf.sprintf "%.2f minor words per event under churn, at most 24" per_event)
+    true (per_event <= 24.0)
+
 (* A checked run that trips still finishes its trace and its report
    before the violation escapes: SCMP whose quiescent self-check always
    fails stands in for a real defect. *)
@@ -1490,6 +1693,8 @@ let () =
           Alcotest.test_case "of_tree" `Quick test_tree_packet_of_tree;
           Alcotest.test_case "decode errors" `Quick test_tree_packet_decode_errors;
           qc prop_tree_packet_roundtrip;
+          qc prop_tree_packet_size;
+          qc prop_tree_packet_decode_damaged;
         ] );
       ( "delivery",
         [
@@ -1511,6 +1716,7 @@ let () =
         ] );
       ( "scmp",
         [
+          qc prop_roster_model;
           Alcotest.test_case "join builds tree" `Quick test_scmp_join_builds_consistent_tree;
           Alcotest.test_case "data delivery" `Quick test_scmp_data_delivery;
           Alcotest.test_case "leave prunes" `Quick test_scmp_leave_prunes_network;
@@ -1579,6 +1785,9 @@ let () =
             test_churn_drives_scmp_consistently;
           Alcotest.test_case "arrival count is bounded" `Quick
             test_churn_arrivals_bounded;
+          qc prop_churn_pick_outside;
+          Alcotest.test_case "arrival words flat in the pool" `Quick
+            test_churn_arrival_words_flat;
         ] );
       ( "multi",
         [
@@ -1600,6 +1809,8 @@ let () =
             test_driver_always_full_tree;
           Alcotest.test_case "words per data transmission, all drivers" `Quick
             test_runner_words_per_transmission;
+          Alcotest.test_case "words per event under churn" `Quick
+            test_runner_churn_words_per_event;
           Alcotest.test_case "tripped check keeps trace and report" `Quick
             test_runner_trip_keeps_evidence;
         ] );

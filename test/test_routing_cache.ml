@@ -318,6 +318,53 @@ let prop_shared_routes_differential =
       if Routes.shared shared = 0 || Routes.shared own <> 0 then ok := false;
       !ok && table_intact ())
 
+(* The cache builds its edge-to-sources map at the first fault, from
+   the SPTs cached then. Fills borrowed from a shared table register
+   nothing before that, so the map must still come out complete: the
+   first link fault drops exactly the cached sources whose tree uses
+   the link (a source kept costs no fill when queried again; a dropped
+   one costs one), and every answer after it equals an eager recompute
+   over the surviving subgraph. *)
+let prop_first_fault_drops_exactly_users =
+  QCheck.Test.make
+    ~name:"first fault after shared fills drops exactly the link's users"
+    ~count:40
+    QCheck.(pair small_nat small_nat)
+    (fun (tseed, fseed) ->
+      List.for_all
+        (fun g ->
+          let n = G.node_count g in
+          let links = base_links g in
+          let rng = Prng.create ((fseed * 40503) + 11) in
+          let table = Apsp.compute g in
+          let net = Netsim.create (Engine.create ()) g ~classify:(fun (_ : unit) -> `Data) in
+          let r = Netsim.routes net in
+          Routes.share r table;
+          let filled = Array.init n (fun _ -> Prng.chance rng 0.6) in
+          Array.iteri (fun s f -> if f then ignore (Routes.spt r ~src:s)) filled;
+          let a, b = links.(Prng.int rng (Array.length links)) in
+          let e = G.edge_id_ix g a b in
+          let uses s =
+            let t = Apsp.sl_tree table s in
+            D.parent_edge_ix t a = e || D.parent_edge_ix t b = e
+          in
+          let users = List.filter (fun s -> filled.(s) && uses s) (List.init n Fun.id) in
+          let no_fault_fill = Routes.computed r = Routes.shared r in
+          Netsim.fail_link net a b;
+          let dropped_count = Routes.invalidated r = List.length users in
+          let exactly_users =
+            List.for_all
+              (fun s ->
+                let before = Routes.computed r in
+                ignore (Routes.spt r ~src:s);
+                let refilled = Routes.computed r > before in
+                refilled = ((not filled.(s)) || List.mem s users))
+              (List.init n Fun.id)
+          in
+          no_fault_fill && dropped_count && exactly_users
+          && routes_agree r (eager_routes net) n)
+        (graphs_of_seed tseed))
+
 let checki = Alcotest.check Alcotest.int
 
 let test_invalidation_is_selective () =
@@ -357,6 +404,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_apsp_differential;
           QCheck_alcotest.to_alcotest prop_next_hop_matches_path;
           QCheck_alcotest.to_alcotest prop_shared_routes_differential;
+          QCheck_alcotest.to_alcotest prop_first_fault_drops_exactly_users;
         ] );
       ( "invalidation",
         [
