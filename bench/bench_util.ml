@@ -1,6 +1,6 @@
 (* Shared benchmark plumbing: table printing with optional CSV export,
-   the figs-8/9 protocol-comparison cell runner, and the calibrated
-   best-of-k timing helpers used by the micro-benchmarks. *)
+   the experiments' scenario builder, and the calibrated best-of-k
+   timing helpers used by the micro-benchmarks. *)
 
 module T = Scmp_util.Texttab
 
@@ -32,62 +32,12 @@ let print_table ?title tab =
 let section title =
   pr "\n%s\n%s\n" title (String.make (String.length title) '=')
 
-(* ------------------------------------------------------------------ *)
-(* Figs 8 and 9: network-wide protocol comparison. One source at
-   1 pkt/s for 30 s; group size 8..40; ARPANET + two random
-   topologies. *)
-
-let fig89_group_sizes = [ 8; 12; 16; 20; 24; 28; 32; 36; 40 ]
-
-let topology_name = function
-  | Exec.Sweep.Arpanet -> "ARPANET (48 nodes)"
-  | Exec.Sweep.Waxman n -> Printf.sprintf "Waxman, %d nodes" n
-  | Exec.Sweep.Random3 n -> Printf.sprintf "random, %d nodes, avg degree 3" n
-  | Exec.Sweep.Random5 n -> Printf.sprintf "random, %d nodes, avg degree 5" n
-
 (* The experiments' scenario builder; bench parameters are fixed, so a
    failed draw is a bug. *)
-let draw ~rng ~group_size ?packets spec =
-  match Scmp.Setup.draw ~rng ~group_size ?packets spec with
+let draw ~rng ~group_size spec =
+  match Scmp.Setup.draw ~rng ~group_size spec with
   | Ok s -> s
   | Error msg -> failwith msg
-
-(* One averaged experiment cell: protocol x topology x group size.
-   Protocols come from the driver registry, so the comparison includes
-   every registered driver (pim-sm along the paper's four). *)
-let run_cell driver topo ~size ~seeds ~pick =
-  let acc = Scmp_util.Stats.create () in
-  for seed = 1 to seeds do
-    let spec = Exec.Sweep.generate_topo topo seed in
-    let rng = Scmp_util.Prng.create ((seed * 104729) + size) in
-    let sc = (draw ~rng ~group_size:size spec).scenario in
-    let r = Protocols.Runner.run driver sc in
-    if r.Protocols.Runner.missed > 0 || r.duplicates > 0 || r.spurious > 0 then
-      pr "!! %s %s size=%d seed=%d: missed=%d dup=%d spur=%d\n"
-        (Protocols.Driver.display driver)
-        (topology_name topo) size seed r.missed r.duplicates r.spurious;
-    Scmp_util.Stats.add acc (pick r)
-  done;
-  Scmp_util.Stats.mean acc
-
-let protocol_figure ~title ~seeds ~pick ~decimals () =
-  let drivers = Protocols.Driver.all () in
-  List.iter
-    (fun topo ->
-      let tab =
-        T.create
-          (T.column ~align:T.Left "group size"
-          :: List.map (fun d -> T.column (Protocols.Driver.display d)) drivers)
-      in
-      List.iter
-        (fun size ->
-          let row =
-            List.map (fun d -> run_cell d topo ~size ~seeds ~pick) drivers
-          in
-          T.add_float_row tab ~decimals (string_of_int size) row)
-        fig89_group_sizes;
-      print_table ~title:(Printf.sprintf "%s — %s" title (topology_name topo)) tab)
-    [ Exec.Sweep.Arpanet; Exec.Sweep.Random3 50; Exec.Sweep.Random5 50 ]
 
 let calibrate_runs ~min_batch_s f =
   let rec go runs =

@@ -1,7 +1,9 @@
-(* Benchmark harness: regenerates every table/figure of the paper's
-   evaluation (§IV) as plain-text series, plus the ablations DESIGN.md
-   calls out, best-of-k micro-benchmarks of the core algorithms, and
-   the parallel sweep engine's speedup/determinism check.
+(* Benchmark harness: Fig 7 and the studies that need a knob or a fixed
+   draw a scenario manifest does not have, as plain-text series, plus
+   best-of-k micro-benchmarks of the core algorithms and the parallel
+   sweep engine's speedup/determinism check. Figs 8/9 and the
+   BRANCH-vs-TREE ablation are manifests under examples/scenarios/,
+   rendered by `scmp_sim table`.
 
    Usage:
      dune exec bench/main.exe                 # everything, reduced seeds

@@ -1,26 +1,8 @@
-(* Protocol-comparison workloads: figs 8/9, placement, PIM-SM detail,
-   and the routing-layer benchmark. *)
+(* Protocol-comparison workloads: placement, PIM-SM detail and the
+   routing-layer benchmark. Figs 8/9 are the manifest
+   examples/scenarios/fig8.json, rendered by `scmp_sim table`. *)
 
 open Bench_util
-
-let fig8 ~seeds () =
-  section "Fig 8 — data overhead and protocol overhead vs group size";
-  pr "1 source, 1 pkt/s, 30 s; averaged over %d seeds (link-cost units)\n" seeds;
-  protocol_figure ~title:"Fig 8(a-c) data overhead" ~seeds
-    ~pick:(fun r -> r.Protocols.Runner.data_overhead)
-    ~decimals:0 ();
-  protocol_figure ~title:"Fig 8(d-f) protocol overhead" ~seeds
-    ~pick:(fun r -> r.Protocols.Runner.protocol_overhead)
-    ~decimals:0 ();
-  protocol_figure ~title:"Fig 8(e,f) log10(protocol overhead)" ~seeds
-    ~pick:(fun r -> log10 (Float.max 1.0 r.Protocols.Runner.protocol_overhead))
-    ~decimals:2 ()
-
-let fig9 ~seeds () =
-  section "Fig 9 — maximum end-to-end delay vs group size (seconds)";
-  protocol_figure ~title:"Fig 9 maximum end-to-end delay" ~seeds
-    ~pick:(fun r -> r.Protocols.Runner.max_delay)
-    ~decimals:4 ()
 
 (* ------------------------------------------------------------------ *)
 (* m-router placement study (§IV.A rules). *)
@@ -292,26 +274,8 @@ let routing_bench () =
        reconvergence; eager cost is n SPTs per epoch plus the initial table"
     tab
 
-(* Best-of-k batched timing. Single-shot means are noisy (GC pauses,
-   scheduler preemption land in the sample); instead each workload is
-   calibrated to a batch long enough to swamp timer resolution, k
-   batches are timed, and the minimum per-run time is reported — the
-   standard estimator for "how fast does this code run undisturbed". *)
-
-let net_seeds c = if c.Workload.full then 10 else 2
-
 let workloads =
   [
-    {
-      Workload.name = "fig8";
-      doc = "data/protocol overhead vs group size, all drivers";
-      run = (fun c -> fig8 ~seeds:(net_seeds c) ());
-    };
-    {
-      Workload.name = "fig9";
-      doc = "maximum end-to-end delay vs group size";
-      run = (fun c -> fig9 ~seeds:(net_seeds c) ());
-    };
     {
       Workload.name = "placement";
       doc = "m-router placement rules vs random";

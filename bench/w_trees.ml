@@ -1,4 +1,6 @@
-(* Tree-construction workloads: fig 7 and the branch-candidate ablation. *)
+(* Tree-construction workloads: fig 7 and its candidate-set ablation.
+   The BRANCH-vs-TREE ablation is the manifest
+   examples/scenarios/branch.json. *)
 
 open Bench_util
 
@@ -96,61 +98,11 @@ let fig7 ~seeds ~ablate () =
         cost_tab)
     Mtree.Bound.all_levels
 
-
-(* ------------------------------------------------------------------ *)
-(* Ablation: BRANCH packets vs always-full-TREE distribution (§III.E's
-   "if the change is small, using a TREE packet containing the whole
-   tree structure is too expensive"). *)
-
-let branch_ablation ~seeds () =
-  section "ablation — BRANCH vs full-TREE distribution (SCMP protocol overhead)";
-  let tab =
-    T.create
-      [
-        T.column ~align:T.Left "group size";
-        T.column "BRANCH+TREE";
-        T.column "always TREE";
-        T.column "saving";
-      ]
-  in
-  List.iter
-    (fun size ->
-      let overhead driver =
-        let acc = Scmp_util.Stats.create () in
-        for seed = 1 to seeds do
-          let spec = Exec.Sweep.generate_topo (Exec.Sweep.Random3 50) seed in
-          let rng = Scmp_util.Prng.create ((seed * 499) + size) in
-          let r =
-            Protocols.Runner.run driver
-              (draw ~rng ~group_size:size spec).scenario
-          in
-          Scmp_util.Stats.add acc r.Protocols.Runner.protocol_overhead
-        done;
-        Scmp_util.Stats.mean acc
-      in
-      let incr = overhead (Protocols.Driver.find_exn "scmp") in
-      let full = overhead Protocols.Driver.scmp_always_full_tree in
-      T.add_row tab
-        [
-          string_of_int size;
-          Printf.sprintf "%.0f" incr;
-          Printf.sprintf "%.0f" full;
-          Printf.sprintf "%.1f%%" (100.0 *. (1.0 -. (incr /. full)));
-        ])
-    [ 8; 16; 24; 32; 40 ];
-  print_table ~title:"random 50-node topology (avg degree 3)" tab
-
-
 let workloads =
   [
     {
       Workload.name = "fig7";
       doc = "tree delay/cost vs group size (DCDM vs KMB vs SPT)";
       run = (fun c -> fig7 ~seeds:(if c.Workload.full then 10 else 3) ~ablate:c.ablate ());
-    };
-    {
-      Workload.name = "branch";
-      doc = "branch-candidate ablation";
-      run = (fun c -> branch_ablation ~seeds:(if c.Workload.full then 10 else 2) ());
     };
   ]

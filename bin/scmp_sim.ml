@@ -3,13 +3,17 @@
    Subcommands:
      topo       generate/load/save/inspect a topology
      tree       build and compare multicast trees on a topology
-     run        network-wide protocol simulation (the Fig 8/9 runner)
+     run        network-wide protocol simulation on one scenario
+     sweep      a manifest's grid of runs, in parallel
+     table      a sweep report's metric as figure tables
      placement  score the m-router placement rules
 
    Examples:
      scmp_sim topo --topo waxman:100 --seed 7 --save net.topo
      scmp_sim tree --load net.topo --group-size 20 --algo dcdm --bound moderate
      scmp_sim run --topo random3:100 --group-size 16 --protocol all
+     scmp_sim sweep --manifest examples/scenarios/fig8.json --report r.json
+     scmp_sim table r.json data_overhead
      scmp_sim placement --topo waxman:60 *)
 
 open Cmdliner
@@ -666,6 +670,7 @@ let trace_stats_cmd =
         if t > !t_max then t_max := t
       | None -> ()
     in
+    (* A directory opens but fails at the first read. *)
     (try
        while true do
          let line = input_line ic in
@@ -689,7 +694,9 @@ let trace_stats_cmd =
            bump kinds descr
          | _ -> ()
        done
-     with End_of_file -> close_in ic);
+     with
+    | End_of_file -> close_in ic
+    | Sys_error e -> or_die (Error (Printf.sprintf "%s: %s" file e)));
     Printf.printf "%d crossings (%d control, %d data) over %.4f s\n" !total
       !control !data
       (if !t_max >= !t_min then !t_max -. !t_min else 0.0);
@@ -998,6 +1005,33 @@ let metric_cmd =
           missing key and exits 4 on a failed assertion.")
     Term.(const run $ file $ key $ ge $ le $ eq)
 
+(* ---------- table ---------- *)
+
+let table_cmd =
+  let file =
+    Arg.(
+      required
+      & pos 0 (some string) None
+      & info [] ~docv:"REPORT" ~doc:"A sweep's scmp-report/1 file.")
+  in
+  let metric =
+    Arg.(
+      required
+      & pos 1 (some string) None
+      & info [] ~docv:"METRIC"
+          ~doc:"Per-cell metric, e.g. data_overhead or max_delay.")
+  in
+  let run file metric =
+    print_string
+      (or_die (Scenario.Table.render (read_json_file file) ~metric))
+  in
+  Cmd.v
+    (Cmd.info "table"
+       ~doc:
+         "Print one per-cell metric of a sweep report as one table per \
+          topology: group sizes down, drivers across, seed means.")
+    Term.(const run $ file $ metric)
+
 let () =
   let doc = "Service-centric multicast (SCMP) simulator" in
   let info = Cmd.info "scmp_sim" ~version:"1.0.0" ~doc in
@@ -1011,6 +1045,7 @@ let () =
             sweep_cmd;
             ab_cmd;
             metric_cmd;
+            table_cmd;
             chaos_cmd;
             placement_cmd;
             trace_stats_cmd;

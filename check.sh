@@ -216,11 +216,34 @@ $SIM sweep --manifest examples/scenarios/clean_compare.json \
   --report /tmp/sweep_manifest.json > /dev/null
 cmp /tmp/sweep_flags.json /tmp/sweep_manifest.json
 
+# Figure gate: Figs 8/9 and the BRANCH-vs-TREE ablation are manifests.
+# Both run with invariants on, so a missed, duplicate or spurious
+# delivery fails the cell that had it; their tables, rendered by
+# `scmp_sim table`, must match the committed ones (and EXPERIMENTS.md)
+# byte for byte.
+echo "== figure manifests (fig8, branch; invariants on, tables vs committed)"
+$SIM sweep --manifest examples/scenarios/fig8.json --jobs 2 \
+  --report /tmp/fig8.json > /dev/null
+$SIM sweep --manifest examples/scenarios/branch.json --jobs 2 \
+  --report /tmp/branch.json > /dev/null
+for metric in data_overhead protocol_overhead max_delay; do
+  $SIM table /tmp/fig8.json "$metric"
+done > /tmp/fig8.tables.txt
+cmp examples/scenarios/fig8.tables.txt /tmp/fig8.tables.txt
+$SIM table /tmp/branch.json protocol_overhead > /tmp/branch.tables.txt
+cmp examples/scenarios/branch.tables.txt /tmp/branch.tables.txt
+for fig in fig8 branch; do
+  block="examples/scenarios/$fig.tables.txt"
+  sed -n "\|^\`\`\`text $block\$|,\|^\`\`\`\$|p" EXPERIMENTS.md | sed '1d;$d' \
+    | cmp "$block" -
+done
+
 # Malformed-input gate: a perturbation program that is out of range or
 # does not fit the topology is an error with a message (exit 1 or 2),
 # never an escaped exception, whether it comes from run's flags or from
-# a manifest's cells.
-echo "== malformed input is an error (run flags, manifest)"
+# a manifest's cells; so is a trace that is a directory, and a report
+# `table` cannot read or that lacks the metric.
+echo "== malformed input is an error (run flags, manifest, trace, table)"
 malformed() {
   set +e
   "$@" > /dev/null 2> /tmp/malformed.err
@@ -252,6 +275,10 @@ malformed $SIM sweep --manifest /tmp/malformed_manifest.json --jobs 1
 # A churn too dense to simulate is refused up front, not run for ever.
 malformed timeout 10 $SIM run --topo arpanet -p scmp --packets 5 \
   --churn-rate=1e300
+malformed $SIM trace-stats /tmp
+head -c 2000 /tmp/branch.json > /tmp/truncated_report.json
+malformed $SIM table /tmp/truncated_report.json protocol_overhead
+malformed $SIM table /tmp/branch.json no_such_metric
 
 # Split-brain smoke: partition the primary m-router away mid-session
 # on a scripted cut and heal it — invariants on (stale-epoch fencing

@@ -156,7 +156,7 @@ type cell_result = {
   wall_s : float;  (** Wall-clock seconds this cell took. *)
 }
 
-val run_cell :
+val run_cell : (* lint: allow unused-export: differential, one cell on a shared topology against a fresh one *)
   ?check:bool ->
   spec ->
   Protocols.Driver.t ->

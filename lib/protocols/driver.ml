@@ -143,9 +143,13 @@ let builtins : t list =
 let all () = builtins
 let names () = List.map name builtins
 
+(* Resolvable by name, so a manifest can run a variant, but never listed:
+   [all] and [names] stay the six protocols a comparison runs. *)
+let variants : t list = [ scmp_always_full_tree ]
+
 let find key =
   let key' = String.lowercase_ascii key in
-  match List.find_opt (fun d -> name d = key') builtins with
+  match List.find_opt (fun d -> name d = key') (builtins @ variants) with
   | Some d -> Ok d
   | None ->
     Error

@@ -21,7 +21,7 @@ type config = {
 (** What a driver is set up on. Nothing here tunes a protocol: each
     agent runs with its own defaults (SCMP's tightest delay bound,
     DVMRP's 10 s prune lifetime), and a protocol variant is a driver
-    value of its own ({!scmp_always_full_tree}). *)
+    of its own ([scmp-full-tree], below). *)
 
 type instance = {
   join : group:Message.group -> Message.node -> unit;
@@ -57,18 +57,17 @@ val name : t -> string
 val display : t -> string
 val setup : t -> config -> instance
 
-val scmp_always_full_tree : t
-(** SCMP distributing every membership change as a full TREE packet,
-    never a BRANCH — the §III.E ablation. Not in the driver list, so
-    {!find}, {!all} and {!names} never return it. *)
-
 (** {2 The driver list}
 
     The six built-ins, in this order: [scmp], [cbt], [dvmrp], [mospf],
     [pim-sm], [hpim-dm]. *)
 
 val find : string -> (t, string) result
-(** Case-insensitive lookup; the error names the known protocols. *)
+(** Case-insensitive lookup; the error names the protocols of the list.
+    It also resolves the one variant outside the list, so a manifest can
+    run it: [scmp-full-tree], SCMP distributing every membership change
+    as a full TREE packet, never a BRANCH (the §III.E ablation). {!all}
+    and {!names} never return it. *)
 
 val find_exn : string -> t
 (** @raise Invalid_argument on unknown names ({!find}'s message). *)

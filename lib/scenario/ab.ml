@@ -100,7 +100,7 @@ let rule_for rules metric =
 
 (* ---- report access ---- *)
 
-let metrics_of_report j =
+let metrics j =
   match Obs.Json.mem "schema" j with
   | Some (Obs.Json.String s) when s = Obs.Report.schema -> (
     match Obs.Json.mem "metrics" j with
@@ -121,7 +121,7 @@ let metrics_of_report j =
   | Some _ | None -> Error "missing schema field"
 
 let metric_value j key =
-  match metrics_of_report j with
+  match metrics j with
   | Error e -> Error e
   | Ok metrics -> (
     match List.assoc_opt key metrics with
@@ -198,7 +198,7 @@ let compare_metrics ?(rules = default_rules) ~old_metrics ~new_metrics () =
   }
 
 let compare_reports ?rules ~old_json ~new_json () =
-  match (metrics_of_report old_json, metrics_of_report new_json) with
+  match (metrics old_json, metrics new_json) with
   | Error e, _ -> Error (Printf.sprintf "old report: %s" e)
   | _, Error e -> Error (Printf.sprintf "new report: %s" e)
   | Ok old_metrics, Ok new_metrics ->

@@ -53,6 +53,10 @@ val glob_match : (* lint: allow unused-export: reference oracle, the metric-name
 (** [glob_match pattern s] — full-string match where ['*'] matches any
     possibly-empty substring. *)
 
+val metrics : Obs.Json.t -> ((string * float) list, string) result
+(** Check the [scmp-report/1] schema and extract every numeric metric,
+    in document order — the one way a report is read. *)
+
 val metric_value : Obs.Json.t -> string -> (float, string) result
 (** Look up one metric by key; the error names the missing key so a
     gate can never silently match nothing. *)

@@ -1,23 +1,31 @@
-type t = { mutable state : int64 }
+(* The state lives in 8 bytes rather than a mutable int64 field, which
+   OCaml would box: with the reads and writes on raw bytes and the mixer
+   inlined, a draw's int64 arithmetic stays in registers. [int] and
+   [chance] allocate nothing, and [float] only its boxed result. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let copy = Bytes.copy
 
-let split t =
-  let s = bits64 t in
-  { state = mix64 s }
+let[@inline] bits64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
+
+let split t = of_state (mix64 (bits64 t))
 
 (* Lemire-style rejection-free bounded draw is overkill here; simple
    modulo of the high bits keeps bias < 2^-40 for simulation bounds.
@@ -27,7 +35,7 @@ let int t bound =
   let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
   r mod bound
 
-let float t bound =
+let[@inline] float t bound =
   let r = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   bound *. (r /. 9007199254740992.0 (* 2^53 *))
 

@@ -201,7 +201,16 @@ let test_driver_registry_roundtrip () =
     (Driver.names ());
   (* lookup is case-insensitive *)
   checkb "case-insensitive" true
-    (match Driver.find "PIM-SM" with Ok d -> Driver.name d = "pim-sm" | _ -> false)
+    (match Driver.find "PIM-SM" with Ok d -> Driver.name d = "pim-sm" | _ -> false);
+  (* a variant outside the list resolves by name, so a manifest can run
+     it, but the list a comparison runs does not grow *)
+  let variant = "scmp-full-tree" in
+  (match Driver.find variant with
+  | Ok d -> checks ("find " ^ variant) variant (Driver.name d)
+  | Error msg -> Alcotest.failf "find %s: %s" variant msg);
+  checkb "names () does not list it" false (List.mem variant (Driver.names ()));
+  checkb "all () does not list it" false
+    (List.exists (fun d -> Driver.name d = variant) (Driver.all ()))
 
 let test_driver_unknown_name () =
   (match Driver.find "igmpv9" with

@@ -6,6 +6,7 @@
 module Json = Obs.Json
 module Manifest = Scenario.Manifest
 module Ab = Scenario.Ab
+module Table = Scenario.Table
 
 let checks = Alcotest.check Alcotest.string
 let checki = Alcotest.check Alcotest.int
@@ -493,6 +494,117 @@ let prop_fault_line_fuzz =
           (Eventsim.Faults.parse_partition, { no_p with partitions = [ line ] });
         ])
 
+(* ---------------- figure tables ---------------- *)
+
+(* 2 drivers x 1 topology x 2 group sizes x 2 seeds, run as the CLI runs
+   a manifest and read back from its serialized report. *)
+let tiny_sweep =
+  lazy
+    (let m =
+       match
+         Manifest.of_string
+           {|{"schema": "scmp-scenario/1", "name": "tiny",
+              "drivers": ["scmp", "cbt"], "topologies": ["random3:20"],
+              "group_sizes": [4, 6], "seeds": [1, 2], "packets": 5,
+              "check": true}|}
+       with
+       | Ok m -> m
+       | Error e -> failwith e
+     in
+     match Exec.Sweep.run ~check:m.check ~jobs:1 (Manifest.to_sweep m) with
+     | Ok o -> (o, Obs.Report.to_string ~wallclock:false o.Exec.Sweep.report)
+     | Error e -> failwith e)
+
+let tiny_report () =
+  match Json.of_string (snd (Lazy.force tiny_sweep)) with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "report: %s" e
+
+let words line = List.filter (( <> ) "") (String.split_on_char ' ' line)
+
+let test_table_means () =
+  let o, _ = Lazy.force tiny_sweep in
+  List.iter
+    (fun (metric, field) ->
+      let text =
+        match Table.render (tiny_report ()) ~metric with
+        | Ok t -> t
+        | Error e -> Alcotest.failf "%s: %s" metric e
+      in
+      let lines = String.split_on_char '\n' text in
+      checks (metric ^ " title") (metric ^ ", random3:20 (mean of 2 seeds)")
+        (List.hd lines);
+      Alcotest.check
+        Alcotest.(list string)
+        "header" [ "k"; "scmp"; "cbt" ]
+        (words (List.nth lines 2));
+      let rows = List.filteri (fun i l -> i >= 4 && l <> "") lines in
+      checki "one row per size" 2 (List.length rows);
+      List.iter
+        (fun row ->
+          match words row with
+          | [ k; scmp; cbt ] ->
+            List.iter
+              (fun (driver, printed) ->
+                let cells =
+                  List.filter
+                    (fun (cr : Exec.Sweep.cell_result) ->
+                      cr.cell.driver = driver
+                      && string_of_int cr.cell.group_size = k)
+                    o.cell_results
+                in
+                checki "both seeds" 2 (List.length cells);
+                let mean =
+                  List.fold_left
+                    (fun acc (cr : Exec.Sweep.cell_result) ->
+                      acc +. field cr.result)
+                    0.0 cells
+                  /. 2.0
+                in
+                checkb
+                  (Printf.sprintf "%s %s k%s: %s is the mean %.6f" metric
+                     driver k printed mean)
+                  true
+                  (Float.abs (float_of_string printed -. mean) <= 6e-5))
+              [ ("scmp", scmp); ("cbt", cbt) ]
+          | _ -> Alcotest.failf "bad row %S" row)
+        rows)
+    [
+      ("data_overhead", fun (r : Protocols.Runner.result) -> r.data_overhead);
+      ("protocol_overhead", fun r -> r.protocol_overhead);
+      ("max_delay", fun r -> r.max_delay);
+    ]
+
+let test_table_errors () =
+  let err what = function
+    | Ok _ -> Alcotest.failf "%s rendered" what
+    | Error e -> e
+  in
+  let e = err "missing metric" (Table.render (tiny_report ()) ~metric:"nope") in
+  checkb "names the missing key" true
+    (contains ~needle:"cell/scmp/random3:20/k4/s1/nope" e);
+  let e = err "not a report" (Table.render (Json.Obj []) ~metric:"max_delay") in
+  checkb "schema checked" true (contains ~needle:"schema" e);
+  let no_grid =
+    Json.Obj
+      [
+        ("schema", Json.String Obs.Report.schema);
+        ("meta", Json.Obj [ ("drivers", Json.List [ Json.String "scmp" ]) ]);
+        ("metrics", Json.Obj []);
+      ]
+  in
+  let e = err "no grid" (Table.render no_grid ~metric:"max_delay") in
+  checkb "names the missing list" true (contains ~needle:"topologies" e)
+
+let prop_table_fuzz =
+  QCheck.Test.make ~count:500 ~name:"Table.render: mutants are Ok or Error"
+    (Fuzz.arb_mutant (lazy [ snd (Lazy.force tiny_sweep) ]))
+    (fun s ->
+      match Json.of_string s with
+      | Error _ -> true
+      | Ok j -> (
+        match Table.render j ~metric:"max_delay" with Ok _ | Error _ -> true))
+
 let () =
   Alcotest.run "scenario"
     [
@@ -520,6 +632,12 @@ let () =
             test_ab_glob_and_serialization;
           Alcotest.test_case "bench minor words band" `Quick
             test_ab_bench_minor_words;
+        ] );
+      ( "table",
+        [
+          Alcotest.test_case "entries are seed means" `Quick test_table_means;
+          Alcotest.test_case "errors" `Quick test_table_errors;
+          QCheck_alcotest.to_alcotest prop_table_fuzz;
         ] );
       ( "sweep",
         [

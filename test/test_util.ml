@@ -107,6 +107,69 @@ let test_prng_pick () =
   Alcotest.check_raises "empty pick" (Invalid_argument "Prng.pick: empty array")
     (fun () -> ignore (Prng.pick t [||]))
 
+(* SplitMix64 as the generator was first written, on a boxed mutable
+   state: the generator's unboxed state must draw the same streams. *)
+module Ref_splitmix = struct
+  type t = { mutable state : int64 }
+
+  let mix64 z =
+    let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
+    let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
+    Int64.(logxor z (shift_right_logical z 31))
+
+  let create seed = { state = mix64 (Int64.of_int seed) }
+  let copy t = { state = t.state }
+
+  let bits64 t =
+    t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
+    mix64 t.state
+
+  let split t = { state = mix64 (bits64 t) }
+  let int t bound = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) mod bound
+
+  let float t bound =
+    bound
+    *. (Int64.to_float (Int64.shift_right_logical (bits64 t) 11)
+       /. 9007199254740992.0)
+end
+
+let test_prng_matches_reference () =
+  let same p r =
+    for i = 1 to 100 do
+      match i mod 3 with
+      | 0 -> check Alcotest.int64 "bits64" (Ref_splitmix.bits64 r) (Prng.bits64 p)
+      | 1 -> checki "int" (Ref_splitmix.int r (1 + i)) (Prng.int p (1 + i))
+      | _ ->
+        check (Alcotest.float 0.0) "float" (Ref_splitmix.float r 7.5)
+          (Prng.float p 7.5)
+    done
+  in
+  List.iter
+    (fun seed ->
+      let p = Prng.create seed and r = Ref_splitmix.create seed in
+      same p r;
+      let pc = Prng.split p and rc = Ref_splitmix.split r in
+      same pc rc;
+      same p r;
+      let pk = Prng.copy p and rk = Ref_splitmix.copy r in
+      same pk rk;
+      same p r)
+    [ 0; 1; 7; 42; 104729; -3; max_int; min_int ]
+
+let test_prng_int_allocates_nothing () =
+  let t = Prng.create 11 and acc = ref 0 and draws = 100_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to draws do
+    acc := !acc + Prng.int t 1000
+  done;
+  let words = Gc.minor_words () -. w0 in
+  checkb "draws in range" true (!acc >= 0);
+  checkb
+    (Printf.sprintf "%.0f minor words over %d draws, under 1 per 1000" words
+       draws)
+    true
+    (words < float_of_int draws /. 1000.0)
+
 let prop_prng_sample_distinct =
   QCheck.Test.make ~name:"sample always distinct and in range" ~count:200
     QCheck.(pair (int_bound 50) small_int)
@@ -368,6 +431,10 @@ let () =
           Alcotest.test_case "shuffle permutes" `Quick test_prng_shuffle_permutes;
           Alcotest.test_case "sample" `Quick test_prng_sample;
           Alcotest.test_case "pick" `Quick test_prng_pick;
+          Alcotest.test_case "matches reference SplitMix64" `Quick
+            test_prng_matches_reference;
+          Alcotest.test_case "int allocates nothing" `Quick
+            test_prng_int_allocates_nothing;
           qc prop_prng_sample_distinct;
         ] );
       ( "heap",
